@@ -4,7 +4,8 @@
 Ingests data/sample_daily_cases.csv, tunes hyperparameters for the
 confirmed-cases series at a small search budget, trains the winning
 configuration, scores it on the held-out tail and forecasts a week
-ahead. Everything lands under runs/demo/.
+ahead. Everything lands under runs/demo/; tests/test_golden.py checks
+the primary artifacts against tests/golden/demo/.
 
 Run from the repo root:  python scripts/demo_pipeline.py
 """
@@ -18,34 +19,37 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "runs" / "demo"
 
 
-def run(argv):
-    print(f"\n$ swarmcast {' '.join(argv)}")
-    code = main(argv)
-    if code != 0:
-        sys.exit(code)
-
-
-def main_demo():
+def demo_commands(out: Path) -> list[list[str]]:
+    """The demo's five CLI calls, writing under ``out``."""
     data = ROOT / "data" / "sample_daily_cases.csv"
-    ingest_dir = OUT / "ingest"
-    tune_dir = OUT / "tune"
-    train_dir = OUT / "train"
-
-    run(["ingest", "--data", str(data), "--region", "sample",
-         "--output-dir", str(ingest_dir)])
-    run(["tune", "--data-dir", str(ingest_dir), "--variable", "confirmed",
+    ingest_dir = out / "ingest"
+    tune_dir = out / "tune"
+    train_dir = out / "train"
+    return [
+        ["ingest", "--data", str(data), "--region", "sample",
+         "--output-dir", str(ingest_dir)],
+        ["tune", "--data-dir", str(ingest_dir), "--variable", "confirmed",
          "--algorithm", "rs-gwo-woa", "--population", "5", "--iterations", "4",
-         "--fitness-epochs", "10", "--seed", "7", "--output-dir", str(tune_dir)])
-    run(["train", "--data-dir", str(ingest_dir), "--variable", "confirmed",
+         "--fitness-epochs", "10", "--seed", "7", "--output-dir", str(tune_dir)],
+        ["train", "--data-dir", str(ingest_dir), "--variable", "confirmed",
          "--from-tuning", str(tune_dir / "report.json"), "--epochs", "100",
-         "--seed", "7", "--output-dir", str(train_dir)])
-    run(["evaluate", "--model", str(train_dir / "model.json"),
+         "--seed", "7", "--output-dir", str(train_dir)],
+        ["evaluate", "--model", str(train_dir / "model.json"),
          "--data-dir", str(ingest_dir), "--variable", "confirmed",
-         "--output-dir", str(OUT / "evaluate")])
-    run(["forecast", "--model", str(train_dir / "model.json"),
+         "--output-dir", str(out / "evaluate")],
+        ["forecast", "--model", str(train_dir / "model.json"),
          "--data-dir", str(ingest_dir), "--variable", "confirmed",
-         "--steps", "7", "--output-dir", str(OUT / "forecast")])
-    print(f"\nall demo artifacts under {OUT}")
+         "--steps", "7", "--output-dir", str(out / "forecast")],
+    ]
+
+
+def main_demo(out: Path = OUT):
+    for argv in demo_commands(out):
+        print(f"\n$ swarmcast {' '.join(argv)}")
+        code = main(argv)
+        if code != 0:
+            sys.exit(code)
+    print(f"\nall demo artifacts under {out}")
 
 
 if __name__ == "__main__":

@@ -60,6 +60,7 @@ from .timeseries import (
     load_csv,
     make_windows,
     minmax_scale,
+    split_windows,
     train_test_split,
 )
 from .tuning import (
@@ -68,6 +69,7 @@ from .tuning import (
     HyperparamAssignment,
     HyperparamSpace,
     TuningResult,
+    cell_configs,
     decode_position,
     enumerate_assignments,
     fitness,

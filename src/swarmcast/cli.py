@@ -7,6 +7,11 @@ manifest (config hash, seed, versions), and is byte-for-byte
 reproducible for a fixed seed. The default config path can be set via
 the SWARMCAST_CONFIG environment variable.
 
+Each option is declared once in ``OPTIONS`` (flag type, choices, help)
+and each command once in ``COMMANDS`` (its keys with their defaults);
+the argument parsers, the option resolution and the config-file checks
+are all built from these two tables.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 divergence or a degenerate objective.
 """
@@ -21,8 +26,10 @@ import math
 import os
 import platform
 import sys
+from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +45,6 @@ from .benchmarks import BENCHMARKS
 from .evaluation import compare_methods, metric_report, parse_score_csv
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
-    NetworkConfig,
-    TrainingConfig,
     initialize_network,
     iterative_forecast,
     load_model,
@@ -47,19 +52,86 @@ from .network import (
     save_model,
     train,
 )
-from .timeseries import ScalingParams, apply_scale, impute_missing, inverse_scale, load_csv, make_windows
+from .timeseries import (
+    ScalingParams,
+    apply_scale,
+    impute_missing,
+    inverse_scale,
+    load_csv,
+    make_windows,
+    minmax_scale,
+    split_windows,
+)
 from .tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
     HyperparamAssignment,
     HyperparamSpace,
-    derive_seed,
+    cell_configs,
     tune_series,
 )
 
 ARCHITECTURE_DIMENSIONS = ("n_filters", "kernel_size", "pool_size", "lstm_units")
 
 CONFIG_ENV_VAR = "SWARMCAST_CONFIG"
+
+
+class Option(NamedTuple):
+    """One option key. Its flag is ``--key-with-dashes``; a config-file
+    value goes through the flag's ``type`` and ``choices`` too, unless
+    the key is ``free_form``. A key without a ``flag`` is config-only."""
+
+    type: type = str
+    help: str | None = None
+    choices: tuple | None = None
+    flag: bool = True
+    free_form: bool = False
+
+
+OPTIONS = {
+    "seed": Option(int, "global seed"),
+    "output_root": Option(help="parent of the config-hashed output directory"),
+    "output_dir": Option(help="exact output directory (overrides --output-root)"),
+    "data": Option(help="daily-series CSV"),
+    "date_column": Option(help="name of the ISO-date column"),
+    "variables": Option(help="comma-separated variable columns", free_form=True),
+    "region": Option(help="region id recorded with the dataset"),
+    "split_ratio": Option(float, "share of rows in the training split"),
+    "data_dir": Option(help="ingest artifact directory"),
+    "variable": Option(help="variable to model (default: the artifact's first)"),
+    "algorithm": Option(help="search algorithm", choices=tuple(sorted(OPTIMIZERS))),
+    "population": Option(int, "population size"),
+    "iterations": Option(int, "search iterations"),
+    "lookback": Option(int, "input window length in days"),
+    "horizon": Option(int, "days predicted per window"),
+    "val_fraction": Option(float, "share of the training split held out for fitness"),
+    "fitness_epochs": Option(int, "training epochs per fitness evaluation"),
+    "learning_rate": Option(float, "optimizer step size"),
+    "optimizer": Option(help="weight optimizer", choices=("adam", "sgd")),
+    "repeat_steps": Option(int, "LSTM steps fed the repeated conv features"),
+    "conv_activation": Option(help="convolution activation", choices=("relu", "tanh")),
+    "surrogate": Option(help="replace fitness by a hash pseudo-loss", choices=("hash",)),
+    "extended_space": Option(bool, "add learning_rate and epochs to the grid"),
+    "space": Option(flag=False, free_form=True),
+    "evaluation_budget": Option(int, "cap on distinct cell evaluations"),
+    "from_tuning": Option(help="tuning report.json whose best assignment to train"),
+    "n_filters": Option(int, "convolution filters"),
+    "kernel_size": Option(int, "convolution kernel length"),
+    "pool_size": Option(int, "max-pool width"),
+    "lstm_units": Option(int, "LSTM hidden units"),
+    "epochs": Option(int, "training epochs"),
+    "model": Option(help="model.json written by train"),
+    "steps": Option(int, "days to forecast"),
+    "scores": Option(help="CSV: test name column then one column per method"),
+    "alpha": Option(float, "significance level"),
+    "q": Option(float, "override the studentized-range constant"),
+    "function": Option(help="benchmark function", choices=tuple(sorted(BENCHMARKS))),
+    "dimension": Option(int, "benchmark dimension"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def canonical_json(obj) -> str:
@@ -94,17 +166,53 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def resolve_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; unknown config keys ignored."""
-    config = _load_config_file(getattr(args, "config", None))
-    resolved = dict(defaults)
-    for key in defaults:
-        if key in config:
-            resolved[key] = config[key]
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
+def _config_value(key: str, value, default):
+    """A config-file value, checked and converted as its flag's argument is."""
+    option = OPTIONS[key]
+    if option.free_form or (value is None and default is None):
+        return value
+    if option.type is bool:
+        ok = isinstance(value, bool)
+    else:
+        # a JSON number or string; an int option refuses to truncate a fraction
+        ok = isinstance(value, (int, float, str)) and not isinstance(value, bool)
+        if option.type is int and isinstance(value, float):
+            ok = value.is_integer()
+        if ok:
+            try:
+                value = option.type(value)
+            except ValueError:
+                ok = False
+    if not ok:
+        raise ConfigError(f"config {key!r} must be {option.type.__name__}, got {value!r}")
+    if option.choices and value not in option.choices:
+        raise ConfigError(
+            f"config {key!r} must be one of {', '.join(option.choices)}, got {value!r}"
+        )
+    return value
+
+
+def resolve_options(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, for the keys of ``args.command``.
+
+    One config file serves every command, so a key no command knows is a
+    ConfigError while another command's key is accepted and left alone.
+    Values for this command's keys pass the same type and choices checks
+    as its flags, and its required keys must end up set.
+    """
+    command = COMMANDS[args.command]
+    config = _load_config_file(args.config)
+    unknown = sorted(set(config) - set(OPTIONS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    resolved = {}
+    for key, default in command.defaults.items():
+        value = _config_value(key, config[key], default) if key in config else default
+        flag = getattr(args, key, None)
+        resolved[key] = value if flag is None else flag
+    for key in command.required:
+        if not resolved[key]:
+            raise ConfigError(f"{args.command} needs {_flag(key)} (or a {key!r} config entry)")
     return resolved
 
 
@@ -143,23 +251,8 @@ def _parse_variables(raw) -> dict[str, str] | None:
 
 # ---------------------------------------------------------------- ingest
 
-INGEST_DEFAULTS = {
-    "data": None,
-    "date_column": "date",
-    "variables": None,
-    "region": None,
-    "split_ratio": 0.8,
-    "seed": 0,
-    "output_root": "runs",
-    "output_dir": None,
-}
-
-
-def cmd_ingest(args) -> int:
-    options = resolve_options(args, INGEST_DEFAULTS)
-    if not options["data"]:
-        raise ConfigError("ingest needs --data (or a 'data' config entry)")
-    ratio = float(options["split_ratio"])
+def cmd_ingest(options) -> int:
+    ratio = options["split_ratio"]
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split_ratio must be in (0, 1), got {ratio}")
 
@@ -183,8 +276,7 @@ def cmd_ingest(args) -> int:
         missing = int(np.isnan(raw).sum())
         total_imputed += missing
         filled = impute_missing(raw)
-        lo, hi = float(filled[:cut].min()), float(filled[:cut].max())
-        params = ScalingParams(lo, hi, degenerate=hi == lo)
+        _, params = minmax_scale(filled[:cut])
         scaled[name] = apply_scale(filled, params)
         variable_meta[name] = {
             "minimum": params.minimum,
@@ -245,30 +337,6 @@ def _target_series(artifact: dict, variable: str | None) -> tuple[str, np.ndarra
 
 # ------------------------------------------------------------------ tune
 
-TUNE_DEFAULTS = {
-    "data_dir": None,
-    "variable": None,
-    "algorithm": "rs-gwo-woa",
-    "population": 10,
-    "iterations": 10,
-    "seed": 0,
-    "lookback": 7,
-    "horizon": 1,
-    "val_fraction": 0.2,
-    "fitness_epochs": 20,
-    "learning_rate": 1e-3,
-    "optimizer": "adam",
-    "repeat_steps": 3,
-    "conv_activation": "relu",
-    "surrogate": None,
-    "extended_space": False,
-    "space": None,
-    "evaluation_budget": None,
-    "output_root": "runs",
-    "output_dir": None,
-}
-
-
 def _resolve_space(options) -> HyperparamSpace:
     override = options["space"]
     if override is None:
@@ -283,40 +351,33 @@ def _resolve_space(options) -> HyperparamSpace:
     )
 
 
-def cmd_tune(args) -> int:
-    options = resolve_options(args, TUNE_DEFAULTS)
-    if not options["data_dir"]:
-        raise ConfigError("tune needs --data-dir pointing at an ingest artifact")
+def cmd_tune(options) -> int:
     artifact = read_artifact(options["data_dir"])
     name, series, _ = _target_series(artifact, options["variable"])
     cut = artifact["meta"]["split_index"]
     space = _resolve_space(options)
 
     params = OptimizerParams(
-        population_size=int(options["population"]),
-        max_iterations=int(options["iterations"]),
-        seed=int(options["seed"]),
+        population_size=options["population"],
+        max_iterations=options["iterations"],
+        seed=options["seed"],
     )
     result = tune_series(
         series[:cut],
         options["algorithm"],
         params,
         space,
-        lookback=int(options["lookback"]),
-        horizon=int(options["horizon"]),
-        val_fraction=float(options["val_fraction"]),
-        fitness_epochs=int(options["fitness_epochs"]),
-        global_seed=int(options["seed"]),
-        repeat_steps=int(options["repeat_steps"]),
+        lookback=options["lookback"],
+        horizon=options["horizon"],
+        val_fraction=options["val_fraction"],
+        fitness_epochs=options["fitness_epochs"],
+        global_seed=options["seed"],
+        repeat_steps=options["repeat_steps"],
         conv_activation=options["conv_activation"],
-        learning_rate=float(options["learning_rate"]),
+        learning_rate=options["learning_rate"],
         optimizer=options["optimizer"],
         surrogate=options["surrogate"],
-        evaluation_budget=(
-            int(options["evaluation_budget"])
-            if options["evaluation_budget"] is not None
-            else None
-        ),
+        evaluation_budget=options["evaluation_budget"],
     )
 
     out_dir, manifest = prepare_output_dir("tune", options)
@@ -332,9 +393,9 @@ def cmd_tune(args) -> int:
             {"assignment": record.values, "loss": record.loss}
             for record in result.records
         ],
-        "lookback": int(options["lookback"]),
-        "horizon": int(options["horizon"]),
-        "seed": int(options["seed"]),
+        "lookback": options["lookback"],
+        "horizon": options["horizon"],
+        "seed": options["seed"],
     })
     write_csv_rows(
         out_dir / "trace.csv",
@@ -355,27 +416,6 @@ def cmd_tune(args) -> int:
 
 # ----------------------------------------------------------------- train
 
-TRAIN_DEFAULTS = {
-    "data_dir": None,
-    "variable": None,
-    "from_tuning": None,
-    "n_filters": 32,
-    "kernel_size": 3,
-    "pool_size": 2,
-    "lstm_units": 10,
-    "repeat_steps": 3,
-    "conv_activation": "relu",
-    "lookback": 7,
-    "horizon": 1,
-    "epochs": 100,
-    "learning_rate": 1e-3,
-    "optimizer": "adam",
-    "seed": 0,
-    "output_root": "runs",
-    "output_dir": None,
-}
-
-
 def _assignment_from_options(options) -> dict:
     if options["from_tuning"]:
         try:
@@ -383,46 +423,26 @@ def _assignment_from_options(options) -> dict:
         except OSError as exc:
             raise DataError(f"cannot read tuning report: {exc}") from exc
         return dict(report["best_assignment"])
-    return {
-        "n_filters": int(options["n_filters"]),
-        "kernel_size": int(options["kernel_size"]),
-        "pool_size": int(options["pool_size"]),
-        "lstm_units": int(options["lstm_units"]),
-    }
+    return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
 
 
-def cmd_train(args) -> int:
-    options = resolve_options(args, TRAIN_DEFAULTS)
-    if not options["data_dir"]:
-        raise ConfigError("train needs --data-dir pointing at an ingest artifact")
+def cmd_train(options) -> int:
     artifact = read_artifact(options["data_dir"])
     name, series, _ = _target_series(artifact, options["variable"])
     cut = artifact["meta"]["split_index"]
     values = _assignment_from_options(options)
-    assignment = HyperparamAssignment(values)
-    derived = derive_seed(int(options["seed"]), assignment)
-
-    epochs = int(values.get("epochs", options["epochs"]))
-    learning_rate = float(values.get("learning_rate", options["learning_rate"]))
-    config = NetworkConfig(
-        n_filters=int(values["n_filters"]),
-        kernel_size=int(values["kernel_size"]),
-        pool_size=int(values["pool_size"]),
-        lstm_units=int(values["lstm_units"]),
-        repeat_steps=int(options["repeat_steps"]),
-        n_features=1,
-        horizon=int(options["horizon"]),
-        conv_activation=options["conv_activation"],
-        seed=derived,
-    )
-    training_cfg = TrainingConfig(
-        epochs=epochs,
-        learning_rate=learning_rate,
+    config, training_cfg = cell_configs(
+        HyperparamAssignment(values),
+        options["seed"],
+        epochs=options["epochs"],
+        learning_rate=options["learning_rate"],
         optimizer=options["optimizer"],
-        seed=derived + 1,
+        horizon=options["horizon"],
+        repeat_steps=options["repeat_steps"],
+        conv_activation=options["conv_activation"],
     )
-    windows = make_windows(series[:cut], int(options["lookback"]), config.horizon)
-    net = initialize_network(config, int(options["lookback"]))
+    windows = make_windows(series[:cut], options["lookback"], config.horizon)
+    net = initialize_network(config, options["lookback"])
     trained = train(net, windows, training_cfg)
 
     out_dir, manifest = prepare_output_dir("train", options)
@@ -437,23 +457,8 @@ def cmd_train(args) -> int:
 
 # -------------------------------------------------------------- forecast
 
-FORECAST_DEFAULTS = {
-    "data_dir": None,
-    "model": None,
-    "variable": None,
-    "steps": 7,
-    "output_root": "runs",
-    "output_dir": None,
-}
-
-
-def cmd_forecast(args) -> int:
-    options = resolve_options(args, FORECAST_DEFAULTS)
-    if not options["model"]:
-        raise ConfigError("forecast needs --model")
-    if not options["data_dir"]:
-        raise ConfigError("forecast needs --data-dir")
-    steps = int(options["steps"])
+def cmd_forecast(options) -> int:
+    steps = options["steps"]
     if steps < 1:
         raise ConfigError("steps must be at least 1")
     model_path = Path(options["model"])
@@ -479,19 +484,7 @@ def cmd_forecast(args) -> int:
 
 # -------------------------------------------------------------- evaluate
 
-EVALUATE_DEFAULTS = {
-    "data_dir": None,
-    "model": None,
-    "variable": None,
-    "output_root": "runs",
-    "output_dir": None,
-}
-
-
-def cmd_evaluate(args) -> int:
-    options = resolve_options(args, EVALUATE_DEFAULTS)
-    if not options["model"] or not options["data_dir"]:
-        raise ConfigError("evaluate needs --model and --data-dir")
+def cmd_evaluate(options) -> int:
     net = load_model(options["model"])
     artifact = read_artifact(options["data_dir"])
     name, series, params = _target_series(artifact, options["variable"])
@@ -499,17 +492,10 @@ def cmd_evaluate(args) -> int:
     lookback, horizon = net.lookback, net.config.horizon
 
     windows = make_windows(series, lookback, horizon)
-    test_idx = [i for i in range(len(windows)) if i + lookback >= cut]
-    if not test_idx:
+    _, test_windows = split_windows(windows, cut)
+    if len(test_windows) == 0:
         raise DataError("test segment too short for the model's lookback/horizon")
-    from .timeseries import WindowedSamples
-
-    test_windows = WindowedSamples(
-        inputs=windows.inputs[test_idx],
-        targets=windows.targets[test_idx],
-        lookback=lookback,
-        horizon=horizon,
-    )
+    offset = len(windows) - len(test_windows)
     predicted = predict_windows(net, test_windows)
     actual = test_windows.targets[:, :, 0]
 
@@ -519,9 +505,9 @@ def cmd_evaluate(args) -> int:
     units_report = metric_report(predicted_units, actual_units)
 
     rows = []
-    for row, i in enumerate(test_idx):
+    for row in range(len(test_windows)):
         for step in range(horizon):
-            day = artifact["dates"][i + lookback + step]
+            day = artifact["dates"][offset + row + lookback + step]
             rows.append([
                 day.isoformat(),
                 step + 1,
@@ -532,19 +518,9 @@ def cmd_evaluate(args) -> int:
     out_dir, manifest = prepare_output_dir("evaluate", options)
     write_json(out_dir / "metrics.json", {
         "variable": name,
-        "n_windows": len(test_idx),
-        "scaled": {
-            "mae": scaled_report.mae,
-            "mse": scaled_report.mse,
-            "r_squared": scaled_report.r_squared,
-            "n": scaled_report.n,
-        },
-        "original_units": {
-            "mae": units_report.mae,
-            "mse": units_report.mse,
-            "r_squared": units_report.r_squared,
-            "n": units_report.n,
-        },
+        "n_windows": len(test_windows),
+        "scaled": asdict(scaled_report),
+        "original_units": asdict(units_report),
     })
     write_csv_rows(out_dir / "predictions.csv", ["date", "step", "actual", "predicted"], rows)
     write_json(out_dir / "manifest.json", manifest)
@@ -556,26 +532,14 @@ def cmd_evaluate(args) -> int:
 
 # --------------------------------------------------------------- compare
 
-COMPARE_DEFAULTS = {
-    "scores": None,
-    "alpha": 0.05,
-    "q": None,
-    "output_root": "runs",
-    "output_dir": None,
-}
-
-
-def cmd_compare(args) -> int:
-    options = resolve_options(args, COMPARE_DEFAULTS)
-    if not options["scores"]:
-        raise ConfigError("compare needs --scores CSV")
+def cmd_compare(options) -> int:
     tests, methods, matrix = parse_score_csv(options["scores"])
     result = compare_methods(
         matrix,
         methods=methods,
         tests=tests,
-        alpha=float(options["alpha"]),
-        q=float(options["q"]) if options["q"] is not None else None,
+        alpha=options["alpha"],
+        q=options["q"],
     )
     out_dir, manifest = prepare_output_dir("compare", options)
     write_json(out_dir / "comparison.json", result.to_dict())
@@ -596,32 +560,15 @@ def cmd_compare(args) -> int:
 
 # -------------------------------------------------------------- bench-opt
 
-BENCH_DEFAULTS = {
-    "function": "sphere",
-    "algorithm": "rs-gwo-woa",
-    "dimension": 5,
-    "population": 30,
-    "iterations": 200,
-    "seed": 0,
-    "output_root": "runs",
-    "output_dir": None,
-}
-
-
-def cmd_bench_opt(args) -> int:
-    options = resolve_options(args, BENCH_DEFAULTS)
+def cmd_bench_opt(options) -> int:
     name = options["function"]
-    if name not in BENCHMARKS:
-        raise ConfigError(f"unknown benchmark {name!r}; pick from {sorted(BENCHMARKS)}")
     algorithm = options["algorithm"]
-    if algorithm not in OPTIMIZERS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
     objective, (low, high) = BENCHMARKS[name]
-    bounds = SearchBounds.cube(low, high, int(options["dimension"]))
+    bounds = SearchBounds.cube(low, high, options["dimension"])
     params = OptimizerParams(
-        population_size=int(options["population"]),
-        max_iterations=int(options["iterations"]),
-        seed=int(options["seed"]),
+        population_size=options["population"],
+        max_iterations=options["iterations"],
+        seed=options["seed"],
     )
     position, fitness_value, trace = OPTIMIZERS[algorithm](objective, bounds, params)
 
@@ -629,7 +576,7 @@ def cmd_bench_opt(args) -> int:
     write_json(out_dir / "result.json", {
         "function": name,
         "algorithm": algorithm,
-        "dimension": int(options["dimension"]),
+        "dimension": options["dimension"],
         "best_fitness": fitness_value,
         "best_position": [float(v) for v in position],
         "evaluations": trace.evaluations,
@@ -647,13 +594,52 @@ def cmd_bench_opt(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- parser
+# ------------------------------------------------------- command table
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file (flags win over it)")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--output-root", dest="output_root")
-    parser.add_argument("--seed", type=int)
+class Command(NamedTuple):
+    """A subcommand: its keys with their defaults, and the keys it needs set."""
+
+    run: Callable[[dict], int]
+    help: str
+    defaults: dict
+    required: tuple[str, ...] = ()
+
+
+OUTPUT_DEFAULTS = {"output_root": "runs", "output_dir": None}
+
+COMMANDS = {
+    "ingest": Command(cmd_ingest, "clean, impute, scale and split a CSV", {
+        "data": None, "date_column": "date", "variables": None, "region": None,
+        "split_ratio": 0.8, "seed": 0,
+    } | OUTPUT_DEFAULTS, required=("data",)),
+    "tune": Command(cmd_tune, "search hyperparameters for one variable", {
+        "data_dir": None, "variable": None,
+        "algorithm": "rs-gwo-woa", "population": 10, "iterations": 10, "seed": 0,
+        "lookback": 7, "horizon": 1, "val_fraction": 0.2, "fitness_epochs": 20,
+        "learning_rate": 1e-3, "optimizer": "adam",
+        "repeat_steps": 3, "conv_activation": "relu",
+        "surrogate": None, "extended_space": False, "space": None, "evaluation_budget": None,
+    } | OUTPUT_DEFAULTS, required=("data_dir",)),
+    "train": Command(cmd_train, "train the final model at full epochs", {
+        "data_dir": None, "variable": None, "from_tuning": None,
+        "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
+        "repeat_steps": 3, "conv_activation": "relu", "lookback": 7, "horizon": 1,
+        "epochs": 100, "learning_rate": 1e-3, "optimizer": "adam", "seed": 0,
+    } | OUTPUT_DEFAULTS, required=("data_dir",)),
+    "forecast": Command(cmd_forecast, "recursive multi-step forecast from a model", {
+        "data_dir": None, "model": None, "variable": None, "steps": 7,
+    } | OUTPUT_DEFAULTS, required=("model", "data_dir")),
+    "evaluate": Command(cmd_evaluate, "score a model on the held-out test segment", {
+        "data_dir": None, "model": None, "variable": None,
+    } | OUTPUT_DEFAULTS, required=("model", "data_dir")),
+    "compare": Command(cmd_compare, "Friedman + critical-difference comparison", {
+        "scores": None, "alpha": 0.05, "q": None,
+    } | OUTPUT_DEFAULTS, required=("scores",)),
+    "bench-opt": Command(cmd_bench_opt, "run an optimizer on a benchmark function", {
+        "function": "sphere", "algorithm": "rs-gwo-woa", "dimension": 5,
+        "population": 30, "iterations": 200, "seed": 0,
+    } | OUTPUT_DEFAULTS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -662,85 +648,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Daily series forecasting with a conv-LSTM tuned by swarm search",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="clean, impute, scale and split a CSV")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--date-column", dest="date_column")
-    p.add_argument("--variables", help="comma-separated variable columns")
-    p.add_argument("--region")
-    p.add_argument("--split-ratio", dest="split_ratio", type=float)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("tune", help="search hyperparameters for one variable")
-    _add_common(p)
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--variable")
-    p.add_argument("--algorithm", choices=sorted(OPTIMIZERS))
-    p.add_argument("--population", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--lookback", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--fitness-epochs", dest="fitness_epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.add_argument("--repeat-steps", dest="repeat_steps", type=int)
-    p.add_argument("--conv-activation", dest="conv_activation", choices=["relu", "tanh"])
-    p.add_argument("--surrogate", choices=["hash"])
-    p.add_argument("--extended-space", dest="extended_space", action="store_const", const=True)
-    p.add_argument("--evaluation-budget", dest="evaluation_budget", type=int)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("train", help="train the final model at full epochs")
-    _add_common(p)
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--variable")
-    p.add_argument("--from-tuning", dest="from_tuning", help="tuning report.json")
-    p.add_argument("--n-filters", dest="n_filters", type=int)
-    p.add_argument("--kernel-size", dest="kernel_size", type=int)
-    p.add_argument("--pool-size", dest="pool_size", type=int)
-    p.add_argument("--lstm-units", dest="lstm_units", type=int)
-    p.add_argument("--repeat-steps", dest="repeat_steps", type=int)
-    p.add_argument("--conv-activation", dest="conv_activation", choices=["relu", "tanh"])
-    p.add_argument("--lookback", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("forecast", help="recursive multi-step forecast from a model")
-    _add_common(p)
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--model")
-    p.add_argument("--variable")
-    p.add_argument("--steps", type=int)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("evaluate", help="score a model on the held-out test segment")
-    _add_common(p)
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--model")
-    p.add_argument("--variable")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="Friedman + critical-difference comparison")
-    _add_common(p)
-    p.add_argument("--scores", help="CSV: test name column then one column per method")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--q", type=float, help="override the studentized-range constant")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("bench-opt", help="run an optimizer on a benchmark function")
-    _add_common(p)
-    p.add_argument("--function", choices=sorted(BENCHMARKS))
-    p.add_argument("--algorithm", choices=sorted(OPTIMIZERS))
-    p.add_argument("--dimension", type=int)
-    p.add_argument("--population", type=int)
-    p.add_argument("--iterations", type=int)
-    p.set_defaults(func=cmd_bench_opt)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file (flags win over it)")
+        for key in command.defaults:
+            option = OPTIONS[key]
+            if not option.flag:
+                continue
+            if option.type is bool:
+                p.add_argument(_flag(key), dest=key, action="store_const", const=True,
+                               help=option.help)
+            else:
+                p.add_argument(_flag(key), dest=key, type=option.type,
+                               choices=option.choices, help=option.help)
     return parser
 
 
@@ -748,7 +668,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(resolve_options(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -36,16 +36,11 @@ ACTIVATIONS = {
 }
 
 
-def conv_output_size(input_len: int, kernel: int, padding: int = 0, stride: int = 1) -> int:
-    """Output length of a strided 1-d convolution: floor((W - F + 2P) / S) + 1."""
-    if stride < 1:
-        raise ConfigError("stride must be at least 1")
-    span = input_len - kernel + 2 * padding
-    if span < 0:
-        raise ConfigError(
-            f"kernel {kernel} larger than padded input {input_len + 2 * padding}"
-        )
-    return span // stride + 1
+def conv_output_size(input_len: int, kernel: int) -> int:
+    """Output length of a valid stride-1 convolution: W - F + 1."""
+    if kernel > input_len:
+        raise ConfigError(f"kernel {kernel} larger than input {input_len}")
+    return input_len - kernel + 1
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:

@@ -82,7 +82,6 @@ class OptimizationTrace:
     """Best-so-far fitness per iteration plus bookkeeping counters."""
 
     best_fitness_per_iteration: list[float] = field(default_factory=list)
-    best_position: np.ndarray | None = None
     evaluations: int = 0
     gwo_iterations: int = 0
     woa_iterations: int = 0
@@ -175,14 +174,9 @@ def woa_step(
     return clamp_to_bounds(new_positions, bounds)
 
 
-def _drive(
-    objective,
-    bounds: SearchBounds,
-    params: OptimizerParams,
-    branch: str,
-    init_population=None,
-    callback=None,
-):
+def _start(objective, bounds: SearchBounds, params: OptimizerParams, init_population):
+    """The run's generator, its initial population (given, or drawn as the
+    generator's first numbers) with fitness, and a trace counting it."""
     rng = np.random.default_rng(params.seed)
     pop, dim = params.population_size, bounds.dimension
     if init_population is not None:
@@ -191,10 +185,26 @@ def _drive(
             raise ConfigError(f"init population must have shape {(pop, dim)}")
     else:
         positions = rng.uniform(bounds.lower, bounds.upper, size=(pop, dim))
-
-    trace = OptimizationTrace()
     fitness = _evaluate(objective, positions)
-    trace.evaluations += pop
+    return rng, positions, fitness, OptimizationTrace(evaluations=pop)
+
+
+def _finish(best: Agent, trace: OptimizationTrace):
+    if math.isinf(best.fitness):
+        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
+    return best.position.copy(), best.fitness, trace
+
+
+def _drive(
+    objective,
+    bounds: SearchBounds,
+    params: OptimizerParams,
+    branch: str,
+    init_population=None,
+    callback=None,
+):
+    rng, positions, fitness, trace = _start(objective, bounds, params, init_population)
+    pop = params.population_size
     leaders = _rank_leaders(positions, fitness)
     best = leaders[0]
 
@@ -219,10 +229,7 @@ def _drive(
         if callback is not None:
             callback(t, "woa" if use_woa else "gwo", positions, fitness, leaders)
 
-    if math.isinf(best.fitness):
-        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
-    trace.best_position = best.position.copy()
-    return best.position.copy(), best.fitness, trace
+    return _finish(best, trace)
 
 
 def rs_gwo_woa(objective, bounds, params, init_population=None, callback=None):
@@ -259,18 +266,8 @@ def uniform_mutation(genome, rate: float, bounds: SearchBounds, rng) -> np.ndarr
 def ga_optimize(objective, bounds, params, init_population=None, callback=None):
     """Generational GA baseline: size-2 tournaments, uniform crossover and
     mutation, elitism of one."""
-    rng = np.random.default_rng(params.seed)
-    pop, dim = params.population_size, bounds.dimension
-    if init_population is not None:
-        positions = clamp_to_bounds(np.asarray(init_population, dtype=float), bounds)
-        if positions.shape != (pop, dim):
-            raise ConfigError(f"init population must have shape {(pop, dim)}")
-    else:
-        positions = rng.uniform(bounds.lower, bounds.upper, size=(pop, dim))
-
-    trace = OptimizationTrace()
-    fitness = _evaluate(objective, positions)
-    trace.evaluations += pop
+    rng, positions, fitness, trace = _start(objective, bounds, params, init_population)
+    pop = params.population_size
     best = _rank_leaders(positions, fitness)[0]
 
     def tournament():
@@ -297,10 +294,7 @@ def ga_optimize(objective, bounds, params, init_population=None, callback=None):
         if callback is not None:
             callback(t, "ga", positions, fitness, (best,))
 
-    if math.isinf(best.fitness):
-        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
-    trace.best_position = best.position.copy()
-    return best.position.copy(), best.fitness, trace
+    return _finish(best, trace)
 
 
 OPTIMIZERS = {

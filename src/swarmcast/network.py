@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class NetworkConfig:
             )
 
     def conv_length(self, lookback: int) -> int:
-        return conv_output_size(lookback, self.kernel_size, padding=0, stride=1)
+        return conv_output_size(lookback, self.kernel_size)
 
     def pooled_length(self, lookback: int) -> int:
         return self.conv_length(lookback) // self.pool_size
@@ -96,23 +96,17 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 100
-    batch_size: int = 1
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    loss: str = "mse"
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.batch_size != 1:
-            raise ConfigError("only batch_size 1 is supported")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss != "mse":
-            raise ConfigError("only mse loss is supported")
 
 
 @dataclass(frozen=True)
@@ -385,17 +379,7 @@ def _decode_array(blob: dict) -> np.ndarray:
 
 def model_to_dict(net: TrainedNetwork) -> dict:
     return {
-        "config": {
-            "n_filters": net.config.n_filters,
-            "kernel_size": net.config.kernel_size,
-            "pool_size": net.config.pool_size,
-            "lstm_units": net.config.lstm_units,
-            "repeat_steps": net.config.repeat_steps,
-            "n_features": net.config.n_features,
-            "horizon": net.config.horizon,
-            "conv_activation": net.config.conv_activation,
-            "seed": net.config.seed,
-        },
+        "config": asdict(net.config),
         "lookback": net.lookback,
         "weights": {key: _encode_array(value) for key, value in net.params().items()},
         "loss_history": list(net.loss_history),

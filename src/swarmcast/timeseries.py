@@ -285,3 +285,24 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedSamples:
         [matrix[i + lookback : i + lookback + horizon] for i in range(count)]
     )
     return WindowedSamples(inputs=inputs, targets=targets, lookback=lookback, horizon=horizon)
+
+
+def split_windows(
+    windows: WindowedSamples, cut: int
+) -> tuple[WindowedSamples, WindowedSamples]:
+    """Chronological split of windows at series row ``cut``.
+
+    A window fits if its target ends at or before the cut and tests if
+    its target starts at or after it; with a horizon above 1 the windows
+    whose target straddles the cut go to neither side. Both sides are
+    contiguous slices, the test side a suffix.
+    """
+    fit_end = max(cut - windows.lookback - windows.horizon + 1, 0)
+    test_start = max(cut - windows.lookback, 0)
+
+    def part(rows: slice) -> WindowedSamples:
+        return WindowedSamples(
+            windows.inputs[rows], windows.targets[rows], windows.lookback, windows.horizon
+        )
+
+    return part(slice(0, fit_end)), part(slice(test_start, None))

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .network import (
     predict_windows,
     train,
 )
-from .timeseries import WindowedSamples, make_windows
+from .timeseries import WindowedSamples, make_windows, split_windows
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,47 @@ def surrogate_fitness(assignment: HyperparamAssignment, global_seed: int = 0) ->
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
+def cell_configs(
+    assignment: HyperparamAssignment,
+    global_seed: int,
+    *,
+    epochs: int,
+    learning_rate: float,
+    optimizer: str,
+    n_features: int = 1,
+    horizon: int = 1,
+    repeat_steps: int = 3,
+    conv_activation: str = "relu",
+) -> tuple[NetworkConfig, TrainingConfig]:
+    """The network and training configs for one grid cell.
+
+    Weights are seeded with ``derive_seed(global_seed, assignment)`` and
+    the sample order with that seed + 1, so a cell trains the same way
+    wherever it is built. An assignment that carries ``learning_rate``
+    or ``epochs`` overrides the given value.
+    """
+    values = assignment.values
+    derived = derive_seed(global_seed, assignment)
+    network = NetworkConfig(
+        n_filters=int(values["n_filters"]),
+        kernel_size=int(values["kernel_size"]),
+        pool_size=int(values["pool_size"]),
+        lstm_units=int(values["lstm_units"]),
+        repeat_steps=repeat_steps,
+        n_features=n_features,
+        horizon=horizon,
+        conv_activation=conv_activation,
+        seed=derived,
+    )
+    training = TrainingConfig(
+        epochs=int(values.get("epochs", epochs)),
+        learning_rate=float(values.get("learning_rate", learning_rate)),
+        optimizer=optimizer,
+        seed=derived + 1,
+    )
+    return network, training
+
+
 def fitness(
     assignment: HyperparamAssignment,
     train_windows: WindowedSamples,
@@ -130,34 +171,26 @@ def fitness(
 ) -> float:
     """Validation MSE of a network trained under the assignment.
 
-    Infeasible shape combinations and diverged trainings come back as
-    +inf so the search stays total.
+    ``training_cfg.seed`` is the global seed. Infeasible shape
+    combinations and diverged trainings come back as +inf so the search
+    stays total.
     """
     lookback = train_windows.lookback
-    derived = derive_seed(training_cfg.seed, assignment)
-    values = assignment.values
-    config = NetworkConfig(
-        n_filters=int(values["n_filters"]),
-        kernel_size=int(values["kernel_size"]),
-        pool_size=int(values["pool_size"]),
-        lstm_units=int(values["lstm_units"]),
-        repeat_steps=repeat_steps,
+    config, run_cfg = cell_configs(
+        assignment,
+        training_cfg.seed,
+        epochs=training_cfg.epochs,
+        learning_rate=training_cfg.learning_rate,
+        optimizer=training_cfg.optimizer,
         n_features=train_windows.inputs.shape[2],
         horizon=train_windows.horizon,
+        repeat_steps=repeat_steps,
         conv_activation=conv_activation,
-        seed=derived,
     )
     try:
         config.validate_for_lookback(lookback)
     except ConfigError:
         return math.inf
-
-    overrides = {"seed": derived + 1}
-    if "learning_rate" in values:
-        overrides["learning_rate"] = float(values["learning_rate"])
-    if "epochs" in values:
-        overrides["epochs"] = int(values["epochs"])
-    run_cfg = replace(training_cfg, **overrides)
 
     net = initialize_network(config, lookback)
     try:
@@ -172,8 +205,8 @@ def fitness(
 def inner_validation_split(
     series, lookback: int, horizon: int, val_fraction: float = 0.2
 ) -> tuple[WindowedSamples, WindowedSamples]:
-    """Chronological window split: a window trains if its whole target
-    lies before the cut, validates if its target starts at or after it."""
+    """Chronological window split of the series at ``1 - val_fraction``
+    (see ``split_windows``); both sides must be non-empty."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must be in (0, 1)")
     matrix = np.asarray(series, dtype=float)
@@ -181,23 +214,13 @@ def inner_validation_split(
         matrix = matrix[:, None]
     windows = make_windows(matrix, lookback, horizon)
     cut = math.floor((1.0 - val_fraction) * len(matrix))
-    train_sel = [i for i in range(len(windows)) if i + lookback + horizon <= cut]
-    val_sel = [i for i in range(len(windows)) if i + lookback >= cut]
-    if not train_sel or not val_sel:
+    fit, val = split_windows(windows, cut)
+    if len(fit) == 0 or len(val) == 0:
         raise TooShortError(
             f"series of length {len(matrix)} cannot supply both fit and "
             f"validation windows at fraction {val_fraction}"
         )
-
-    def subset(selection):
-        return WindowedSamples(
-            inputs=windows.inputs[selection],
-            targets=windows.targets[selection],
-            lookback=lookback,
-            horizon=horizon,
-        )
-
-    return subset(train_sel), subset(val_sel)
+    return fit, val
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from swarmcast.layers import LSTMState, LSTMWeights, lstm_cell_forward
 from swarmcast.metaheuristics import OptimizerParams, SearchBounds, rs_gwo_woa
 from swarmcast.network import (
     NetworkConfig,
-    TrainingConfig,
     compute_gradients,
     initialize_network,
     persistence_predictions,
@@ -31,18 +30,18 @@ from swarmcast.network import (
 )
 from swarmcast.timeseries import (
     ScalingParams,
-    WindowedSamples,
     apply_scale,
     impute_missing,
     inverse_scale,
     load_csv,
     make_windows,
     minmax_scale,
+    split_windows,
     train_test_split,
 )
 from swarmcast.tuning import (
     DEFAULT_SPACE,
-    derive_seed,
+    cell_configs,
     enumerate_assignments,
     surrogate_fitness,
     tune,
@@ -199,22 +198,17 @@ def _tuned_vs_persistence(seed, lookback=7):
         OptimizerParams(population_size=4, max_iterations=2, seed=seed),
         lookback=lookback, horizon=1, fitness_epochs=20, global_seed=seed,
     )
-    values = result.best_assignment.values
-    derived = derive_seed(seed, result.best_assignment)
-    config = NetworkConfig(
-        n_filters=values["n_filters"], kernel_size=values["kernel_size"],
-        pool_size=values["pool_size"], lstm_units=values["lstm_units"], seed=derived,
-    )
     # final fit at lr 1e-4: batch-1 Adam at the default 1e-3 leaves too much
     # terminal parameter noise for a stable level estimate
+    config, training_cfg = cell_configs(
+        result.best_assignment, seed, epochs=100, learning_rate=1e-4, optimizer="adam",
+    )
     trained = train(
         initialize_network(config, lookback),
         make_windows(scaled[:cut], lookback, 1),
-        TrainingConfig(epochs=100, learning_rate=1e-4, seed=derived + 1),
+        training_cfg,
     )
-    windows = make_windows(scaled, lookback, 1)
-    idx = [i for i in range(len(windows)) if i + lookback >= cut]
-    test_w = WindowedSamples(windows.inputs[idx], windows.targets[idx], lookback, 1)
+    _, test_w = split_windows(make_windows(scaled, lookback, 1), cut)
     actual = test_w.targets[:, :, 0].ravel()
     model_mse = mse(predict_windows(trained, test_w).ravel(), actual)
     naive_mse = mse(persistence_predictions(test_w).ravel(), actual)

@@ -359,3 +359,79 @@ class TestConfigResolution:
         runs = list(Path(tmp_path, "runs").iterdir())
         assert len(runs) == 1
         assert runs[0].name.startswith("ingest-")
+
+
+class TestOptionTable:
+    """Options, defaults and config checks all come from cli.OPTIONS and cli.COMMANDS."""
+
+    @staticmethod
+    def config(tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_unknown_config_key_exits_2_naming_it(self, small_csv, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"epochz": 1})
+        assert main(["ingest", "--config", cfg, "--data", str(small_csv),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert "epochz" in capsys.readouterr().err
+
+    def test_other_commands_key_accepted(self, small_csv, tmp_path):
+        # one config file serves every command, so train's keys are fine for ingest
+        cfg = self.config(tmp_path, {"epochs": 5})
+        assert main(["ingest", "--config", cfg, "--data", str(small_csv),
+                     "--output-dir", str(tmp_path / "o")]) == 0
+
+    def test_wrongly_typed_config_value_exits_2_naming_key(self, artifact, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"population": "ten"})
+        assert main(["tune", "--config", cfg, "--data-dir", str(artifact),
+                     "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
+        assert "population" in capsys.readouterr().err
+
+    def test_string_false_is_not_a_boolean(self, artifact, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"extended_space": "false"})
+        assert main(["tune", "--config", cfg, "--data-dir", str(artifact),
+                     "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
+        assert "extended_space" in capsys.readouterr().err
+
+    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"function": "styblinski"})
+        assert main(["bench-opt", "--config", cfg, "--output-dir", str(tmp_path / "b")]) == 2
+        assert "function" in capsys.readouterr().err
+
+    def test_config_values_coerced_like_flags(self, artifact, tmp_path):
+        # a JSON int for a float option resolves to the flag's float, so the
+        # manifests (resolved config and its hash) match
+        cfg = self.config(tmp_path, {"learning_rate": 1, "population": 4})
+        common = ["--data-dir", str(artifact), "--surrogate", "hash", "--iterations", "1"]
+        assert main(["tune", "--config", cfg, *common,
+                     "--output-dir", str(tmp_path / "c")]) == 0
+        assert main(["tune", "--learning-rate", "1", "--population", "4", *common,
+                     "--output-dir", str(tmp_path / "f")]) == 0
+        for name in ("report.json", "manifest.json"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["forecast", "evaluate", "compare"])
+    def test_seedless_commands_reject_seed_flag(self, command, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--output-dir", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    def test_flags_are_each_commands_keys_plus_config(self):
+        from swarmcast.cli import COMMANDS, OPTIONS, build_parser
+
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        total = 0
+        for name, command in COMMANDS.items():
+            flags = {
+                opt for action in subparsers[name]._actions
+                for opt in action.option_strings if opt.startswith("--") and opt != "--help"
+            }
+            expected = {"--" + key.replace("_", "-")
+                        for key in command.defaults if OPTIONS[key].flag}
+            assert flags == expected | {"--config"}, name
+            total += len(flags)
+        assert total == 75
+        used = {key for command in COMMANDS.values() for key in command.defaults}
+        assert used == set(OPTIONS)

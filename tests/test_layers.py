@@ -18,21 +18,14 @@ from swarmcast.layers import (
 
 class TestConvOutputSize:
     def test_valid_convolution(self):
-        assert conv_output_size(10, 3, 0, 1) == 8
+        assert conv_output_size(10, 3) == 8
 
     def test_full_width_kernel(self):
-        assert conv_output_size(7, 7, 0, 1) == 1
-
-    def test_padded_strided(self):
-        assert conv_output_size(9, 3, 1, 2) == 5
+        assert conv_output_size(7, 7) == 1
 
     def test_kernel_too_large(self):
         with pytest.raises(ConfigError):
-            conv_output_size(4, 6, 0, 1)
-
-    def test_bad_stride(self):
-        with pytest.raises(ConfigError):
-            conv_output_size(10, 3, 0, 0)
+            conv_output_size(4, 6)
 
 
 class TestConv1d:

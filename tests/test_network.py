@@ -54,10 +54,6 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             TrainingConfig(epochs=0)
 
-    def test_minibatch_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainingConfig(batch_size=8)
-
     @settings(max_examples=100)
     @given(
         st.integers(1, 4),      # n_filters
@@ -67,7 +63,7 @@ class TestConfigs:
     )
     def test_flat_length_shape_algebra(self, n_filters, kernel, pool, lookback):
         config = tiny_config(n_filters=n_filters, kernel_size=kernel, pool_size=pool)
-        conv_len = conv_output_size(lookback, kernel, 0, 1)
+        conv_len = conv_output_size(lookback, kernel)
         expected = (conv_len // pool) * n_filters
         if kernel > lookback or conv_len // pool < 1:
             with pytest.raises(ConfigError):

@@ -20,6 +20,7 @@ from swarmcast.timeseries import (
     load_csv,
     make_windows,
     minmax_scale,
+    split_windows,
     train_test_split,
 )
 
@@ -279,3 +280,33 @@ class TestWindows:
                 make_windows(series, lookback, horizon)
         else:
             assert len(make_windows(series, lookback, horizon)) == expected
+
+
+class TestSplitWindows:
+    @settings(max_examples=200)
+    @given(st.integers(2, 60), st.integers(1, 8), st.integers(1, 4), st.integers(0, 70))
+    def test_rule_matches_per_window_selection(self, n, lookback, horizon, cut):
+        if n - lookback - horizon + 1 < 1:
+            return
+        windows = make_windows(np.arange(n, dtype=float), lookback, horizon)
+        fit, test = split_windows(windows, cut)
+        # series value == row index, so target rows can be read off directly
+        fit_rows = [i for i in range(len(windows)) if i + lookback + horizon <= cut]
+        test_rows = [i for i in range(len(windows)) if i + lookback >= cut]
+        assert np.array_equal(fit.inputs, windows.inputs[fit_rows])
+        assert np.array_equal(test.inputs, windows.inputs[test_rows])
+        assert np.array_equal(test.targets, windows.targets[test_rows])
+        assert (fit.lookback, fit.horizon) == (test.lookback, test.horizon) == (lookback, horizon)
+
+    def test_cut_before_first_target_clamps(self):
+        windows = make_windows(np.arange(10, dtype=float), 4, 1)
+        fit, test = split_windows(windows, 2)
+        assert len(fit) == 0
+        assert len(test) == len(windows)
+
+    def test_test_side_is_a_suffix(self):
+        windows = make_windows(np.arange(20, dtype=float), 3, 2)
+        fit, test = split_windows(windows, 12)
+        assert test.targets[0, 0, 0] == 12
+        assert fit.targets[-1, -1, 0] == 11
+        assert len(windows) - len(test) == 12 - 3

@@ -13,6 +13,7 @@ from swarmcast.tuning import (
     EXTENDED_SPACE,
     HyperparamAssignment,
     HyperparamSpace,
+    cell_configs,
     decode_position,
     derive_seed,
     enumerate_assignments,
@@ -149,6 +150,27 @@ class TestFitness:
         })
         loss = fitness(a, train_w, val_w, TrainingConfig(epochs=1, seed=2))
         assert math.isfinite(loss)
+
+
+class TestCellConfigs:
+    def test_seeds_derive_from_global_seed_and_cell(self):
+        a = HyperparamAssignment({"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10})
+        network, training = cell_configs(a, 4, epochs=3, learning_rate=1e-3, optimizer="sgd")
+        assert network.seed == derive_seed(4, a)
+        assert training.seed == network.seed + 1
+        assert (training.epochs, training.learning_rate, training.optimizer) == (3, 1e-3, "sgd")
+
+    def test_assignment_overrides_training_and_is_cast(self):
+        a = HyperparamAssignment({
+            "n_filters": 4.0, "kernel_size": 3, "pool_size": 2, "lstm_units": 5,
+            "learning_rate": 1e-2, "epochs": 50,
+        })
+        network, training = cell_configs(
+            a, 0, epochs=1, learning_rate=1e-3, optimizer="adam", horizon=2, repeat_steps=4,
+        )
+        assert network.n_filters == 4 and isinstance(network.n_filters, int)
+        assert (network.horizon, network.repeat_steps) == (2, 4)
+        assert (training.epochs, training.learning_rate) == (50, 1e-2)
 
 
 class TestInnerSplit:
