@@ -8,8 +8,13 @@ ahead. Everything lands under runs/demo/; tests/test_golden.py checks
 the primary artifacts against tests/golden/demo/.
 
 Run from the repo root:  python scripts/demo_pipeline.py
+With --update-golden the run replaces tests/golden/demo/ with its
+primary artifacts (everything but the VOLATILE files), for a change
+that is meant to alter their bits.
 """
 
+import argparse
+import shutil
 import sys
 from pathlib import Path
 
@@ -17,6 +22,9 @@ from swarmcast.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "runs" / "demo"
+GOLDEN = ROOT / "tests" / "golden" / "demo"
+# manifests carry absolute paths and versions, timings.csv the wall clock
+VOLATILE = {"manifest.json", "timings.csv"}
 
 
 def demo_commands(out: Path) -> list[list[str]]:
@@ -52,5 +60,20 @@ def main_demo(out: Path = OUT):
     print(f"\nall demo artifacts under {out}")
 
 
+def update_golden():
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    main_demo(GOLDEN)
+    for path in sorted(GOLDEN.rglob("*")):
+        if path.name in VOLATILE:
+            path.unlink()
+    print(f"golden artifacts rewritten under {GOLDEN.relative_to(ROOT)}")
+
+
 if __name__ == "__main__":
-    main_demo()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update-golden", action="store_true",
+                        help="write the primary artifacts into tests/golden/demo/")
+    if parser.parse_args().update_golden:
+        update_golden()
+    else:
+        main_demo()

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .benchmarks import BENCHMARKS
 from .evaluation import compare_methods, metric_report, parse_score_csv
+from .fileio import atomic_writer
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
     initialize_network,
@@ -139,11 +140,12 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(canonical_json(obj), encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write(canonical_json(obj))
 
 
 def write_csv_rows(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -246,6 +248,11 @@ def _parse_variables(raw) -> dict[str, str] | None:
         return {str(k): str(v) for k, v in raw.items()}
     if isinstance(raw, str):
         raw = [name.strip() for name in raw.split(",") if name.strip()]
+    if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
+        raise ConfigError(
+            "config 'variables' must be a comma-separated string, a list of column"
+            f" names or a name -> column object, got {raw!r}"
+        )
     return {name: name for name in raw}
 
 
@@ -346,6 +353,9 @@ def _resolve_space(options) -> HyperparamSpace:
     missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in override]
     if missing:
         raise ConfigError(f"custom space must keep the architecture dimensions; missing {missing}")
+    for name, values in override.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"config 'space' dimension {name!r} must be a list, got {values!r}")
     return HyperparamSpace(
         tuple((name, tuple(values)) for name, values in override.items())
     )
@@ -505,15 +515,12 @@ def cmd_evaluate(options) -> int:
     units_report = metric_report(predicted_units, actual_units)
 
     rows = []
-    for row in range(len(test_windows)):
-        for step in range(horizon):
-            day = artifact["dates"][offset + row + lookback + step]
-            rows.append([
-                day.isoformat(),
-                step + 1,
-                repr(float(inverse_scale([actual[row, step]], params)[0])),
-                repr(float(inverse_scale([predicted[row, step]], params)[0])),
-            ])
+    for i, (actual_value, predicted_value) in enumerate(
+        zip(actual_units.tolist(), predicted_units.tolist())
+    ):
+        row, step = divmod(i, horizon)
+        day = artifact["dates"][offset + row + lookback + step]
+        rows.append([day.isoformat(), step + 1, repr(actual_value), repr(predicted_value)])
 
     out_dir, manifest = prepare_output_dir("evaluate", options)
     write_json(out_dir / "metrics.json", {

@@ -7,25 +7,32 @@ head mapping the final hidden state to ``horizon`` outputs.
 
 Training is plain per-sample gradient descent (Adam or SGD) on MSE with
 exact reverse-mode gradients, bitwise reproducible for a fixed seed.
-Models serialise to JSON with weights base64-encoded as little-endian
-float64, so save/load round-trips are bit-exact.
+Inside ``train`` the parameters and their gradient each live in one flat
+buffer (``_FlatParams``) that the optimizer updates in place; the LSTM
+gates are fused into one matrix, and the repeated input is projected
+once per window. Inference runs fixed-size blocks of windows through the
+same forward. Models serialise to JSON with weights base64-encoded as
+little-endian float64, so save/load round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergedError
+from .fileio import atomic_writer
 from .layers import (
     ACTIVATIONS,
-    LSTMState,
+    GATES,
     LSTMWeights,
     _conv1d_backward,
     _conv1d_cache,
+    _im2col,
     _lstm_cell_backward,
     _lstm_cell_cache,
     _maxpool1d_backward,
@@ -167,7 +174,7 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
     concat_dim = units + config.flat_length(lookback)
     lstm_limit = np.sqrt(1.0 / units)
     gates = {}
-    for gate in ("forget", "input", "candidate", "output"):
+    for gate in GATES:
         gates[f"{gate}_w"] = rng.uniform(-lstm_limit, lstm_limit, (units, concat_dim))
         gates[f"{gate}_b"] = np.zeros(units)
 
@@ -183,101 +190,176 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
     )
 
 
-def _forward_cache(net: TrainedNetwork, x: np.ndarray):
-    cfg = net.config
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape != (net.lookback, cfg.n_features):
-        raise DataError(
-            f"input must have shape {(net.lookback, cfg.n_features)}, got {x.shape}"
-        )
-    conv_out, conv_cache = _conv1d_cache(x, net.conv_w, net.conv_b, cfg.conv_activation)
-    pooled, pool_cache = _maxpool1d_cache(conv_out, cfg.pool_size)
-    flat = pooled.ravel()
+class _FlatParams:
+    """All parameters of one network (or their gradient) in one contiguous
+    float64 buffer, laid out conv_w, conv_b, gate_w, gate_b, dense_w,
+    dense_b. gate_w (4u, u + flat) stacks the gate weights row-wise in
+    ``GATES`` order; its first u columns act on the hidden state (w_h), the
+    rest on the repeated input (w_x). Every attribute is a view of ``buf``.
+    """
 
-    weights = net.lstm_weights
-    state = LSTMState.zeros(cfg.lstm_units)
-    step_caches = []
+    def __init__(self, config: NetworkConfig, lookback: int):
+        units = config.lstm_units
+        shapes = {
+            "conv_w": (config.n_filters, config.kernel_size, config.n_features),
+            "conv_b": (config.n_filters,),
+            "gate_w": (4 * units, units + config.flat_length(lookback)),
+            "gate_b": (4 * units,),
+            "dense_w": (config.horizon, units),
+            "dense_b": (config.horizon,),
+        }
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.buf = np.zeros(sum(sizes))
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            setattr(self, name, self.buf[offset : offset + size].reshape(shape))
+            offset += size
+        self.units = units
+        self.conv_w2d = self.conv_w.reshape(config.n_filters, -1)
+        self.w_h = self.gate_w[:, :units]
+        self.w_x = self.gate_w[:, units:]
+
+    @classmethod
+    def of(cls, net: TrainedNetwork) -> "_FlatParams":
+        flat = cls(net.config, net.lookback)
+        for key, view in flat.named().items():
+            view[...] = getattr(net, key)
+        return flat
+
+    def named(self) -> dict[str, np.ndarray]:
+        """The ``PARAM_KEYS`` arrays, as views of the buffer."""
+        u = self.units
+        views = {"conv_w": self.conv_w, "conv_b": self.conv_b}
+        for k, gate in enumerate(GATES):
+            views[f"{gate}_w"] = self.gate_w[k * u : (k + 1) * u]
+            views[f"{gate}_b"] = self.gate_b[k * u : (k + 1) * u]
+        views["dense_w"] = self.dense_w
+        views["dense_b"] = self.dense_b
+        return views
+
+
+def _forward(p: _FlatParams, cols, cfg: NetworkConfig):
+    """Forward pass of im2col windows cols (..., conv_length, K*F), one window
+    or a batch; returns the outputs (..., horizon) and the backward cache."""
+    conv_out, conv_cache = _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation)
+    pooled, pool_cache = _maxpool1d_cache(conv_out, cfg.pool_size)
+    flat = pooled.reshape(pooled.shape[:-2] + (-1,))
+    # the repeat layer feeds flat to every step, so its projection is shared
+    xproj = flat @ p.w_x.T + p.gate_b
+    cell = hidden = None
+    steps, hiddens = [], []
     for _ in range(cfg.repeat_steps):
-        state, cache = _lstm_cell_cache(flat, state, weights)
-        step_caches.append(cache)
-    output = net.dense_w @ state.hidden + net.dense_b
-    return output, (conv_cache, pool_cache, flat, step_caches, state.hidden)
+        cell, hidden, cache = _lstm_cell_cache(xproj, cell, hidden, p.w_h)
+        steps.append(cache)
+        hiddens.append(hidden)
+    output = hidden @ p.dense_w.T + p.dense_b
+    return output, (conv_cache, pool_cache, flat, steps, hiddens)
+
+
+def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig):
+    """Gradient of one window's squared error, written into ``g``, which
+    shares ``p``'s layout; returns the error (output - target)."""
+    output, (conv_cache, pool_cache, flat, steps, hiddens) = _forward(p, cols, cfg)
+    error = output - target
+    doutput = 2.0 * error / cfg.horizon
+    np.multiply(doutput[:, None], hiddens[-1], out=g.dense_w)
+    g.dense_b[...] = doutput
+
+    dhidden = doutput @ p.dense_w
+    dcell = None
+    dgates = np.empty((len(steps), 4 * p.units))
+    for t in reversed(range(len(steps))):
+        dcell = _lstm_cell_backward(dhidden, dcell, steps[t], dgates[t])
+        if t:
+            dhidden = dgates[t] @ p.w_h
+    # bias and input weights see every step's input; the recurrent weight
+    # sees step t against hidden t - 1 (step 0 starts from zero)
+    dsum = dgates.sum(axis=0)
+    g.gate_b[...] = dsum
+    np.multiply(dsum[:, None], flat, out=g.w_x)
+    if len(steps) > 1:
+        np.matmul(dgates[1:].T, np.array(hiddens[:-1]), out=g.w_h)
+    else:
+        g.w_h[...] = 0.0
+
+    dpooled = (dsum @ p.w_x).reshape(-1, cfg.n_filters)
+    dconv = _maxpool1d_backward(dpooled, pool_cache)
+    _conv1d_backward(dconv, conv_cache, cfg.conv_activation, g.conv_w2d, g.conv_b)
+    return error
+
+
+def _window_cols(net: TrainedNetwork, inputs) -> np.ndarray:
+    """im2col rows of input windows (..., lookback, n_features), shape-checked;
+    a 1-d input is one single-feature window."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim == 1:
+        inputs = inputs[:, None]
+    shape = (net.lookback, net.config.n_features)
+    if inputs.shape[-2:] != shape:
+        raise DataError(f"input must have shape {shape}, got {inputs.shape[-2:]}")
+    return _im2col(inputs, net.config.kernel_size)
 
 
 def network_forward(x, net: TrainedNetwork) -> np.ndarray:
     """Run one lookback window through the network; returns (horizon,)."""
-    output, _ = _forward_cache(net, x)
+    output, _ = _forward(_FlatParams.of(net), _window_cols(net, x), net.config)
     return output
-
-
-def _gradients(net: TrainedNetwork, x, target):
-    """Reverse-mode gradients of the per-sample MSE; returns (grads, loss)."""
-    cfg = net.config
-    target = np.asarray(target, dtype=float).reshape(-1)
-    if target.shape != (cfg.horizon,):
-        raise DataError(f"target must have {cfg.horizon} entries, got {target.shape}")
-    output, (conv_cache, pool_cache, flat, step_caches, hidden) = _forward_cache(net, x)
-
-    error = output - target
-    loss = float(np.mean(error**2))
-    doutput = 2.0 * error / cfg.horizon
-
-    grads = {key: np.zeros_like(value) for key, value in net.params().items()}
-    grads["dense_w"] = np.outer(doutput, hidden)
-    grads["dense_b"] = doutput.copy()
-
-    weights = net.lstm_weights
-    dhidden = net.dense_w.T @ doutput
-    dcell = np.zeros(cfg.lstm_units)
-    dflat = np.zeros_like(flat)
-    for cache in reversed(step_caches):
-        dhidden, dcell, dx = _lstm_cell_backward(dhidden, dcell, cache, weights, grads)
-        dflat += dx
-
-    dpooled = dflat.reshape(cfg.pooled_length(net.lookback), cfg.n_filters)
-    dconv = _maxpool1d_backward(dpooled, pool_cache)
-    dw, db = _conv1d_backward(dconv, net.conv_w, conv_cache, cfg.conv_activation)
-    grads["conv_w"] = dw
-    grads["conv_b"] = db
-    return grads, loss
 
 
 def compute_gradients(net: TrainedNetwork, x, target) -> dict[str, np.ndarray]:
     """Exact gradients of the MSE between ``network_forward(x)`` and target,
     for every weight and bias (keys as in ``PARAM_KEYS``)."""
-    grads, _ = _gradients(net, x, target)
-    return grads
+    cfg = net.config
+    target = np.asarray(target, dtype=float).reshape(-1)
+    if target.shape != (cfg.horizon,):
+        raise DataError(f"target must have {cfg.horizon} entries, got {target.shape}")
+    grads = _FlatParams(cfg, net.lookback)
+    _gradients(_FlatParams.of(net), grads, _window_cols(net, x), target, cfg)
+    return grads.named()
 
 
 class _Adam:
-    def __init__(self, params, learning_rate):
+    """Adam over the whole flat buffer, in place, with preallocated scratch."""
+
+    def __init__(self, size, learning_rate):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.step = np.empty(size)
+        self.scale = np.empty(size)
         self.t = 0
 
     def update(self, params, grads):
-        # in-place so the working network's views stay current
         self.t += 1
-        for key in params:
-            g = grads[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[key] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[key] / (1.0 - self.beta2**self.t)
-            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, step, scale = self.m, self.v, self.step, self.scale
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=step)
+        m += step
+        # v = beta2 * v + (1 - beta2) * g * g
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=step)
+        step *= grads
+        v += step
+        # params -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - self.beta1**self.t, out=step)
+        step *= self.lr
+        np.divide(v, 1.0 - self.beta2**self.t, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += self.eps
+        step /= scale
+        params -= step
 
 
 class _SGD:
-    def __init__(self, params, learning_rate):
+    def __init__(self, size, learning_rate):
         self.lr = learning_rate
+        self.step = np.empty(size)
 
     def update(self, params, grads):
-        for key in params:
-            params[key] -= self.lr * grads[key]
+        np.multiply(grads, self.lr, out=self.step)
+        params -= self.step
 
 
 def _sample_arrays(samples: WindowedSamples):
@@ -304,32 +386,45 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
         raise ConfigError(
             f"window horizon {samples.horizon} != network horizon {net.config.horizon}"
         )
+    cols = _window_cols(net, inputs)
     rng = np.random.default_rng(cfg.seed)
-    params = {k: v.copy() for k, v in net.params().items()}
+    params = _FlatParams.of(net)
+    grads = _FlatParams(net.config, net.lookback)
     opt_cls = _Adam if cfg.optimizer == "adam" else _SGD
-    optimizer = opt_cls(params, cfg.learning_rate)
-    working = net.with_params(params)  # attribute arrays alias params; updates are in place
+    optimizer = opt_cls(params.buf.size, cfg.learning_rate)
+    errors = np.empty_like(targets)
 
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(inputs))
-        total = 0.0
         for idx in order:
-            grads, loss = _gradients(working, inputs[idx], targets[idx])
-            optimizer.update(params, grads)
+            errors[idx] = _gradients(params, grads, cols[idx], targets[idx], net.config)
+            optimizer.update(params.buf, grads.buf)
+        total = 0.0  # the per-sample losses, summed one by one in visiting order
+        for loss in np.mean(errors[order] ** 2, axis=1).tolist():
             total += loss
         epoch_loss = total / len(inputs)
         if not np.isfinite(epoch_loss):
             raise DivergedError(f"epoch loss became {epoch_loss}")
         history.append(epoch_loss)
 
-    return net.with_params({k: v.copy() for k, v in params.items()}, loss_history=history)
+    return net.with_params(params.named(), loss_history=history)
+
+
+# windows per batched forward in predict_windows: enough to amortise the
+# per-call overhead, small enough that a long series adds no working set
+PREDICT_BLOCK = 32
 
 
 def predict_windows(net: TrainedNetwork, samples: WindowedSamples) -> np.ndarray:
     """One-step-ahead predictions for every window; shape (n, horizon)."""
     inputs, _ = _sample_arrays(samples)
-    return np.stack([network_forward(x, net) for x in inputs])
+    params = _FlatParams.of(net)
+    out = np.empty((len(inputs), net.config.horizon))
+    for start in range(0, len(inputs), PREDICT_BLOCK):
+        block = inputs[start : start + PREDICT_BLOCK]
+        out[start : start + len(block)], _ = _forward(params, _window_cols(net, block), net.config)
+    return out
 
 
 def persistence_predictions(samples: WindowedSamples) -> np.ndarray:
@@ -398,7 +493,7 @@ def model_from_dict(doc: dict) -> TrainedNetwork:
 
 
 def save_model(net: TrainedNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(model_to_dict(net), fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -150,11 +150,17 @@ def load_csv(
                 values[name] = math.nan
                 continue
             try:
-                values[name] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise DataError(
                     f"{path}:{lineno}: non-numeric value {cell!r} in column {col!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}:{lineno}: non-finite value {cell!r} in column {col!r}"
+                    " (mark a missing value with an empty cell or NA)"
+                )
+            values[name] = value
         parsed[day] = values
 
     if not parsed:

@@ -5,8 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swarmcast import cli
+from swarmcast import network as network_module
 from swarmcast.cli import main
-from swarmcast.network import load_model, network_forward
+from swarmcast.network import (
+    NetworkConfig,
+    initialize_network,
+    load_model,
+    network_forward,
+    save_model,
+)
 from swarmcast.timeseries import ScalingParams, inverse_scale
 
 SMALL_CSV = """date,confirmed
@@ -99,6 +107,16 @@ class TestIngest:
         bad = tmp_path / "edge.csv"
         bad.write_text("date,v\n2020-03-22,NA\n2020-03-23,2\n", encoding="utf-8")
         assert main(["ingest", "--data", str(bad), "--output-dir", str(tmp_path / "o")]) == 3
+
+    def test_infinite_cell_exits_3_naming_line_and_column(self, tmp_path, capsys):
+        bad = tmp_path / "inf.csv"
+        bad.write_text("date,v\n2020-03-22,1\n2020-03-23,inf\n2020-03-24,2\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["ingest", "--data", str(bad), "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ":3:" in err and "'v'" in err
+        assert not (out / "dataset.csv").exists()
 
 
 class TestTune:
@@ -411,6 +429,20 @@ class TestOptionTable:
         for name in ("report.json", "manifest.json"):
             assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()
 
+    def test_misshaped_variables_exits_2_naming_key(self, small_csv, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"variables": 5})
+        assert main(["ingest", "--config", cfg, "--data", str(small_csv),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert "'variables'" in capsys.readouterr().err
+
+    def test_space_candidates_not_a_list_exits_2_naming_key(self, artifact, tmp_path, capsys):
+        space = {"n_filters": 4, "kernel_size": [2], "pool_size": [2], "lstm_units": [3]}
+        cfg = self.config(tmp_path, {"space": space})
+        assert main(["tune", "--config", cfg, "--data-dir", str(artifact),
+                     "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert "'space'" in err and "'n_filters'" in err
+
     @pytest.mark.parametrize("command", ["forecast", "evaluate", "compare"])
     def test_seedless_commands_reject_seed_flag(self, command, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -435,3 +467,51 @@ class TestOptionTable:
         assert total == 75
         used = {key for command in COMMANDS.values() for key in command.defaults}
         assert used == set(OPTIONS)
+
+
+class TestAtomicWrites:
+    """An artifact write that fails partway leaves the previous file intact."""
+
+    @staticmethod
+    def assert_untouched(path, before):
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_write_json(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        cli.write_json(path, {"a": 1})
+        before = path.read_bytes()
+
+        # a lone surrogate cannot be encoded, so the write fails after it began
+        monkeypatch.setattr(cli, "canonical_json", lambda obj: '{"a": 2, "b": "\ud800"}\n')
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_json(path, {"a": 2})
+        self.assert_untouched(path, before)
+
+    def test_write_csv_rows(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        cli.write_csv_rows(path, ["x"], [[1], [2]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [3]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            cli.write_csv_rows(path, ["x"], rows())
+        self.assert_untouched(path, before)
+
+    def test_save_model(self, tmp_path, monkeypatch):
+        net = initialize_network(NetworkConfig(n_filters=2, lstm_units=2), lookback=6)
+        path = tmp_path / "model.json"
+        save_model(net, path)
+        before = path.read_bytes()
+
+        def half_dump(doc, fh, **kwargs):
+            fh.write('{"config": ')
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(network_module.json, "dump", half_dump)
+        with pytest.raises(RuntimeError):
+            save_model(net, path)
+        self.assert_untouched(path, before)

@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference_grads, max_relative_error
+from swarmcast.layers import (
+    LSTMState,
+    conv1d_forward,
+    lstm_cell_forward,
+    maxpool1d_forward,
+    sigmoid,
+)
 from swarmcast.network import (
     NetworkConfig,
     compute_gradients,
@@ -73,3 +80,95 @@ def test_gradient_shapes_match_weights():
     grads = compute_gradients(net, np.zeros((6, 1)), np.zeros(1))
     for key, value in net.params().items():
         assert grads[key].shape == value.shape
+
+
+def reference_gradients(net, x, target):
+    """Unfused backprop over the public forward primitives: every step
+    re-projects [hidden, input] through the four separate gate weights and
+    every gradient is accumulated one outer product at a time."""
+    cfg = net.config
+    units, kernel, pool = cfg.lstm_units, cfg.kernel_size, cfg.pool_size
+    pre = conv1d_forward(x, net.conv_w, net.conv_b, "identity")
+    conv = conv1d_forward(x, net.conv_w, net.conv_b, cfg.conv_activation)
+    pooled = maxpool1d_forward(conv, pool)
+    flat = pooled.ravel()
+    weights = net.lstm_weights
+    states = [LSTMState.zeros(units)]
+    for _ in range(cfg.repeat_steps):
+        _, state = lstm_cell_forward(flat, states[-1], weights)
+        states.append(state)
+    output = net.dense_w @ states[-1].hidden + net.dense_b
+
+    doutput = 2.0 * (output - target) / cfg.horizon
+    grads = {key: np.zeros_like(value) for key, value in net.params().items()}
+    grads["dense_w"] = np.outer(doutput, states[-1].hidden)
+    grads["dense_b"] = doutput
+    dhidden = net.dense_w.T @ doutput
+    dcell = np.zeros(units)
+    dflat = np.zeros_like(flat)
+    for t in reversed(range(cfg.repeat_steps)):
+        prev, cur = states[t], states[t + 1]
+        concat = np.concatenate([prev.hidden, flat])
+        forget = sigmoid(weights.forget_w @ concat + weights.forget_b)
+        update = sigmoid(weights.input_w @ concat + weights.input_b)
+        candidate = np.tanh(weights.candidate_w @ concat + weights.candidate_b)
+        out_gate = sigmoid(weights.output_w @ concat + weights.output_b)
+        tanh_cell = np.tanh(cur.cell)
+        dcell = dcell + dhidden * out_gate * (1.0 - tanh_cell**2)
+        deltas = {
+            "forget": dcell * prev.cell * forget * (1.0 - forget),
+            "input": dcell * candidate * update * (1.0 - update),
+            "candidate": dcell * update * (1.0 - candidate**2),
+            "output": dhidden * tanh_cell * out_gate * (1.0 - out_gate),
+        }
+        dconcat = np.zeros_like(concat)
+        for gate, delta in deltas.items():
+            grads[f"{gate}_w"] += np.outer(delta, concat)
+            grads[f"{gate}_b"] += delta
+            dconcat += getattr(weights, f"{gate}_w").T @ delta
+        dhidden = dconcat[:units]
+        dflat += dconcat[units:]
+        dcell = dcell * forget
+
+    dpooled = dflat.reshape(pooled.shape)
+    dconv = np.zeros_like(conv)
+    for window in range(len(pooled)):
+        for channel in range(cfg.n_filters):
+            span = conv[window * pool : (window + 1) * pool, channel]
+            dconv[window * pool + int(np.argmax(span)), channel] = dpooled[window, channel]
+    slope = {"relu": pre > 0, "tanh": 1.0 - np.tanh(pre) ** 2, "identity": 1.0}
+    dpre = dconv * slope[cfg.conv_activation]
+    for pos in range(len(pre)):
+        grads["conv_w"] += np.outer(dpre[pos], x[pos : pos + kernel].ravel()).reshape(
+            net.conv_w.shape
+        )
+    grads["conv_b"] = dpre.sum(axis=0)
+    return grads
+
+
+@pytest.mark.parametrize("config, lookback", [
+    # multivariate, tanh conv, two-step horizon, four repeat steps
+    (dict(n_filters=3, kernel_size=2, pool_size=2, lstm_units=3, repeat_steps=4,
+          n_features=2, horizon=2, conv_activation="tanh"), 7),
+    # the demo's tuned cell at the default lookback
+    (dict(n_filters=32, kernel_size=5, pool_size=2, lstm_units=15), 7),
+    # one LSTM step (no recurrent gradient), identity conv, pool remainder dropped
+    (dict(n_filters=4, kernel_size=3, pool_size=3, lstm_units=5, repeat_steps=1,
+          conv_activation="identity"), 9),
+])
+def test_fused_gradients_match_unfused_reference(config, lookback):
+    for seed in range(3):
+        rng = np.random.default_rng(100 + seed)
+        net = initialize_network(NetworkConfig(seed=seed, **config), lookback)
+        net = net.with_params({  # nonzero biases exercise every bias path
+            key: value + rng.normal(scale=0.3, size=value.shape) if key.endswith("_b") else value
+            for key, value in net.params().items()
+        })
+        x = rng.normal(size=(lookback, net.config.n_features))
+        target = rng.normal(size=net.config.horizon)
+        fused = compute_gradients(net, x, target)
+        expected = reference_gradients(net, x, target)
+        assert set(fused) == set(expected)
+        for key in expected:
+            np.testing.assert_allclose(fused[key], expected[key], rtol=1e-10, atol=1e-13,
+                                       err_msg=key)

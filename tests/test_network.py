@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmcast.errors import ConfigError, DataError, DivergedError
-from swarmcast.layers import LSTMState, conv1d_forward, conv_output_size, lstm_cell_forward, maxpool1d_forward
+from swarmcast.layers import (
+    GATES,
+    LSTMState,
+    conv1d_forward,
+    conv_output_size,
+    lstm_cell_forward,
+    maxpool1d_forward,
+)
 from swarmcast.network import (
+    PREDICT_BLOCK,
     NetworkConfig,
     TrainingConfig,
     initialize_network,
@@ -179,6 +187,15 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(net, samples, TrainingConfig(epochs=1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_saturated_gates_train_without_runtime_warnings(self):
+        # gate pre-activations near +-1000 would overflow a naive exp(-x)
+        net = initialize_network(tiny_config(seed=21), 6)
+        biases = {f"{gate}_b": np.full(4, sign * 1e3) for gate, sign in zip(GATES, (1, -1, 1, -1))}
+        net = net.with_params({**net.params(), **biases})
+        trained = train(net, constant_samples(n=3), TrainingConfig(epochs=3, seed=21))
+        assert np.all(np.isfinite(trained.loss_history))
+
     def test_sgd_also_learns_constant(self):
         net = initialize_network(tiny_config(seed=8), 6)
         cfg = TrainingConfig(epochs=300, learning_rate=5e-2, optimizer="sgd", seed=8)
@@ -193,6 +210,25 @@ class TestPrediction:
         net = initialize_network(tiny_config(seed=10), 6)
         preds = predict_windows(net, windows)
         assert preds.shape == (len(windows), 1)
+
+    def test_blocked_batch_matches_per_window_forward(self):
+        config = tiny_config(seed=20, n_filters=3, kernel_size=2, lstm_units=3, repeat_steps=4,
+                             n_features=2, horizon=2, conv_activation="tanh")
+        lookback = 7
+        net = initialize_network(config, lookback)
+        rng = np.random.default_rng(20)
+        n = 2 * PREDICT_BLOCK + 3
+        windows = WindowedSamples(
+            inputs=rng.normal(size=(n, lookback, 2)),
+            targets=np.zeros((n, 2, 1)),
+            lookback=lookback,
+            horizon=2,
+        )
+        preds = predict_windows(net, windows)
+        assert preds.shape == (n, 2)
+        for i in range(n):
+            assert np.allclose(preds[i], network_forward(windows.inputs[i], net),
+                               atol=1e-12, rtol=0)
 
     def test_persistence_repeats_last_value(self):
         series = np.arange(10, dtype=float)

@@ -77,6 +77,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_rejected_naming_line_and_column(self, tmp_path, token):
+        path = write_csv(tmp_path, f"date,v\n2020-03-22,1\n2020-03-23,{token}\n")
+        with pytest.raises(DataError, match=f":3: non-finite value '{token}' in column 'v'"):
+            load_csv(path)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
