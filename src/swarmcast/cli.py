@@ -427,12 +427,21 @@ def cmd_tune(options) -> int:
 # ----------------------------------------------------------------- train
 
 def _assignment_from_options(options) -> dict:
-    if options["from_tuning"]:
+    path = options["from_tuning"]
+    if path:
         try:
-            report = json.loads(Path(options["from_tuning"]).read_text(encoding="utf-8"))
+            report = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise DataError(f"cannot read tuning report: {exc}") from exc
-        return dict(report["best_assignment"])
+            raise DataError(f"cannot read tuning report {path}: {exc}") from exc
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise DataError(f"tuning report {path} is not valid JSON: {exc}") from exc
+        best = report.get("best_assignment") if isinstance(report, dict) else None
+        if not isinstance(best, dict):
+            raise DataError(f"{path}: missing key 'best_assignment'")
+        missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in best]
+        if missing:
+            raise DataError(f"{path}: 'best_assignment' lacks {', '.join(missing)}")
+        return dict(best)
     return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
 
 
@@ -471,10 +480,7 @@ def cmd_forecast(options) -> int:
     steps = options["steps"]
     if steps < 1:
         raise ConfigError("steps must be at least 1")
-    model_path = Path(options["model"])
-    if not model_path.exists():
-        raise DataError(f"model file {model_path} does not exist")
-    net = load_model(model_path)
+    net = load_model(options["model"])
     artifact = read_artifact(options["data_dir"])
     name, series, params = _target_series(artifact, options["variable"])
 

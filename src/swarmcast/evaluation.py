@@ -234,9 +234,11 @@ def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
 
     Returns (test names, method names, N x k matrix).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read scores {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one test row")
     header = rows[0]

@@ -62,7 +62,6 @@ class OptimizerParams:
     population_size: int = 30
     max_iterations: int = 200
     seed: int = 0
-    spiral_b: float = 1.0
     ga_crossover_rate: float = 0.25
     ga_mutation_rate: float = 0.25
 
@@ -131,15 +130,13 @@ def gwo_step(positions, leaders, a: float, rng, bounds: SearchBounds) -> np.ndar
     return clamp_to_bounds(total / 3.0, bounds)
 
 
-def woa_step(
-    positions, best: Agent, a: float, rng, bounds: SearchBounds, spiral_b: float = 1.0
-) -> np.ndarray:
+def woa_step(positions, best: Agent, a: float, rng, bounds: SearchBounds) -> np.ndarray:
     """Whale update: encircle the best, spiral toward it, or chase a random peer.
 
     Per agent, p decides spiral (p >= 0.5) versus encircling; within
     encircling |A| >= 1 switches to exploration around a random *other*
     agent. A and C are scalar per agent so the single |A| test drives the
-    whole move; l is uniform on [-1, 1].
+    whole move; l is uniform on [-1, 1] and the spiral constant b is 1.
     """
     positions = np.asarray(positions, dtype=float)
     pop, _ = positions.shape
@@ -157,7 +154,7 @@ def woa_step(
     spiral = p >= 0.5
     if spiral.any():
         dist = np.abs(best.position - positions[spiral])
-        swirl = np.exp(spiral_b * spiral_l[spiral]) * np.cos(2.0 * np.pi * spiral_l[spiral])
+        swirl = np.exp(spiral_l[spiral]) * np.cos(2.0 * np.pi * spiral_l[spiral])
         new_positions[spiral] = dist * swirl[:, None] + best.position
 
     encircle = ~spiral & (np.abs(coeff_a) < 1.0)
@@ -215,7 +212,7 @@ def _drive(
         else:
             use_woa = branch == "woa"
         if use_woa:
-            positions = woa_step(positions, leaders[0], a, rng, bounds, params.spiral_b)
+            positions = woa_step(positions, leaders[0], a, rng, bounds)
             trace.woa_iterations += 1
         else:
             positions = gwo_step(positions, leaders, a, rng, bounds)

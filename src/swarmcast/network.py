@@ -7,12 +7,13 @@ head mapping the final hidden state to ``horizon`` outputs.
 
 Training is plain per-sample gradient descent (Adam or SGD) on MSE with
 exact reverse-mode gradients, bitwise reproducible for a fixed seed.
-Inside ``train`` the parameters and their gradient each live in one flat
-buffer (``_FlatParams``) that the optimizer updates in place; the LSTM
-gates are fused into one matrix, and the repeated input is projected
-once per window. Inference runs fixed-size blocks of windows through the
-same forward. Models serialise to JSON with weights base64-encoded as
-little-endian float64, so save/load round-trips are bit-exact.
+A network keeps its parameters in one flat buffer (``_FlatParams``);
+``train`` copies it once and the optimizer updates the copy in place,
+against a gradient buffer of the same layout. The LSTM gates are fused
+into one matrix, and the repeated input is projected once per window.
+Inference runs fixed-size blocks of windows through the same forward.
+Models serialise to JSON with weights base64-encoded as little-endian
+float64, so save/load round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .fileio import atomic_writer
 from .layers import (
     ACTIVATIONS,
     GATES,
-    LSTMWeights,
     _conv1d_backward,
     _conv1d_cache,
     _im2col,
@@ -40,21 +40,6 @@ from .layers import (
     conv_output_size,
 )
 from .timeseries import ScalingParams, WindowedSamples, inverse_scale
-
-PARAM_KEYS = (
-    "conv_w",
-    "conv_b",
-    "forget_w",
-    "forget_b",
-    "input_w",
-    "input_b",
-    "candidate_w",
-    "candidate_b",
-    "output_w",
-    "output_b",
-    "dense_w",
-    "dense_b",
-)
 
 
 @dataclass(frozen=True)
@@ -116,89 +101,16 @@ class TrainingConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
-@dataclass(frozen=True)
-class TrainedNetwork:
-    """All weights of one forecaster plus the config that shaped them.
-
-    Shapes: conv_w (n_filters, kernel_size, n_features), conv_b
-    (n_filters,); each LSTM gate weight (lstm_units, lstm_units +
-    flat_length), bias (lstm_units,); dense_w (horizon, lstm_units),
-    dense_b (horizon,).
-    """
-
-    config: NetworkConfig
-    lookback: int
-    conv_w: np.ndarray
-    conv_b: np.ndarray
-    forget_w: np.ndarray
-    forget_b: np.ndarray
-    input_w: np.ndarray
-    input_b: np.ndarray
-    candidate_w: np.ndarray
-    candidate_b: np.ndarray
-    output_w: np.ndarray
-    output_b: np.ndarray
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    loss_history: tuple[float, ...] = field(default_factory=tuple)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {key: getattr(self, key) for key in PARAM_KEYS}
-
-    def with_params(self, params: dict[str, np.ndarray], loss_history=None) -> "TrainedNetwork":
-        history = self.loss_history if loss_history is None else tuple(loss_history)
-        return replace(self, loss_history=history, **params)
-
-    @property
-    def lstm_weights(self) -> LSTMWeights:
-        return LSTMWeights(
-            forget_w=self.forget_w, forget_b=self.forget_b,
-            input_w=self.input_w, input_b=self.input_b,
-            candidate_w=self.candidate_w, candidate_b=self.candidate_b,
-            output_w=self.output_w, output_b=self.output_b,
-        )
-
-
-def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
-    """Seeded weight init: Glorot-style uniform for conv and dense,
-    uniform +-sqrt(1/units) for the LSTM gates, all biases zero."""
-    config.validate_for_lookback(lookback)
-    rng = np.random.default_rng(config.seed)
-    kernel_fan = config.kernel_size * config.n_features
-    conv_limit = np.sqrt(6.0 / (kernel_fan + config.n_filters))
-    conv_w = rng.uniform(-conv_limit, conv_limit,
-                         (config.n_filters, config.kernel_size, config.n_features))
-    conv_b = np.zeros(config.n_filters)
-
-    units = config.lstm_units
-    concat_dim = units + config.flat_length(lookback)
-    lstm_limit = np.sqrt(1.0 / units)
-    gates = {}
-    for gate in GATES:
-        gates[f"{gate}_w"] = rng.uniform(-lstm_limit, lstm_limit, (units, concat_dim))
-        gates[f"{gate}_b"] = np.zeros(units)
-
-    dense_limit = np.sqrt(6.0 / (units + config.horizon))
-    dense_w = rng.uniform(-dense_limit, dense_limit, (config.horizon, units))
-    dense_b = np.zeros(config.horizon)
-
-    return TrainedNetwork(
-        config=config, lookback=lookback,
-        conv_w=conv_w, conv_b=conv_b,
-        dense_w=dense_w, dense_b=dense_b,
-        **gates,
-    )
-
-
 class _FlatParams:
     """All parameters of one network (or their gradient) in one contiguous
     float64 buffer, laid out conv_w, conv_b, gate_w, gate_b, dense_w,
     dense_b. gate_w (4u, u + flat) stacks the gate weights row-wise in
     ``GATES`` order; its first u columns act on the hidden state (w_h), the
-    rest on the repeated input (w_x). Every attribute is a view of ``buf``.
+    rest on the repeated input (w_x). Every attribute is a view of ``buf``,
+    which is zeros unless given.
     """
 
-    def __init__(self, config: NetworkConfig, lookback: int):
+    def __init__(self, config: NetworkConfig, lookback: int, buf=None):
         units = config.lstm_units
         shapes = {
             "conv_w": (config.n_filters, config.kernel_size, config.n_features),
@@ -209,7 +121,7 @@ class _FlatParams:
             "dense_b": (config.horizon,),
         }
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.buf = np.zeros(sum(sizes))
+        self.buf = np.zeros(sum(sizes)) if buf is None else buf
         offset = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             setattr(self, name, self.buf[offset : offset + size].reshape(shape))
@@ -219,15 +131,9 @@ class _FlatParams:
         self.w_h = self.gate_w[:, :units]
         self.w_x = self.gate_w[:, units:]
 
-    @classmethod
-    def of(cls, net: TrainedNetwork) -> "_FlatParams":
-        flat = cls(net.config, net.lookback)
-        for key, view in flat.named().items():
-            view[...] = getattr(net, key)
-        return flat
-
     def named(self) -> dict[str, np.ndarray]:
-        """The ``PARAM_KEYS`` arrays, as views of the buffer."""
+        """The public per-gate arrays, as views of the buffer: conv_w, conv_b,
+        then ``{gate}_w``, ``{gate}_b`` for each gate, then dense_w, dense_b."""
         u = self.units
         views = {"conv_w": self.conv_w, "conv_b": self.conv_b}
         for k, gate in enumerate(GATES):
@@ -236,6 +142,57 @@ class _FlatParams:
         views["dense_w"] = self.dense_w
         views["dense_b"] = self.dense_b
         return views
+
+
+@dataclass(frozen=True)
+class TrainedNetwork:
+    """The weights of one forecaster plus the config that shaped them.
+
+    ``weights`` is the network's only weight store. Its per-gate views
+    (``params()``) have shapes conv_w (n_filters, kernel_size, n_features),
+    conv_b (n_filters,); each LSTM gate weight (lstm_units, lstm_units +
+    flat_length), bias (lstm_units,); dense_w (horizon, lstm_units),
+    dense_b (horizon,).
+    """
+
+    config: NetworkConfig
+    lookback: int
+    weights: _FlatParams
+    loss_history: tuple[float, ...] = field(default_factory=tuple)
+
+    def params(self) -> dict[str, np.ndarray]:
+        """Per-gate views of ``weights``; writing to them changes the network."""
+        return self.weights.named()
+
+    def with_params(self, params: dict[str, np.ndarray]) -> "TrainedNetwork":
+        """A copy whose weights take the given per-gate arrays."""
+        weights = _FlatParams(self.config, self.lookback, self.weights.buf.copy())
+        views = weights.named()
+        for key, value in params.items():
+            views[key][...] = value
+        return replace(self, weights=weights)
+
+
+def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
+    """Seeded weight init: Glorot-style uniform for conv and dense,
+    uniform +-sqrt(1/units) for the LSTM gates, all biases zero."""
+    config.validate_for_lookback(lookback)
+    rng = np.random.default_rng(config.seed)
+    weights = _FlatParams(config, lookback)
+    kernel_fan = config.kernel_size * config.n_features
+    conv_limit = np.sqrt(6.0 / (kernel_fan + config.n_filters))
+    weights.conv_w[...] = rng.uniform(-conv_limit, conv_limit, weights.conv_w.shape)
+
+    units = config.lstm_units
+    lstm_limit = np.sqrt(1.0 / units)
+    views = weights.named()
+    for gate in GATES:
+        view = views[f"{gate}_w"]
+        view[...] = rng.uniform(-lstm_limit, lstm_limit, view.shape)
+
+    dense_limit = np.sqrt(6.0 / (units + config.horizon))
+    weights.dense_w[...] = rng.uniform(-dense_limit, dense_limit, weights.dense_w.shape)
+    return TrainedNetwork(config=config, lookback=lookback, weights=weights)
 
 
 def _forward(p: _FlatParams, cols, cfg: NetworkConfig):
@@ -302,19 +259,19 @@ def _window_cols(net: TrainedNetwork, inputs) -> np.ndarray:
 
 def network_forward(x, net: TrainedNetwork) -> np.ndarray:
     """Run one lookback window through the network; returns (horizon,)."""
-    output, _ = _forward(_FlatParams.of(net), _window_cols(net, x), net.config)
+    output, _ = _forward(net.weights, _window_cols(net, x), net.config)
     return output
 
 
 def compute_gradients(net: TrainedNetwork, x, target) -> dict[str, np.ndarray]:
     """Exact gradients of the MSE between ``network_forward(x)`` and target,
-    for every weight and bias (keys as in ``PARAM_KEYS``)."""
+    for every weight and bias (keys as in ``TrainedNetwork.params``)."""
     cfg = net.config
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape != (cfg.horizon,):
         raise DataError(f"target must have {cfg.horizon} entries, got {target.shape}")
     grads = _FlatParams(cfg, net.lookback)
-    _gradients(_FlatParams.of(net), grads, _window_cols(net, x), target, cfg)
+    _gradients(net.weights, grads, _window_cols(net, x), target, cfg)
     return grads.named()
 
 
@@ -388,7 +345,7 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
         )
     cols = _window_cols(net, inputs)
     rng = np.random.default_rng(cfg.seed)
-    params = _FlatParams.of(net)
+    params = _FlatParams(net.config, net.lookback, net.weights.buf.copy())
     grads = _FlatParams(net.config, net.lookback)
     opt_cls = _Adam if cfg.optimizer == "adam" else _SGD
     optimizer = opt_cls(params.buf.size, cfg.learning_rate)
@@ -408,7 +365,7 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
             raise DivergedError(f"epoch loss became {epoch_loss}")
         history.append(epoch_loss)
 
-    return net.with_params(params.named(), loss_history=history)
+    return replace(net, weights=params, loss_history=tuple(history))
 
 
 # windows per batched forward in predict_windows: enough to amortise the
@@ -419,11 +376,11 @@ PREDICT_BLOCK = 32
 def predict_windows(net: TrainedNetwork, samples: WindowedSamples) -> np.ndarray:
     """One-step-ahead predictions for every window; shape (n, horizon)."""
     inputs, _ = _sample_arrays(samples)
-    params = _FlatParams.of(net)
     out = np.empty((len(inputs), net.config.horizon))
     for start in range(0, len(inputs), PREDICT_BLOCK):
         block = inputs[start : start + PREDICT_BLOCK]
-        out[start : start + len(block)], _ = _forward(params, _window_cols(net, block), net.config)
+        cols = _window_cols(net, block)
+        out[start : start + len(block)], _ = _forward(net.weights, cols, net.config)
     return out
 
 
@@ -467,11 +424,6 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
 
 
-def _decode_array(blob: dict) -> np.ndarray:
-    raw = base64.b64decode(blob["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(blob["shape"]).astype(float)
-
-
 def model_to_dict(net: TrainedNetwork) -> dict:
     return {
         "config": asdict(net.config),
@@ -481,15 +433,41 @@ def model_to_dict(net: TrainedNetwork) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> TrainedNetwork:
-    config = NetworkConfig(**doc["config"])
-    weights = {key: _decode_array(doc["weights"][key]) for key in PARAM_KEYS}
-    return TrainedNetwork(
-        config=config,
-        lookback=int(doc["lookback"]),
-        loss_history=tuple(float(v) for v in doc["loss_history"]),
-        **weights,
-    )
+def model_from_dict(doc: dict, source: str = "model") -> TrainedNetwork:
+    """Rebuild a ``model_to_dict`` document into a fresh weight buffer.
+    Anything missing, unknown or misshaped raises DataError naming
+    ``source`` and the key."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{source}: a model must be a JSON object")
+    for key in ("config", "lookback", "weights", "loss_history"):
+        if key not in doc:
+            raise DataError(f"{source}: missing key {key!r}")
+    try:
+        config = NetworkConfig(**doc["config"])  # the TypeError names an unknown field
+        lookback = int(doc["lookback"])
+        config.validate_for_lookback(lookback)
+        history = tuple(float(v) for v in doc["loss_history"])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise DataError(f"{source}: bad 'config', 'lookback' or 'loss_history': {exc}") from exc
+
+    blobs = doc["weights"]
+    if not isinstance(blobs, dict):
+        raise DataError(f"{source}: 'weights' must be a JSON object")
+    weights = _FlatParams(config, lookback)
+    for key, view in weights.named().items():
+        if key not in blobs:
+            raise DataError(f"{source}: missing weight {key!r}")
+        try:
+            shape = tuple(blobs[key]["shape"])
+            # compared explicitly: a smaller blob would broadcast into the view
+            if shape != view.shape:
+                raise DataError(f"{source}: weight {key!r} has shape {list(shape)}, "
+                                f"expected {list(view.shape)}")
+            raw = base64.b64decode(blobs[key]["data"])
+            view[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{source}: weight {key!r} is not an encoded array: {exc}") from exc
+    return TrainedNetwork(config=config, lookback=lookback, weights=weights, loss_history=history)
 
 
 def save_model(net: TrainedNetwork, path) -> None:
@@ -499,5 +477,12 @@ def save_model(net: TrainedNetwork, path) -> None:
 
 
 def load_model(path) -> TrainedNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """Read a model file; every problem with it is a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read model {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"model {path} is not valid JSON: {exc}") from exc
+    return model_from_dict(doc, source=str(path))

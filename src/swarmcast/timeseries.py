@@ -57,11 +57,6 @@ class TimeSeriesDataset:
     def series(self, name: str) -> np.ndarray:
         return np.asarray(self.variables[name], dtype=float)
 
-    def to_matrix(self, names: list[str] | None = None) -> np.ndarray:
-        """Stack the named variables (default: all) into a (time, features) matrix."""
-        names = names if names is not None else self.variable_names
-        return np.column_stack([self.series(n) for n in names])
-
     def replace_variables(self, variables: dict[str, np.ndarray]) -> "TimeSeriesDataset":
         return TimeSeriesDataset(self.region_id, self.dates, dict(variables))
 

@@ -1,0 +1,65 @@
+"""The benchmark's tracer rebinds swarmcast attributes by name (see
+perfbench/tracer.py). These tests fail when a refactor renames or
+bypasses one of them, instead of leaving the benchmark to break or to
+count nothing. They only read perfbench/.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from swarmcast import network
+from swarmcast.network import NetworkConfig, TrainingConfig, initialize_network
+from swarmcast.timeseries import ScalingParams, make_windows
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def tracer_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    yield tracer
+    for name in ("tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_install_then_uninstall_restores_every_attribute(tracer_module):
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        for owner, attr, original in patched:
+            current = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+            assert current is not original, attr
+    finally:
+        tracer.uninstall()
+    bound = {(getattr(owner, "__name__", None), attr) for owner, attr, _ in patched}
+    for name in (("swarmcast.network", "_gradients"), ("swarmcast.network", "network_forward"),
+                 ("_Adam", "update"), ("swarmcast.network", "_conv1d_cache"),
+                 ("swarmcast.tuning", "fitness")):
+        assert name in bound, name
+    for owner, attr, original in patched:
+        current = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+        assert current is original, attr
+
+
+def test_traced_train_and_forecast_record_layer_spans(tracer_module):
+    # training and forecasting must still call through the patched names
+    tracer = tracer_module.Tracer()
+    net = initialize_network(NetworkConfig(n_filters=2, lstm_units=3, seed=1), 6)
+    windows = make_windows(np.linspace(0.0, 1.0, 12), 6, 1)
+    tracer.install()
+    try:
+        trained = network.train(net, windows, TrainingConfig(epochs=1, seed=1))
+        network.iterative_forecast(trained, np.linspace(0.0, 1.0, 8), 2, ScalingParams(0.0, 1.0))
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[i] for i in tracer.name_col}
+    for span in ("network.grad", "network.optimizer", "network.predict_window",
+                 "layers.conv_fwd", "layers.conv_bwd", "layers.pool_fwd", "layers.pool_bwd",
+                 "layers.lstm_fwd", "layers.lstm_bwd"):
+        assert span in recorded, span

@@ -272,6 +272,74 @@ class TestTrainForecast:
         assert len(lines) == 1 + metrics["scaled"]["n"]
 
 
+class TestModelFileChecks:
+    """load_model rejects every malformed model file with exit 3, naming it."""
+
+    @staticmethod
+    def model_doc(tmp_path):
+        path = tmp_path / "model.json"
+        save_model(initialize_network(NetworkConfig(n_filters=2, lstm_units=3), 7), path)
+        return json.loads(path.read_text())
+
+    def run_evaluate(self, artifact, tmp_path, model_path, capsys):
+        code = main(["evaluate", "--model", str(model_path), "--data-dir", str(artifact),
+                     "--output-dir", str(tmp_path / "ev")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "invalid-json"])
+    def test_unreadable_file_exits_3_naming_it(self, artifact, tmp_path, capsys, content):
+        path = tmp_path / "model.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code, err = self.run_evaluate(artifact, tmp_path, path, capsys)
+        assert code == 3
+        assert str(path) in err
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda doc: doc.pop("weights"), "'weights'"),
+        (lambda doc: doc.pop("loss_history"), "'loss_history'"),
+        (lambda doc: doc["weights"].pop("input_b"), "'input_b'"),
+        (lambda doc: doc["config"].update(dropout=0.5), "'dropout'"),
+        # a one-entry blob would broadcast into the (3,) view unnoticed
+        (lambda doc: doc["weights"].update(
+            output_b={"shape": [1], "data": "AAAAAAAA8D8="}), "'output_b'"),
+        (lambda doc: doc["weights"]["dense_w"].update(data="AAAA"), "'dense_w'"),
+    ], ids=["no-weights", "no-loss-history", "no-weight-key", "unknown-config-key",
+            "wrong-shape", "short-data"])
+    def test_malformed_model_exits_3_naming_file_and_key(self, artifact, tmp_path, capsys,
+                                                          mutate, named):
+        doc = self.model_doc(tmp_path)
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = self.run_evaluate(artifact, tmp_path, path, capsys)
+        assert code == 3
+        assert str(path) in err and named in err
+
+
+class TestTrainFromTuning:
+    def train(self, artifact, tmp_path, report):
+        return main(["train", "--data-dir", str(artifact), "--from-tuning", str(report),
+                     "--epochs", "1", "--output-dir", str(tmp_path / "t")])
+
+    def test_report_not_json_exits_3_naming_file(self, artifact, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("best: none", encoding="utf-8")
+        assert self.train(artifact, tmp_path, report) == 3
+        assert str(report) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"best_loss": 0.1}, "best_assignment"),
+        ({"best_assignment": {"n_filters": 2, "kernel_size": 3, "pool_size": 2}}, "lstm_units"),
+    ], ids=["no-best-assignment", "no-lstm-units"])
+    def test_report_missing_key_exits_3_naming_it(self, artifact, tmp_path, capsys, doc, named):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.train(artifact, tmp_path, report) == 3
+        err = capsys.readouterr().err
+        assert str(report) in err and named in err
+
+
 class TestCompare:
     def make_scores(self, path, n_tests=24, k=6):
         rng = np.random.default_rng(1)
@@ -313,6 +381,12 @@ class TestCompare:
         empty.write_text("", encoding="utf-8")
         assert main(["compare", "--scores", str(empty),
                      "--output-dir", str(tmp_path / "c")]) == 3
+
+    def test_missing_scores_exits_3_naming_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["compare", "--scores", str(missing),
+                     "--output-dir", str(tmp_path / "c")]) == 3
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestBenchOpt:

@@ -9,7 +9,9 @@ import pytest
 
 from oracles import finite_difference_grads, max_relative_error
 from swarmcast.layers import (
+    GATES,
     LSTMState,
+    LSTMWeights,
     conv1d_forward,
     lstm_cell_forward,
     maxpool1d_forward,
@@ -88,22 +90,23 @@ def reference_gradients(net, x, target):
     every gradient is accumulated one outer product at a time."""
     cfg = net.config
     units, kernel, pool = cfg.lstm_units, cfg.kernel_size, cfg.pool_size
-    pre = conv1d_forward(x, net.conv_w, net.conv_b, "identity")
-    conv = conv1d_forward(x, net.conv_w, net.conv_b, cfg.conv_activation)
+    p = net.params()
+    pre = conv1d_forward(x, p["conv_w"], p["conv_b"], "identity")
+    conv = conv1d_forward(x, p["conv_w"], p["conv_b"], cfg.conv_activation)
     pooled = maxpool1d_forward(conv, pool)
     flat = pooled.ravel()
-    weights = net.lstm_weights
+    weights = LSTMWeights(**{f"{g}_{part}": p[f"{g}_{part}"] for g in GATES for part in "wb"})
     states = [LSTMState.zeros(units)]
     for _ in range(cfg.repeat_steps):
         _, state = lstm_cell_forward(flat, states[-1], weights)
         states.append(state)
-    output = net.dense_w @ states[-1].hidden + net.dense_b
+    output = p["dense_w"] @ states[-1].hidden + p["dense_b"]
 
     doutput = 2.0 * (output - target) / cfg.horizon
-    grads = {key: np.zeros_like(value) for key, value in net.params().items()}
+    grads = {key: np.zeros_like(value) for key, value in p.items()}
     grads["dense_w"] = np.outer(doutput, states[-1].hidden)
     grads["dense_b"] = doutput
-    dhidden = net.dense_w.T @ doutput
+    dhidden = p["dense_w"].T @ doutput
     dcell = np.zeros(units)
     dflat = np.zeros_like(flat)
     for t in reversed(range(cfg.repeat_steps)):
@@ -140,7 +143,7 @@ def reference_gradients(net, x, target):
     dpre = dconv * slope[cfg.conv_activation]
     for pos in range(len(pre)):
         grads["conv_w"] += np.outer(dpre[pos], x[pos : pos + kernel].ravel()).reshape(
-            net.conv_w.shape
+            p["conv_w"].shape
         )
     grads["conv_b"] = dpre.sum(axis=0)
     return grads

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from swarmcast.errors import ConfigError, DataError, DivergedError
 from swarmcast.layers import (
     GATES,
     LSTMState,
+    LSTMWeights,
     conv1d_forward,
     conv_output_size,
     lstm_cell_forward,
@@ -79,7 +81,7 @@ class TestConfigs:
             return
         net = initialize_network(config, lookback)
         assert config.flat_length(lookback) == expected
-        assert net.forget_w.shape == (config.lstm_units, config.lstm_units + expected)
+        assert net.params()["forget_w"].shape == (config.lstm_units, config.lstm_units + expected)
 
 
 class TestForward:
@@ -102,7 +104,7 @@ class TestForward:
     def test_different_seeds_differ(self):
         a = initialize_network(tiny_config(seed=1), 6)
         b = initialize_network(tiny_config(seed=2), 6)
-        assert not np.array_equal(a.conv_w, b.conv_w)
+        assert not np.array_equal(a.params()["conv_w"], b.params()["conv_w"])
 
     def test_matches_layer_composition_oracle(self):
         rng = np.random.default_rng(77)
@@ -113,13 +115,15 @@ class TestForward:
             net = initialize_network(config, lookback)
             x = rng.normal(size=(lookback, 2))
 
-            conv = conv1d_forward(x, net.conv_w, net.conv_b, config.conv_activation)
+            p = net.params()
+            conv = conv1d_forward(x, p["conv_w"], p["conv_b"], config.conv_activation)
             pooled = maxpool1d_forward(conv, config.pool_size)
             flat = pooled.ravel()
+            gates = LSTMWeights(**{f"{g}_{part}": p[f"{g}_{part}"] for g in GATES for part in "wb"})
             state = LSTMState.zeros(config.lstm_units)
             for _ in range(config.repeat_steps):
-                hidden, state = lstm_cell_forward(flat, state, net.lstm_weights)
-            expected = net.dense_w @ state.hidden + net.dense_b
+                hidden, state = lstm_cell_forward(flat, state, gates)
+            expected = p["dense_w"] @ state.hidden + p["dense_b"]
 
             assert np.allclose(network_forward(x, net), expected, atol=1e-12, rtol=0)
 
@@ -152,9 +156,18 @@ class TestTrain:
     def test_original_network_untouched(self):
         net = initialize_network(tiny_config(seed=5), 6)
         before = {k: v.copy() for k, v in net.params().items()}
-        train(net, constant_samples(), TrainingConfig(epochs=5, seed=0))
+        buf = net.weights.buf.copy()
+        trained = train(net, constant_samples(), TrainingConfig(epochs=5, seed=0))
         for key, value in net.params().items():
             assert np.array_equal(value, before[key])
+        assert net.weights.buf.tobytes() == buf.tobytes()
+        assert not np.shares_memory(trained.weights.buf, net.weights.buf)
+
+    def test_two_runs_from_one_network_bitwise_equal(self):
+        net = initialize_network(tiny_config(seed=23), 6)
+        cfg = TrainingConfig(epochs=4, seed=23)
+        first, second = (train(net, constant_samples(n=3), cfg) for _ in range(2))
+        assert first.weights.buf.tobytes() == second.weights.buf.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_guard(self):
@@ -317,6 +330,7 @@ class TestSerialization:
         assert loaded.loss_history == trained.loss_history
         for key, value in trained.params().items():
             assert np.array_equal(value, loaded.params()[key])
+        assert loaded.weights.buf.tobytes() == trained.weights.buf.tobytes()
 
     def test_save_load_forecast_equals_in_memory(self, tmp_path):
         net = initialize_network(tiny_config(seed=18), 6)
@@ -327,7 +341,22 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(trained, path)
         from_disk = iterative_forecast(load_model(path), history, 4, params)
-        assert np.array_equal(direct, from_disk)
+        assert direct.tobytes() == from_disk.tobytes()
+
+    def test_committed_model_file_rewrites_byte_identically(self, tmp_path):
+        golden = Path(__file__).parent / "golden" / "demo" / "train" / "model.json"
+        path = tmp_path / "model.json"
+        save_model(load_model(golden), path)
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_params_are_views_of_the_buffer(self):
+        net = initialize_network(tiny_config(seed=25), 6)
+        views = net.params()
+        assert all(np.shares_memory(v, net.weights.buf) for v in views.values())
+        assert sum(v.size for v in views.values()) == net.weights.buf.size
+        changed = net.with_params({"dense_b": np.array([2.0])})
+        assert changed.params()["dense_b"][0] == 2.0
+        assert net.params()["dense_b"][0] == 0.0
 
     def test_dict_form_is_plain_json(self):
         net = initialize_network(tiny_config(seed=19), 6)
