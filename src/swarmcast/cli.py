@@ -321,8 +321,24 @@ def read_artifact(data_dir) -> dict:
     dataset_path = data_dir / "dataset.csv"
     if not scaling_path.exists() or not dataset_path.exists():
         raise DataError(f"{data_dir} is not an ingest artifact")
-    meta = json.loads(scaling_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(scaling_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"{scaling_path} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{scaling_path}: must be a JSON object")
+    for key in ("split_index", "variables"):
+        if key not in meta:
+            raise DataError(f"{scaling_path}: missing key {key!r}")
+    if not isinstance(meta["split_index"], int) or not isinstance(meta["variables"], dict):
+        raise DataError(f"{scaling_path}: 'split_index' must be an integer and "
+                        "'variables' an object")
     dataset = load_csv(dataset_path, region_id=meta.get("region_id"))
+    for name in dataset.variable_names:
+        entry = meta["variables"].get(name)
+        for key in ("minimum", "maximum", "degenerate"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise DataError(f"{scaling_path}: missing key 'variables.{name}.{key}'")
     return {
         "dates": dataset.dates,
         "variables": {name: dataset.series(name) for name in dataset.variable_names},

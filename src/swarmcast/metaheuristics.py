@@ -6,6 +6,9 @@ generational GA baseline, and plain single-strategy drivers. All
 randomness flows through one ``numpy.random.Generator`` per run, so a
 seed fully determines the trajectory.
 
+An objective scores a whole population per call: it maps an ``(n, d)``
+matrix of positions to ``n`` fitness values, one per row.
+
 Leaders (alpha, beta, delta) are re-ranked every iteration as the three
 best agents of the current population; the whale branch encircles alpha,
 so both strategies share one best-solution notion, while the returned
@@ -91,12 +94,15 @@ def clamp_to_bounds(position, bounds: SearchBounds) -> np.ndarray:
     return np.clip(np.asarray(position, dtype=float), bounds.lower, bounds.upper)
 
 
-def _sanitize(fitness: float) -> float:
-    return math.inf if math.isnan(fitness) else float(fitness)
-
-
 def _evaluate(objective, positions: np.ndarray) -> np.ndarray:
-    return np.array([_sanitize(objective(p)) for p in positions])
+    """Score the whole population with one objective call; NaN becomes +inf."""
+    fitness = np.asarray(objective(positions), dtype=float)
+    if fitness.shape != (len(positions),):
+        raise ConfigError(
+            f"objective must return one value per row, shape {(len(positions),)};"
+            f" got {fitness.shape}"
+        )
+    return np.where(np.isnan(fitness), math.inf, fitness)
 
 
 def _rank_leaders(positions, fitness) -> tuple[Agent, Agent, Agent]:
@@ -246,42 +252,48 @@ def woa_optimize(objective, bounds, params, init_population=None, callback=None)
 
 
 def uniform_crossover(parent1, parent2, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gene swap at the given rate; children are complementary."""
-    swap = rng.random(len(parent1)) < rate
+    """Per-gene swap at the given rate; children are complementary. Takes a
+    genome or a stack of genomes (one row per couple)."""
+    swap = rng.random(np.shape(parent1)) < rate
     child1 = np.where(swap, parent2, parent1)
     child2 = np.where(swap, parent1, parent2)
     return child1, child2
 
 
 def uniform_mutation(genome, rate: float, bounds: SearchBounds, rng) -> np.ndarray:
-    """Per-gene resample within bounds at the given rate."""
-    mutate = rng.random(len(genome)) < rate
-    fresh = rng.uniform(bounds.lower, bounds.upper)
+    """Per-gene resample within bounds at the given rate; takes a genome or
+    a stack of genomes."""
+    mutate = rng.random(np.shape(genome)) < rate
+    fresh = rng.uniform(bounds.lower, bounds.upper, np.shape(genome))
     return np.where(mutate, fresh, genome)
 
 
 def ga_optimize(objective, bounds, params, init_population=None, callback=None):
     """Generational GA baseline: size-2 tournaments, uniform crossover and
-    mutation, elitism of one."""
+    mutation, elitism of one.
+
+    Each generation is drawn as whole arrays: one draw of every
+    tournament for the ``pop // 2`` couples, one crossover of the stacked
+    parents, and one mutation of the ``pop - 1`` children, interleaved
+    child1, child2 per couple. The elite is row 0. Every row is a parent
+    gene or a fresh draw inside the box, so no clamp is needed.
+    """
     rng, positions, fitness, trace = _start(objective, bounds, params, init_population)
     pop = params.population_size
+    couples = pop // 2
     best = _rank_leaders(positions, fitness)[0]
 
-    def tournament():
-        i, j = rng.integers(0, pop, size=2)
-        return positions[i] if fitness[i] <= fitness[j] else positions[j]
-
     for t in range(params.max_iterations):
-        elite_idx = int(np.argmin(fitness))
-        offspring = [positions[elite_idx].copy()]
-        while len(offspring) < pop:
-            child1, child2 = uniform_crossover(
-                tournament(), tournament(), params.ga_crossover_rate, rng
-            )
-            offspring.append(uniform_mutation(child1, params.ga_mutation_rate, bounds, rng))
-            if len(offspring) < pop:
-                offspring.append(uniform_mutation(child2, params.ga_mutation_rate, bounds, rng))
-        positions = clamp_to_bounds(np.array(offspring), bounds)
+        # contenders[c, k] are the two draws of parent k of couple c
+        contenders = rng.integers(0, pop, size=(couples, 2, 2))
+        first, second = contenders[..., 0], contenders[..., 1]
+        winners = np.where(fitness[first] <= fitness[second], first, second)
+        child1, child2 = uniform_crossover(
+            positions[winners[:, 0]], positions[winners[:, 1]], params.ga_crossover_rate, rng
+        )
+        children = np.stack((child1, child2), axis=1).reshape(2 * couples, -1)[: pop - 1]
+        children = uniform_mutation(children, params.ga_mutation_rate, bounds, rng)
+        positions = np.concatenate((positions[np.argmin(fitness)][None], children))
         fitness = _evaluate(objective, positions)
         trace.evaluations += pop
         champion = _rank_leaders(positions, fitness)[0]

@@ -251,10 +251,12 @@ def tune(
     """Drive a metaheuristic over the grid's unit box.
 
     ``evaluate`` maps an assignment to a loss; results are cached by
-    decoded cell so revisits cost nothing. ``evaluation_budget`` caps the
-    number of *distinct* cells evaluated: whatever the search leaves
-    unspent is used to sweep still-unvisited cells in grid order, so a
-    budget covering the whole grid guarantees the exact grid optimum.
+    decoded cell so revisits cost nothing. The optimizer scores each
+    population with one objective call, which decodes and evaluates its
+    rows in row order. ``evaluation_budget`` caps the number of
+    *distinct* cells evaluated: whatever the search leaves unspent is
+    used to sweep still-unvisited cells in grid order, so a budget
+    covering the whole grid guarantees the exact grid optimum.
     Returns the best assignment, its loss, the fresh-evaluation log and
     the optimizer trace.
     """
@@ -279,8 +281,8 @@ def tune(
         records.append(EvaluationRecord(dict(assignment.values), loss, elapsed))
         return loss
 
-    def objective(position):
-        return evaluate_cell(decode_position(position, space))
+    def objective(positions):
+        return [evaluate_cell(decode_position(row, space)) for row in positions]
 
     bounds = SearchBounds.cube(0.0, 1.0, len(space))
     best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmcast import network
+from swarmcast import network, tuning
+from swarmcast.cli import main
+from swarmcast.metaheuristics import OPTIMIZERS, OptimizerParams
 from swarmcast.network import NetworkConfig, TrainingConfig, initialize_network
 from swarmcast.timeseries import ScalingParams, make_windows
 
@@ -63,3 +65,38 @@ def test_traced_train_and_forecast_record_layer_spans(tracer_module):
                  "layers.conv_fwd", "layers.conv_bwd", "layers.pool_fwd", "layers.pool_bwd",
                  "layers.lstm_fwd", "layers.lstm_bwd"):
         assert span in recorded, span
+
+
+def span_counts(tracer):
+    names = [tracer.names[i] for i in tracer.name_col]
+    return {name: names.count(name) for name in set(names)}
+
+
+@pytest.mark.parametrize("algorithm", sorted(OPTIMIZERS))
+def test_traced_bench_opt_records_one_span_per_population(tracer_module, tmp_path, algorithm):
+    # the objective must go through the patched metaheuristics._evaluate
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = main(["bench-opt", "--function", "rastrigin", "--algorithm", algorithm,
+                     "--dimension", "3", "--population", "5", "--iterations", "4",
+                     "--seed", "1", "--output-dir", str(tmp_path / "b")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert span_counts(tracer).get("benchmarks.call") == 1 + 4
+
+
+def test_traced_surrogate_tune_records_objective_spans(tracer_module):
+    tracer = tracer_module.Tracer()
+    params = OptimizerParams(population_size=4, max_iterations=3, seed=1)
+    tracer.install()
+    try:
+        result = tuning.tune_series(None, "rs-gwo-woa", params, surrogate="hash")
+    finally:
+        tracer.uninstall()
+    counts = span_counts(tracer)
+    assert counts.get("tuning.objective") == 1 + 3
+    # every row of every population, plus the returned best position
+    assert counts.get("tuning.decode") == 4 * (1 + 3) + 1
+    assert counts.get("tuning.surrogate") == result.cache_misses

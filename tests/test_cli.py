@@ -317,6 +317,43 @@ class TestModelFileChecks:
         assert str(path) in err and named in err
 
 
+class TestArtifactChecks:
+    """read_artifact rejects a malformed scaling.json with exit 3, naming it and the key."""
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda text: "{oops", "not valid JSON"),
+        (lambda text: _drop(text, "split_index"), "'split_index'"),
+        (lambda text: _drop(text, "variables"), "'variables'"),
+        (lambda text: _drop(text, "variables", "confirmed"), "'variables.confirmed."),
+        (lambda text: _drop(text, "variables", "confirmed", "minimum"),
+         "'variables.confirmed.minimum'"),
+        (lambda text: _drop(text, "variables", "confirmed", "maximum"),
+         "'variables.confirmed.maximum'"),
+        (lambda text: _drop(text, "variables", "confirmed", "degenerate"),
+         "'variables.confirmed.degenerate'"),
+    ], ids=["invalid-json", "no-split-index", "no-variables", "no-variable-entry",
+            "no-minimum", "no-maximum", "no-degenerate"])
+    def test_bad_scaling_file_exits_3_naming_file_and_key(self, artifact, tmp_path, capsys,
+                                                          mutate, named):
+        scaling = artifact / "scaling.json"
+        scaling.write_text(mutate(scaling.read_text(encoding="utf-8")), encoding="utf-8")
+        code = main(["train", "--data-dir", str(artifact), "--epochs", "1",
+                     "--output-dir", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert str(scaling) in err and named in err
+
+
+def _drop(text, *path):
+    """The JSON document ``text`` without the entry at ``path``."""
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return json.dumps(doc)
+
+
 class TestTrainFromTuning:
     def train(self, artifact, tmp_path, report):
         return main(["train", "--data-dir", str(artifact), "--from-tuning", str(report),

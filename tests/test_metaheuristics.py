@@ -164,10 +164,10 @@ class TestWoaStep:
 def count_evaluations(objective):
     calls = []
 
-    def wrapped(x):
-        value = objective(x)
-        calls.append(value)
-        return value
+    def wrapped(X):
+        values = objective(X)
+        calls.extend(values)
+        return values
 
     wrapped.calls = calls
     return wrapped
@@ -216,9 +216,9 @@ class TestDrivers:
         bounds = SearchBounds.cube(-1.5, 2.5, 3)
         seen = []
 
-        def objective(x):
-            seen.append(x.copy())
-            return sphere(x)
+        def objective(X):
+            seen.extend(row.copy() for row in X)
+            return sphere(X)
 
         params = OptimizerParams(population_size=5, max_iterations=30, seed=13)
         rs_gwo_woa(objective, bounds, params)
@@ -242,8 +242,8 @@ class TestDrivers:
             assert values == sorted(fitness)[:3]
 
     def test_nan_fitness_never_leads(self):
-        def objective(x):
-            return math.nan if x[0] > 0 else sphere(x)
+        def objective(X):
+            return np.where(X[:, 0] > 0, math.nan, sphere(X))
 
         params = OptimizerParams(population_size=8, max_iterations=30, seed=19)
         best_pos, best_fit, _ = rs_gwo_woa(objective, SearchBounds.cube(-1, 1, 2), params)
@@ -253,7 +253,17 @@ class TestDrivers:
     def test_all_nan_objective_raises(self):
         params = OptimizerParams(population_size=4, max_iterations=3, seed=21)
         with pytest.raises(DegenerateObjectiveError):
-            rs_gwo_woa(lambda x: math.nan, SearchBounds.cube(-1, 1, 2), params)
+            rs_gwo_woa(lambda X: np.full(len(X), math.nan), SearchBounds.cube(-1, 1, 2), params)
+
+    @pytest.mark.parametrize("objective", [
+        lambda X: sphere(X[0]),
+        lambda X: sphere(X)[:, None],
+        lambda X: sphere(X)[:-1],
+    ], ids=["scalar", "column", "short"])
+    def test_objective_of_wrong_shape_rejected(self, objective):
+        params = OptimizerParams(population_size=4, max_iterations=2, seed=1)
+        with pytest.raises(ConfigError):
+            rs_gwo_woa(objective, unit_bounds(2), params)
 
     def test_rejects_bad_init_shape(self):
         params = OptimizerParams(population_size=4, max_iterations=2, seed=1)
@@ -273,14 +283,41 @@ class TestGa:
         initial_rows = {tuple(row) for row in init}
         seen_rows = set()
 
-        def objective(x):
-            seen_rows.add(tuple(x))
-            return sphere(x)
+        def objective(X):
+            seen_rows.update(tuple(row) for row in X)
+            return sphere(X)
 
         _, _, trace = ga_optimize(objective, bounds, params, init_population=init)
         assert seen_rows <= initial_rows
         best = trace.best_fitness_per_iteration
         assert all(a >= b for a, b in zip(best, best[1:]))
+
+    @staticmethod
+    def recorded_generations(pop, seed):
+        generations = []
+
+        def objective(X):
+            fitness = rastrigin(X)
+            generations.append((X.copy(), fitness))
+            return fitness
+
+        params = OptimizerParams(population_size=pop, max_iterations=15, seed=seed)
+        result = ga_optimize(objective, SearchBounds.cube(-5.12, 5.12, 3), params)
+        return generations, result
+
+    @pytest.mark.parametrize("pop", [4, 5, 30, 31])
+    def test_generation_shape_elite_and_determinism(self, pop):
+        generations, (position, best, trace) = self.recorded_generations(pop, seed=31)
+        assert len(generations) == 16
+        for (previous, previous_fitness), (current, _) in zip(generations, generations[1:]):
+            assert current.shape == (pop, 3)
+            # elitism of one: row 0 is the best row of the previous generation
+            assert current[0].tobytes() == previous[np.argmin(previous_fitness)].tobytes()
+        again, (position2, best2, trace2) = self.recorded_generations(pop, seed=31)
+        for (a, fa), (b, fb) in zip(generations, again):
+            assert a.tobytes() == b.tobytes() and fa.tobytes() == fb.tobytes()
+        assert position.tobytes() == position2.tobytes() and best == best2
+        assert trace.best_fitness_per_iteration == trace2.best_fitness_per_iteration
 
     def test_sphere_convergence(self):
         params = OptimizerParams(population_size=30, max_iterations=300, seed=2)
@@ -302,6 +339,16 @@ class TestBenchmarks:
         assert rastrigin(np.zeros(5)) == pytest.approx(0.0)
         assert rosenbrock(np.ones(6)) == 0.0
         assert ackley(np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    @pytest.mark.parametrize("dim", [1, 2, 5, 30])
+    def test_matrix_rows_match_vector_calls_bitwise(self, name, dim):
+        fn, (low, high) = BENCHMARKS[name]
+        matrix = np.random.default_rng(dim).uniform(low, high, (7, dim))
+        rowwise = np.array([fn(row) for row in matrix])
+        assert fn(matrix).shape == (7,)
+        assert fn(matrix).tobytes() == rowwise.tobytes()
+        assert all(np.ndim(value) == 0 for value in rowwise)
 
     def test_registry_entries(self):
         for name, (fn, (low, high)) in BENCHMARKS.items():
