@@ -16,14 +16,7 @@ from .evaluation import (
     r_squared,
     rank_methods,
 )
-from .layers import (
-    LSTMState,
-    LSTMWeights,
-    conv1d_forward,
-    conv_output_size,
-    lstm_cell_forward,
-    maxpool1d_forward,
-)
+from .layers import conv_output_size
 from .metaheuristics import (
     Agent,
     OptimizationTrace,
@@ -60,8 +53,8 @@ from .timeseries import (
     load_csv,
     make_windows,
     minmax_scale,
+    split_index,
     split_windows,
-    train_test_split,
 )
 from .tuning import (
     DEFAULT_SPACE,

@@ -22,7 +22,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -61,6 +60,7 @@ from .timeseries import (
     load_csv,
     make_windows,
     minmax_scale,
+    split_index,
     split_windows,
 )
 from .tuning import (
@@ -260,9 +260,6 @@ def _parse_variables(raw) -> dict[str, str] | None:
 
 def cmd_ingest(options) -> int:
     ratio = options["split_ratio"]
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split_ratio must be in (0, 1), got {ratio}")
-
     dataset = load_csv(
         options["data"],
         date_column=options["date_column"],
@@ -270,9 +267,7 @@ def cmd_ingest(options) -> int:
         region_id=options["region"],
     )
     n = len(dataset)
-    cut = math.floor(ratio * n)
-    if cut < 1 or cut >= n:
-        raise DataError(f"split_ratio {ratio} leaves an empty split for {n} rows")
+    cut = split_index(n, ratio)
 
     out_dir, manifest = prepare_output_dir("ingest", options)
     scaled = {}

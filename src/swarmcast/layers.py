@@ -1,4 +1,5 @@
-"""Forward and backward primitives for the conv/pool/LSTM/dense stack.
+"""The fused forward and backward primitives of the conv/pool/LSTM stack,
+as ``network`` runs them.
 
 Everything is float64 numpy; shapes follow the convention (time,
 channels), optionally behind leading batch axes. Backward functions
@@ -17,23 +18,14 @@ once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 # row blocks of the fused LSTM weight, in order
 GATES = ("forget", "input", "candidate", "output")
-
-
-def sigmoid(x):
-    """Logistic function, as 0.5 + 0.5 tanh(x / 2) so that it cannot overflow."""
-    out = np.tanh(np.asarray(x, dtype=float) * 0.5)
-    out *= 0.5
-    out += 0.5
-    return out
 
 
 # name -> (activation, applied in place to the pre-activation; derivative
@@ -58,26 +50,6 @@ def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     return np.swapaxes(windows, -1, -2).reshape(windows.shape[:-2] + (-1,))
 
 
-def conv1d_forward(x, weights, bias, activation: str = "relu") -> np.ndarray:
-    """Valid (no padding, stride 1) 1-d convolution over time.
-
-    x is (L, n_features), weights (n_filters, kernel, n_features), bias
-    (n_filters,); output (L - kernel + 1, n_filters) with the activation
-    applied elementwise.
-    """
-    x = np.asarray(x, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if x.ndim != 2 or weights.ndim != 3:
-        raise DataError("conv expects x (L, F) and weights (filters, K, F)")
-    n_filters, kernel, n_features = weights.shape
-    if x.shape[1] != n_features:
-        raise DataError(f"input has {x.shape[1]} features, kernel expects {n_features}")
-    if len(x) < kernel:
-        raise DataError(f"input length {len(x)} below kernel {kernel}")
-    out, _ = _conv1d_cache(_im2col(x, kernel), weights.reshape(n_filters, -1), bias, activation)
-    return out
-
-
 def _conv1d_cache(cols, weights2d, bias, activation):
     """Convolution of im2col rows cols (..., L', K*F) with weights2d (filters, K*F)."""
     act, _ = ACTIVATIONS[activation]
@@ -94,18 +66,6 @@ def _conv1d_backward(dout, cache, activation, dweights2d, dbias):
     dpre = dout * dact(out)
     np.matmul(dpre.T, cols, out=dweights2d)
     dpre.sum(axis=0, out=dbias)
-
-
-def maxpool1d_forward(x, pool: int) -> np.ndarray:
-    """Non-overlapping max pooling along time; a trailing remainder shorter
-    than the pool is dropped."""
-    x = np.asarray(x, dtype=float)
-    if pool < 1:
-        raise ConfigError("pool size must be at least 1")
-    if len(x) < pool:
-        raise DataError(f"input length {len(x)} below pool size {pool}")
-    out, _ = _maxpool1d_cache(x, pool)
-    return out
 
 
 def _maxpool1d_cache(x, pool):
@@ -126,61 +86,6 @@ def _maxpool1d_backward(dout, cache):
     rows = trimmed.argmax(axis=1) + np.arange(0, windows * pool, pool)[:, None]
     dx[rows, np.arange(channels)] = dout
     return dx
-
-
-@dataclass(frozen=True)
-class LSTMState:
-    """Recurrent carry: cell state and hidden output, both (units,)."""
-
-    cell: np.ndarray
-    hidden: np.ndarray
-
-    @classmethod
-    def zeros(cls, units: int) -> "LSTMState":
-        return cls(cell=np.zeros(units), hidden=np.zeros(units))
-
-
-@dataclass(frozen=True)
-class LSTMWeights:
-    """Gate weights over the concatenation [hidden, input]; each weight is
-    (units, units + input_dim), each bias (units,)."""
-
-    forget_w: np.ndarray
-    forget_b: np.ndarray
-    input_w: np.ndarray
-    input_b: np.ndarray
-    candidate_w: np.ndarray
-    candidate_b: np.ndarray
-    output_w: np.ndarray
-    output_b: np.ndarray
-
-    @property
-    def units(self) -> int:
-        return self.forget_w.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.forget_w.shape[1] - self.forget_w.shape[0]
-
-
-def lstm_cell_forward(x_t, prev: LSTMState, weights: LSTMWeights):
-    """One recurrence step.
-
-    forget = sigmoid(Wf.[hidden, x] + bf), update = sigmoid(Wi.[hidden, x] + bi),
-    candidate = tanh(Wc.[hidden, x] + bc), cell = forget*prev_cell + update*candidate,
-    out_gate = sigmoid(Wo.[hidden, x] + bo), hidden = out_gate*tanh(cell).
-
-    Returns (hidden, new state).
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape != (weights.input_dim,):
-        raise DataError(f"lstm input must have shape ({weights.input_dim},), got {x_t.shape}")
-    gate_w = np.concatenate([getattr(weights, f"{gate}_w") for gate in GATES])
-    gate_b = np.concatenate([getattr(weights, f"{gate}_b") for gate in GATES])
-    units = weights.units
-    xproj = gate_w[:, units:] @ x_t + gate_b
-    cell, hidden, _ = _lstm_cell_cache(xproj, prev.cell, prev.hidden, gate_w[:, :units])
-    return hidden, LSTMState(cell=cell, hidden=hidden)
 
 
 @functools.lru_cache(maxsize=None)

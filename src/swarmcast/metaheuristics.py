@@ -40,6 +40,8 @@ class SearchBounds:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ConfigError("bounds must be equal-length 1-d vectors")
+        if lower.size == 0:
+            raise ConfigError("bounds must have at least one dimension")
         if not np.all(lower < upper):
             raise ConfigError("every lower bound must be below its upper bound")
 
@@ -49,6 +51,8 @@ class SearchBounds:
 
     @classmethod
     def cube(cls, low: float, high: float, dimension: int) -> "SearchBounds":
+        if dimension < 1:
+            raise ConfigError(f"dimension must be at least 1, got {dimension}")
         return cls(np.full(dimension, float(low)), np.full(dimension, float(high)))
 
 

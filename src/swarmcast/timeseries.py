@@ -57,9 +57,6 @@ class TimeSeriesDataset:
     def series(self, name: str) -> np.ndarray:
         return np.asarray(self.variables[name], dtype=float)
 
-    def replace_variables(self, variables: dict[str, np.ndarray]) -> "TimeSeriesDataset":
-        return TimeSeriesDataset(self.region_id, self.dates, dict(variables))
-
 
 @dataclass(frozen=True)
 class ScalingParams:
@@ -234,33 +231,19 @@ def inverse_scale(scaled, params: ScalingParams) -> np.ndarray:
     return params.minimum + values * (params.maximum - params.minimum)
 
 
-def train_test_split(
-    dataset: TimeSeriesDataset, ratio: float = 0.8
-) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
-    """Chronological split at index floor(ratio * len); no shuffling.
+def split_index(n: int, ratio: float) -> int:
+    """Row at which a chronological split of ``n`` rows puts the first
+    ``ratio`` of them on the earlier side: floor(ratio * n).
 
-    Both halves must be non-empty, so very small ratios on short datasets
-    are rejected.
+    Both sides must be non-empty, so a small ratio on a short series is
+    rejected.
     """
     if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
-    n = len(dataset)
-    if n < 2:
-        raise TooShortError("need at least 2 points to split")
+        raise ConfigError(f"split_ratio must be in (0, 1), got {ratio}")
     cut = math.floor(ratio * n)
     if cut < 1 or cut >= n:
-        raise ConfigError(f"ratio {ratio} leaves an empty split for length {n}")
-    train = TimeSeriesDataset(
-        dataset.region_id,
-        dataset.dates[:cut],
-        {k: v[:cut].copy() for k, v in dataset.variables.items()},
-    )
-    test = TimeSeriesDataset(
-        dataset.region_id,
-        dataset.dates[cut:],
-        {k: v[cut:].copy() for k, v in dataset.variables.items()},
-    )
-    return train, test
+        raise TooShortError(f"split ratio {ratio} leaves an empty side for {n} rows")
+    return cut
 
 
 def make_windows(series, lookback: int, horizon: int) -> WindowedSamples:

@@ -29,7 +29,7 @@ from .network import (
     predict_windows,
     train,
 )
-from .timeseries import WindowedSamples, make_windows, split_windows
+from .timeseries import WindowedSamples, make_windows, split_index, split_windows
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,9 @@ EXTENDED_SPACE = HyperparamSpace(DEFAULT_SPACE.dimensions + (
 
 @dataclass(frozen=True)
 class HyperparamAssignment:
-    """One grid cell plus the raw continuous position that decoded to it."""
+    """One grid cell: dimension name -> candidate value."""
 
     values: dict[str, object]
-    provenance: tuple[float, ...] = ()
 
     def key(self) -> tuple:
         return tuple(self.values[name] for name in sorted(self.values))
@@ -92,7 +91,7 @@ def decode_position(position, space: HyperparamSpace) -> HyperparamAssignment:
     for coord, (name, candidates) in zip(clamped, space.dimensions):
         idx = min(int(coord * len(candidates)), len(candidates) - 1)
         values[name] = candidates[idx]
-    return HyperparamAssignment(values=values, provenance=tuple(float(v) for v in raw))
+    return HyperparamAssignment(values=values)
 
 
 def enumerate_assignments(space: HyperparamSpace):
@@ -161,6 +160,19 @@ def cell_configs(
     return network, training
 
 
+def _fits(assignment: HyperparamAssignment, lookback: int) -> bool:
+    """Whether the cell's kernel and pool leave a non-empty pooled conv
+    output at this lookback; ``fitness`` scores the others +inf."""
+    values = assignment.values
+    config = NetworkConfig(kernel_size=int(values["kernel_size"]),
+                           pool_size=int(values["pool_size"]))
+    try:
+        config.validate_for_lookback(lookback)
+    except ConfigError:
+        return False
+    return True
+
+
 def fitness(
     assignment: HyperparamAssignment,
     train_windows: WindowedSamples,
@@ -176,6 +188,8 @@ def fitness(
     stays total.
     """
     lookback = train_windows.lookback
+    if not _fits(assignment, lookback):
+        return math.inf
     config, run_cfg = cell_configs(
         assignment,
         training_cfg.seed,
@@ -187,11 +201,6 @@ def fitness(
         repeat_steps=repeat_steps,
         conv_activation=conv_activation,
     )
-    try:
-        config.validate_for_lookback(lookback)
-    except ConfigError:
-        return math.inf
-
     net = initialize_network(config, lookback)
     try:
         trained = train(net, train_windows, run_cfg)
@@ -213,8 +222,7 @@ def inner_validation_split(
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     windows = make_windows(matrix, lookback, horizon)
-    cut = math.floor((1.0 - val_fraction) * len(matrix))
-    fit, val = split_windows(windows, cut)
+    fit, val = split_windows(windows, split_index(len(matrix), 1.0 - val_fraction))
     if len(fit) == 0 or len(val) == 0:
         raise TooShortError(
             f"series of length {len(matrix)} cannot supply both fit and "
@@ -254,9 +262,11 @@ def tune(
     decoded cell so revisits cost nothing. The optimizer scores each
     population with one objective call, which decodes and evaluates its
     rows in row order. ``evaluation_budget`` caps the number of
-    *distinct* cells evaluated: whatever the search leaves unspent is
-    used to sweep still-unvisited cells in grid order, so a budget
-    covering the whole grid guarantees the exact grid optimum.
+    *distinct* cells evaluated: once it is spent, a row whose cell was
+    never evaluated scores +inf, uncached and uncounted, while cached
+    cells keep their loss. Whatever the search leaves unspent is used to
+    sweep still-unvisited cells in grid order, so a budget covering the
+    whole grid guarantees the exact grid optimum.
     Returns the best assignment, its loss, the fresh-evaluation log and
     the optimizer trace.
     """
@@ -273,6 +283,8 @@ def tune(
         if key in cache:
             counters["hits"] += 1
             return cache[key]
+        if counters["misses"] == evaluation_budget:
+            return math.inf  # spent: an unvisited cell can never win
         started = time.perf_counter()
         loss = float(evaluate(assignment))
         elapsed = time.perf_counter() - started
@@ -336,6 +348,11 @@ def tune_series(
     if surrogate == "hash":
         evaluate = lambda assignment: surrogate_fitness(assignment, global_seed)
     elif surrogate is None:
+        if not any(_fits(assignment, lookback) for assignment in enumerate_assignments(space)):
+            raise ConfigError(
+                f"no cell of the space fits lookback {lookback}: each kernel_size is"
+                " wider than it or its pool_size empties the conv output"
+            )
         train_windows, val_windows = inner_validation_split(
             series, lookback, horizon, val_fraction
         )

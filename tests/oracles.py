@@ -14,6 +14,33 @@ def sigmoid_scalar(v):
     return e / (1.0 + e)
 
 
+def conv1d_loop(x, weights, bias):
+    """Valid stride-1 convolution of x (L rows of F values) with weights
+    (filters x K x F) and bias (filters); no activation. Returns the
+    (L - K + 1) x filters output as nested lists."""
+    n_filters, kernel = len(weights), len(weights[0])
+    out = []
+    for i in range(len(x) - kernel + 1):
+        row = []
+        for f in range(n_filters):
+            total = bias[f]
+            for m in range(kernel):
+                for c, value in enumerate(x[i + m]):
+                    total += weights[f][m][c] * value
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def maxpool1d_loop(x, pool):
+    """Non-overlapping max over ``pool`` consecutive rows of x, per column;
+    a trailing remainder shorter than the pool is dropped."""
+    out = []
+    for start in range(0, len(x) - pool + 1, pool):
+        out.append([max(x[start + k][c] for k in range(pool)) for c in range(len(x[0]))])
+    return out
+
+
 def lstm_step_scalar(x, prev_cell, prev_hidden, w):
     """Scalar-loop LSTM step over the concatenation [prev_hidden, x].
 

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from fused import lstm_step_fused
 from oracles import finite_difference_grads, friedman_loop, lstm_step_scalar, max_relative_error
 from swarmcast.benchmarks import rastrigin, sphere
 from swarmcast.evaluation import friedman_statistic, mse, nemenyi_cd, rank_methods
-from swarmcast.layers import LSTMState, LSTMWeights, lstm_cell_forward
+from swarmcast.layers import GATES
 from swarmcast.metaheuristics import OptimizerParams, SearchBounds, rs_gwo_woa
 from swarmcast.network import (
     NetworkConfig,
@@ -36,8 +37,8 @@ from swarmcast.timeseries import (
     load_csv,
     make_windows,
     minmax_scale,
+    split_index,
     split_windows,
-    train_test_split,
 )
 from swarmcast.tuning import (
     DEFAULT_SPACE,
@@ -111,36 +112,22 @@ def test_criterion_4_lstm_oracle():
         units = int(rng.integers(1, 6))
         input_dim = int(rng.integers(1, 7))
         concat = units + input_dim
-        weights = LSTMWeights(
-            forget_w=rng.normal(size=(units, concat)), forget_b=rng.normal(size=units),
-            input_w=rng.normal(size=(units, concat)), input_b=rng.normal(size=units),
-            candidate_w=rng.normal(size=(units, concat)), candidate_b=rng.normal(size=units),
-            output_w=rng.normal(size=(units, concat)), output_b=rng.normal(size=units),
-        )
-        prev = LSTMState(cell=rng.normal(size=units), hidden=np.tanh(rng.normal(size=units)))
+        gates = {gate: (rng.normal(size=(units, concat)), rng.normal(size=units))
+                 for gate in GATES}
+        prev_cell, prev_hidden = rng.normal(size=units), np.tanh(rng.normal(size=units))
         x = rng.normal(size=input_dim)
-        hidden, state = lstm_cell_forward(x, prev, weights)
+        hidden, cell, _ = lstm_step_fused(x, prev_cell, prev_hidden, gates)
         oracle_hidden, oracle_cell = lstm_step_scalar(
-            x.tolist(), prev.cell.tolist(), prev.hidden.tolist(),
-            {
-                "forget": (weights.forget_w.tolist(), weights.forget_b.tolist()),
-                "input": (weights.input_w.tolist(), weights.input_b.tolist()),
-                "candidate": (weights.candidate_w.tolist(), weights.candidate_b.tolist()),
-                "output": (weights.output_w.tolist(), weights.output_b.tolist()),
-            },
+            x.tolist(), prev_cell.tolist(), prev_hidden.tolist(),
+            {gate: (w.tolist(), b.tolist()) for gate, (w, b) in gates.items()},
         )
         worst = max(worst, float(np.max(np.abs(hidden - oracle_hidden))),
-                    float(np.max(np.abs(state.cell - oracle_cell))))
+                    float(np.max(np.abs(cell - oracle_cell))))
 
-    saturated = LSTMWeights(
-        forget_w=np.zeros((1, 2)), forget_b=np.array([100.0]),
-        input_w=np.zeros((1, 2)), input_b=np.array([-100.0]),
-        candidate_w=np.zeros((1, 2)), candidate_b=np.array([0.0]),
-        output_w=np.zeros((1, 2)), output_b=np.array([100.0]),
-    )
-    hidden, _ = lstm_cell_forward(
-        np.array([0.3]), LSTMState(cell=np.array([0.7]), hidden=np.array([0.0])), saturated
-    )
+    # forget and output gates pinned open, input gate pinned shut
+    saturated = {gate: (np.zeros((1, 2)), np.array([bias]))
+                 for gate, bias in zip(GATES, (100.0, -100.0, 0.0, 100.0))}
+    hidden, _, _ = lstm_step_fused(np.array([0.3]), np.array([0.7]), np.array([0.0]), saturated)
     gate_err = abs(hidden[0] - math.tanh(0.7))
     ok = worst <= 1e-12 and gate_err <= 1e-3
     report("criterion 4 (LSTM scalar-loop oracle)", ok,
@@ -189,7 +176,7 @@ def _logistic_series(seed, n=500, rate=0.025):
 
 def _tuned_vs_persistence(seed, lookback=7):
     series = _logistic_series(seed)
-    cut = math.floor(0.8 * len(series))
+    cut = split_index(len(series), 0.8)
     params = ScalingParams(float(series[:cut].min()), float(series[:cut].max()))
     scaled = apply_scale(series, params)
 
@@ -296,18 +283,16 @@ def test_criterion_9_preprocessing_contracts():
     back = inverse_scale(scaled, params)
     round_trip_err = float(np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))))
 
-    dataset = load_csv(SAMPLE_CSV)
-    clean = dataset.replace_variables(
-        {name: impute_missing(dataset.series(name)) for name in dataset.variable_names}
-    )
-    train_ds, test_ds = train_test_split(clean, 0.8)
+    dates = load_csv(SAMPLE_CSV).dates
+    cut = split_index(len(dates), 0.8)
+    train_dates, test_dates = dates[:cut], dates[cut:]
     split_ok = (
-        max(train_ds.dates) < min(test_ds.dates)
-        and len(train_ds) == math.floor(0.8 * len(clean))
-        and len(train_ds) + len(test_ds) == len(clean)
+        max(train_dates) < min(test_dates)
+        and len(train_dates) == math.floor(0.8 * len(dates))
+        and len(train_dates) + len(test_dates) == len(dates)
     )
 
     ok = impute_ok and round_trip_err <= 1e-12 and split_ok
     report("criterion 9 (preprocessing contracts)", ok,
            f"impute [10,nan,20]->{imputed.tolist()}, round-trip err {round_trip_err:.1e} "
-           f"(<=1e-12), split {len(train_ds)}/{len(test_ds)} chronological={split_ok}")
+           f"(<=1e-12), split {len(train_dates)}/{len(test_dates)} chronological={split_ok}")

@@ -118,6 +118,21 @@ class TestIngest:
         assert ":3:" in err and "'v'" in err
         assert not (out / "dataset.csv").exists()
 
+    def test_split_ratio_outside_unit_interval_exits_2_naming_key(self, small_csv, tmp_path,
+                                                                   capsys):
+        assert main(["ingest", "--data", str(small_csv), "--split-ratio", "1.0",
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert "split_ratio" in capsys.readouterr().err
+
+    def test_empty_split_side_exits_3_naming_ratio_and_rows(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("date,v\n2020-03-22,1\n2020-03-23,2\n2020-03-24,3\n",
+                         encoding="utf-8")
+        assert main(["ingest", "--data", str(short), "--split-ratio", "0.2",
+                     "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "0.2" in err and "3 rows" in err
+
 
 class TestTune:
     def test_same_seed_identical_reports(self, artifact, tmp_path):
@@ -175,6 +190,11 @@ class TestTune:
         cfg.write_text(json.dumps({"space": {"n_filters": [4]}}), encoding="utf-8")
         assert main(["tune", "--config", str(cfg), "--data-dir", str(artifact),
                      "--surrogate", "hash", "--output-dir", str(tmp_path / "x")]) == 2
+
+    def test_no_cell_fitting_the_lookback_exits_2(self, artifact, tmp_path, capsys):
+        assert main(["tune", "--data-dir", str(artifact), "--lookback", "2",
+                     "--output-dir", str(tmp_path / "t")]) == 2
+        assert "lookback 2" in capsys.readouterr().err
 
     def test_trace_csv_matches_iterations(self, artifact, tmp_path):
         code = main(["tune", "--data-dir", str(artifact), "--surrogate", "hash",
@@ -437,6 +457,12 @@ class TestBenchOpt:
         assert doc["best_fitness"] >= 0.0
         rows = (out / "trace.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 25
+
+    @pytest.mark.parametrize("dimension", ["0", "-1"])
+    def test_dimension_below_one_exits_2(self, dimension, tmp_path, capsys):
+        assert main(["bench-opt", "--dimension", dimension, "--population", "4",
+                     "--iterations", "1", "--output-dir", str(tmp_path / "bo")]) == 2
+        assert "dimension" in capsys.readouterr().err
 
     def test_unknown_function_exits_2(self, tmp_path):
         import pytest as _pytest

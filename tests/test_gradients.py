@@ -7,16 +7,14 @@ faster always-on guard plus the hand-derived special cases.
 import numpy as np
 import pytest
 
-from oracles import finite_difference_grads, max_relative_error
-from swarmcast.layers import (
-    GATES,
-    LSTMState,
-    LSTMWeights,
-    conv1d_forward,
-    lstm_cell_forward,
-    maxpool1d_forward,
-    sigmoid,
+from oracles import (
+    conv1d_loop,
+    finite_difference_grads,
+    lstm_step_scalar,
+    max_relative_error,
+    maxpool1d_loop,
 )
+from swarmcast.layers import GATES
 from swarmcast.network import (
     NetworkConfig,
     compute_gradients,
@@ -84,42 +82,48 @@ def test_gradient_shapes_match_weights():
         assert grads[key].shape == value.shape
 
 
+def logistic(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 def reference_gradients(net, x, target):
-    """Unfused backprop over the public forward primitives: every step
-    re-projects [hidden, input] through the four separate gate weights and
-    every gradient is accumulated one outer product at a time."""
+    """Unfused backprop over a plain-loop forward pass (``oracles``): every
+    step re-projects [hidden, input] through the four separate gate weights
+    and every gradient is accumulated one outer product at a time."""
     cfg = net.config
     units, kernel, pool = cfg.lstm_units, cfg.kernel_size, cfg.pool_size
     p = net.params()
-    pre = conv1d_forward(x, p["conv_w"], p["conv_b"], "identity")
-    conv = conv1d_forward(x, p["conv_w"], p["conv_b"], cfg.conv_activation)
-    pooled = maxpool1d_forward(conv, pool)
+    pre = np.array(conv1d_loop(x.tolist(), p["conv_w"].tolist(), p["conv_b"].tolist()))
+    conv = {"relu": np.maximum(pre, 0.0), "tanh": np.tanh(pre),
+            "identity": pre}[cfg.conv_activation]
+    pooled = np.array(maxpool1d_loop(conv.tolist(), pool))
     flat = pooled.ravel()
-    weights = LSTMWeights(**{f"{g}_{part}": p[f"{g}_{part}"] for g in GATES for part in "wb"})
-    states = [LSTMState.zeros(units)]
+    weights = {gate: (p[f"{gate}_w"], p[f"{gate}_b"]) for gate in GATES}
+    oracle_weights = {gate: (w.tolist(), b.tolist()) for gate, (w, b) in weights.items()}
+    states = [(np.zeros(units), np.zeros(units))]  # (hidden, cell)
     for _ in range(cfg.repeat_steps):
-        _, state = lstm_cell_forward(flat, states[-1], weights)
-        states.append(state)
-    output = p["dense_w"] @ states[-1].hidden + p["dense_b"]
+        hidden, cell = lstm_step_scalar(flat.tolist(), states[-1][1].tolist(),
+                                        states[-1][0].tolist(), oracle_weights)
+        states.append((np.array(hidden), np.array(cell)))
+    output = p["dense_w"] @ states[-1][0] + p["dense_b"]
 
     doutput = 2.0 * (output - target) / cfg.horizon
     grads = {key: np.zeros_like(value) for key, value in p.items()}
-    grads["dense_w"] = np.outer(doutput, states[-1].hidden)
+    grads["dense_w"] = np.outer(doutput, states[-1][0])
     grads["dense_b"] = doutput
     dhidden = p["dense_w"].T @ doutput
     dcell = np.zeros(units)
     dflat = np.zeros_like(flat)
     for t in reversed(range(cfg.repeat_steps)):
-        prev, cur = states[t], states[t + 1]
-        concat = np.concatenate([prev.hidden, flat])
-        forget = sigmoid(weights.forget_w @ concat + weights.forget_b)
-        update = sigmoid(weights.input_w @ concat + weights.input_b)
-        candidate = np.tanh(weights.candidate_w @ concat + weights.candidate_b)
-        out_gate = sigmoid(weights.output_w @ concat + weights.output_b)
-        tanh_cell = np.tanh(cur.cell)
+        (prev_hidden, prev_cell), (_, cur_cell) = states[t], states[t + 1]
+        concat = np.concatenate([prev_hidden, flat])
+        pre_gate = {gate: w @ concat + b for gate, (w, b) in weights.items()}
+        forget, update = logistic(pre_gate["forget"]), logistic(pre_gate["input"])
+        candidate, out_gate = np.tanh(pre_gate["candidate"]), logistic(pre_gate["output"])
+        tanh_cell = np.tanh(cur_cell)
         dcell = dcell + dhidden * out_gate * (1.0 - tanh_cell**2)
         deltas = {
-            "forget": dcell * prev.cell * forget * (1.0 - forget),
+            "forget": dcell * prev_cell * forget * (1.0 - forget),
             "input": dcell * candidate * update * (1.0 - update),
             "candidate": dcell * update * (1.0 - candidate**2),
             "output": dhidden * tanh_cell * out_gate * (1.0 - out_gate),
@@ -128,7 +132,7 @@ def reference_gradients(net, x, target):
         for gate, delta in deltas.items():
             grads[f"{gate}_w"] += np.outer(delta, concat)
             grads[f"{gate}_b"] += delta
-            dconcat += getattr(weights, f"{gate}_w").T @ delta
+            dconcat += weights[gate][0].T @ delta
         dhidden = dconcat[:units]
         dflat += dconcat[units:]
         dcell = dcell * forget

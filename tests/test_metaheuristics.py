@@ -47,6 +47,12 @@ def unit_bounds(dim):
     return SearchBounds.cube(0.0, 1.0, dim)
 
 
+class TestBounds:
+    def test_empty_box_rejected(self):
+        with pytest.raises(ConfigError):
+            SearchBounds(np.zeros(0), np.zeros(0))
+
+
 class TestClamp:
     def test_clamps_out_of_range(self):
         bounds = unit_bounds(3)

@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conv1d_loop, lstm_step_scalar, maxpool1d_loop
 from swarmcast.errors import ConfigError, DataError, DivergedError
-from swarmcast.layers import (
-    GATES,
-    LSTMState,
-    LSTMWeights,
-    conv1d_forward,
-    conv_output_size,
-    lstm_cell_forward,
-    maxpool1d_forward,
-)
+from swarmcast.layers import GATES, conv_output_size
 from swarmcast.network import (
     PREDICT_BLOCK,
     NetworkConfig,
@@ -59,6 +52,11 @@ class TestConfigs:
         # conv length 2 with pool 4 leaves nothing
         with pytest.raises(ConfigError):
             initialize_network(tiny_config(kernel_size=5, pool_size=4), lookback=6)
+
+    @pytest.mark.parametrize("name", ["n_filters", "kernel_size", "pool_size", "lstm_units"])
+    def test_nonpositive_size_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            tiny_config(**{name: 0})
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,15 +113,15 @@ class TestForward:
             net = initialize_network(config, lookback)
             x = rng.normal(size=(lookback, 2))
 
-            p = net.params()
-            conv = conv1d_forward(x, p["conv_w"], p["conv_b"], config.conv_activation)
-            pooled = maxpool1d_forward(conv, config.pool_size)
-            flat = pooled.ravel()
-            gates = LSTMWeights(**{f"{g}_{part}": p[f"{g}_{part}"] for g in GATES for part in "wb"})
-            state = LSTMState.zeros(config.lstm_units)
+            p = {key: value.tolist() for key, value in net.params().items()}
+            conv = [[max(v, 0.0) for v in row]  # relu
+                    for row in conv1d_loop(x.tolist(), p["conv_w"], p["conv_b"])]
+            flat = [v for row in maxpool1d_loop(conv, config.pool_size) for v in row]
+            gates = {g: (p[f"{g}_w"], p[f"{g}_b"]) for g in GATES}
+            hidden = cell = [0.0] * config.lstm_units
             for _ in range(config.repeat_steps):
-                hidden, state = lstm_cell_forward(flat, state, gates)
-            expected = p["dense_w"] @ state.hidden + p["dense_b"]
+                hidden, cell = lstm_step_scalar(flat, cell, hidden, gates)
+            expected = np.array(p["dense_w"]) @ hidden + p["dense_b"]
 
             assert np.allclose(network_forward(x, net), expected, atol=1e-12, rtol=0)
 
@@ -131,6 +129,11 @@ class TestForward:
         net = initialize_network(tiny_config(), 6)
         with pytest.raises(DataError):
             network_forward(np.zeros((5, 1)), net)
+
+    def test_wrong_feature_count_rejected(self):
+        net = initialize_network(tiny_config(), 6)
+        with pytest.raises(DataError, match="shape"):
+            network_forward(np.zeros((6, 2)), net)
 
 
 class TestTrain:

@@ -20,8 +20,8 @@ from swarmcast.timeseries import (
     load_csv,
     make_windows,
     minmax_scale,
+    split_index,
     split_windows,
-    train_test_split,
 )
 
 
@@ -206,45 +206,40 @@ def make_dataset(n, start=date(2020, 3, 22)):
 
 class TestSplit:
     def test_eighty_twenty(self):
-        train, test = train_test_split(make_dataset(10), 0.8)
-        assert (len(train), len(test)) == (8, 2)
+        assert split_index(10, 0.8) == 8
 
     def test_half(self):
-        train, test = train_test_split(make_dataset(10), 0.5)
-        assert (len(train), len(test)) == (5, 5)
+        assert split_index(10, 0.5) == 5
 
     def test_length_two_boundary(self):
-        train, test = train_test_split(make_dataset(2), 0.8)
-        assert (len(train), len(test)) == (1, 1)
+        assert split_index(2, 0.8) == 1
 
     def test_reconstructs_and_is_chronological(self):
         ds = make_dataset(13)
-        train, test = train_test_split(ds, 0.8)
-        assert train.dates + test.dates == ds.dates
-        assert max(train.dates) < min(test.dates)
-        assert np.array_equal(
-            np.concatenate([train.series("v"), test.series("v")]), ds.series("v")
-        )
+        cut = split_index(len(ds), 0.8)
+        train, test = ds.dates[:cut], ds.dates[cut:]
+        assert train + test == ds.dates
+        assert max(train) < min(test)
 
     def test_bad_ratio(self):
         for ratio in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ConfigError):
-                train_test_split(make_dataset(10), ratio)
+            with pytest.raises(ConfigError, match="split_ratio"):
+                split_index(10, ratio)
 
     def test_too_short(self):
-        with pytest.raises(TooShortError):
-            train_test_split(make_dataset(1), 0.8)
+        for n, ratio in ((1, 0.8), (3, 0.2), (10, 0.05)):
+            with pytest.raises(TooShortError, match=rf"{ratio} .* {n} rows"):
+                split_index(n, ratio)
 
     @given(st.integers(4, 300), st.floats(0.1, 0.9))
     def test_chronology_property(self, n, ratio):
-        ds = make_dataset(n)
         try:
-            train, test = train_test_split(ds, ratio)
-        except ConfigError:
-            return  # degenerate ratio for this length
-        assert max(train.dates) < min(test.dates)
-        assert len(train) + len(test) == n
-        assert len(train) == math.floor(ratio * n)
+            cut = split_index(n, ratio)
+        except TooShortError:
+            assert math.floor(ratio * n) in (0, n)  # degenerate ratio for this length
+            return
+        assert cut == math.floor(ratio * n)
+        assert 1 <= cut < n
 
 
 class TestWindows:

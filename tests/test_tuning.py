@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmcast.errors import ConfigError, TooShortError
+from swarmcast import tuning
+from swarmcast.errors import ConfigError, DegenerateObjectiveError, TooShortError
 from swarmcast.metaheuristics import OptimizerParams
 from swarmcast.network import TrainingConfig
 from swarmcast.tuning import (
@@ -43,7 +44,6 @@ class TestDecode:
         assert a.values["n_filters"] == 32
         assert a.values["kernel_size"] == 8
         assert a.values["lstm_units"] == 25
-        assert a.provenance == (-3.0, 7.0, 0.2, 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -248,6 +248,28 @@ class TestTune:
         assert result.best_loss == true_min
         assert result.cache_misses == 144
 
+    def test_budget_caps_the_search(self):
+        calls = []
+
+        def evaluate(assignment):
+            calls.append(assignment.key())
+            return surrogate_fitness(assignment, 0)
+
+        params = OptimizerParams(population_size=10, max_iterations=10, seed=0)
+        result = tune(evaluate, "rs-gwo-woa", params, evaluation_budget=5)
+        unbudgeted = tune(lambda a: surrogate_fitness(a, 0), "rs-gwo-woa", params)
+        assert len(calls) == result.cache_misses == len(result.records) <= 5
+        assert result.best_loss == min(r.loss for r in result.records)
+        # the optimizer still runs every iteration
+        assert result.trace.evaluations == unbudgeted.trace.evaluations
+        assert unbudgeted.cache_misses > 5
+
+    def test_budget_spent_on_infeasible_cells_is_degenerate(self):
+        losses = iter([math.inf])  # the one cell the budget pays for is infeasible
+        params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
+        with pytest.raises(DegenerateObjectiveError):
+            tune(lambda a: next(losses, 0.5), "gwo", params, evaluation_budget=1)
+
 
 class TestTuneSeries:
     def test_surrogate_mode_deterministic(self):
@@ -272,6 +294,15 @@ class TestTuneSeries:
         assert set(result.best_assignment.values) == {
             "n_filters", "kernel_size", "pool_size", "lstm_units",
         }
+
+    def test_no_cell_fitting_the_lookback_rejected_up_front(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("fitness evaluated")
+
+        monkeypatch.setattr(tuning, "fitness", never)
+        params = OptimizerParams(population_size=4, max_iterations=2, seed=5)
+        with pytest.raises(ConfigError, match="lookback 2"):
+            tune_series(np.linspace(0.0, 1.0, 40), "rs-gwo-woa", params, lookback=2)
 
     def test_unknown_surrogate_rejected(self):
         with pytest.raises(ConfigError):
