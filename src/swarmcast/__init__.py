@@ -59,7 +59,6 @@ from .timeseries import (
 from .tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
-    HyperparamAssignment,
     HyperparamSpace,
     TuningResult,
     cell_configs,

@@ -66,7 +66,6 @@ from .timeseries import (
 from .tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
-    HyperparamAssignment,
     HyperparamSpace,
     cell_configs,
     tune_series,
@@ -406,7 +405,7 @@ def cmd_tune(options) -> int:
     write_json(out_dir / "report.json", {
         "algorithm": result.algorithm,
         "variable": name,
-        "best_assignment": result.best_assignment.values,
+        "best_assignment": result.best_assignment,
         "best_loss": result.best_loss,
         "cache_hits": result.cache_hits,
         "cache_misses": result.cache_misses,
@@ -429,7 +428,7 @@ def cmd_tune(options) -> int:
         [[i, f"{record.wall_time:.6f}"] for i, record in enumerate(result.records)],
     )
     write_json(out_dir / "manifest.json", manifest)
-    print(f"best assignment: {result.best_assignment.values}")
+    print(f"best assignment: {result.best_assignment}")
     print(f"best loss: {result.best_loss}")
     print(f"report: {out_dir / 'report.json'}")
     return 0
@@ -462,7 +461,7 @@ def cmd_train(options) -> int:
     cut = artifact["meta"]["split_index"]
     values = _assignment_from_options(options)
     config, training_cfg = cell_configs(
-        HyperparamAssignment(values),
+        values,
         options["seed"],
         epochs=options["epochs"],
         learning_rate=options["learning_rate"],

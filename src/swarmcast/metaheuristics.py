@@ -2,9 +2,11 @@
 
 Provides grey-wolf and whale update steps, a random switcher that flips
 a fair coin each iteration to run one of them on a shared population, a
-generational GA baseline, and plain single-strategy drivers. All
-randomness flows through one ``numpy.random.Generator`` per run, so a
-seed fully determines the trajectory.
+generational GA baseline, and plain single-strategy drivers. All four
+run through one population loop (``_drive``) and differ only in the
+step that turns one population into the next. All randomness flows
+through one ``numpy.random.Generator`` per run, so a seed fully
+determines the trajectory.
 
 An objective scores a whole population per call: it maps an ``(n, d)``
 matrix of positions to ``n`` fitness values, one per row.
@@ -24,6 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateObjectiveError
+
+# per-gene rates of the GA baseline's uniform crossover and mutation
+GA_CROSSOVER_RATE = 0.25
+GA_MUTATION_RATE = 0.25
 
 
 @dataclass(frozen=True)
@@ -69,18 +75,12 @@ class OptimizerParams:
     population_size: int = 30
     max_iterations: int = 200
     seed: int = 0
-    ga_crossover_rate: float = 0.25
-    ga_mutation_rate: float = 0.25
 
     def __post_init__(self):
         if self.population_size < 4:
             raise ConfigError("population_size must be at least 4")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        for name in ("ga_crossover_rate", "ga_mutation_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
 
 
 @dataclass
@@ -181,9 +181,24 @@ def woa_step(positions, best: Agent, a: float, rng, bounds: SearchBounds) -> np.
     return clamp_to_bounds(new_positions, bounds)
 
 
-def _start(objective, bounds: SearchBounds, params: OptimizerParams, init_population):
-    """The run's generator, its initial population (given, or drawn as the
-    generator's first numbers) with fitness, and a trace counting it."""
+def _drive(
+    objective,
+    bounds: SearchBounds,
+    params: OptimizerParams,
+    step,
+    init_population=None,
+    callback=None,
+):
+    """The population loop every optimizer runs.
+
+    The initial population is given, or drawn as the generator's first
+    numbers. Each iteration ``step(positions, fitness, leaders, a, rng,
+    bounds)`` returns ``(branch, positions)``, the next population, with
+    ``a`` decaying linearly from 2 towards 0; the driver scores it with
+    one objective call, re-ranks the leaders and counts the iteration
+    under its branch. Returns the best position ever evaluated, its
+    fitness and the trace.
+    """
     rng = np.random.default_rng(params.seed)
     pop, dim = params.population_size, bounds.dimension
     if init_population is not None:
@@ -193,40 +208,17 @@ def _start(objective, bounds: SearchBounds, params: OptimizerParams, init_popula
     else:
         positions = rng.uniform(bounds.lower, bounds.upper, size=(pop, dim))
     fitness = _evaluate(objective, positions)
-    return rng, positions, fitness, OptimizationTrace(evaluations=pop)
-
-
-def _finish(best: Agent, trace: OptimizationTrace):
-    if math.isinf(best.fitness):
-        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
-    return best.position.copy(), best.fitness, trace
-
-
-def _drive(
-    objective,
-    bounds: SearchBounds,
-    params: OptimizerParams,
-    branch: str,
-    init_population=None,
-    callback=None,
-):
-    rng, positions, fitness, trace = _start(objective, bounds, params, init_population)
-    pop = params.population_size
+    trace = OptimizationTrace(evaluations=pop)
     leaders = _rank_leaders(positions, fitness)
     best = leaders[0]
 
     for t in range(params.max_iterations):
         a = 2.0 * (1.0 - t / params.max_iterations)
-        if branch == "rs":
-            use_woa = rng.random() < 0.5
-        else:
-            use_woa = branch == "woa"
-        if use_woa:
-            positions = woa_step(positions, leaders[0], a, rng, bounds)
-            trace.woa_iterations += 1
-        else:
-            positions = gwo_step(positions, leaders, a, rng, bounds)
+        branch, positions = step(positions, fitness, leaders, a, rng, bounds)
+        if branch == "gwo":
             trace.gwo_iterations += 1
+        elif branch == "woa":
+            trace.woa_iterations += 1
         fitness = _evaluate(objective, positions)
         trace.evaluations += pop
         leaders = _rank_leaders(positions, fitness)
@@ -234,25 +226,40 @@ def _drive(
             best = leaders[0]
         trace.best_fitness_per_iteration.append(best.fitness)
         if callback is not None:
-            callback(t, "woa" if use_woa else "gwo", positions, fitness, leaders)
+            callback(t, branch, positions, fitness, leaders)
 
-    return _finish(best, trace)
+    if math.isinf(best.fitness):
+        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
+    return best.position.copy(), best.fitness, trace
+
+
+def _gwo_move(positions, fitness, leaders, a, rng, bounds):
+    return "gwo", gwo_step(positions, leaders, a, rng, bounds)
+
+
+def _woa_move(positions, fitness, leaders, a, rng, bounds):
+    return "woa", woa_step(positions, leaders[0], a, rng, bounds)
+
+
+def _rs_move(positions, fitness, leaders, a, rng, bounds):
+    move = _woa_move if rng.random() < 0.5 else _gwo_move
+    return move(positions, fitness, leaders, a, rng, bounds)
 
 
 def rs_gwo_woa(objective, bounds, params, init_population=None, callback=None):
     """Random switcher: a fair coin per iteration picks the whale or wolf
     branch for the whole population; one shared a-schedule decays 2 -> 0."""
-    return _drive(objective, bounds, params, "rs", init_population, callback)
+    return _drive(objective, bounds, params, _rs_move, init_population, callback)
 
 
 def gwo_optimize(objective, bounds, params, init_population=None, callback=None):
     """Plain grey-wolf driver (the random switcher pinned to its wolf branch)."""
-    return _drive(objective, bounds, params, "gwo", init_population, callback)
+    return _drive(objective, bounds, params, _gwo_move, init_population, callback)
 
 
 def woa_optimize(objective, bounds, params, init_population=None, callback=None):
     """Plain whale driver (the random switcher pinned to its whale branch)."""
-    return _drive(objective, bounds, params, "woa", init_population, callback)
+    return _drive(objective, bounds, params, _woa_move, init_population, callback)
 
 
 def uniform_crossover(parent1, parent2, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -272,42 +279,31 @@ def uniform_mutation(genome, rate: float, bounds: SearchBounds, rng) -> np.ndarr
     return np.where(mutate, fresh, genome)
 
 
+def _ga_step(positions, fitness, leaders, a, rng, bounds):
+    """One GA generation, drawn as whole arrays: every tournament for the
+    ``pop // 2`` couples at once, one crossover of the stacked parents and
+    one mutation of the ``pop - 1`` children, interleaved child1, child2
+    per couple. The elite (alpha) is row 0. Every row is a parent gene or
+    a fresh draw inside the box, so no clamp is needed."""
+    pop = len(positions)
+    couples = pop // 2
+    # contenders[c, k] are the two draws of parent k of couple c
+    contenders = rng.integers(0, pop, size=(couples, 2, 2))
+    first, second = contenders[..., 0], contenders[..., 1]
+    winners = np.where(fitness[first] <= fitness[second], first, second)
+    child1, child2 = uniform_crossover(
+        positions[winners[:, 0]], positions[winners[:, 1]], GA_CROSSOVER_RATE, rng
+    )
+    children = np.stack((child1, child2), axis=1).reshape(2 * couples, -1)[: pop - 1]
+    children = uniform_mutation(children, GA_MUTATION_RATE, bounds, rng)
+    return "ga", np.concatenate((leaders[0].position[None], children))
+
+
 def ga_optimize(objective, bounds, params, init_population=None, callback=None):
     """Generational GA baseline: size-2 tournaments, uniform crossover and
-    mutation, elitism of one.
-
-    Each generation is drawn as whole arrays: one draw of every
-    tournament for the ``pop // 2`` couples, one crossover of the stacked
-    parents, and one mutation of the ``pop - 1`` children, interleaved
-    child1, child2 per couple. The elite is row 0. Every row is a parent
-    gene or a fresh draw inside the box, so no clamp is needed.
-    """
-    rng, positions, fitness, trace = _start(objective, bounds, params, init_population)
-    pop = params.population_size
-    couples = pop // 2
-    best = _rank_leaders(positions, fitness)[0]
-
-    for t in range(params.max_iterations):
-        # contenders[c, k] are the two draws of parent k of couple c
-        contenders = rng.integers(0, pop, size=(couples, 2, 2))
-        first, second = contenders[..., 0], contenders[..., 1]
-        winners = np.where(fitness[first] <= fitness[second], first, second)
-        child1, child2 = uniform_crossover(
-            positions[winners[:, 0]], positions[winners[:, 1]], params.ga_crossover_rate, rng
-        )
-        children = np.stack((child1, child2), axis=1).reshape(2 * couples, -1)[: pop - 1]
-        children = uniform_mutation(children, params.ga_mutation_rate, bounds, rng)
-        positions = np.concatenate((positions[np.argmin(fitness)][None], children))
-        fitness = _evaluate(objective, positions)
-        trace.evaluations += pop
-        champion = _rank_leaders(positions, fitness)[0]
-        if champion.fitness < best.fitness:
-            best = champion
-        trace.best_fitness_per_iteration.append(best.fitness)
-        if callback is not None:
-            callback(t, "ga", positions, fitness, (best,))
-
-    return _finish(best, trace)
+    mutation at ``GA_CROSSOVER_RATE`` and ``GA_MUTATION_RATE``, elitism of
+    one (see ``_ga_step``)."""
+    return _drive(objective, bounds, params, _ga_step, init_population, callback)
 
 
 OPTIMIZERS = {

@@ -185,10 +185,8 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
 
     units = config.lstm_units
     lstm_limit = np.sqrt(1.0 / units)
-    views = weights.named()
-    for gate in GATES:
-        view = views[f"{gate}_w"]
-        view[...] = rng.uniform(-lstm_limit, lstm_limit, view.shape)
+    # one draw in row order fills the gates one after another, as GATES stacks them
+    weights.gate_w[...] = rng.uniform(-lstm_limit, lstm_limit, weights.gate_w.shape)
 
     dense_limit = np.sqrt(6.0 / (units + config.horizon))
     weights.dense_w[...] = rng.uniform(-dense_limit, dense_limit, weights.dense_w.shape)
@@ -408,15 +406,14 @@ def iterative_forecast(
     series = np.asarray(history, dtype=float).reshape(-1)
     if len(series) < net.lookback:
         raise DataError(f"history shorter than lookback {net.lookback}")
-    window = list(series[-net.lookback:])
-    predictions: list[float] = []
-    while len(predictions) < steps:
-        block = network_forward(np.array(window)[:, None], net)
-        for value in block:
-            window.append(float(value))
-            window.pop(0)
-            predictions.append(float(value))
-    return inverse_scale(np.array(predictions[:steps]), scaling)
+    lookback, horizon = net.lookback, net.config.horizon
+    produced = -(-steps // horizon) * horizon
+    values = np.empty(lookback + produced)
+    values[:lookback] = series[-lookback:]
+    for start in range(0, produced, horizon):
+        block = values[start : start + lookback, None]
+        values[start + lookback : start + lookback + horizon] = network_forward(block, net)
+    return inverse_scale(values[lookback : lookback + steps], scaling)
 
 
 def _encode_array(arr: np.ndarray) -> dict:

@@ -1,11 +1,12 @@
 """Hyperparameter search: discrete grids driven by continuous optimizers.
 
 The candidate grid is embedded in the unit box [0,1]^d with a
-floor-scaling decode (monotone and surjective onto the grid). Fitness is
-the validation MSE of a network trained with the decoded assignment,
-seeded deterministically from (global seed, assignment) so it is a pure
-function of the assignment and can be cached; the grid has only
-2*6*3*4 = 144 cells under the default space.
+floor-scaling decode (monotone and surjective onto the grid) that maps a
+whole population to grid indices at once. A cell is a plain dict,
+dimension name -> candidate. Fitness is the validation MSE of a network
+trained with the cell, seeded deterministically from (global seed, cell)
+so it is a pure function of the cell and can be cached; the grid has
+only 2*6*3*4 = 144 cells under the default space.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ from .timeseries import WindowedSamples, make_windows, split_index, split_window
 
 @dataclass(frozen=True)
 class HyperparamSpace:
-    """Ordered (name, candidates) dimensions; candidates keep grid order."""
+    """Ordered (name, candidates) dimensions; candidates keep grid order.
+
+    No dimension repeats a candidate, so a cell's grid indices and its
+    values name it equally well.
+    """
 
     dimensions: tuple[tuple[str, tuple], ...]
 
@@ -42,16 +47,19 @@ class HyperparamSpace:
         for name, candidates in self.dimensions:
             if len(candidates) == 0:
                 raise ConfigError(f"dimension {name!r} has no candidates")
+            for i, candidate in enumerate(candidates):
+                if candidate in candidates[:i]:
+                    raise ConfigError(f"dimension {name!r} repeats candidate {candidate!r}")
 
     def __len__(self):
         return len(self.dimensions)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.dimensions)
-
     def cells(self) -> int:
         return math.prod(len(c) for _, c in self.dimensions)
+
+    def cell(self, indices) -> dict:
+        """The cell at the given grid indices: dimension name -> candidate."""
+        return {name: candidates[i] for (name, candidates), i in zip(self.dimensions, indices)}
 
 
 DEFAULT_SPACE = HyperparamSpace((
@@ -68,49 +76,41 @@ EXTENDED_SPACE = HyperparamSpace(DEFAULT_SPACE.dimensions + (
 ))
 
 
-@dataclass(frozen=True)
-class HyperparamAssignment:
-    """One grid cell: dimension name -> candidate value."""
+def decode_position(positions, space: HyperparamSpace) -> np.ndarray:
+    """Map points of [0,1]^d onto grid indices: index = min(floor(p*n), n-1).
 
-    values: dict[str, object]
-
-    def key(self) -> tuple:
-        return tuple(self.values[name] for name in sorted(self.values))
-
-
-def decode_position(position, space: HyperparamSpace) -> HyperparamAssignment:
-    """Map a point of [0,1]^d onto the grid: index = min(floor(p*n), n-1).
-
-    Out-of-box coordinates are clamped first, so the decode is total.
+    Takes one ``(d,)`` position or an ``(n, d)`` population and returns
+    integer indices of the same shape. Out-of-box coordinates are
+    clamped first, so the decode is total.
     """
-    raw = np.asarray(position, dtype=float)
-    if raw.shape != (len(space),):
-        raise ConfigError(f"position must have {len(space)} entries, got {raw.shape}")
-    clamped = np.clip(raw, 0.0, 1.0)
-    values = {}
-    for coord, (name, candidates) in zip(clamped, space.dimensions):
-        idx = min(int(coord * len(candidates)), len(candidates) - 1)
-        values[name] = candidates[idx]
-    return HyperparamAssignment(values=values)
+    raw = np.asarray(positions, dtype=float)
+    if raw.ndim not in (1, 2) or raw.shape[-1] != len(space):
+        raise ConfigError(f"positions must have {len(space)} columns, got shape {raw.shape}")
+    sizes = np.array([len(candidates) for _, candidates in space.dimensions])
+    return np.minimum((np.clip(raw, 0.0, 1.0) * sizes).astype(np.intp), sizes - 1)
+
+
+def _grid(space: HyperparamSpace):
+    """The index tuple of every grid cell, in lexicographic order."""
+    return itertools.product(*(range(len(c)) for _, c in space.dimensions))
 
 
 def enumerate_assignments(space: HyperparamSpace):
     """Every grid cell, in lexicographic candidate order."""
-    names = space.names
-    for combo in itertools.product(*(c for _, c in space.dimensions)):
-        yield HyperparamAssignment(values=dict(zip(names, combo)))
+    for indices in _grid(space):
+        yield space.cell(indices)
 
 
-def derive_seed(global_seed: int, assignment: HyperparamAssignment) -> int:
-    """Stable 32-bit seed from the global seed and the assignment values."""
+def derive_seed(global_seed: int, assignment: dict) -> int:
+    """Stable 32-bit seed from the global seed and the cell's values."""
     payload = json.dumps(
-        [int(global_seed), [[k, repr(v)] for k, v in sorted(assignment.values.items())]]
+        [int(global_seed), [[k, repr(v)] for k, v in sorted(assignment.items())]]
     )
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
 
-def surrogate_fitness(assignment: HyperparamAssignment, global_seed: int = 0) -> float:
+def surrogate_fitness(assignment: dict, global_seed: int = 0) -> float:
     """Cheap deterministic pseudo-loss in [0, 1); used to exercise the tuner
     against exhaustive enumeration without training anything."""
     digest = hashlib.sha256(
@@ -120,7 +120,7 @@ def surrogate_fitness(assignment: HyperparamAssignment, global_seed: int = 0) ->
 
 
 def cell_configs(
-    assignment: HyperparamAssignment,
+    assignment: dict,
     global_seed: int,
     *,
     epochs: int,
@@ -135,16 +135,15 @@ def cell_configs(
 
     Weights are seeded with ``derive_seed(global_seed, assignment)`` and
     the sample order with that seed + 1, so a cell trains the same way
-    wherever it is built. An assignment that carries ``learning_rate``
-    or ``epochs`` overrides the given value.
+    wherever it is built. A cell that carries ``learning_rate`` or
+    ``epochs`` overrides the given value.
     """
-    values = assignment.values
     derived = derive_seed(global_seed, assignment)
     network = NetworkConfig(
-        n_filters=int(values["n_filters"]),
-        kernel_size=int(values["kernel_size"]),
-        pool_size=int(values["pool_size"]),
-        lstm_units=int(values["lstm_units"]),
+        n_filters=int(assignment["n_filters"]),
+        kernel_size=int(assignment["kernel_size"]),
+        pool_size=int(assignment["pool_size"]),
+        lstm_units=int(assignment["lstm_units"]),
         repeat_steps=repeat_steps,
         n_features=n_features,
         horizon=horizon,
@@ -152,20 +151,19 @@ def cell_configs(
         seed=derived,
     )
     training = TrainingConfig(
-        epochs=int(values.get("epochs", epochs)),
-        learning_rate=float(values.get("learning_rate", learning_rate)),
+        epochs=int(assignment.get("epochs", epochs)),
+        learning_rate=float(assignment.get("learning_rate", learning_rate)),
         optimizer=optimizer,
         seed=derived + 1,
     )
     return network, training
 
 
-def _fits(assignment: HyperparamAssignment, lookback: int) -> bool:
+def _fits(assignment: dict, lookback: int) -> bool:
     """Whether the cell's kernel and pool leave a non-empty pooled conv
     output at this lookback; ``fitness`` scores the others +inf."""
-    values = assignment.values
-    config = NetworkConfig(kernel_size=int(values["kernel_size"]),
-                           pool_size=int(values["pool_size"]))
+    config = NetworkConfig(kernel_size=int(assignment["kernel_size"]),
+                           pool_size=int(assignment["pool_size"]))
     try:
         config.validate_for_lookback(lookback)
     except ConfigError:
@@ -174,7 +172,7 @@ def _fits(assignment: HyperparamAssignment, lookback: int) -> bool:
 
 
 def fitness(
-    assignment: HyperparamAssignment,
+    assignment: dict,
     train_windows: WindowedSamples,
     val_windows: WindowedSamples,
     training_cfg: TrainingConfig,
@@ -222,12 +220,17 @@ def inner_validation_split(
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     windows = make_windows(matrix, lookback, horizon)
-    fit, val = split_windows(windows, split_index(len(matrix), 1.0 - val_fraction))
+    too_short = TooShortError(
+        f"series of length {len(matrix)} cannot supply both fit and "
+        f"validation windows at val_fraction {val_fraction}"
+    )
+    try:
+        cut = split_index(len(matrix), 1.0 - val_fraction)
+    except TooShortError:
+        raise too_short from None
+    fit, val = split_windows(windows, cut)
     if len(fit) == 0 or len(val) == 0:
-        raise TooShortError(
-            f"series of length {len(matrix)} cannot supply both fit and "
-            f"validation windows at fraction {val_fraction}"
-        )
+        raise too_short
     return fit, val
 
 
@@ -241,7 +244,7 @@ class EvaluationRecord:
 @dataclass
 class TuningResult:
     algorithm: str
-    best_assignment: HyperparamAssignment
+    best_assignment: dict
     best_loss: float
     records: list[EvaluationRecord] = field(default_factory=list)
     trace: OptimizationTrace | None = None
@@ -258,58 +261,59 @@ def tune(
 ) -> TuningResult:
     """Drive a metaheuristic over the grid's unit box.
 
-    ``evaluate`` maps an assignment to a loss; results are cached by
-    decoded cell so revisits cost nothing. The optimizer scores each
-    population with one objective call, which decodes and evaluates its
-    rows in row order. ``evaluation_budget`` caps the number of
+    ``evaluate`` maps a cell (a dict) to a loss; results are cached by
+    the cell's grid indices so revisits cost nothing. The optimizer
+    scores each population with one objective call, which decodes the
+    whole population at once and evaluates its rows in row order.
+    ``evaluation_budget`` caps the number of
     *distinct* cells evaluated: once it is spent, a row whose cell was
     never evaluated scores +inf, uncached and uncounted, while cached
     cells keep their loss. Whatever the search leaves unspent is used to
     sweep still-unvisited cells in grid order, so a budget covering the
     whole grid guarantees the exact grid optimum.
-    Returns the best assignment, its loss, the fresh-evaluation log and
-    the optimizer trace.
+    Returns the best cell, its loss, the fresh-evaluation log and the
+    optimizer trace.
     """
     if algorithm not in OPTIMIZERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
     if evaluation_budget is not None and evaluation_budget < 1:
         raise ConfigError("evaluation_budget must be positive")
-    cache: dict[tuple, float] = {}
+    cache: dict[tuple, float] = {}  # grid indices -> loss
     records: list[EvaluationRecord] = []
-    counters = {"hits": 0, "misses": 0}
+    hits = 0
 
-    def evaluate_cell(assignment):
-        key = assignment.key()
-        if key in cache:
-            counters["hits"] += 1
-            return cache[key]
-        if counters["misses"] == evaluation_budget:
+    def evaluate_cell(indices):
+        nonlocal hits
+        if indices in cache:
+            hits += 1
+            return cache[indices]
+        if len(records) == evaluation_budget:
             return math.inf  # spent: an unvisited cell can never win
+        cell = space.cell(indices)
         started = time.perf_counter()
-        loss = float(evaluate(assignment))
+        loss = float(evaluate(cell))
         elapsed = time.perf_counter() - started
-        cache[key] = loss
-        counters["misses"] += 1
-        records.append(EvaluationRecord(dict(assignment.values), loss, elapsed))
+        cache[indices] = loss
+        records.append(EvaluationRecord(cell, loss, elapsed))
         return loss
 
     def objective(positions):
-        return [evaluate_cell(decode_position(row, space)) for row in positions]
+        return [evaluate_cell(tuple(row)) for row in decode_position(positions, space).tolist()]
 
     bounds = SearchBounds.cube(0.0, 1.0, len(space))
     best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
-    best_assignment = decode_position(best_position, space)
+    best_assignment = space.cell(decode_position(best_position, space))
     best_loss = float(best_loss)
 
     if evaluation_budget is not None:
-        for assignment in enumerate_assignments(space):
-            if counters["misses"] >= evaluation_budget:
+        for indices in _grid(space):
+            if len(records) >= evaluation_budget:
                 break
-            if assignment.key() in cache:
+            if indices in cache:
                 continue
-            loss = evaluate_cell(assignment)
+            loss = evaluate_cell(indices)
             if loss < best_loss:
-                best_loss, best_assignment = loss, assignment
+                best_loss, best_assignment = loss, space.cell(indices)
 
     return TuningResult(
         algorithm=algorithm,
@@ -317,8 +321,8 @@ def tune(
         best_loss=best_loss,
         records=records,
         trace=trace,
-        cache_hits=counters["hits"],
-        cache_misses=counters["misses"],
+        cache_hits=hits,
+        cache_misses=len(records),
     )
 
 

@@ -580,6 +580,16 @@ class TestOptionTable:
         err = capsys.readouterr().err
         assert "'space'" in err and "'n_filters'" in err
 
+    def test_space_repeating_a_candidate_exits_2_naming_dimension(
+        self, artifact, tmp_path, capsys
+    ):
+        space = {"n_filters": [4, 8], "kernel_size": [2, 3, 2], "pool_size": [2],
+                 "lstm_units": [3]}
+        cfg = self.config(tmp_path, {"space": space})
+        assert main(["tune", "--config", cfg, "--data-dir", str(artifact),
+                     "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
+        assert "'kernel_size'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["forecast", "evaluate", "compare"])
     def test_seedless_commands_reject_seed_flag(self, command, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmcast import metaheuristics
 from swarmcast.benchmarks import BENCHMARKS, ackley, rastrigin, rosenbrock, sphere
 from swarmcast.errors import ConfigError, DegenerateObjectiveError
 from swarmcast.metaheuristics import (
@@ -232,20 +233,22 @@ class TestDrivers:
         assert np.all(stacked >= bounds.lower) and np.all(stacked <= bounds.upper)
 
     def test_leader_ordering_after_each_iteration(self):
-        records = []
+        # every algorithm runs the same loop, so each callback sees the
+        # three best of the current population once per iteration
+        for optimize in (rs_gwo_woa, gwo_optimize, woa_optimize, ga_optimize):
+            records = []
 
-        def callback(t, branch, positions, fitness, leaders):
-            records.append((fitness.copy(), [(l.fitness, l.position.copy()) for l in leaders]))
+            def callback(t, branch, positions, fitness, leaders):
+                records.append((t, fitness.copy(), [l.fitness for l in leaders]))
 
-        params = OptimizerParams(population_size=6, max_iterations=40, seed=17)
-        rs_gwo_woa(sphere, SearchBounds.cube(-4, 4, 3), params, callback=callback)
-        assert records
-        for fitness, leaders in records:
-            values = [f for f, _ in leaders]
-            assert values == sorted(values)
-            # the leaders are exactly the three best of the current pack,
-            # so delta bounds every omega fitness from below
-            assert values == sorted(fitness)[:3]
+            params = OptimizerParams(population_size=6, max_iterations=40, seed=17)
+            optimize(sphere, SearchBounds.cube(-4, 4, 3), params, callback=callback)
+            assert [t for t, _, _ in records] == list(range(40)), optimize.__name__
+            for _, fitness, values in records:
+                assert values == sorted(values)
+                # the leaders are exactly the three best of the current pack,
+                # so delta bounds every omega fitness from below
+                assert values == sorted(fitness)[:3], optimize.__name__
 
     def test_nan_fitness_never_leads(self):
         def objective(X):
@@ -278,11 +281,10 @@ class TestDrivers:
 
 
 class TestGa:
-    def test_closed_population_with_zero_rates(self):
-        params = OptimizerParams(
-            population_size=6, max_iterations=25, seed=23,
-            ga_crossover_rate=0.0, ga_mutation_rate=0.0,
-        )
+    def test_closed_population_with_zero_rates(self, monkeypatch):
+        monkeypatch.setattr(metaheuristics, "GA_CROSSOVER_RATE", 0.0)
+        monkeypatch.setattr(metaheuristics, "GA_MUTATION_RATE", 0.0)
+        params = OptimizerParams(population_size=6, max_iterations=25, seed=23)
         bounds = SearchBounds.cube(-3, 3, 2)
         rng = np.random.default_rng(23)
         init = rng.uniform(-3, 3, (6, 2))

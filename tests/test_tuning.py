@@ -12,7 +12,6 @@ from swarmcast.network import TrainingConfig
 from swarmcast.tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
-    HyperparamAssignment,
     HyperparamSpace,
     cell_configs,
     decode_position,
@@ -26,28 +25,70 @@ from swarmcast.tuning import (
 )
 
 
+def decode_cell(position, space=DEFAULT_SPACE):
+    return space.cell(decode_position(position, space))
+
+
+def decode_row_reference(position, space):
+    """The per-row decode as a plain loop over the coordinates."""
+    indices = []
+    for coord, (_, candidates) in zip(position, space.dimensions):
+        clamped = min(max(float(coord), 0.0), 1.0)
+        indices.append(min(int(clamped * len(candidates)), len(candidates) - 1))
+    return indices
+
+
+def boundary_coordinates(space):
+    """k/n for every grid size n of the space, and the float just below each."""
+    values = set()
+    for _, candidates in space.dimensions:
+        n = len(candidates)
+        for k in range(n + 1):
+            values.update((k / n, float(np.nextafter(k / n, -np.inf))))
+    return sorted(values)
+
+
 class TestDecode:
     def test_zeros_pick_first_candidates(self):
-        a = decode_position([0.0, 0.0, 0.0, 0.0], DEFAULT_SPACE)
-        assert a.values == {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
+        a = decode_cell([0.0, 0.0, 0.0, 0.0])
+        assert a == {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
 
     def test_high_positions_pick_last_candidates(self):
-        a = decode_position([0.99, 0.99, 0.99, 0.99], DEFAULT_SPACE)
-        assert a.values == {"n_filters": 64, "kernel_size": 8, "pool_size": 4, "lstm_units": 25}
+        a = decode_cell([0.99, 0.99, 0.99, 0.99])
+        assert a == {"n_filters": 64, "kernel_size": 8, "pool_size": 4, "lstm_units": 25}
 
     def test_midpoint_indices(self):
-        a = decode_position([0.5, 0.5, 0.5, 0.5], DEFAULT_SPACE)
-        assert a.values == {"n_filters": 64, "kernel_size": 6, "pool_size": 3, "lstm_units": 20}
+        a = decode_cell([0.5, 0.5, 0.5, 0.5])
+        assert a == {"n_filters": 64, "kernel_size": 6, "pool_size": 3, "lstm_units": 20}
 
     def test_out_of_box_clamped(self):
-        a = decode_position([-3.0, 7.0, 0.2, 1.0], DEFAULT_SPACE)
-        assert a.values["n_filters"] == 32
-        assert a.values["kernel_size"] == 8
-        assert a.values["lstm_units"] == 25
+        a = decode_cell([-3.0, 7.0, 0.2, 1.0])
+        assert a["n_filters"] == 32
+        assert a["kernel_size"] == 8
+        assert a["lstm_units"] == 25
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             decode_position([0.5, 0.5], DEFAULT_SPACE)
+
+    @pytest.mark.parametrize("space", [DEFAULT_SPACE, EXTENDED_SPACE], ids=["default", "extended"])
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_matrix_decode_matches_row_by_row(self, space, data):
+        coordinate = st.one_of(
+            st.sampled_from(boundary_coordinates(space)),
+            st.floats(-0.5, 1.5, allow_nan=False),
+            st.floats(allow_nan=False),
+        )
+        rows = data.draw(st.lists(
+            st.lists(coordinate, min_size=len(space), max_size=len(space)),
+            min_size=1, max_size=12,
+        ))
+        matrix = decode_position(np.array(rows), space)
+        assert matrix.shape == (len(rows), len(space))
+        for row, decoded in zip(rows, matrix):
+            assert decoded.tolist() == decode_row_reference(row, space)
+            assert decode_position(row, space).tolist() == decoded.tolist()
 
     def test_grid_size(self):
         assert DEFAULT_SPACE.cells() == 144
@@ -59,13 +100,13 @@ class TestDecode:
         sizes = [len(c) for _, c in DEFAULT_SPACE.dimensions]
         for assignment in enumerate_assignments(DEFAULT_SPACE):
             indices = [
-                candidates.index(assignment.values[name])
+                candidates.index(assignment[name])
                 for name, candidates in DEFAULT_SPACE.dimensions
             ]
             position = [(i + 0.5) / n for i, n in zip(indices, sizes)]
             decoded = decode_position(position, DEFAULT_SPACE)
-            assert decoded.values == assignment.values
-            seen.add(decoded.key())
+            assert DEFAULT_SPACE.cell(decoded) == assignment
+            seen.add(tuple(decoded.tolist()))
         assert len(seen) == 144
 
     @settings(max_examples=200)
@@ -80,19 +121,29 @@ class TestDecode:
         low_pos, high_pos = list(base), list(base)
         low_pos[dim], high_pos[dim] = lo, hi
         name, candidates = DEFAULT_SPACE.dimensions[dim]
-        low_idx = candidates.index(decode_position(low_pos, DEFAULT_SPACE).values[name])
-        high_idx = candidates.index(decode_position(high_pos, DEFAULT_SPACE).values[name])
+        low_idx = candidates.index(decode_cell(low_pos)[name])
+        high_idx = candidates.index(decode_cell(high_pos)[name])
         assert low_idx <= high_idx
+
+
+class TestSpace:
+    def test_repeated_candidate_rejected_naming_dimension(self):
+        with pytest.raises(ConfigError, match="'kernel_size'"):
+            HyperparamSpace((("n_filters", (32, 64)), ("kernel_size", (3, 5, 3))))
+
+    def test_equal_values_of_different_types_count_as_repeats(self):
+        with pytest.raises(ConfigError, match="'epochs'"):
+            HyperparamSpace((("epochs", (50, 50.0)),))
 
 
 class TestSeedsAndSurrogate:
     def test_derive_seed_deterministic(self):
-        a = HyperparamAssignment({"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10})
+        a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
         assert derive_seed(7, a) == derive_seed(7, a)
 
     def test_derive_seed_varies_with_inputs(self):
-        a = HyperparamAssignment({"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10})
-        b = HyperparamAssignment({"n_filters": 64, "kernel_size": 3, "pool_size": 2, "lstm_units": 10})
+        a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
+        b = {"n_filters": 64, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
         assert derive_seed(7, a) != derive_seed(8, a)
         assert derive_seed(7, a) != derive_seed(7, b)
 
@@ -111,18 +162,18 @@ def learnable_constant_series(n=30, value=0.5):
 class TestFitness:
     def test_infeasible_kernel_is_inf(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
-        a = HyperparamAssignment({"n_filters": 32, "kernel_size": 8, "pool_size": 2, "lstm_units": 10})
+        a = {"n_filters": 32, "kernel_size": 8, "pool_size": 2, "lstm_units": 10}
         assert fitness(a, train_w, val_w, TrainingConfig(epochs=1)) == math.inf
 
     def test_infeasible_pool_is_inf(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
-        a = HyperparamAssignment({"n_filters": 32, "kernel_size": 7, "pool_size": 2, "lstm_units": 10})
+        a = {"n_filters": 32, "kernel_size": 7, "pool_size": 2, "lstm_units": 10}
         # conv length 1, pool 2 -> empty
         assert fitness(a, train_w, val_w, TrainingConfig(epochs=1)) == math.inf
 
     def test_identical_assignment_identical_loss(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
-        a = HyperparamAssignment({"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10})
+        a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
         cfg = TrainingConfig(epochs=2, seed=5)
         assert fitness(a, train_w, val_w, cfg) == fitness(a, train_w, val_w, cfg)
 
@@ -139,32 +190,32 @@ class TestFitness:
             {"n_filters": 32, "kernel_size": 5, "pool_size": 2, "lstm_units": 25},
         ]
         for values in corners:
-            loss = fitness(HyperparamAssignment(values), train_w, val_w, cfg)
+            loss = fitness(values, train_w, val_w, cfg)
             assert loss < 1e-4, values
 
     def test_extended_space_overrides_training(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
-        a = HyperparamAssignment({
+        a = {
             "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
             "learning_rate": 1e-2, "epochs": 50,
-        })
+        }
         loss = fitness(a, train_w, val_w, TrainingConfig(epochs=1, seed=2))
         assert math.isfinite(loss)
 
 
 class TestCellConfigs:
     def test_seeds_derive_from_global_seed_and_cell(self):
-        a = HyperparamAssignment({"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10})
+        a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
         network, training = cell_configs(a, 4, epochs=3, learning_rate=1e-3, optimizer="sgd")
         assert network.seed == derive_seed(4, a)
         assert training.seed == network.seed + 1
         assert (training.epochs, training.learning_rate, training.optimizer) == (3, 1e-3, "sgd")
 
     def test_assignment_overrides_training_and_is_cast(self):
-        a = HyperparamAssignment({
+        a = {
             "n_filters": 4.0, "kernel_size": 3, "pool_size": 2, "lstm_units": 5,
             "learning_rate": 1e-2, "epochs": 50,
-        })
+        }
         network, training = cell_configs(
             a, 0, epochs=1, learning_rate=1e-3, optimizer="adam", horizon=2, repeat_steps=4,
         )
@@ -185,6 +236,11 @@ class TestInnerSplit:
     def test_too_short_rejected(self):
         with pytest.raises(TooShortError):
             inner_validation_split(np.arange(9, dtype=float), 7, 1)
+
+    @pytest.mark.parametrize("val_fraction", [0.2, 0.9])
+    def test_too_short_names_length_and_fraction(self, val_fraction):
+        with pytest.raises(TooShortError, match=f"length 9 .*val_fraction {val_fraction}$"):
+            inner_validation_split(np.arange(9.0), 7, 1, val_fraction=val_fraction)
 
     def test_bad_fraction(self):
         with pytest.raises(ConfigError):
@@ -214,7 +270,7 @@ class TestTune:
         params = OptimizerParams(population_size=8, max_iterations=20, seed=7)
         result = tune(lambda a: surrogate_fitness(a, 7), "woa", params)
         for record in result.records[:20]:
-            fresh = surrogate_fitness(HyperparamAssignment(record.values), 7)
+            fresh = surrogate_fitness(record.values, 7)
             assert record.loss == fresh
 
     def test_best_loss_is_min_of_log(self):
@@ -229,7 +285,7 @@ class TestTune:
         ))
         params = OptimizerParams(population_size=4, max_iterations=2, seed=9)
         result = tune(lambda a: 0.125, "rs-gwo-woa", params, space=space)
-        assert result.best_assignment.values == {
+        assert result.best_assignment == {
             "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
         }
         assert result.cache_misses == 1
@@ -252,7 +308,7 @@ class TestTune:
         calls = []
 
         def evaluate(assignment):
-            calls.append(assignment.key())
+            calls.append(tuple(sorted(assignment.items())))
             return surrogate_fitness(assignment, 0)
 
         params = OptimizerParams(population_size=10, max_iterations=10, seed=0)
@@ -280,7 +336,7 @@ class TestTuneSeries:
             for _ in range(2)
         ]
         assert results[0].best_loss == results[1].best_loss
-        assert results[0].best_assignment.values == results[1].best_assignment.values
+        assert results[0].best_assignment == results[1].best_assignment
 
     def test_real_fitness_smoke(self):
         rng = np.random.default_rng(0)
@@ -291,7 +347,7 @@ class TestTuneSeries:
             lookback=7, horizon=1, fitness_epochs=2, global_seed=5,
         )
         assert math.isfinite(result.best_loss)
-        assert set(result.best_assignment.values) == {
+        assert set(result.best_assignment) == {
             "n_filters", "kernel_size", "pool_size", "lstm_units",
         }
 
