@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -41,10 +42,12 @@ from .errors import (
     SwarmcastError,
 )
 from .benchmarks import BENCHMARKS
-from .evaluation import compare_methods, metric_report, parse_score_csv
+from .evaluation import CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
 from .fileio import atomic_writer
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
+    NetworkConfig,
+    TrainingConfig,
     initialize_network,
     iterative_forecast,
     load_model,
@@ -64,14 +67,20 @@ from .timeseries import (
     split_windows,
 )
 from .tuning import (
+    ARCHITECTURE_DIMENSIONS,
     DEFAULT_SPACE,
     EXTENDED_SPACE,
+    FITNESS_EPOCHS,
     HyperparamSpace,
     cell_configs,
     tune_series,
 )
 
-ARCHITECTURE_DIMENSIONS = ("n_filters", "kernel_size", "pool_size", "lstm_units")
+# the options that fill a run's network and training templates
+NETWORK_RECIPE = ("horizon", "repeat_steps", "conv_activation")
+TRAINING_RECIPE = ("learning_rate", "optimizer")
+# the cell values cell_configs converts to numbers
+NUMERIC_DIMENSIONS = ARCHITECTURE_DIMENSIONS + ("learning_rate", "epochs")
 
 CONFIG_ENV_VAR = "SWARMCAST_CONFIG"
 
@@ -123,7 +132,7 @@ OPTIONS = {
     "model": Option(help="model.json written by train"),
     "steps": Option(int, "days to forecast"),
     "scores": Option(help="CSV: test name column then one column per method"),
-    "alpha": Option(float, "significance level"),
+    "alpha": Option(float, "significance level", choices=tuple(sorted(CHI2_CRITICAL))),
     "q": Option(float, "override the studentized-range constant"),
     "function": Option(help="benchmark function", choices=tuple(sorted(BENCHMARKS))),
     "dimension": Option(int, "benchmark dimension"),
@@ -188,7 +197,7 @@ def _config_value(key: str, value, default):
         raise ConfigError(f"config {key!r} must be {option.type.__name__}, got {value!r}")
     if option.choices and value not in option.choices:
         raise ConfigError(
-            f"config {key!r} must be one of {', '.join(option.choices)}, got {value!r}"
+            f"config {key!r} must be one of {', '.join(map(str, option.choices))}, got {value!r}"
         )
     return value
 
@@ -224,7 +233,7 @@ def prepare_output_dir(command: str, options: dict) -> tuple[Path, dict]:
     if options.get("output_dir"):
         out_dir = Path(options["output_dir"])
     else:
-        out_dir = Path(options.get("output_root", "runs")) / f"{command}-{digest[:12]}"
+        out_dir = Path(options["output_root"]) / f"{command}-{digest[:12]}"
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
@@ -354,6 +363,21 @@ def _target_series(artifact: dict, variable: str | None) -> tuple[str, np.ndarra
 
 # ------------------------------------------------------------------ tune
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a finite number (a bool is not one)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
+def _templates(options, epochs: int) -> tuple[NetworkConfig, TrainingConfig]:
+    """The run's network and training templates, which ``cell_configs``
+    fills in with each cell's values."""
+    network = NetworkConfig(**{key: options[key] for key in NETWORK_RECIPE})
+    training = TrainingConfig(epochs=epochs, **{key: options[key] for key in TRAINING_RECIPE})
+    return network, training
+
+
 def _resolve_space(options) -> HyperparamSpace:
     override = options["space"]
     if override is None:
@@ -366,6 +390,10 @@ def _resolve_space(options) -> HyperparamSpace:
     for name, values in override.items():
         if not isinstance(values, list):
             raise ConfigError(f"config 'space' dimension {name!r} must be a list, got {values!r}")
+        if name in NUMERIC_DIMENSIONS and not all(map(_is_number, values)):
+            raise ConfigError(
+                f"config 'space' dimension {name!r} must list finite numbers, got {values!r}"
+            )
     return HyperparamSpace(
         tuple((name, tuple(values)) for name, values in override.items())
     )
@@ -376,6 +404,7 @@ def cmd_tune(options) -> int:
     name, series, _ = _target_series(artifact, options["variable"])
     cut = artifact["meta"]["split_index"]
     space = _resolve_space(options)
+    network, training = _templates(options, options["fitness_epochs"])
 
     params = OptimizerParams(
         population_size=options["population"],
@@ -387,15 +416,11 @@ def cmd_tune(options) -> int:
         options["algorithm"],
         params,
         space,
+        network=network,
+        training=training,
         lookback=options["lookback"],
-        horizon=options["horizon"],
         val_fraction=options["val_fraction"],
-        fitness_epochs=options["fitness_epochs"],
         global_seed=options["seed"],
-        repeat_steps=options["repeat_steps"],
-        conv_activation=options["conv_activation"],
-        learning_rate=options["learning_rate"],
-        optimizer=options["optimizer"],
         surrogate=options["surrogate"],
         evaluation_budget=options["evaluation_budget"],
     )
@@ -451,6 +476,10 @@ def _assignment_from_options(options) -> dict:
         missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in best]
         if missing:
             raise DataError(f"{path}: 'best_assignment' lacks {', '.join(missing)}")
+        for key in NUMERIC_DIMENSIONS:
+            if key in best and not _is_number(best[key]):
+                raise DataError(f"{path}: 'best_assignment.{key}' must be a finite number,"
+                                f" got {best[key]!r}")
         return dict(best)
     return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
 
@@ -461,14 +490,7 @@ def cmd_train(options) -> int:
     cut = artifact["meta"]["split_index"]
     values = _assignment_from_options(options)
     config, training_cfg = cell_configs(
-        values,
-        options["seed"],
-        epochs=options["epochs"],
-        learning_rate=options["learning_rate"],
-        optimizer=options["optimizer"],
-        horizon=options["horizon"],
-        repeat_steps=options["repeat_steps"],
-        conv_activation=options["conv_activation"],
+        values, *_templates(options, options["epochs"]), options["seed"]
     )
     windows = make_windows(series[:cut], options["lookback"], config.horizon)
     net = initialize_network(config, options["lookback"])
@@ -629,26 +651,27 @@ class Command(NamedTuple):
 
 
 OUTPUT_DEFAULTS = {"output_root": "runs", "output_dir": None}
+_NETWORK, _TRAINING = NetworkConfig(), TrainingConfig()
+RECIPE_DEFAULTS = {key: getattr(_NETWORK, key) for key in NETWORK_RECIPE} | {
+    key: getattr(_TRAINING, key) for key in TRAINING_RECIPE
+}
 
 COMMANDS = {
     "ingest": Command(cmd_ingest, "clean, impute, scale and split a CSV", {
         "data": None, "date_column": "date", "variables": None, "region": None,
-        "split_ratio": 0.8, "seed": 0,
+        "split_ratio": 0.8,
     } | OUTPUT_DEFAULTS, required=("data",)),
     "tune": Command(cmd_tune, "search hyperparameters for one variable", {
         "data_dir": None, "variable": None,
         "algorithm": "rs-gwo-woa", "population": 10, "iterations": 10, "seed": 0,
-        "lookback": 7, "horizon": 1, "val_fraction": 0.2, "fitness_epochs": 20,
-        "learning_rate": 1e-3, "optimizer": "adam",
-        "repeat_steps": 3, "conv_activation": "relu",
+        "lookback": 7, "val_fraction": 0.2, "fitness_epochs": FITNESS_EPOCHS,
         "surrogate": None, "extended_space": False, "space": None, "evaluation_budget": None,
-    } | OUTPUT_DEFAULTS, required=("data_dir",)),
+    } | RECIPE_DEFAULTS | OUTPUT_DEFAULTS, required=("data_dir",)),
     "train": Command(cmd_train, "train the final model at full epochs", {
         "data_dir": None, "variable": None, "from_tuning": None,
-        "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
-        "repeat_steps": 3, "conv_activation": "relu", "lookback": 7, "horizon": 1,
-        "epochs": 100, "learning_rate": 1e-3, "optimizer": "adam", "seed": 0,
-    } | OUTPUT_DEFAULTS, required=("data_dir",)),
+        **{key: getattr(_NETWORK, key) for key in ARCHITECTURE_DIMENSIONS},
+        "lookback": 7, "epochs": _TRAINING.epochs, "seed": 0,
+    } | RECIPE_DEFAULTS | OUTPUT_DEFAULTS, required=("data_dir",)),
     "forecast": Command(cmd_forecast, "recursive multi-step forecast from a model", {
         "data_dir": None, "model": None, "variable": None, "steps": 7,
     } | OUTPUT_DEFAULTS, required=("model", "data_dir")),

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .network import (
     train,
 )
 from .timeseries import WindowedSamples, make_windows, split_index, split_windows
+
+# training epochs per fitness evaluation; the winner is retrained at full epochs
+FITNESS_EPOCHS = 20
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,9 @@ DEFAULT_SPACE = HyperparamSpace((
     ("pool_size", (2, 3, 4)),
     ("lstm_units", (10, 15, 20, 25)),
 ))
+
+# the grid dimensions that set a NetworkConfig field; every space keeps them
+ARCHITECTURE_DIMENSIONS = tuple(name for name, _ in DEFAULT_SPACE.dimensions)
 
 # optional extras behind the --extended-space flag
 EXTENDED_SPACE = HyperparamSpace(DEFAULT_SPACE.dimensions + (
@@ -120,40 +126,24 @@ def surrogate_fitness(assignment: dict, global_seed: int = 0) -> float:
 
 
 def cell_configs(
-    assignment: dict,
-    global_seed: int,
-    *,
-    epochs: int,
-    learning_rate: float,
-    optimizer: str,
-    n_features: int = 1,
-    horizon: int = 1,
-    repeat_steps: int = 3,
-    conv_activation: str = "relu",
+    assignment: dict, network: NetworkConfig, training: TrainingConfig, global_seed: int
 ) -> tuple[NetworkConfig, TrainingConfig]:
-    """The network and training configs for one grid cell.
+    """The run's network and training templates, filled in by one grid cell.
 
-    Weights are seeded with ``derive_seed(global_seed, assignment)`` and
-    the sample order with that seed + 1, so a cell trains the same way
-    wherever it is built. A cell that carries ``learning_rate`` or
-    ``epochs`` overrides the given value.
+    The cell's architecture values replace the network template's, and
+    its ``learning_rate`` and ``epochs``, when present, the training
+    template's. Weights are seeded with ``derive_seed(global_seed,
+    assignment)`` and the sample order with that seed + 1, so a cell
+    trains the same way wherever it is built.
     """
     derived = derive_seed(global_seed, assignment)
-    network = NetworkConfig(
-        n_filters=int(assignment["n_filters"]),
-        kernel_size=int(assignment["kernel_size"]),
-        pool_size=int(assignment["pool_size"]),
-        lstm_units=int(assignment["lstm_units"]),
-        repeat_steps=repeat_steps,
-        n_features=n_features,
-        horizon=horizon,
-        conv_activation=conv_activation,
-        seed=derived,
+    network = replace(
+        network, seed=derived, **{name: int(assignment[name]) for name in ARCHITECTURE_DIMENSIONS}
     )
-    training = TrainingConfig(
-        epochs=int(assignment.get("epochs", epochs)),
-        learning_rate=float(assignment.get("learning_rate", learning_rate)),
-        optimizer=optimizer,
+    training = replace(
+        training,
+        epochs=int(assignment.get("epochs", training.epochs)),
+        learning_rate=float(assignment.get("learning_rate", training.learning_rate)),
         seed=derived + 1,
     )
     return network, training
@@ -175,30 +165,23 @@ def fitness(
     assignment: dict,
     train_windows: WindowedSamples,
     val_windows: WindowedSamples,
-    training_cfg: TrainingConfig,
-    repeat_steps: int = 3,
-    conv_activation: str = "relu",
+    network: NetworkConfig,
+    training: TrainingConfig,
+    global_seed: int,
 ) -> float:
-    """Validation MSE of a network trained under the assignment.
+    """Validation MSE of a network trained under the assignment (see
+    ``cell_configs``); the windows set its feature count and horizon.
 
-    ``training_cfg.seed`` is the global seed. Infeasible shape
-    combinations and diverged trainings come back as +inf so the search
-    stays total.
+    Infeasible shape combinations and diverged trainings come back as
+    +inf so the search stays total.
     """
     lookback = train_windows.lookback
     if not _fits(assignment, lookback):
         return math.inf
-    config, run_cfg = cell_configs(
-        assignment,
-        training_cfg.seed,
-        epochs=training_cfg.epochs,
-        learning_rate=training_cfg.learning_rate,
-        optimizer=training_cfg.optimizer,
-        n_features=train_windows.inputs.shape[2],
-        horizon=train_windows.horizon,
-        repeat_steps=repeat_steps,
-        conv_activation=conv_activation,
+    network = replace(
+        network, n_features=train_windows.inputs.shape[2], horizon=train_windows.horizon
     )
+    config, run_cfg = cell_configs(assignment, network, training, global_seed)
     net = initialize_network(config, lookback)
     try:
         trained = train(net, train_windows, run_cfg)
@@ -332,20 +315,18 @@ def tune_series(
     params: OptimizerParams,
     space: HyperparamSpace = DEFAULT_SPACE,
     *,
+    network: NetworkConfig = NetworkConfig(),
+    training: TrainingConfig = TrainingConfig(epochs=FITNESS_EPOCHS),
     lookback: int = 7,
-    horizon: int = 1,
     val_fraction: float = 0.2,
-    fitness_epochs: int = 20,
     global_seed: int = 0,
-    repeat_steps: int = 3,
-    conv_activation: str = "relu",
-    learning_rate: float = 1e-3,
-    optimizer: str = "adam",
     surrogate: str | None = None,
     evaluation_budget: int | None = None,
 ) -> TuningResult:
     """Tune hyperparameters for one (already scaled) training series.
 
+    Each cell trains under ``cell_configs(cell, network, training,
+    global_seed)``; the network template's horizon sets the windows'.
     ``surrogate='hash'`` swaps the real fitness for the deterministic
     pseudo-loss, which is handy for exercising the search itself.
     """
@@ -358,17 +339,10 @@ def tune_series(
                 " wider than it or its pool_size empties the conv output"
             )
         train_windows, val_windows = inner_validation_split(
-            series, lookback, horizon, val_fraction
-        )
-        training_cfg = TrainingConfig(
-            epochs=fitness_epochs,
-            learning_rate=learning_rate,
-            optimizer=optimizer,
-            seed=global_seed,
+            series, lookback, network.horizon, val_fraction
         )
         evaluate = lambda assignment: fitness(
-            assignment, train_windows, val_windows, training_cfg,
-            repeat_steps=repeat_steps, conv_activation=conv_activation,
+            assignment, train_windows, val_windows, network, training, global_seed
         )
     else:
         raise ConfigError(f"unknown surrogate {surrogate!r}")

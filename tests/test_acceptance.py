@@ -23,6 +23,7 @@ from swarmcast.layers import GATES
 from swarmcast.metaheuristics import OptimizerParams, SearchBounds, rs_gwo_woa
 from swarmcast.network import (
     NetworkConfig,
+    TrainingConfig,
     compute_gradients,
     initialize_network,
     persistence_predictions,
@@ -183,12 +184,14 @@ def _tuned_vs_persistence(seed, lookback=7):
     result = tune_series(
         scaled[:cut], "rs-gwo-woa",
         OptimizerParams(population_size=4, max_iterations=2, seed=seed),
-        lookback=lookback, horizon=1, fitness_epochs=20, global_seed=seed,
+        network=NetworkConfig(horizon=1), training=TrainingConfig(epochs=20),
+        lookback=lookback, global_seed=seed,
     )
     # final fit at lr 1e-4: batch-1 Adam at the default 1e-3 leaves too much
     # terminal parameter noise for a stable level estimate
     config, training_cfg = cell_configs(
-        result.best_assignment, seed, epochs=100, learning_rate=1e-4, optimizer="adam",
+        result.best_assignment, NetworkConfig(),
+        TrainingConfig(epochs=100, learning_rate=1e-4, optimizer="adam"), seed,
     )
     trained = train(
         initialize_network(config, lookback),

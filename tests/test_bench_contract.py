@@ -4,6 +4,7 @@ bypasses one of them, instead of leaving the benchmark to break or to
 count nothing. They only read perfbench/.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -12,11 +13,13 @@ import pytest
 
 from swarmcast import network, tuning
 from swarmcast.cli import main
+from swarmcast.errors import ConfigError
 from swarmcast.metaheuristics import OPTIMIZERS, OptimizerParams
 from swarmcast.network import NetworkConfig, TrainingConfig, initialize_network
 from swarmcast.timeseries import ScalingParams, make_windows
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO_ROOT / "perfbench"
 
 
 @pytest.fixture()
@@ -100,3 +103,36 @@ def test_traced_surrogate_tune_records_objective_spans(tracer_module):
     # one decode per population, plus one for the returned best position
     assert counts.get("tuning.decode") == (1 + 3) + 1
     assert counts.get("tuning.surrogate") == result.cache_misses
+
+
+def fits(cell, lookback):
+    try:
+        NetworkConfig(kernel_size=cell["kernel_size"],
+                      pool_size=cell["pool_size"]).validate_for_lookback(lookback)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_traced_cli_tune_and_train_record_training_spans(tracer_module, tmp_path):
+    # real fitness and the final fit must both train through the patched names
+    ingest, tune, train = tmp_path / "ingest", tmp_path / "tune", tmp_path / "train"
+    assert main(["ingest", "--data", str(REPO_ROOT / "data" / "sample_daily_cases.csv"),
+                 "--output-dir", str(ingest)]) == 0
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tuned = main(["tune", "--data-dir", str(ingest), "--population", "4",
+                      "--iterations", "1", "--fitness-epochs", "1", "--seed", "3",
+                      "--output-dir", str(tune)])
+        trained = main(["train", "--data-dir", str(ingest), "--epochs", "1",
+                        "--from-tuning", str(tune / "report.json"), "--seed", "3",
+                        "--output-dir", str(train)])
+    finally:
+        tracer.uninstall()
+    assert (tuned, trained) == (0, 0)
+    report = json.loads((tune / "report.json").read_text(encoding="utf-8"))
+    feasible = sum(fits(e["assignment"], report["lookback"]) for e in report["evaluation_log"])
+    counts = span_counts(tracer)
+    assert counts.get("tuning.fitness") == report["cache_misses"]
+    assert counts.get("network.train") == feasible + 1

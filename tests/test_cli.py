@@ -191,6 +191,15 @@ class TestTune:
         assert main(["tune", "--config", str(cfg), "--data-dir", str(artifact),
                      "--surrogate", "hash", "--output-dir", str(tmp_path / "x")]) == 2
 
+    def test_invalid_recipe_value_exits_2_in_surrogate_mode(self, artifact, tmp_path, capsys):
+        # the recipe templates are built before any search, surrogate or not
+        assert main(["tune", "--data-dir", str(artifact), "--surrogate", "hash",
+                     "--repeat-steps", "0", "--output-dir", str(tmp_path / "t")]) == 2
+        assert "repeat_steps" in capsys.readouterr().err
+        # ... but after the artifact is read, so a bad data dir is still a data error
+        assert main(["tune", "--data-dir", str(tmp_path / "absent"), "--surrogate", "hash",
+                     "--repeat-steps", "0", "--output-dir", str(tmp_path / "t")]) == 3
+
     def test_no_cell_fitting_the_lookback_exits_2(self, artifact, tmp_path, capsys):
         assert main(["tune", "--data-dir", str(artifact), "--lookback", "2",
                      "--output-dir", str(tmp_path / "t")]) == 2
@@ -396,6 +405,17 @@ class TestTrainFromTuning:
         err = capsys.readouterr().err
         assert str(report) in err and named in err
 
+    @pytest.mark.parametrize("key, value", [("n_filters", "x"), ("learning_rate", None)])
+    def test_report_value_not_a_number_exits_3_naming_file_and_key(
+        self, artifact, tmp_path, capsys, key, value
+    ):
+        best = {"n_filters": 2, "kernel_size": 3, "pool_size": 2, "lstm_units": 3, key: value}
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"best_assignment": best}), encoding="utf-8")
+        assert self.train(artifact, tmp_path, report) == 3
+        err = capsys.readouterr().err
+        assert str(report) in err and key in err
+
 
 class TestCompare:
     def make_scores(self, path, n_tests=24, k=6):
@@ -432,6 +452,20 @@ class TestCompare:
         assert doc["friedman_statistic"] == pytest.approx(12.0)
         assert doc["null_rejected"] is True
         assert doc["pairwise_significant"][0][1] is True
+
+    def test_alpha_outside_table_exits_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        self.make_scores(scores)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scores", str(scores), "--alpha", "0.01",
+                  "--output-dir", str(tmp_path / "f")])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.01}), encoding="utf-8")
+        assert main(["compare", "--config", str(cfg), "--scores", str(scores),
+                     "--output-dir", str(tmp_path / "c")]) == 2
+        assert "'alpha'" in capsys.readouterr().err
 
     def test_empty_csv_exits_3(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -580,6 +614,22 @@ class TestOptionTable:
         err = capsys.readouterr().err
         assert "'space'" in err and "'n_filters'" in err
 
+    @pytest.mark.parametrize("dimension, candidate", [
+        ("n_filters", "a"), ("kernel_size", True), ("pool_size", None), ("lstm_units", [3]),
+        ("learning_rate", {"lr": 0.1}), ("epochs", "50"),
+    ], ids=["string", "bool", "null", "list", "object", "numeric-string"])
+    def test_space_candidate_not_a_number_exits_2_naming_dimension(
+        self, artifact, tmp_path, capsys, dimension, candidate
+    ):
+        space = {"n_filters": [4], "kernel_size": [3], "pool_size": [2], "lstm_units": [3]}
+        space[dimension] = [candidate]
+        cfg = self.config(tmp_path, {"space": space})
+        assert main(["tune", "--config", cfg, "--data-dir", str(artifact),
+                     "--population", "2", "--iterations", "1", "--fitness-epochs", "1",
+                     "--output-dir", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert "'space'" in err and repr(dimension) in err
+
     def test_space_repeating_a_candidate_exits_2_naming_dimension(
         self, artifact, tmp_path, capsys
     ):
@@ -590,7 +640,7 @@ class TestOptionTable:
                      "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
         assert "'kernel_size'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["forecast", "evaluate", "compare"])
+    @pytest.mark.parametrize("command", ["ingest", "forecast", "evaluate", "compare"])
     def test_seedless_commands_reject_seed_flag(self, command, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "1", "--output-dir", str(tmp_path / "x")])
@@ -611,7 +661,7 @@ class TestOptionTable:
                         for key in command.defaults if OPTIONS[key].flag}
             assert flags == expected | {"--config"}, name
             total += len(flags)
-        assert total == 75
+        assert total == 74
         used = {key for command in COMMANDS.values() for key in command.defaults}
         assert used == set(OPTIONS)
 

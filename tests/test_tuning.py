@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from swarmcast import tuning
 from swarmcast.errors import ConfigError, DegenerateObjectiveError, TooShortError
 from swarmcast.metaheuristics import OptimizerParams
-from swarmcast.network import TrainingConfig
+from swarmcast.network import NetworkConfig, TrainingConfig
 from swarmcast.tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
@@ -163,25 +163,28 @@ class TestFitness:
     def test_infeasible_kernel_is_inf(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
         a = {"n_filters": 32, "kernel_size": 8, "pool_size": 2, "lstm_units": 10}
-        assert fitness(a, train_w, val_w, TrainingConfig(epochs=1)) == math.inf
+        assert fitness(a, train_w, val_w, NetworkConfig(), TrainingConfig(epochs=1), 0) == math.inf
 
     def test_infeasible_pool_is_inf(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
         a = {"n_filters": 32, "kernel_size": 7, "pool_size": 2, "lstm_units": 10}
         # conv length 1, pool 2 -> empty
-        assert fitness(a, train_w, val_w, TrainingConfig(epochs=1)) == math.inf
+        assert fitness(a, train_w, val_w, NetworkConfig(), TrainingConfig(epochs=1), 0) == math.inf
 
     def test_identical_assignment_identical_loss(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
         a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
-        cfg = TrainingConfig(epochs=2, seed=5)
-        assert fitness(a, train_w, val_w, cfg) == fitness(a, train_w, val_w, cfg)
+        cfg = NetworkConfig(), TrainingConfig(epochs=2), 5
+        assert fitness(a, train_w, val_w, *cfg) == fitness(a, train_w, val_w, *cfg)
+        # the seeds come from the global seed and the cell, not the templates
+        reseeded = NetworkConfig(seed=8), TrainingConfig(epochs=2, seed=9), 5
+        assert fitness(a, train_w, val_w, *reseeded) == fitness(a, train_w, val_w, *cfg)
 
     def test_constant_fixture_learned_by_grid_corners(self):
         # representative feasible corners of the grid; a constant series is
         # learnable by any capacity, so validation loss collapses
         train_w, val_w = inner_validation_split(learnable_constant_series(60), 7, 1)
-        cfg = TrainingConfig(epochs=20, learning_rate=5e-3, seed=1)
+        cfg = NetworkConfig(), TrainingConfig(epochs=20, learning_rate=5e-3), 1
         corners = [
             {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10},
             {"n_filters": 64, "kernel_size": 3, "pool_size": 2, "lstm_units": 25},
@@ -190,7 +193,7 @@ class TestFitness:
             {"n_filters": 32, "kernel_size": 5, "pool_size": 2, "lstm_units": 25},
         ]
         for values in corners:
-            loss = fitness(values, train_w, val_w, cfg)
+            loss = fitness(values, train_w, val_w, *cfg)
             assert loss < 1e-4, values
 
     def test_extended_space_overrides_training(self):
@@ -199,14 +202,16 @@ class TestFitness:
             "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
             "learning_rate": 1e-2, "epochs": 50,
         }
-        loss = fitness(a, train_w, val_w, TrainingConfig(epochs=1, seed=2))
+        loss = fitness(a, train_w, val_w, NetworkConfig(), TrainingConfig(epochs=1), 2)
         assert math.isfinite(loss)
 
 
 class TestCellConfigs:
     def test_seeds_derive_from_global_seed_and_cell(self):
         a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
-        network, training = cell_configs(a, 4, epochs=3, learning_rate=1e-3, optimizer="sgd")
+        network, training = cell_configs(
+            a, NetworkConfig(), TrainingConfig(epochs=3, learning_rate=1e-3, optimizer="sgd"), 4
+        )
         assert network.seed == derive_seed(4, a)
         assert training.seed == network.seed + 1
         assert (training.epochs, training.learning_rate, training.optimizer) == (3, 1e-3, "sgd")
@@ -217,7 +222,8 @@ class TestCellConfigs:
             "learning_rate": 1e-2, "epochs": 50,
         }
         network, training = cell_configs(
-            a, 0, epochs=1, learning_rate=1e-3, optimizer="adam", horizon=2, repeat_steps=4,
+            a, NetworkConfig(horizon=2, repeat_steps=4),
+            TrainingConfig(epochs=1, learning_rate=1e-3, optimizer="adam"), 0,
         )
         assert network.n_filters == 4 and isinstance(network.n_filters, int)
         assert (network.horizon, network.repeat_steps) == (2, 4)
@@ -344,7 +350,8 @@ class TestTuneSeries:
         params = OptimizerParams(population_size=4, max_iterations=2, seed=5)
         result = tune_series(
             series, "rs-gwo-woa", params,
-            lookback=7, horizon=1, fitness_epochs=2, global_seed=5,
+            network=NetworkConfig(horizon=1), training=TrainingConfig(epochs=2),
+            lookback=7, global_seed=5,
         )
         assert math.isfinite(result.best_loss)
         assert set(result.best_assignment) == {
