@@ -46,7 +46,6 @@ from .network import (
 )
 from .timeseries import (
     ScalingParams,
-    TimeSeriesDataset,
     WindowedSamples,
     impute_missing,
     inverse_scale,

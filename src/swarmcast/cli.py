@@ -46,6 +46,7 @@ from .evaluation import CHI2_CRITICAL, compare_methods, metric_report, parse_sco
 from .fileio import atomic_writer
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
+    WEIGHT_OPTIMIZERS,
     NetworkConfig,
     TrainingConfig,
     initialize_network,
@@ -71,6 +72,7 @@ from .tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
     FITNESS_EPOCHS,
+    LOOKBACK,
     HyperparamSpace,
     cell_configs,
     tune_series,
@@ -79,8 +81,6 @@ from .tuning import (
 # the options that fill a run's network and training templates
 NETWORK_RECIPE = ("horizon", "repeat_steps", "conv_activation")
 TRAINING_RECIPE = ("learning_rate", "optimizer")
-# the cell values cell_configs converts to numbers
-NUMERIC_DIMENSIONS = ARCHITECTURE_DIMENSIONS + ("learning_rate", "epochs")
 
 CONFIG_ENV_VAR = "SWARMCAST_CONFIG"
 
@@ -116,7 +116,7 @@ OPTIONS = {
     "val_fraction": Option(float, "share of the training split held out for fitness"),
     "fitness_epochs": Option(int, "training epochs per fitness evaluation"),
     "learning_rate": Option(float, "optimizer step size"),
-    "optimizer": Option(help="weight optimizer", choices=("adam", "sgd")),
+    "optimizer": Option(help="weight optimizer", choices=tuple(WEIGHT_OPTIMIZERS)),
     "repeat_steps": Option(int, "LSTM steps fed the repeated conv features"),
     "conv_activation": Option(help="convolution activation", choices=("relu", "tanh")),
     "surrogate": Option(help="replace fitness by a hash pseudo-loss", choices=("hash",)),
@@ -268,41 +268,36 @@ def _parse_variables(raw) -> dict[str, str] | None:
 
 def cmd_ingest(options) -> int:
     ratio = options["split_ratio"]
-    dataset = load_csv(
+    dates, variables = load_csv(
         options["data"],
         date_column=options["date_column"],
         variable_columns=_parse_variables(options["variables"]),
-        region_id=options["region"],
     )
-    n = len(dataset)
+    n = len(dates)
     cut = split_index(n, ratio)
 
     out_dir, manifest = prepare_output_dir("ingest", options)
-    scaled = {}
+    scaled = []
     variable_meta = {}
-    total_imputed = 0
-    for name in dataset.variable_names:
-        raw = dataset.series(name)
-        missing = int(np.isnan(raw).sum())
-        total_imputed += missing
+    for name, raw in variables.items():
         filled = impute_missing(raw)
         _, params = minmax_scale(filled[:cut])
-        scaled[name] = apply_scale(filled, params)
+        scaled.append(apply_scale(filled, params))
         variable_meta[name] = {
             "minimum": params.minimum,
             "maximum": params.maximum,
             "degenerate": params.degenerate,
-            "imputed": missing,
+            "imputed": int(np.isnan(raw).sum()),
         }
 
-    names = dataset.variable_names
     rows = [
-        [day.isoformat()] + [repr(float(scaled[name][i])) for name in names]
-        for i, day in enumerate(dataset.dates)
+        [day.isoformat(), *map(repr, values)]
+        for day, values in zip(dates, np.column_stack(scaled).tolist())
     ]
-    write_csv_rows(out_dir / "dataset.csv", ["date"] + names, rows)
+    write_csv_rows(out_dir / "dataset.csv", ["date", *variables], rows)
+    region = options["region"]
     write_json(out_dir / "scaling.json", {
-        "region_id": dataset.region_id,
+        "region_id": options["data"] if region is None else region,
         "n_rows": n,
         "split_ratio": ratio,
         "split_index": cut,
@@ -310,8 +305,8 @@ def cmd_ingest(options) -> int:
     })
     write_json(out_dir / "manifest.json", manifest)
 
-    print(f"rows: {n} ({dataset.dates[0]} .. {dataset.dates[-1]})")
-    print(f"imputed: {total_imputed}")
+    print(f"rows: {n} ({dates[0]} .. {dates[-1]})")
+    print(f"imputed: {sum(meta['imputed'] for meta in variable_meta.values())}")
     print(f"split: train {cut} / test {n - cut}")
     print(f"artifact: {out_dir}")
     return 0
@@ -336,17 +331,13 @@ def read_artifact(data_dir) -> dict:
     if not isinstance(meta["split_index"], int) or not isinstance(meta["variables"], dict):
         raise DataError(f"{scaling_path}: 'split_index' must be an integer and "
                         "'variables' an object")
-    dataset = load_csv(dataset_path, region_id=meta.get("region_id"))
-    for name in dataset.variable_names:
+    dates, variables = load_csv(dataset_path)
+    for name in variables:
         entry = meta["variables"].get(name)
         for key in ("minimum", "maximum", "degenerate"):
             if not isinstance(entry, dict) or key not in entry:
                 raise DataError(f"{scaling_path}: missing key 'variables.{name}.{key}'")
-    return {
-        "dates": dataset.dates,
-        "variables": {name: dataset.series(name) for name in dataset.variable_names},
-        "meta": meta,
-    }
+    return {"dates": dates, "variables": variables, "meta": meta}
 
 
 def _target_series(artifact: dict, variable: str | None) -> tuple[str, np.ndarray, ScalingParams]:
@@ -363,11 +354,20 @@ def _target_series(artifact: dict, variable: str | None) -> tuple[str, np.ndarra
 
 # ------------------------------------------------------------------ tune
 
-def _is_number(value) -> bool:
-    """Whether a JSON value is a finite number (a bool is not one)."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+def _is_count(value) -> bool:
+    """Whether a JSON value is an integer >= 1 (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_rate(value) -> bool:
+    """Whether a JSON value is a finite number > 0 (a bool is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+
+
+# the cell values cell_configs reads as numbers: dimension -> (check, what it wants)
+NUMERIC_DIMENSIONS = dict.fromkeys(
+    ARCHITECTURE_DIMENSIONS + ("epochs",), (_is_count, "an integer >= 1")
+) | {"learning_rate": (_is_rate, "a finite number > 0")}
 
 
 def _templates(options, epochs: int) -> tuple[NetworkConfig, TrainingConfig]:
@@ -390,10 +390,11 @@ def _resolve_space(options) -> HyperparamSpace:
     for name, values in override.items():
         if not isinstance(values, list):
             raise ConfigError(f"config 'space' dimension {name!r} must be a list, got {values!r}")
-        if name in NUMERIC_DIMENSIONS and not all(map(_is_number, values)):
-            raise ConfigError(
-                f"config 'space' dimension {name!r} must list finite numbers, got {values!r}"
-            )
+        if name in NUMERIC_DIMENSIONS:
+            check, wanted = NUMERIC_DIMENSIONS[name]
+            if not all(map(check, values)):
+                raise ConfigError(f"config 'space' dimension {name!r}: each candidate"
+                                  f" must be {wanted}, got {values!r}")
     return HyperparamSpace(
         tuple((name, tuple(values)) for name, values in override.items())
     )
@@ -476,9 +477,9 @@ def _assignment_from_options(options) -> dict:
         missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in best]
         if missing:
             raise DataError(f"{path}: 'best_assignment' lacks {', '.join(missing)}")
-        for key in NUMERIC_DIMENSIONS:
-            if key in best and not _is_number(best[key]):
-                raise DataError(f"{path}: 'best_assignment.{key}' must be a finite number,"
+        for key, (check, wanted) in NUMERIC_DIMENSIONS.items():
+            if key in best and not check(best[key]):
+                raise DataError(f"{path}: 'best_assignment.{key}' must be {wanted},"
                                 f" got {best[key]!r}")
         return dict(best)
     return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
@@ -664,13 +665,13 @@ COMMANDS = {
     "tune": Command(cmd_tune, "search hyperparameters for one variable", {
         "data_dir": None, "variable": None,
         "algorithm": "rs-gwo-woa", "population": 10, "iterations": 10, "seed": 0,
-        "lookback": 7, "val_fraction": 0.2, "fitness_epochs": FITNESS_EPOCHS,
+        "lookback": LOOKBACK, "val_fraction": 0.2, "fitness_epochs": FITNESS_EPOCHS,
         "surrogate": None, "extended_space": False, "space": None, "evaluation_budget": None,
     } | RECIPE_DEFAULTS | OUTPUT_DEFAULTS, required=("data_dir",)),
     "train": Command(cmd_train, "train the final model at full epochs", {
         "data_dir": None, "variable": None, "from_tuning": None,
         **{key: getattr(_NETWORK, key) for key in ARCHITECTURE_DIMENSIONS},
-        "lookback": 7, "epochs": _TRAINING.epochs, "seed": 0,
+        "lookback": LOOKBACK, "epochs": _TRAINING.epochs, "seed": 0,
     } | RECIPE_DEFAULTS | OUTPUT_DEFAULTS, required=("data_dir",)),
     "forecast": Command(cmd_forecast, "recursive multi-step forecast from a model", {
         "data_dir": None, "model": None, "variable": None, "steps": 7,

@@ -96,20 +96,6 @@ class RankMatrix:
         return self.ranks.mean(axis=0)
 
 
-def _tie_average_ranks(row: np.ndarray) -> np.ndarray:
-    """Ascending ranks 1..k with tied values sharing the average position."""
-    order = np.argsort(row, kind="stable")
-    ranks = np.empty(len(row), dtype=float)
-    i = 0
-    while i < len(row):
-        j = i
-        while j + 1 < len(row) and row[order[j + 1]] == row[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def rank_methods(scores, methods=None, tests=None) -> RankMatrix:
     """Rank methods per test row: rank 1 = lowest loss, ties averaged."""
     matrix = np.asarray(scores, dtype=float)
@@ -124,7 +110,9 @@ def rank_methods(scores, methods=None, tests=None) -> RankMatrix:
     test_names = tuple(tests) if tests else tuple(f"test_{i+1}" for i in range(n))
     if len(method_names) != k or len(test_names) != n:
         raise DataError("name lists do not match matrix shape")
-    ranks = np.vstack([_tie_average_ranks(row) for row in matrix])
+    # per row: 1 + the values below + half the other values equal to it
+    value, other = matrix[:, :, None], matrix[:, None, :]
+    ranks = 1.0 + (other < value).sum(axis=2) + ((other == value).sum(axis=2) - 1) / 2.0
     return RankMatrix(methods=method_names, tests=test_names, scores=matrix, ranks=ranks)
 
 

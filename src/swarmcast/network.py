@@ -97,7 +97,7 @@ class TrainingConfig:
             raise ConfigError("epochs must be at least 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in WEIGHT_OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -317,6 +317,10 @@ class _SGD:
         params -= self.step
 
 
+# the optimizer classes by the name a TrainingConfig gives
+WEIGHT_OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
+
+
 def _sample_arrays(samples: WindowedSamples):
     inputs = np.asarray(samples.inputs, dtype=float)
     targets = np.asarray(samples.targets, dtype=float)
@@ -345,8 +349,7 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
     rng = np.random.default_rng(cfg.seed)
     params = _FlatParams(net.config, net.lookback, net.weights.buf.copy())
     grads = _FlatParams(net.config, net.lookback)
-    opt_cls = _Adam if cfg.optimizer == "adam" else _SGD
-    optimizer = opt_cls(params.buf.size, cfg.learning_rate)
+    optimizer = WEIGHT_OPTIMIZERS[cfg.optimizer](params.buf.size, cfg.learning_rate)
     errors = np.empty_like(targets)
 
     history = []

@@ -1,7 +1,8 @@
 """Loading, cleaning, scaling, splitting and windowing of daily series.
 
-All functions are pure: they return new values and never mutate their
-inputs. Missing values are represented as NaN throughout.
+All functions are pure: they never mutate their inputs, and the windows
+they cut are read-only views. Missing values are represented as NaN
+throughout.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -22,40 +24,6 @@ from .errors import (
 )
 
 MISSING_MARKERS = {"", "NA"}
-
-
-@dataclass(frozen=True)
-class TimeSeriesDataset:
-    """Per-region daily series of one or more named variables.
-
-    All variable vectors share the length of ``dates``; dates are strictly
-    increasing with daily step.
-    """
-
-    region_id: str
-    dates: tuple[date, ...]
-    variables: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        n = len(self.dates)
-        for name, values in self.variables.items():
-            if len(values) != n:
-                raise DataError(
-                    f"variable {name!r} has {len(values)} values for {n} dates"
-                )
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur - prev != timedelta(days=1):
-                raise DataError(f"dates are not daily between {prev} and {cur}")
-
-    def __len__(self):
-        return len(self.dates)
-
-    @property
-    def variable_names(self) -> list[str]:
-        return list(self.variables)
-
-    def series(self, name: str) -> np.ndarray:
-        return np.asarray(self.variables[name], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -94,28 +62,64 @@ class WindowedSamples:
 
 
 def load_csv(
-    path,
-    date_column: str = "date",
-    variable_columns: dict[str, str] | None = None,
-    region_id: str | None = None,
-) -> TimeSeriesDataset:
-    """Read a daily-series CSV into a dataset.
+    path, date_column: str = "date", variable_columns: dict[str, str] | None = None
+) -> tuple[tuple[date, ...], dict[str, np.ndarray]]:
+    """Read a daily-series UTF-8 CSV into its dates and variables.
 
-    The file must have a header row with ``date_column`` holding ISO-8601
-    dates. ``variable_columns`` maps series name -> CSV column; by default
-    every non-date column is taken under its own name. Rows are sorted by
-    date, duplicate dates are rejected and calendar gaps are materialised
-    as NaN rows for later imputation.
+    The file must have a header row, with no repeated name, whose
+    ``date_column`` holds ISO-8601 dates. ``variable_columns`` maps
+    series name -> CSV column; by default every non-date column is taken
+    under its own name. Blank lines are skipped, cells are stripped, a
+    short row's missing trailing cells are missing values and extra cells
+    are ignored. Rows are sorted by date, duplicate dates are rejected and
+    calendar gaps are materialised as NaN rows for later imputation; an
+    error names the line its row starts on.
+
+    Returns ``(dates, variables)``: one date per day from the first to the
+    last, and each variable's float64 column in ``variable_columns`` order.
     """
     path = str(path)
+    parsed: dict[date, list[float]] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            rows = list(reader)
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            variable_columns = _variable_columns(path, header, date_column, variable_columns)
+            date_at = header.index(date_column)
+            columns = [(header.index(col), col) for col in variable_columns.values()]
+            width = 1 + max(date_at, *(at for at, _ in columns))
+            last = reader.line_num
+            for row in reader:
+                where, last = f"{path}:{last + 1}", reader.line_num  # the row's first line
+                if not row:
+                    continue
+                cells = [cell.strip() for cell in row] + [""] * (width - len(row))
+                try:
+                    day = date.fromisoformat(cells[date_at])
+                except ValueError as exc:
+                    raise DataError(f"{where}: unparsable date {cells[date_at]!r}") from exc
+                if day in parsed:
+                    raise DuplicateDateError(f"{where}: duplicate date {day}")
+                parsed[day] = [_cell_value(where, cells[at], col) for at, col in columns]
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if not parsed:
+        raise DataError(f"{path}: no data rows")
 
+    first = min(parsed)
+    span = (max(parsed) - first).days + 1
+    # column-major, so each variable's column is one contiguous array
+    matrix = np.full((span, len(columns)), math.nan, order="F")
+    matrix[[(day - first).days for day in parsed]] = list(parsed.values())
+    dates = tuple(first + timedelta(days=i) for i in range(span))
+    return dates, dict(zip(variable_columns, matrix.T))
+
+
+def _variable_columns(path, header, date_column, variable_columns) -> dict[str, str]:
+    """The name -> column map ``load_csv`` reads, checked against the header."""
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataError(f"{path}: repeated column name {name!r}")
     if date_column not in header:
         raise DataError(f"{path}: missing date column {date_column!r}")
     if variable_columns is None:
@@ -125,52 +129,23 @@ def load_csv(
             raise DataError(f"{path}: missing column {col!r} for variable {name!r}")
     if not variable_columns:
         raise DataError(f"{path}: no variable columns")
+    return variable_columns
 
-    parsed: dict[date, dict[str, float]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        raw_date = (row.get(date_column) or "").strip()
-        try:
-            day = date.fromisoformat(raw_date)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparsable date {raw_date!r}") from exc
-        if day in parsed:
-            raise DuplicateDateError(f"{path}:{lineno}: duplicate date {day}")
-        values = {}
-        for name, col in variable_columns.items():
-            cell = (row.get(col) or "").strip()
-            if cell in MISSING_MARKERS:
-                values[name] = math.nan
-                continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} in column {col!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}:{lineno}: non-finite value {cell!r} in column {col!r}"
-                    " (mark a missing value with an empty cell or NA)"
-                )
-            values[name] = value
-        parsed[day] = values
 
-    if not parsed:
-        raise DataError(f"{path}: no data rows")
-
-    first, last = min(parsed), max(parsed)
-    all_days = [first + timedelta(days=i) for i in range((last - first).days + 1)]
-    variables = {
-        name: np.array(
-            [parsed.get(d, {}).get(name, math.nan) for d in all_days], dtype=float
+def _cell_value(where: str, cell: str, col: str) -> float:
+    """A stripped cell as a float: NaN when missing, else finite."""
+    if cell in MISSING_MARKERS:
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise DataError(f"{where}: non-numeric value {cell!r} in column {col!r}") from exc
+    if not math.isfinite(value):
+        raise DataError(
+            f"{where}: non-finite value {cell!r} in column {col!r}"
+            " (mark a missing value with an empty cell or NA)"
         )
-        for name in variable_columns
-    }
-    return TimeSeriesDataset(
-        region_id=region_id if region_id is not None else path,
-        dates=tuple(all_days),
-        variables=variables,
-    )
+    return value
 
 
 def impute_missing(series) -> np.ndarray:
@@ -251,7 +226,7 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedSamples:
 
     Sample i pairs rows [i, i+lookback) with target rows
     [i+lookback, i+lookback+horizon); a 1-d series is treated as a single
-    feature column.
+    feature column. Inputs and targets are read-only views of the series.
     """
     if lookback < 1 or horizon < 1:
         raise ConfigError("lookback and horizon must be positive")
@@ -259,16 +234,13 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedSamples:
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     n = len(matrix)
-    count = n - lookback - horizon + 1
-    if count < 1:
+    if n < lookback + horizon:
         raise TooShortError(
             f"series of length {n} too short for lookback {lookback} + horizon {horizon}"
         )
-    inputs = np.stack([matrix[i : i + lookback] for i in range(count)])
-    targets = np.stack(
-        [matrix[i + lookback : i + lookback + horizon] for i in range(count)]
-    )
-    return WindowedSamples(inputs=inputs, targets=targets, lookback=lookback, horizon=horizon)
+    # (n - lookback - horizon + 1, lookback + horizon, features)
+    spans = sliding_window_view(matrix, lookback + horizon, axis=0).transpose(0, 2, 1)
+    return WindowedSamples(spans[:, :lookback], spans[:, lookback:], lookback, horizon)
 
 
 def split_windows(

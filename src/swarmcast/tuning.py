@@ -34,6 +34,8 @@ from .timeseries import WindowedSamples, make_windows, split_index, split_window
 
 # training epochs per fitness evaluation; the winner is retrained at full epochs
 FITNESS_EPOCHS = 20
+# input window length in days, unless a run sets its own
+LOOKBACK = 7
 
 
 @dataclass(frozen=True)
@@ -199,16 +201,13 @@ def inner_validation_split(
     (see ``split_windows``); both sides must be non-empty."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must be in (0, 1)")
-    matrix = np.asarray(series, dtype=float)
-    if matrix.ndim == 1:
-        matrix = matrix[:, None]
-    windows = make_windows(matrix, lookback, horizon)
+    windows = make_windows(series, lookback, horizon)
     too_short = TooShortError(
-        f"series of length {len(matrix)} cannot supply both fit and "
+        f"series of length {len(series)} cannot supply both fit and "
         f"validation windows at val_fraction {val_fraction}"
     )
     try:
-        cut = split_index(len(matrix), 1.0 - val_fraction)
+        cut = split_index(len(series), 1.0 - val_fraction)
     except TooShortError:
         raise too_short from None
     fit, val = split_windows(windows, cut)
@@ -317,7 +316,7 @@ def tune_series(
     *,
     network: NetworkConfig = NetworkConfig(),
     training: TrainingConfig = TrainingConfig(epochs=FITNESS_EPOCHS),
-    lookback: int = 7,
+    lookback: int = LOOKBACK,
     val_fraction: float = 0.2,
     global_seed: int = 0,
     surrogate: str | None = None,

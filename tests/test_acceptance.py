@@ -286,7 +286,7 @@ def test_criterion_9_preprocessing_contracts():
     back = inverse_scale(scaled, params)
     round_trip_err = float(np.max(np.abs(back - x) / np.maximum(1.0, np.abs(x))))
 
-    dates = load_csv(SAMPLE_CSV).dates
+    dates, _ = load_csv(SAMPLE_CSV)
     cut = split_index(len(dates), 0.8)
     train_dates, test_dates = dates[:cut], dates[cut:]
     split_ok = (

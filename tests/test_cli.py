@@ -118,6 +118,31 @@ class TestIngest:
         assert ":3:" in err and "'v'" in err
         assert not (out / "dataset.csv").exists()
 
+    def test_not_utf8_exits_3_naming_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("date,v\n2020-03-22,1\n2020-03-23,2 \u00e9\n".encode("latin-1"))
+        assert main(["ingest", "--data", str(bad), "--output-dir", str(tmp_path / "o")]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    def test_repeated_column_name_exits_3_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "twice.csv"
+        bad.write_text("date,v,v\n2020-03-22,1,2\n2020-03-23,2,3\n", encoding="utf-8")
+        assert main(["ingest", "--data", str(bad), "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'v'" in err
+
+    def test_crlf_blank_line_and_short_row_ingest_like_the_clean_file(self, tmp_path):
+        clean, messy = tmp_path / "clean.csv", tmp_path / "messy.csv"
+        clean.write_bytes(b"date,v,w\n2020-03-22,1,5\n2020-03-23,2,\n"
+                          b"2020-03-24,3,7\n2020-03-25,4,8\n")
+        messy.write_bytes(b"date,v,w\r\n2020-03-22,1,5\r\n\r\n2020-03-23,2\r\n"
+                          b"2020-03-24,3,7\r\n2020-03-25,4,8\r\n")
+        for path in (clean, messy):
+            assert main(["ingest", "--data", str(path), "--split-ratio", "0.5",
+                         "--output-dir", str(tmp_path / path.stem)]) == 0
+        written = [(tmp_path / name / "dataset.csv").read_bytes() for name in ("clean", "messy")]
+        assert written[0] == written[1]
+
     def test_split_ratio_outside_unit_interval_exits_2_naming_key(self, small_csv, tmp_path,
                                                                    capsys):
         assert main(["ingest", "--data", str(small_csv), "--split-ratio", "1.0",
@@ -372,6 +397,13 @@ class TestArtifactChecks:
         assert code == 3
         assert str(scaling) in err and named in err
 
+    def test_dataset_not_utf8_exits_3_naming_file(self, artifact, tmp_path, capsys):
+        dataset = artifact / "dataset.csv"
+        dataset.write_bytes(dataset.read_bytes().replace(b"date", "d\u00e4te".encode("latin-1")))
+        assert main(["train", "--data-dir", str(artifact), "--epochs", "1",
+                     "--output-dir", str(tmp_path / "t")]) == 3
+        assert str(dataset) in capsys.readouterr().err
+
 
 def _drop(text, *path):
     """The JSON document ``text`` without the entry at ``path``."""
@@ -405,7 +437,12 @@ class TestTrainFromTuning:
         err = capsys.readouterr().err
         assert str(report) in err and named in err
 
-    @pytest.mark.parametrize("key, value", [("n_filters", "x"), ("learning_rate", None)])
+    # counts are JSON integers >= 1 and a learning rate a number > 0, never truncated
+    @pytest.mark.parametrize("key, value", [
+        ("n_filters", "x"), ("learning_rate", None), ("n_filters", 0), ("n_filters", 2.7),
+        ("lstm_units", 3.0), ("kernel_size", True), ("epochs", 0), ("learning_rate", 0),
+        ("learning_rate", -0.1),
+    ])
     def test_report_value_not_a_number_exits_3_naming_file_and_key(
         self, artifact, tmp_path, capsys, key, value
     ):
@@ -617,7 +654,10 @@ class TestOptionTable:
     @pytest.mark.parametrize("dimension, candidate", [
         ("n_filters", "a"), ("kernel_size", True), ("pool_size", None), ("lstm_units", [3]),
         ("learning_rate", {"lr": 0.1}), ("epochs", "50"),
-    ], ids=["string", "bool", "null", "list", "object", "numeric-string"])
+        ("n_filters", 2.5), ("kernel_size", 3.0), ("pool_size", 0), ("lstm_units", -3),
+        ("epochs", False), ("learning_rate", 0),
+    ], ids=["string", "bool", "null", "list", "object", "numeric-string",
+            "fraction", "integral-float", "zero", "negative", "bool-epochs", "zero-rate"])
     def test_space_candidate_not_a_number_exits_2_naming_dimension(
         self, artifact, tmp_path, capsys, dimension, candidate
     ):

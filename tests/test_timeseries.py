@@ -14,7 +14,6 @@ from swarmcast.errors import (
     TooShortError,
 )
 from swarmcast.timeseries import (
-    TimeSeriesDataset,
     impute_missing,
     inverse_scale,
     load_csv,
@@ -37,16 +36,16 @@ class TestLoadCsv:
             tmp_path,
             "date,confirmed\n2020-03-22,1\n2020-03-23,2\n2020-03-24,3\n",
         )
-        ds = load_csv(path)
-        assert len(ds) == 3
-        assert ds.dates[0] == date(2020, 3, 22)
-        assert np.array_equal(ds.series("confirmed"), [1.0, 2.0, 3.0])
+        dates, variables = load_csv(path)
+        assert len(dates) == 3
+        assert dates[0] == date(2020, 3, 22)
+        assert np.array_equal(variables["confirmed"], [1.0, 2.0, 3.0])
 
     def test_gap_materialised_as_missing(self, tmp_path):
         path = write_csv(tmp_path, "date,confirmed\n2020-03-22,1\n2020-03-24,3\n")
-        ds = load_csv(path)
-        assert len(ds) == 3
-        values = ds.series("confirmed")
+        dates, variables = load_csv(path)
+        assert len(dates) == 3
+        values = variables["confirmed"]
         assert math.isnan(values[1])
         assert values[0] == 1.0 and values[2] == 3.0
 
@@ -59,12 +58,12 @@ class TestLoadCsv:
 
     def test_unsorted_rows_sorted(self, tmp_path):
         path = write_csv(tmp_path, "date,v\n2020-03-24,3\n2020-03-22,1\n2020-03-23,2\n")
-        ds = load_csv(path)
-        assert np.array_equal(ds.series("v"), [1.0, 2.0, 3.0])
+        _, variables = load_csv(path)
+        assert np.array_equal(variables["v"], [1.0, 2.0, 3.0])
 
     def test_missing_markers(self, tmp_path):
         path = write_csv(tmp_path, "date,v\n2020-03-22,1\n2020-03-23,NA\n2020-03-24,\n2020-03-25,4\n")
-        values = load_csv(path).series("v")
+        values = load_csv(path)[1]["v"]
         assert math.isnan(values[1]) and math.isnan(values[2])
 
     def test_bad_date_names_line(self, tmp_path):
@@ -87,10 +86,37 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("text, line", [
+        ("date,v\n2020-03-22,1\n\n2020-03-23,2\n2020-03-24,x\n", 5),
+        ('date,v,note\n2020-03-22,1,"two\nlines"\n2020-03-23,x,\n', 4),
+        ('date,v,note\n2020-03-22,x,"two\nlines"\n', 2),
+    ], ids=["after-blank-line", "after-multiline-cell", "multiline-row"])
+    def test_error_names_the_line_the_row_starts_on(self, tmp_path, text, line):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DataError, match=f":{line}: non-numeric value 'x' in column 'v'"):
+            load_csv(path, variable_columns={"v": "v"})
+
+    def test_not_utf8_is_a_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("date,v\n2020-03-22,1\n2020-03-23,2 \u00e9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv"):
+            load_csv(path)
+
+    def test_repeated_column_name_rejected_naming_it(self, tmp_path):
+        path = write_csv(tmp_path, "date,v,v\n2020-03-22,1,2\n")
+        with pytest.raises(DataError, match="repeated column name 'v'"):
+            load_csv(path)
+
+    def test_short_row_cells_missing_and_extra_cells_ignored(self, tmp_path):
+        path = write_csv(tmp_path, "date,v,w\n2020-03-22,1\n2020-03-23, 2 ,3,junk\n")
+        _, variables = load_csv(path)
+        assert np.array_equal(variables["v"], [1.0, 2.0])
+        assert math.isnan(variables["w"][0]) and variables["w"][1] == 3.0
+
     def test_column_mapping(self, tmp_path):
         path = write_csv(tmp_path, "day,cases\n2020-03-22,1\n2020-03-23,2\n")
-        ds = load_csv(path, date_column="day", variable_columns={"confirmed": "cases"})
-        assert ds.variable_names == ["confirmed"]
+        _, variables = load_csv(path, date_column="day", variable_columns={"confirmed": "cases"})
+        assert list(variables) == ["confirmed"]
 
 
 class TestImpute:
@@ -197,11 +223,10 @@ class TestScaling:
         assert np.all(np.abs(back - x) <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
 
-def make_dataset(n, start=date(2020, 3, 22)):
+def make_dates(n, start=date(2020, 3, 22)):
     from datetime import timedelta
 
-    dates = tuple(start + timedelta(days=i) for i in range(n))
-    return TimeSeriesDataset("r", dates, {"v": np.arange(n, dtype=float)})
+    return tuple(start + timedelta(days=i) for i in range(n))
 
 
 class TestSplit:
@@ -215,10 +240,10 @@ class TestSplit:
         assert split_index(2, 0.8) == 1
 
     def test_reconstructs_and_is_chronological(self):
-        ds = make_dataset(13)
-        cut = split_index(len(ds), 0.8)
-        train, test = ds.dates[:cut], ds.dates[cut:]
-        assert train + test == ds.dates
+        dates = make_dates(13)
+        cut = split_index(len(dates), 0.8)
+        train, test = dates[:cut], dates[cut:]
+        assert train + test == dates
         assert max(train) < min(test)
 
     def test_bad_ratio(self):
@@ -252,6 +277,15 @@ class TestWindows:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             make_windows(np.arange(4, dtype=float), lookback=4, horizon=1)
+
+    def test_windows_are_read_only_views(self):
+        series = np.arange(10, dtype=float)
+        w = make_windows(series, lookback=3, horizon=2)
+        for array in (w.inputs, w.targets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = -1.0
+        assert np.shares_memory(w.inputs, series)
+        assert np.array_equal(series, np.arange(10))
 
     def test_two_step_horizon(self):
         w = make_windows(np.arange(1, 6, dtype=float), lookback=2, horizon=2)
