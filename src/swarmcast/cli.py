@@ -59,6 +59,7 @@ from .network import (
 from .timeseries import (
     ScalingParams,
     apply_scale,
+    csv_variables,
     impute_missing,
     inverse_scale,
     load_csv,
@@ -312,8 +313,13 @@ def cmd_ingest(options) -> int:
     return 0
 
 
-def read_artifact(data_dir) -> dict:
-    """Load an ingest artifact back into memory (scaled values)."""
+def read_artifact(data_dir, variable: str | None) -> dict:
+    """Load one variable of an ingest artifact back into memory (scaled
+    values): ``variable``, or the first column when it is None.
+
+    Every variable's scaling entry is checked, but only the target's
+    column of dataset.csv is parsed.
+    """
     data_dir = Path(data_dir)
     scaling_path = data_dir / "scaling.json"
     dataset_path = data_dir / "dataset.csv"
@@ -331,25 +337,25 @@ def read_artifact(data_dir) -> dict:
     if not isinstance(meta["split_index"], int) or not isinstance(meta["variables"], dict):
         raise DataError(f"{scaling_path}: 'split_index' must be an integer and "
                         "'variables' an object")
-    dates, variables = load_csv(dataset_path)
-    for name in variables:
+    names = csv_variables(dataset_path)
+    for name in names:
         entry = meta["variables"].get(name)
         for key in ("minimum", "maximum", "degenerate"):
             if not isinstance(entry, dict) or key not in entry:
                 raise DataError(f"{scaling_path}: missing key 'variables.{name}.{key}'")
-    return {"dates": dates, "variables": variables, "meta": meta}
-
-
-def _target_series(artifact: dict, variable: str | None) -> tuple[str, np.ndarray, ScalingParams]:
-    names = list(artifact["variables"])
     name = variable or names[0]
-    if name not in artifact["variables"]:
+    if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
-    var_meta = artifact["meta"]["variables"][name]
-    params = ScalingParams(
-        var_meta["minimum"], var_meta["maximum"], degenerate=var_meta["degenerate"]
-    )
-    return name, artifact["variables"][name], params
+    dates, variables = load_csv(dataset_path, variable_columns={name: name})
+    entry = meta["variables"][name]
+    return {
+        "dates": dates,
+        "meta": meta,
+        "name": name,
+        "series": variables[name],
+        "scaling": ScalingParams(entry["minimum"], entry["maximum"],
+                                 degenerate=entry["degenerate"]),
+    }
 
 
 # ------------------------------------------------------------------ tune
@@ -401,8 +407,8 @@ def _resolve_space(options) -> HyperparamSpace:
 
 
 def cmd_tune(options) -> int:
-    artifact = read_artifact(options["data_dir"])
-    name, series, _ = _target_series(artifact, options["variable"])
+    artifact = read_artifact(options["data_dir"], options["variable"])
+    name, series = artifact["name"], artifact["series"]
     cut = artifact["meta"]["split_index"]
     space = _resolve_space(options)
     network, training = _templates(options, options["fitness_epochs"])
@@ -486,8 +492,8 @@ def _assignment_from_options(options) -> dict:
 
 
 def cmd_train(options) -> int:
-    artifact = read_artifact(options["data_dir"])
-    name, series, _ = _target_series(artifact, options["variable"])
+    artifact = read_artifact(options["data_dir"], options["variable"])
+    name, series = artifact["name"], artifact["series"]
     cut = artifact["meta"]["split_index"]
     values = _assignment_from_options(options)
     config, training_cfg = cell_configs(
@@ -514,8 +520,8 @@ def cmd_forecast(options) -> int:
     if steps < 1:
         raise ConfigError("steps must be at least 1")
     net = load_model(options["model"])
-    artifact = read_artifact(options["data_dir"])
-    name, series, params = _target_series(artifact, options["variable"])
+    artifact = read_artifact(options["data_dir"], options["variable"])
+    name, series, params = artifact["name"], artifact["series"], artifact["scaling"]
 
     values = iterative_forecast(net, series, steps, params)
     last_day = artifact["dates"][-1]
@@ -535,8 +541,8 @@ def cmd_forecast(options) -> int:
 
 def cmd_evaluate(options) -> int:
     net = load_model(options["model"])
-    artifact = read_artifact(options["data_dir"])
-    name, series, params = _target_series(artifact, options["variable"])
+    artifact = read_artifact(options["data_dir"], options["variable"])
+    name, series, params = artifact["name"], artifact["series"], artifact["scaling"]
     cut = artifact["meta"]["split_index"]
     lookback, horizon = net.lookback, net.config.horizon
 

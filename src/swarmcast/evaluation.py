@@ -223,7 +223,7 @@ def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     Returns (test names, method names, N x k matrix).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read scores {path}: {exc}") from exc

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 
@@ -45,9 +45,19 @@ def conv_output_size(input_len: int, kernel: int) -> int:
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    """The kernel-length windows of x (..., L, F) as rows (..., L-K+1, K*F)."""
-    windows = sliding_window_view(x, kernel, axis=-2)  # (..., L-K+1, F, K)
-    return np.swapaxes(windows, -1, -2).reshape(windows.shape[:-2] + (-1,))
+    """The kernel-length windows of x (..., L, F) as rows (..., L-K+1, K*F).
+
+    The windows are one read-only strided view (..., L-K+1, K, F), the
+    view ``sliding_window_view`` then ``swapaxes`` would give, so the
+    reshape copies exactly when theirs would.
+    """
+    *lead, length, features = x.shape
+    *lead_strides, step, across = x.strides
+    if not 0 < kernel <= length:
+        raise ConfigError(f"kernel {kernel} does not fit input of length {length}")
+    windows = as_strided(x, (*lead, length - kernel + 1, kernel, features),
+                         (*lead_strides, step, step, across), writeable=False)
+    return windows.reshape(*lead, length - kernel + 1, kernel * features)
 
 
 def _conv1d_cache(cols, weights2d, bias, activation):

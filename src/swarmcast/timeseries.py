@@ -8,9 +8,10 @@ throughout.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,6 +25,7 @@ from .errors import (
 )
 
 MISSING_MARKERS = {"", "NA"}
+CHUNK_LINES = 1024  # CSV lines load_csv converts at a time
 
 
 @dataclass(frozen=True)
@@ -67,52 +69,150 @@ def load_csv(
     """Read a daily-series UTF-8 CSV into its dates and variables.
 
     The file must have a header row, with no repeated name, whose
-    ``date_column`` holds ISO-8601 dates. ``variable_columns`` maps
-    series name -> CSV column; by default every non-date column is taken
-    under its own name. Blank lines are skipped, cells are stripped, a
-    short row's missing trailing cells are missing values and extra cells
-    are ignored. Rows are sorted by date, duplicate dates are rejected and
-    calendar gaps are materialised as NaN rows for later imputation; an
-    error names the line its row starts on.
+    ``date_column`` holds ISO-8601 dates; a byte-order mark before it is
+    dropped. ``variable_columns`` maps series name -> CSV column; by
+    default every non-date column is taken under its own name. Blank
+    lines are skipped, cells are stripped, a short row's missing trailing
+    cells are missing values and extra cells are ignored. Rows are sorted
+    by date, duplicate dates are rejected and calendar gaps are
+    materialised as NaN rows for later imputation. An error names the
+    line the first failing row starts on; within a row the date is
+    checked first, then its repetition, then the cells in column order.
 
     Returns ``(dates, variables)``: one date per day from the first to the
     last, and each variable's float64 column in ``variable_columns`` order.
     """
     path = str(path)
-    parsed: dict[date, list[float]] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             variable_columns = _variable_columns(path, header, date_column, variable_columns)
-            date_at = header.index(date_column)
-            columns = [(header.index(col), col) for col in variable_columns.values()]
-            width = 1 + max(date_at, *(at for at, _ in columns))
-            last = reader.line_num
-            for row in reader:
-                where, last = f"{path}:{last + 1}", reader.line_num  # the row's first line
-                if not row:
-                    continue
-                cells = [cell.strip() for cell in row] + [""] * (width - len(row))
-                try:
-                    day = date.fromisoformat(cells[date_at])
-                except ValueError as exc:
-                    raise DataError(f"{where}: unparsable date {cells[date_at]!r}") from exc
-                if day in parsed:
-                    raise DuplicateDateError(f"{where}: duplicate date {day}")
-                parsed[day] = [_cell_value(where, cells[at], col) for at, col in columns]
+            at = [header.index(col) for col in (date_column, *variable_columns.values())]
+            chunks = [_parse_rows(rows, at) for rows in _row_chunks(reader)]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not parsed:
+    if not chunks:
         raise DataError(f"{path}: no data rows")
 
-    first = min(parsed)
-    span = (max(parsed) - first).days + 1
-    # column-major, so each variable's column is one contiguous array
-    matrix = np.full((span, len(columns)), math.nan, order="F")
-    matrix[[(day - first).days for day in parsed]] = list(parsed.values())
-    dates = tuple(first + timedelta(days=i) for i in range(span))
-    return dates, dict(zip(variable_columns, matrix.T))
+    ordinals, floats, faulty = (np.concatenate(part, axis=-1) for part in zip(*chunks))
+    faulty |= ordinals == 0  # an unparsable date
+    by_day = np.argsort(ordinals, kind="stable")
+    faulty[by_day[1:][np.diff(ordinals[by_day]) == 0]] = True  # a date seen on an earlier row
+    if faulty.any():
+        _raise_row_error(path, int(faulty.argmax()), ordinals, at, variable_columns.values())
+
+    first = int(ordinals.min())
+    span = int(ordinals.max()) - first + 1
+    # one row per variable, so each variable's column is one contiguous array
+    matrix = np.full((len(floats), span), math.nan)
+    matrix[:, ordinals - first] = floats
+    return tuple(map(date.fromordinal, range(first, first + span))), dict(
+        zip(variable_columns, matrix)
+    )
+
+
+def csv_variables(path, date_column: str = "date") -> list[str]:
+    """The variable names ``load_csv`` reads from a CSV by default: its
+    header's non-date columns, checked as ``load_csv`` checks them."""
+    path = str(path)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), [])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return list(_variable_columns(path, header, date_column, None))
+
+
+def _row_chunks(reader):
+    """The reader's non-blank rows, ``CHUNK_LINES`` lines at a time: a
+    chunk's strings are all that is held of the file at once."""
+    while lines := list(itertools.islice(reader, CHUNK_LINES)):
+        rows = [row for row in lines if row]
+        if rows:
+            yield rows
+
+
+def _parse_rows(rows: list[list[str]], at: list[int]):
+    """Convert a chunk of rows a column at a time.
+
+    ``at`` holds the date column's index, then the variables'. Returns
+    each row's date ordinal (0 where unparsable), the variables' floats as
+    one row per variable (see ``_cell_float``) and whether the row has a
+    cell that is neither missing nor finite.
+    """
+    width = 1 + max(at)
+    if min(map(len, rows)) < width:
+        for row in rows:
+            row += [""] * (width - len(row))
+    columns = list(zip(*rows))
+    days = list(map(str.strip, columns[at[0]]))
+    try:
+        ordinals = np.fromiter(
+            map(date.toordinal, map(date.fromisoformat, days)), np.int64, len(days)
+        )
+    except ValueError:
+        ordinals = np.array([_ordinal(day) for day in days], dtype=np.int64)
+    floats = np.empty((len(at) - 1, len(rows)))
+    bad = np.zeros(len(rows), dtype=bool)
+    for values, i in zip(floats, at[1:]):
+        cells = list(map(str.strip, columns[i]))
+        try:
+            values[:] = [math.nan if cell in MISSING_MARKERS else float(cell) for cell in cells]
+        except ValueError:
+            values[:] = [_cell_float(cell) for cell in cells]
+        suspects = np.flatnonzero(~np.isfinite(values))
+        if len(suspects) != sum(map(cells.count, MISSING_MARKERS)):
+            bad[[k for k in suspects.tolist() if cells[k] not in MISSING_MARKERS]] = True
+    return ordinals, floats, bad
+
+
+def _ordinal(day: str) -> int:
+    """The proleptic ordinal of an ISO-8601 date, or 0 if it does not parse."""
+    try:
+        return date.fromisoformat(day).toordinal()
+    except ValueError:
+        return 0
+
+
+def _cell_float(cell: str) -> float:
+    """A stripped cell as a float: NaN where missing, inf where not a number."""
+    if cell in MISSING_MARKERS:
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        return math.inf
+
+
+def _raise_row_error(path: str, index: int, ordinals: np.ndarray, at: list[int], columns):
+    """Raise the error of the ``index``-th data row, which failed a check,
+    naming the line the row starts on: the file is read again to find it."""
+    line, row = _data_row(path, index)
+    where = f"{path}:{line}"
+    cells = [cell.strip() for cell in row] + [""] * (1 + max(at) - len(row))
+    if not ordinals[index]:
+        raise DataError(f"{where}: unparsable date {cells[at[0]]!r}")
+    if ordinals[index] in ordinals[:index]:
+        raise DuplicateDateError(f"{where}: duplicate date {date.fromordinal(int(ordinals[index]))}")
+    for i, col in zip(at[1:], columns):
+        _cell_value(where, cells[i], col)  # raises at the row's first bad cell
+    raise DataError(f"{where}: row changed while the file was read")
+
+
+def _data_row(path: str, index: int) -> tuple[int, list[str]]:
+    """The line the ``index``-th non-blank data row starts on, and its cells."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        last = reader.line_num
+        for row in reader:
+            if row:
+                if not index:
+                    return last + 1, row
+                index -= 1
+            last = reader.line_num
+    raise DataError(f"{path}: rows changed while the file was read")
 
 
 def _variable_columns(path, header, date_column, variable_columns) -> dict[str, str]:

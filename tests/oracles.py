@@ -155,3 +155,65 @@ def max_relative_error(analytic, numeric, floor=1e-3):
             denom = max(abs(ai), abs(ni), floor)
             worst = max(worst, abs(ai - ni) / denom)
     return worst
+
+
+def load_csv_rows(path, date_column="date", variable_columns=None):
+    """``timeseries.load_csv`` as a row-by-row loop: each row is stripped,
+    padded, dated, checked against the dates before it and converted cell
+    by cell, and the first failing row raises. Same contract and messages."""
+    import csv
+    from datetime import date, timedelta
+
+    import numpy as np
+
+    from swarmcast.errors import DataError, DuplicateDateError
+    from swarmcast.timeseries import _variable_columns
+
+    def cell_value(where, cell, col):
+        if cell in ("", "NA"):
+            return math.nan
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise DataError(f"{where}: non-numeric value {cell!r} in column {col!r}") from exc
+        if not math.isfinite(value):
+            raise DataError(
+                f"{where}: non-finite value {cell!r} in column {col!r}"
+                " (mark a missing value with an empty cell or NA)"
+            )
+        return value
+
+    path = str(path)
+    parsed = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            variable_columns = _variable_columns(path, header, date_column, variable_columns)
+            date_at = header.index(date_column)
+            columns = [(header.index(col), col) for col in variable_columns.values()]
+            width = 1 + max(date_at, *(at for at, _ in columns))
+            last = reader.line_num
+            for row in reader:
+                where, last = f"{path}:{last + 1}", reader.line_num  # the row's first line
+                if not row:
+                    continue
+                cells = [cell.strip() for cell in row] + [""] * (width - len(row))
+                try:
+                    day = date.fromisoformat(cells[date_at])
+                except ValueError as exc:
+                    raise DataError(f"{where}: unparsable date {cells[date_at]!r}") from exc
+                if day in parsed:
+                    raise DuplicateDateError(f"{where}: duplicate date {day}")
+                parsed[day] = [cell_value(where, cells[at], col) for at, col in columns]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not parsed:
+        raise DataError(f"{path}: no data rows")
+
+    first = min(parsed)
+    span = (max(parsed) - first).days + 1
+    matrix = np.full((span, len(columns)), math.nan, order="F")
+    matrix[[(day - first).days for day in parsed]] = list(parsed.values())
+    dates = tuple(first + timedelta(days=i) for i in range(span))
+    return dates, dict(zip(variable_columns, matrix.T))

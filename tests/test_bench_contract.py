@@ -136,3 +136,45 @@ def test_traced_cli_tune_and_train_record_training_spans(tracer_module, tmp_path
     counts = span_counts(tracer)
     assert counts.get("tuning.fitness") == report["cache_misses"]
     assert counts.get("network.train") == feasible + 1
+
+
+@pytest.fixture()
+def trained_artifact(tmp_path):
+    """An ingest artifact of the sample CSV and a small model trained on it."""
+    ingest, model = tmp_path / "ingest", tmp_path / "train"
+    assert main(["ingest", "--data", str(REPO_ROOT / "data" / "sample_daily_cases.csv"),
+                 "--output-dir", str(ingest)]) == 0
+    assert main(["train", "--data-dir", str(ingest), "--epochs", "1", "--n-filters", "2",
+                 "--lstm-units", "3", "--seed", "3", "--output-dir", str(model)]) == 0
+    return ingest, model / "model.json"
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_traced_cli_forecast_records_one_read_and_a_window_per_step(
+        tracer_module, tmp_path, trained_artifact, steps):
+    # the benchmark counts forecast steps and CSV reads through these names
+    ingest, model = trained_artifact
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = main(["forecast", "--model", str(model), "--data-dir", str(ingest),
+                     "--steps", str(steps), "--output-dir", str(tmp_path / "f")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = span_counts(tracer)
+    assert counts.get("network.predict_window") == steps
+    assert counts.get("timeseries.load_csv") == 1
+
+
+def test_traced_cli_evaluate_records_one_read(tracer_module, tmp_path, trained_artifact):
+    ingest, model = trained_artifact
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = main(["evaluate", "--model", str(model), "--data-dir", str(ingest),
+                     "--output-dir", str(tmp_path / "e")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert span_counts(tracer).get("timeseries.load_csv") == 1

@@ -100,6 +100,17 @@ class TestIngest:
         assert code == 3
         assert ":3" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(SMALL_CSV, encoding="utf-8")
+        marked.write_text("\ufeff" + SMALL_CSV, encoding="utf-8")
+        for path in (plain, marked):
+            assert main(["ingest", "--data", str(path),
+                         "--output-dir", str(tmp_path / path.stem)]) == 0
+        written = (tmp_path / "marked" / "dataset.csv").read_bytes()
+        assert written == (tmp_path / "plain" / "dataset.csv").read_bytes()
+
     def test_missing_data_flag_exits_2(self, tmp_path):
         assert main(["ingest", "--output-dir", str(tmp_path / "o")]) == 2
 
@@ -403,6 +414,49 @@ class TestArtifactChecks:
         assert main(["train", "--data-dir", str(artifact), "--epochs", "1",
                      "--output-dir", str(tmp_path / "t")]) == 3
         assert str(dataset) in capsys.readouterr().err
+
+
+class TestArtifactVariables:
+    """read_artifact parses only the target column, yet checks every
+    variable's scaling entry and names the artifact's variables."""
+
+    @pytest.fixture()
+    def three(self, tmp_path):
+        lines = ["date,a,b,c"] + [f"2020-03-{d:02d},{d},{2 * d},{d % 5}" for d in range(1, 29)]
+        path = tmp_path / "three.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "three"
+        assert main(["ingest", "--data", str(path), "--output-dir", str(out)]) == 0
+        return out
+
+    def train(self, artifact, tmp_path, *extra):
+        return main(["train", "--data-dir", str(artifact), "--epochs", "1", "--n-filters", "2",
+                     "--lstm-units", "2", "--output-dir", str(tmp_path / "t"), *extra])
+
+    def test_non_target_scaling_entry_is_still_checked(self, three, tmp_path, capsys):
+        scaling = three / "scaling.json"
+        scaling.write_text(_drop(scaling.read_text(encoding="utf-8"),
+                                 "variables", "c", "minimum"), encoding="utf-8")
+        assert self.train(three, tmp_path, "--variable", "a") == 3
+        err = capsys.readouterr().err
+        assert str(scaling) in err and "'variables.c.minimum'" in err
+
+    def test_unknown_variable_exits_2_listing_all_three(self, three, tmp_path, capsys):
+        assert self.train(three, tmp_path, "--variable", "nope") == 2
+        assert "'nope'" in (err := capsys.readouterr().err) and "['a', 'b', 'c']" in err
+
+    def test_first_column_by_default(self, three, tmp_path, capsys):
+        assert self.train(three, tmp_path) == 0
+        assert "variable: a" in capsys.readouterr().out.splitlines()
+
+    def test_only_the_target_column_is_parsed(self, three, tmp_path, capsys):
+        dataset = three / "dataset.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",oops"  # a bad cell in column c
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self.train(three, tmp_path, "--variable", "b") == 0
+        assert self.train(three, tmp_path, "--variable", "c") == 3
+        assert f"{dataset}:6: non-numeric value 'oops' in column 'c'" in capsys.readouterr().err
 
 
 def _drop(text, *path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fused import lstm_step_fused
 from oracles import conv1d_loop, lstm_step_scalar, maxpool1d_loop
@@ -25,6 +26,40 @@ class TestConvOutputSize:
     def test_kernel_too_large(self):
         with pytest.raises(ConfigError):
             conv_output_size(4, 6)
+
+
+def im2col_reference(x, kernel):
+    """im2col rows built as sliding_window_view, swapaxes and reshape."""
+    windows = sliding_window_view(x, kernel, axis=-2)  # (..., L-K+1, F, K)
+    return np.swapaxes(windows, -1, -2).reshape(windows.shape[:-2] + (-1,))
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("make", [
+        lambda data: data[:7, :1],
+        lambda data: data[:7, :3],
+        lambda data: data[::2, :1],
+        lambda data: data[1:8, ::2],
+        lambda data: data[:7, 0][:, None],
+        lambda data: data.reshape(-1)[:7][:, None],
+        lambda data: np.stack([data[:7, :3], data[2:9, :3]]),
+        lambda data: np.stack([data[:7, :1]] * 4).reshape(2, 2, 7, 1),
+        lambda data: np.stack([data[:14:2, 1:4], data[1:15:2, 1:4]]),
+    ], ids=["f1", "f3", "strided-rows", "strided-features", "column-view", "flat-view",
+            "batch", "two-batch-axes", "strided-batch"])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_matches_the_sliding_window_construction(self, make, kernel):
+        data = np.arange(96.0).reshape(16, 6)
+        x = make(data)
+        got, want = _im2col(x, kernel), im2col_reference(x, kernel)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, x) == np.shares_memory(want, x)
+        assert got.flags.writeable == want.flags.writeable
+
+    def test_kernel_longer_than_the_input_is_rejected(self):
+        with pytest.raises(ConfigError, match="kernel 4"):
+            _im2col(np.zeros((3, 1)), 4)
 
 
 class TestConv1d:

@@ -24,7 +24,7 @@ from swarmcast.network import (
     save_model,
     train,
 )
-from swarmcast.timeseries import ScalingParams, WindowedSamples, make_windows
+from swarmcast.timeseries import ScalingParams, WindowedSamples, inverse_scale, make_windows
 
 
 def tiny_config(**overrides):
@@ -308,6 +308,22 @@ class TestIterativeForecast:
                 window = window[1:] + [float(value)]
                 manual.append(float(value))
         assert np.allclose(forecast, manual[:4], atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("horizon, steps", [(1, 5), (2, 5)])
+    def test_bit_identical_to_a_manual_unroll(self, horizon, steps):
+        # each step runs one network_forward on the window's last lookback values
+        net = initialize_network(tiny_config(seed=19, horizon=horizon), 6)
+        params = ScalingParams(2.0, 12.0)
+        history = np.linspace(0.0, 1.0, 9)
+        window = list(history[-6:])
+        manual = []
+        while len(manual) < steps:
+            block = network_forward(np.array(window)[:, None], net).tolist()
+            window = window[horizon:] + block
+            manual += block
+        expected = inverse_scale(np.array(manual[:steps]), params)
+        forecast = iterative_forecast(net, history, steps, params)
+        assert forecast.tobytes() == expected.tobytes()
 
     def test_errors(self):
         net = initialize_network(tiny_config(seed=15), 6)

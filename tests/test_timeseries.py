@@ -1,11 +1,16 @@
 import math
-from datetime import date
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import load_csv_rows
+from swarmcast import timeseries
 from swarmcast.errors import (
     ConfigError,
     DataError,
@@ -117,6 +122,113 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "day,cases\n2020-03-22,1\n2020-03-23,2\n")
         _, variables = load_csv(path, date_column="day", variable_columns={"confirmed": "cases"})
         assert list(variables) == ["confirmed"]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "date,v\n2020-03-22,1\n2020-03-23,2\n"
+        plain = load_csv(write_csv(tmp_path, text))
+        marked = load_csv(write_csv(tmp_path, "\ufeff" + text, name="bom.csv"))
+        assert marked[0] == plain[0]
+        assert marked[1]["v"].tobytes() == plain[1]["v"].tobytes()
+
+    def test_unselected_columns_are_never_converted(self, tmp_path):
+        path = write_csv(tmp_path, "date,v,note\n2020-03-22,1,abc\n2020-03-23,2,inf\n")
+        _, variables = load_csv(path, variable_columns={"v": "v"})
+        assert np.array_equal(variables["v"], [1.0, 2.0])
+
+    def test_duplicate_before_a_later_bad_date_is_reported(self, tmp_path):
+        # the duplicate check must not stop at the first unparsable date
+        path = write_csv(tmp_path, "date,v\n2020-03-22,1\n2020-03-23,2\n2020-03-22,3\n"
+                                   "2020-03-24,4\nnot-a-date,5\n")
+        with pytest.raises(DuplicateDateError, match=":4: duplicate date 2020-03-22"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("date,v\nnot-a-date,x\n", "unparsable date 'not-a-date'"),
+        ("date,v\n2020-03-22,1\n2020-03-22,x\n", "duplicate date 2020-03-22"),
+        ("date,v,w\n2020-03-22,inf,x\n", "non-finite value 'inf' in column 'v'"),
+        ("date,v,w\n2020-03-22,x,inf\n", "non-numeric value 'x' in column 'v'"),
+    ], ids=["date-first", "duplicate-before-cells", "cells-in-column-order", "non-numeric"])
+    def test_a_row_reports_its_date_then_repetition_then_cells(self, tmp_path, text, error):
+        with pytest.raises(DataError, match=error):
+            load_csv(write_csv(tmp_path, text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_row_by_row_oracle(self, data):
+        text, variable_columns = data.draw(csv_files())
+        # small chunks put duplicates, faults and blank lines across chunk edges
+        chunk_lines = data.draw(st.sampled_from([1, 2, 3, timeseries.CHUNK_LINES]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(timeseries, "CHUNK_LINES", chunk_lines):
+                got = outcome(load_csv, path, variable_columns)
+            want = outcome(load_csv_rows, path, variable_columns)
+        assert got == want
+
+
+def outcome(loader, path, variable_columns):
+    """A loader's result, comparable with ==: its dates and each variable's
+    bytes, or its exception type and message."""
+    try:
+        dates, variables = loader(path, variable_columns=variable_columns)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return dates, {name: (column.dtype, column.tobytes()) for name, column in variables.items()}
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", "NA", " NA ", "  ", "0", "-0", "1e3", " 7 ", "2.5", "-13"]),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+)
+FAULTS = {
+    "bad-date": st.sampled_from(["not-a-date", "2020-02-30", "", "2020-3-1"]),
+    "non-numeric": st.sampled_from(["abc", '"1,5"', "--1", "0x10"]),
+    "non-finite": st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]),
+}
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV text with header date,v,note,w and the mapping to read it with.
+
+    Rows come in any order with calendar gaps, blank lines, short and long
+    rows, padded and missing cells and quoted notes that span lines, with
+    0-3 faults (bad date, duplicate date, non-numeric or non-finite cell)
+    injected on random rows.
+    """
+    n = draw(st.integers(1, 12))
+    offsets = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    start = date(2020, 2, 20)
+    rows = []
+    for offset in offsets:
+        day = (start + timedelta(days=offset)).isoformat()
+        if draw(st.booleans()):
+            day = f" {day} "
+        note = draw(st.sampled_from(["", "ok", '"two\nlines"', '"a, b"', "x"]))
+        row = [day, draw(CELLS), note, draw(CELLS)]
+        width = draw(st.sampled_from([1, 2, 3, 4, 4, 4, 5]))
+        rows.append(row[:width] + ["extra"] * (width - 4))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["bad-date", "duplicate", "non-numeric", "non-finite"]))
+        if kind == "duplicate":
+            rows[at][0] = rows[draw(st.integers(0, n - 1))][0]
+        elif kind == "bad-date":
+            rows[at][0] = draw(FAULTS[kind])
+        else:
+            column = draw(st.sampled_from([1, 3]))
+            rows[at] += [""] * (column + 1 - len(rows[at]))
+            rows[at][column] = draw(FAULTS[kind])
+    lines = ["date,v,note,w"]
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 1)))  # blank lines
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    variable_columns = draw(st.sampled_from([
+        {"v": "v", "w": "w"}, {"w": "w", "v": "v"}, {"series": "w"}, {"v": "v"},
+    ]))
+    return newline.join(lines) + newline, variable_columns
 
 
 class TestImpute:
