@@ -9,7 +9,7 @@ the primary artifacts against tests/golden/demo/.
 
 Run from the repo root:  python scripts/demo_pipeline.py
 With --update-golden the run replaces tests/golden/demo/ with its
-primary artifacts (everything but the VOLATILE files), for a change
+primary artifacts (everything but the VOLATILE_FILES), for a change
 that is meant to alter their bits.
 """
 
@@ -18,13 +18,11 @@ import shutil
 import sys
 from pathlib import Path
 
-from swarmcast.cli import main
+from swarmcast.cli import VOLATILE_FILES, main
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "runs" / "demo"
 GOLDEN = ROOT / "tests" / "golden" / "demo"
-# manifests carry absolute paths and versions, timings.csv the wall clock
-VOLATILE = {"manifest.json", "timings.csv"}
 
 
 def demo_commands(out: Path) -> list[list[str]]:
@@ -64,7 +62,7 @@ def update_golden():
     shutil.rmtree(GOLDEN, ignore_errors=True)
     main_demo(GOLDEN)
     for path in sorted(GOLDEN.rglob("*")):
-        if path.name in VOLATILE:
+        if path.name in VOLATILE_FILES:
             path.unlink()
     print(f"golden artifacts rewritten under {GOLDEN.relative_to(ROOT)}")
 

@@ -2,10 +2,12 @@
 
 Commands: ingest, tune, train, forecast, evaluate, compare, bench-opt.
 Every command resolves its options as defaults < JSON config < explicit
-flags, writes its artifacts under one output directory together with a
-manifest (config hash, seed, versions), and is byte-for-byte
-reproducible for a fixed seed. The default config path can be set via
-the SWARMCAST_CONFIG environment variable.
+flags and is byte-for-byte reproducible for a fixed seed. A command
+returns its artifacts and stdout lines; only once it has succeeded does
+``main`` create its output directory, write the artifacts atomically
+with a manifest (config hash, seed, versions) last and print the lines,
+so a failed run leaves no directory. The default config path can be set
+via the SWARMCAST_CONFIG environment variable.
 
 Each option is declared once in ``OPTIONS`` (flag type, choices, help)
 and each command once in ``COMMANDS`` (its keys with their defaults);
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -39,6 +42,7 @@ from .errors import (
     DataError,
     DegenerateObjectiveError,
     DivergedError,
+    EdgeMissingError,
     SwarmcastError,
 )
 from .benchmarks import BENCHMARKS
@@ -48,6 +52,7 @@ from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
     WEIGHT_OPTIMIZERS,
     NetworkConfig,
+    TrainedNetwork,
     TrainingConfig,
     initialize_network,
     iterative_forecast,
@@ -84,6 +89,9 @@ NETWORK_RECIPE = ("horizon", "repeat_steps", "conv_activation")
 TRAINING_RECIPE = ("learning_rate", "optimizer")
 
 CONFIG_ENV_VAR = "SWARMCAST_CONFIG"
+
+# may differ between same-seed runs: argv paths and versions, the wall clock
+VOLATILE_FILES = frozenset({"manifest.json", "timings.csv"})
 
 
 class Option(NamedTuple):
@@ -170,7 +178,7 @@ def _load_config_file(path: str | None) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -228,14 +236,14 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def prepare_output_dir(command: str, options: dict) -> tuple[Path, dict]:
-    """Pick the output directory and build the manifest for this run."""
+    """Pick the output directory, without creating it, and build the
+    manifest for this run."""
     hashed = {k: v for k, v in options.items() if k != "output_dir"}
     digest = hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
     if options.get("output_dir"):
         out_dir = Path(options["output_dir"])
     else:
         out_dir = Path(options["output_root"]) / f"{command}-{digest[:12]}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config": hashed,
@@ -267,21 +275,23 @@ def _parse_variables(raw) -> dict[str, str] | None:
 
 # ---------------------------------------------------------------- ingest
 
-def cmd_ingest(options) -> int:
+def cmd_ingest(options, out_dir: Path):
     ratio = options["split_ratio"]
+    columns = _parse_variables(options["variables"])
     dates, variables = load_csv(
-        options["data"],
-        date_column=options["date_column"],
-        variable_columns=_parse_variables(options["variables"]),
+        options["data"], date_column=options["date_column"], variable_columns=columns
     )
     n = len(dates)
     cut = split_index(n, ratio)
 
-    out_dir, manifest = prepare_output_dir("ingest", options)
     scaled = []
     variable_meta = {}
     for name, raw in variables.items():
-        filled = impute_missing(raw)
+        try:
+            filled = impute_missing(raw)
+        except EdgeMissingError as exc:
+            column = columns[name] if columns else name
+            raise EdgeMissingError(f"{options['data']}: column {column!r}: {exc}") from None
         _, params = minmax_scale(filled[:cut])
         scaled.append(apply_scale(filled, params))
         variable_meta[name] = {
@@ -295,22 +305,22 @@ def cmd_ingest(options) -> int:
         [day.isoformat(), *map(repr, values)]
         for day, values in zip(dates, np.column_stack(scaled).tolist())
     ]
-    write_csv_rows(out_dir / "dataset.csv", ["date", *variables], rows)
     region = options["region"]
-    write_json(out_dir / "scaling.json", {
-        "region_id": options["data"] if region is None else region,
-        "n_rows": n,
-        "split_ratio": ratio,
-        "split_index": cut,
-        "variables": variable_meta,
-    })
-    write_json(out_dir / "manifest.json", manifest)
-
-    print(f"rows: {n} ({dates[0]} .. {dates[-1]})")
-    print(f"imputed: {sum(meta['imputed'] for meta in variable_meta.values())}")
-    print(f"split: train {cut} / test {n - cut}")
-    print(f"artifact: {out_dir}")
-    return 0
+    return {
+        "dataset.csv": (["date", *variables], rows),
+        "scaling.json": {
+            "region_id": Path(options["data"]).stem if region is None else region,
+            "n_rows": n,
+            "split_ratio": ratio,
+            "split_index": cut,
+            "variables": variable_meta,
+        },
+    }, [
+        f"rows: {n} ({dates[0]} .. {dates[-1]})",
+        f"imputed: {sum(meta['imputed'] for meta in variable_meta.values())}",
+        f"split: train {cut} / test {n - cut}",
+        f"artifact: {out_dir}",
+    ]
 
 
 def read_artifact(data_dir, variable: str | None) -> dict:
@@ -406,22 +416,29 @@ def _resolve_space(options) -> HyperparamSpace:
     )
 
 
-def cmd_tune(options) -> int:
+def _optimizer_params(options) -> OptimizerParams:
+    return OptimizerParams(population_size=options["population"],
+                           max_iterations=options["iterations"], seed=options["seed"])
+
+
+def _trace_table(trace) -> tuple[list, list]:
+    """A search's best fitness after each iteration, as a CSV table."""
+    return ["iteration", "best_fitness"], [
+        [i, repr(v)] for i, v in enumerate(trace.best_fitness_per_iteration)
+    ]
+
+
+def cmd_tune(options, out_dir: Path):
     artifact = read_artifact(options["data_dir"], options["variable"])
     name, series = artifact["name"], artifact["series"]
     cut = artifact["meta"]["split_index"]
     space = _resolve_space(options)
     network, training = _templates(options, options["fitness_epochs"])
 
-    params = OptimizerParams(
-        population_size=options["population"],
-        max_iterations=options["iterations"],
-        seed=options["seed"],
-    )
     result = tune_series(
         series[:cut],
         options["algorithm"],
-        params,
+        _optimizer_params(options),
         space,
         network=network,
         training=training,
@@ -432,38 +449,33 @@ def cmd_tune(options) -> int:
         evaluation_budget=options["evaluation_budget"],
     )
 
-    out_dir, manifest = prepare_output_dir("tune", options)
     # wall times go to a side file so the report stays byte-reproducible
-    write_json(out_dir / "report.json", {
-        "algorithm": result.algorithm,
-        "variable": name,
-        "best_assignment": result.best_assignment,
-        "best_loss": result.best_loss,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "evaluation_log": [
-            {"assignment": record.values, "loss": record.loss}
-            for record in result.records
-        ],
-        "lookback": options["lookback"],
-        "horizon": options["horizon"],
-        "seed": options["seed"],
-    })
-    write_csv_rows(
-        out_dir / "trace.csv",
-        ["iteration", "best_fitness"],
-        [[i, repr(v)] for i, v in enumerate(result.trace.best_fitness_per_iteration)],
-    )
-    write_csv_rows(
-        out_dir / "timings.csv",
-        ["evaluation", "wall_time_seconds"],
-        [[i, f"{record.wall_time:.6f}"] for i, record in enumerate(result.records)],
-    )
-    write_json(out_dir / "manifest.json", manifest)
-    print(f"best assignment: {result.best_assignment}")
-    print(f"best loss: {result.best_loss}")
-    print(f"report: {out_dir / 'report.json'}")
-    return 0
+    return {
+        "report.json": {
+            "algorithm": result.algorithm,
+            "variable": name,
+            "best_assignment": result.best_assignment,
+            "best_loss": result.best_loss,
+            "cache_hits": result.cache_hits,
+            "cache_misses": result.cache_misses,
+            "evaluation_log": [
+                {"assignment": record.values, "loss": record.loss}
+                for record in result.records
+            ],
+            "lookback": options["lookback"],
+            "horizon": options["horizon"],
+            "seed": options["seed"],
+        },
+        "trace.csv": _trace_table(result.trace),
+        "timings.csv": (
+            ["evaluation", "wall_time_seconds"],
+            [[i, f"{record.wall_time:.6f}"] for i, record in enumerate(result.records)],
+        ),
+    }, [
+        f"best assignment: {result.best_assignment}",
+        f"best loss: {result.best_loss}",
+        f"report: {out_dir / 'report.json'}",
+    ]
 
 
 # ----------------------------------------------------------------- train
@@ -491,7 +503,7 @@ def _assignment_from_options(options) -> dict:
     return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
 
 
-def cmd_train(options) -> int:
+def cmd_train(options, out_dir: Path):
     artifact = read_artifact(options["data_dir"], options["variable"])
     name, series = artifact["name"], artifact["series"]
     cut = artifact["meta"]["split_index"]
@@ -503,19 +515,17 @@ def cmd_train(options) -> int:
     net = initialize_network(config, options["lookback"])
     trained = train(net, windows, training_cfg)
 
-    out_dir, manifest = prepare_output_dir("train", options)
-    save_model(trained, out_dir / "model.json")
-    write_json(out_dir / "manifest.json", manifest)
-    print(f"variable: {name}")
-    print(f"assignment: {values}")
-    print(f"final epoch mse: {trained.loss_history[-1]}")
-    print(f"model: {out_dir / 'model.json'}")
-    return 0
+    return {"model.json": trained}, [
+        f"variable: {name}",
+        f"assignment: {values}",
+        f"final epoch mse: {trained.loss_history[-1]}",
+        f"model: {out_dir / 'model.json'}",
+    ]
 
 
 # -------------------------------------------------------------- forecast
 
-def cmd_forecast(options) -> int:
+def cmd_forecast(options, out_dir: Path):
     steps = options["steps"]
     if steps < 1:
         raise ConfigError("steps must be at least 1")
@@ -529,17 +539,15 @@ def cmd_forecast(options) -> int:
         [(last_day + timedelta(days=i + 1)).isoformat(), repr(float(v))]
         for i, v in enumerate(values)
     ]
-    out_dir, manifest = prepare_output_dir("forecast", options)
-    write_csv_rows(out_dir / "forecast.csv", ["date", "predicted"], rows)
-    write_json(out_dir / "manifest.json", manifest)
-    print(f"variable: {name}")
-    print(f"forecast: {out_dir / 'forecast.csv'} ({steps} steps)")
-    return 0
+    return {"forecast.csv": (["date", "predicted"], rows)}, [
+        f"variable: {name}",
+        f"forecast: {out_dir / 'forecast.csv'} ({steps} steps)",
+    ]
 
 
 # -------------------------------------------------------------- evaluate
 
-def cmd_evaluate(options) -> int:
+def cmd_evaluate(options, out_dir: Path):
     net = load_model(options["model"])
     artifact = read_artifact(options["data_dir"], options["variable"])
     name, series, params = artifact["name"], artifact["series"], artifact["scaling"]
@@ -567,24 +575,24 @@ def cmd_evaluate(options) -> int:
         day = artifact["dates"][offset + row + lookback + step]
         rows.append([day.isoformat(), step + 1, repr(actual_value), repr(predicted_value)])
 
-    out_dir, manifest = prepare_output_dir("evaluate", options)
-    write_json(out_dir / "metrics.json", {
-        "variable": name,
-        "n_windows": len(test_windows),
-        "scaled": asdict(scaled_report),
-        "original_units": asdict(units_report),
-    })
-    write_csv_rows(out_dir / "predictions.csv", ["date", "step", "actual", "predicted"], rows)
-    write_json(out_dir / "manifest.json", manifest)
-    print(f"variable: {name}")
-    print(f"test mse (scaled): {scaled_report.mse}")
-    print(f"metrics: {out_dir / 'metrics.json'}")
-    return 0
+    return {
+        "metrics.json": {
+            "variable": name,
+            "n_windows": len(test_windows),
+            "scaled": asdict(scaled_report),
+            "original_units": asdict(units_report),
+        },
+        "predictions.csv": (["date", "step", "actual", "predicted"], rows),
+    }, [
+        f"variable: {name}",
+        f"test mse (scaled): {scaled_report.mse}",
+        f"metrics: {out_dir / 'metrics.json'}",
+    ]
 
 
 # --------------------------------------------------------------- compare
 
-def cmd_compare(options) -> int:
+def cmd_compare(options, out_dir: Path):
     tests, methods, matrix = parse_score_csv(options["scores"])
     result = compare_methods(
         matrix,
@@ -593,65 +601,58 @@ def cmd_compare(options) -> int:
         alpha=options["alpha"],
         q=options["q"],
     )
-    out_dir, manifest = prepare_output_dir("compare", options)
-    write_json(out_dir / "comparison.json", result.to_dict())
-    write_csv_rows(
-        out_dir / "cd_diagram.csv",
-        ["method", "average_rank"],
-        [[m, repr(float(r))] for m, r in zip(result.methods, result.average_ranks)],
-    )
-    write_json(out_dir / "manifest.json", manifest)
-    print(f"friedman statistic: {result.friedman.statistic}")
-    print(f"critical value (chi-square, alpha={result.friedman.alpha}): "
-          f"{result.friedman.critical_value}")
-    print(f"null rejected: {result.friedman.reject}")
-    print(f"critical difference: {result.cd}")
-    print(f"comparison: {out_dir / 'comparison.json'}")
-    return 0
+    return {
+        "comparison.json": result.to_dict(),
+        "cd_diagram.csv": (
+            ["method", "average_rank"],
+            [[m, repr(float(r))] for m, r in zip(result.methods, result.average_ranks)],
+        ),
+    }, [
+        f"friedman statistic: {result.friedman.statistic}",
+        f"critical value (chi-square, alpha={result.friedman.alpha}): "
+        f"{result.friedman.critical_value}",
+        f"null rejected: {result.friedman.reject}",
+        f"critical difference: {result.cd}",
+        f"comparison: {out_dir / 'comparison.json'}",
+    ]
 
 
 # -------------------------------------------------------------- bench-opt
 
-def cmd_bench_opt(options) -> int:
+def cmd_bench_opt(options, out_dir: Path):
     name = options["function"]
     algorithm = options["algorithm"]
     objective, (low, high) = BENCHMARKS[name]
     bounds = SearchBounds.cube(low, high, options["dimension"])
-    params = OptimizerParams(
-        population_size=options["population"],
-        max_iterations=options["iterations"],
-        seed=options["seed"],
-    )
+    params = _optimizer_params(options)
     position, fitness_value, trace = OPTIMIZERS[algorithm](objective, bounds, params)
 
-    out_dir, manifest = prepare_output_dir("bench-opt", options)
-    write_json(out_dir / "result.json", {
-        "function": name,
-        "algorithm": algorithm,
-        "dimension": options["dimension"],
-        "best_fitness": fitness_value,
-        "best_position": [float(v) for v in position],
-        "evaluations": trace.evaluations,
-        "gwo_iterations": trace.gwo_iterations,
-        "woa_iterations": trace.woa_iterations,
-    })
-    write_csv_rows(
-        out_dir / "trace.csv",
-        ["iteration", "best_fitness"],
-        [[i, repr(v)] for i, v in enumerate(trace.best_fitness_per_iteration)],
-    )
-    write_json(out_dir / "manifest.json", manifest)
-    print(f"{name} d={options['dimension']} via {algorithm}: best {fitness_value}")
-    print(f"result: {out_dir / 'result.json'}")
-    return 0
+    return {
+        "result.json": {
+            "function": name,
+            "algorithm": algorithm,
+            "dimension": options["dimension"],
+            "best_fitness": fitness_value,
+            "best_position": [float(v) for v in position],
+            "evaluations": trace.evaluations,
+            "gwo_iterations": trace.gwo_iterations,
+            "woa_iterations": trace.woa_iterations,
+        },
+        "trace.csv": _trace_table(trace),
+    }, [
+        f"{name} d={options['dimension']} via {algorithm}: best {fitness_value}",
+        f"result: {out_dir / 'result.json'}",
+    ]
 
 
 # ------------------------------------------------------- command table
 
 class Command(NamedTuple):
-    """A subcommand: its keys with their defaults, and the keys it needs set."""
+    """A subcommand: its keys with their defaults, and the keys it needs set.
+    ``run(options, out_dir)`` returns its artifacts (file name -> JSON
+    object, CSV ``(header, rows)`` or ``TrainedNetwork``) and stdout lines."""
 
-    run: Callable[[dict], int]
+    run: Callable[[dict, Path], tuple[dict, list[str]]]
     help: str
     defaults: dict
     required: tuple[str, ...] = ()
@@ -695,7 +696,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for ``COMMANDS``, built once: parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="swarmcast",
         description="Daily series forecasting with a conv-LSTM tuned by swarm search",
@@ -717,11 +720,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_command(name: str, options: dict) -> int:
+    """Run a command; only then create its output directory, write its
+    artifacts in order, each by its type's writer, and the manifest last,
+    and print its lines. A command that fails leaves no directory."""
+    out_dir, manifest = prepare_output_dir(name, options)
+    artifacts, lines = COMMANDS[name].run(options, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for filename, value in (artifacts | {"manifest.json": manifest}).items():
+        if isinstance(value, TrainedNetwork):
+            save_model(value, out_dir / filename)
+        elif isinstance(value, tuple):
+            write_csv_rows(out_dir / filename, *value)
+        else:
+            write_json(out_dir / filename, value)
+    print(*lines, sep="\n")
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command].run(resolve_options(args))
+        return run_command(args.command, resolve_options(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -220,21 +220,27 @@ def compare_methods(
 def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a score matrix: first column test name, one column per method.
 
-    Returns (test names, method names, N x k matrix).
+    Returns (test names, method names, N x k matrix). An error names the
+    line its row starts on; blank lines are skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows, line = [], 1  # (line the row starts on, cells) per non-blank row
+            for row in reader:
+                if row:
+                    rows.append((line, row))
+                line = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read scores {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one test row")
-    header = rows[0]
+    header = rows[0][1]
     if len(header) < 3:
         raise DataError(f"{path}: need at least two method columns")
     methods = [h.strip() for h in header[1:]]
     tests, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
         tests.append(row[0].strip())

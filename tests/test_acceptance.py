@@ -18,6 +18,7 @@ import numpy as np
 from fused import lstm_step_fused
 from oracles import finite_difference_grads, friedman_loop, lstm_step_scalar, max_relative_error
 from swarmcast.benchmarks import rastrigin, sphere
+from swarmcast.cli import VOLATILE_FILES
 from swarmcast.evaluation import friedman_statistic, mse, nemenyi_cd, rank_methods
 from swarmcast.layers import GATES
 from swarmcast.metaheuristics import OptimizerParams, SearchBounds, rs_gwo_woa
@@ -260,9 +261,11 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         _run_pipeline(workdir)
         runs.append(workdir)
 
+    # both runs pass the same relative paths, so their manifests must match too
+    skipped = VOLATILE_FILES - {"manifest.json"}
     compared, differing = 0, []
     for path in sorted(runs[0].rglob("*")):
-        if path.is_dir() or path.name == "timings.csv":  # wall-clock side file
+        if path.is_dir() or path.name in skipped:
             continue
         twin = runs[1] / path.relative_to(runs[0])
         compared += 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from swarmcast import network, tuning
-from swarmcast.cli import main
+from swarmcast.cli import VOLATILE_FILES, main
 from swarmcast.errors import ConfigError
 from swarmcast.metaheuristics import OPTIMIZERS, OptimizerParams
 from swarmcast.network import NetworkConfig, TrainingConfig, initialize_network
@@ -30,6 +30,13 @@ def tracer_module(monkeypatch):
     yield tracer
     for name in ("tracer", "workloads"):
         sys.modules.pop(name, None)
+
+
+def test_benchmark_skips_the_same_volatile_files(tracer_module):
+    # perfbench keeps its own copy of the set, which must not drift from the CLI's
+    from workloads import VOLATILE
+
+    assert VOLATILE == VOLATILE_FILES
 
 
 def test_install_then_uninstall_restores_every_attribute(tracer_module):

@@ -114,10 +114,30 @@ class TestIngest:
     def test_missing_data_flag_exits_2(self, tmp_path):
         assert main(["ingest", "--output-dir", str(tmp_path / "o")]) == 2
 
-    def test_edge_missing_exits_3(self, tmp_path):
+    def test_edge_missing_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "edge.csv"
-        bad.write_text("date,v\n2020-03-22,NA\n2020-03-23,2\n", encoding="utf-8")
+        bad.write_text("date,v,w\n2020-03-22,1,NA\n2020-03-23,2,3\n", encoding="utf-8")
         assert main(["ingest", "--data", str(bad), "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'w'" in err and "'v'" not in err
+
+    @pytest.mark.parametrize("flag, leaf", [("--output-dir", "out_edge"),
+                                            ("--output-root", "runs")])
+    def test_failed_ingest_leaves_no_output_dir(self, tmp_path, flag, leaf):
+        bad = tmp_path / "edge.csv"
+        bad.write_text("date,v\n2020-03-22,1\n2020-03-23,NA\n", encoding="utf-8")
+        assert main(["ingest", "--data", str(bad), flag, str(tmp_path / leaf)]) == 3
+        assert not (tmp_path / leaf).exists()
+
+    def test_region_defaults_to_the_file_stem(self, small_csv, tmp_path, monkeypatch):
+        # the same file named by two paths gives the same scaling.json
+        monkeypatch.chdir(small_csv.parent)
+        for sub, data in (("absolute", str(small_csv)), ("relative", small_csv.name)):
+            assert main(["ingest", "--data", data, "--output-dir", str(tmp_path / sub)]) == 0
+        written = [(tmp_path / sub / "scaling.json").read_bytes()
+                   for sub in ("absolute", "relative")]
+        assert written[0] == written[1]
+        assert json.loads(written[0])["region_id"] == "cases"
 
     def test_infinite_cell_exits_3_naming_line_and_column(self, tmp_path, capsys):
         bad = tmp_path / "inf.csv"
@@ -627,11 +647,36 @@ class TestConfigResolution:
         assert main(["ingest", "--output-dir", str(out)]) == 0
         assert (out / "dataset.csv").exists()
 
+    def test_no_flag_value_carries_over_to_the_next_call(self, small_csv, artifact, tmp_path):
+        # the parser is built once per process and reused by every call
+        ingest = ["ingest", "--data", str(small_csv)]
+        tune = ["tune", "--data-dir", str(artifact), "--surrogate", "hash",
+                "--population", "4", "--iterations", "1"]
+        for argv, out in [
+            (ingest + ["--region", "r1", "--split-ratio", "0.5", "--variables", "confirmed"], "i1"),
+            (tune + ["--extended-space", "--seed", "3"], "t1"),
+            (ingest, "i2"),
+            (tune, "t2"),
+        ]:
+            assert main(argv + ["--output-dir", str(tmp_path / out)]) == 0
+        config = json.loads((tmp_path / "i2" / "manifest.json").read_text())["config"]
+        assert (config["region"], config["split_ratio"], config["variables"]) == (None, 0.8, None)
+        config = json.loads((tmp_path / "t2" / "manifest.json").read_text())["config"]
+        assert (config["extended_space"], config["seed"]) == (False, 0)
+        assert cli.build_parser() is cli.build_parser()
+
     def test_bad_config_json_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json", encoding="utf-8")
         assert main(["ingest", "--config", str(cfg),
                      "--output-dir", str(tmp_path / "o4")]) == 2
+
+    def test_config_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"region": "é"}'.encode("latin-1"))
+        assert main(["ingest", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o5")]) == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_default_output_dir_is_config_hashed(self, small_csv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -250,6 +250,16 @@ class TestScoreCsv:
         with pytest.raises(DataError):
             parse_score_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("test,a,b\nt1,1,2\n\nt2,1\n", 4),  # after a blank line
+        ("test,a,b\n\n\nt1,1,2\n\"t\n2\",1,x\n", 5),  # a cell spanning lines
+    ])
+    def test_error_names_the_line_the_row_starts_on(self, tmp_path, text, line):
+        path = tmp_path / "scores.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"scores.csv:{line}: "):
+            parse_score_csv(path)
+
 
 def test_metric_report_fields():
     report = metric_report([1.0, 2.0], [1.0, 4.0])

@@ -9,7 +9,7 @@ Regenerate after a change that is meant to alter the bits, from the repo root:
 import importlib.util
 from pathlib import Path
 
-from swarmcast.cli import main
+from swarmcast.cli import VOLATILE_FILES, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -24,7 +24,7 @@ def _primary(root: Path) -> set[str]:
     return {
         p.relative_to(root).as_posix()
         for p in root.rglob("*")
-        if p.is_file() and p.name not in demo.VOLATILE
+        if p.is_file() and p.name not in VOLATILE_FILES
     }
 
 
