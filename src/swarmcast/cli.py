@@ -47,7 +47,7 @@ from .errors import (
 )
 from .benchmarks import BENCHMARKS
 from .evaluation import CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
-from .fileio import atomic_writer
+from .fileio import atomic_writer, read_json
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
     WEIGHT_OPTIMIZERS,
@@ -173,16 +173,7 @@ def _load_config_file(path: str | None) -> dict:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return doc
+    return read_json(path, "config", ConfigError)
 
 
 def _config_value(key: str, value, default):
@@ -335,12 +326,7 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     dataset_path = data_dir / "dataset.csv"
     if not scaling_path.exists() or not dataset_path.exists():
         raise DataError(f"{data_dir} is not an ingest artifact")
-    try:
-        meta = json.loads(scaling_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise DataError(f"{scaling_path} is not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DataError(f"{scaling_path}: must be a JSON object")
+    meta = read_json(scaling_path, "scaling file", DataError)
     for key in ("split_index", "variables"):
         if key not in meta:
             raise DataError(f"{scaling_path}: missing key {key!r}")
@@ -483,13 +469,7 @@ def cmd_tune(options, out_dir: Path):
 def _assignment_from_options(options) -> dict:
     path = options["from_tuning"]
     if path:
-        try:
-            report = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read tuning report {path}: {exc}") from exc
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise DataError(f"tuning report {path} is not valid JSON: {exc}") from exc
-        best = report.get("best_assignment") if isinstance(report, dict) else None
+        best = read_json(path, "tuning report", DataError).get("best_assignment")
         if not isinstance(best, dict):
             raise DataError(f"{path}: missing key 'best_assignment'")
         missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in best]

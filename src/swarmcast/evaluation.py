@@ -9,11 +9,13 @@ a test, ties receive average ranks.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateVarianceError
+from .errors import ConfigError, DataError, DegenerateVarianceError
+from .fileio import numbered_rows
 
 # Studentized range over sqrt(2) at infinite degrees of freedom, the usual
 # Nemenyi table for k = 2..10 methods.
@@ -153,8 +155,8 @@ def friedman_statistic(rank_matrix: RankMatrix, alpha: float = 0.05) -> Friedman
 def nemenyi_cd(k: int, n: int, alpha: float = 0.05, q: float | None = None) -> float:
     """Critical difference q_alpha * sqrt(k (k+1) / (6 N)).
 
-    ``q`` overrides the embedded table, which covers k = 2..10 at
-    alpha in {0.05, 0.10}.
+    ``q``, a finite number > 0, overrides the embedded table, which
+    covers k = 2..10 at alpha in {0.05, 0.10}.
     """
     if n < 1:
         raise DataError("need at least one test")
@@ -164,6 +166,8 @@ def nemenyi_cd(k: int, n: int, alpha: float = 0.05, q: float | None = None) -> f
         if k not in NEMENYI_Q[alpha]:
             raise DataError(f"no q value for k={k}; supply q explicitly")
         q = NEMENYI_Q[alpha][k]
+    elif not 0 < q < math.inf:
+        raise ConfigError(f"q must be a finite number > 0, got {q}")
     return float(q * np.sqrt(k * (k + 1) / (6.0 * n)))
 
 
@@ -225,12 +229,7 @@ def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows, line = [], 1  # (line the row starts on, cells) per non-blank row
-            for row in reader:
-                if row:
-                    rows.append((line, row))
-                line = reader.line_num + 1
+            rows = list(numbered_rows(csv.reader(fh)))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read scores {path}: {exc}") from exc
     if len(rows) < 2:

@@ -81,6 +81,8 @@ class OptimizerParams:
             raise ConfigError("population_size must be at least 4")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergedError
-from .fileio import atomic_writer
+from .fileio import atomic_writer, read_json
 from .layers import (
     ACTIVATIONS,
     GATES,
@@ -95,8 +95,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.optimizer not in WEIGHT_OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -478,11 +478,4 @@ def save_model(net: TrainedNetwork, path) -> None:
 
 def load_model(path) -> TrainedNetwork:
     """Read a model file; every problem with it is a DataError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise DataError(f"model {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(doc, source=str(path))
+    return model_from_dict(read_json(path, "model", DataError), source=str(path))

@@ -23,6 +23,7 @@ from .errors import (
     EdgeMissingError,
     TooShortError,
 )
+from .fileio import numbered_rows
 
 MISSING_MARKERS = {"", "NA"}
 CHUNK_LINES = 1024  # CSV lines load_csv converts at a time
@@ -94,14 +95,13 @@ def load_csv(
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not chunks:
         raise DataError(f"{path}: no data rows")
+    if None in chunks:
+        _raise_first_fault(path, at, variable_columns.values())
 
-    ordinals, floats, faulty = (np.concatenate(part, axis=-1) for part in zip(*chunks))
-    faulty |= ordinals == 0  # an unparsable date
+    ordinals, floats = (np.concatenate(part, axis=-1) for part in zip(*chunks))
     by_day = np.argsort(ordinals, kind="stable")
-    faulty[by_day[1:][np.diff(ordinals[by_day]) == 0]] = True  # a date seen on an earlier row
-    if faulty.any():
-        _raise_row_error(path, int(faulty.argmax()), ordinals, at, variable_columns.values())
-
+    if (np.diff(ordinals[by_day]) == 0).any():  # a repeated date
+        _raise_first_fault(path, at, variable_columns.values())
     first = int(ordinals.min())
     span = int(ordinals.max()) - first + 1
     # one row per variable, so each variable's column is one contiguous array
@@ -137,9 +137,9 @@ def _parse_rows(rows: list[list[str]], at: list[int]):
     """Convert a chunk of rows a column at a time.
 
     ``at`` holds the date column's index, then the variables'. Returns
-    each row's date ordinal (0 where unparsable), the variables' floats as
-    one row per variable (see ``_cell_float``) and whether the row has a
-    cell that is neither missing nor finite.
+    the rows' date ordinals and the variables' floats as one row per
+    variable (NaN where missing), or None if a date or a cell does not
+    convert or a cell that is not missing is not finite.
     """
     width = 1 + max(at)
     if min(map(len, rows)) < width:
@@ -147,71 +147,42 @@ def _parse_rows(rows: list[list[str]], at: list[int]):
             row += [""] * (width - len(row))
     columns = list(zip(*rows))
     days = list(map(str.strip, columns[at[0]]))
+    floats = np.empty((len(at) - 1, len(rows)))
     try:
         ordinals = np.fromiter(
             map(date.toordinal, map(date.fromisoformat, days)), np.int64, len(days)
         )
-    except ValueError:
-        ordinals = np.array([_ordinal(day) for day in days], dtype=np.int64)
-    floats = np.empty((len(at) - 1, len(rows)))
-    bad = np.zeros(len(rows), dtype=bool)
-    for values, i in zip(floats, at[1:]):
-        cells = list(map(str.strip, columns[i]))
-        try:
+        for values, i in zip(floats, at[1:]):
+            cells = list(map(str.strip, columns[i]))
             values[:] = [math.nan if cell in MISSING_MARKERS else float(cell) for cell in cells]
-        except ValueError:
-            values[:] = [_cell_float(cell) for cell in cells]
-        suspects = np.flatnonzero(~np.isfinite(values))
-        if len(suspects) != sum(map(cells.count, MISSING_MARKERS)):
-            bad[[k for k in suspects.tolist() if cells[k] not in MISSING_MARKERS]] = True
-    return ordinals, floats, bad
-
-
-def _ordinal(day: str) -> int:
-    """The proleptic ordinal of an ISO-8601 date, or 0 if it does not parse."""
-    try:
-        return date.fromisoformat(day).toordinal()
+            if np.count_nonzero(~np.isfinite(values)) != sum(map(cells.count, MISSING_MARKERS)):
+                return None
     except ValueError:
-        return 0
+        return None
+    return ordinals, floats
 
 
-def _cell_float(cell: str) -> float:
-    """A stripped cell as a float: NaN where missing, inf where not a number."""
-    if cell in MISSING_MARKERS:
-        return math.nan
-    try:
-        return float(cell)
-    except ValueError:
-        return math.inf
-
-
-def _raise_row_error(path: str, index: int, ordinals: np.ndarray, at: list[int], columns):
-    """Raise the error of the ``index``-th data row, which failed a check,
-    naming the line the row starts on: the file is read again to find it."""
-    line, row = _data_row(path, index)
-    where = f"{path}:{line}"
-    cells = [cell.strip() for cell in row] + [""] * (1 + max(at) - len(row))
-    if not ordinals[index]:
-        raise DataError(f"{where}: unparsable date {cells[at[0]]!r}")
-    if ordinals[index] in ordinals[:index]:
-        raise DuplicateDateError(f"{where}: duplicate date {date.fromordinal(int(ordinals[index]))}")
-    for i, col in zip(at[1:], columns):
-        _cell_value(where, cells[i], col)  # raises at the row's first bad cell
-    raise DataError(f"{where}: row changed while the file was read")
-
-
-def _data_row(path: str, index: int) -> tuple[int, list[str]]:
-    """The line the ``index``-th non-blank data row starts on, and its cells."""
+def _raise_first_fault(path: str, at: list[int], columns):
+    """Read the data rows again in file order and raise the first failing
+    row's error, naming the line it starts on: its date is checked first,
+    then the date's repetition, then the cells in column order."""
+    width = 1 + max(at)
+    seen = set()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        last = reader.line_num
-        for row in reader:
-            if row:
-                if not index:
-                    return last + 1, row
-                index -= 1
-            last = reader.line_num
+        for line, row in numbered_rows(reader):
+            where = f"{path}:{line}"
+            cells = [cell.strip() for cell in row] + [""] * (width - len(row))
+            try:
+                day = date.fromisoformat(cells[at[0]])
+            except ValueError as exc:
+                raise DataError(f"{where}: unparsable date {cells[at[0]]!r}") from exc
+            if day in seen:
+                raise DuplicateDateError(f"{where}: duplicate date {day}")
+            seen.add(day)
+            for i, col in zip(at[1:], columns):
+                _cell_value(where, cells[i], col)  # raises at the row's first bad cell
     raise DataError(f"{path}: rows changed while the file was read")
 
 
@@ -262,18 +233,11 @@ def impute_missing(series) -> np.ndarray:
     if missing[0] or missing[-1]:
         raise EdgeMissingError("series starts or ends with a missing value")
 
-    i = 0
-    n = len(values)
-    while i < n:
-        if not missing[i]:
-            i += 1
-            continue
-        j = i
-        while missing[j]:
-            j += 1
-        fill = (values[i - 1] + values[j]) / 2.0
-        values[i:j] = fill
-        i = j
+    # each gap's nearest present index before it and after it
+    index = np.arange(len(values))
+    before = np.maximum.accumulate(np.where(missing, 0, index))[missing]
+    after = np.minimum.accumulate(np.where(missing, index[-1], index)[::-1])[::-1][missing]
+    values[missing] = (values[before] + values[after]) / 2.0
     return values
 
 

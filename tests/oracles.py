@@ -157,6 +157,25 @@ def max_relative_error(analytic, numeric, floor=1e-3):
     return worst
 
 
+def impute_missing_loop(values):
+    """``timeseries.impute_missing`` as a loop over the runs of NaN: each
+    run is filled with the mean of the present values around it. The first
+    and last values must be present."""
+    values = [float(v) for v in values]
+    i = 0
+    while i < len(values):
+        if not math.isnan(values[i]):
+            i += 1
+            continue
+        j = i
+        while math.isnan(values[j]):
+            j += 1
+        fill = (values[i - 1] + values[j]) / 2.0
+        values[i:j] = [fill] * (j - i)
+        i = j
+    return values
+
+
 def load_csv_rows(path, date_column="date", variable_columns=None):
     """``timeseries.load_csv`` as a row-by-row loop: each row is stripped,
     padded, dated, checked against the dates before it and converted cell

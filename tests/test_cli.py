@@ -256,6 +256,24 @@ class TestTune:
         assert main(["tune", "--data-dir", str(tmp_path / "absent"), "--surrogate", "hash",
                      "--repeat-steps", "0", "--output-dir", str(tmp_path / "t")]) == 3
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command", [
+        ["train", "--epochs", "1"], ["tune", "--surrogate", "hash"],
+    ], ids=["train", "surrogate-tune"])
+    def test_learning_rate_not_finite_and_positive_exits_2(self, artifact, tmp_path, capsys,
+                                                           command, rate):
+        assert main([*command, "--data-dir", str(artifact), f"--learning-rate={rate}",
+                     "--output-dir", str(tmp_path / "t")]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_in_tune_but_not_in_train(self, artifact, tmp_path, capsys):
+        assert main(["tune", "--data-dir", str(artifact), "--surrogate", "hash", "--seed", "-3",
+                     "--output-dir", str(tmp_path / "t")]) == 2
+        assert "seed" in capsys.readouterr().err
+        # train hashes its seed, so any integer works there
+        assert main(["train", "--data-dir", str(artifact), "--epochs", "1", "--seed", "-3",
+                     "--output-dir", str(tmp_path / "tr")]) == 0
+
     def test_no_cell_fitting_the_lookback_exits_2(self, artifact, tmp_path, capsys):
         assert main(["tune", "--data-dir", str(artifact), "--lookback", "2",
                      "--output-dir", str(tmp_path / "t")]) == 2
@@ -428,6 +446,14 @@ class TestArtifactChecks:
         assert code == 3
         assert str(scaling) in err and named in err
 
+    def test_unreadable_scaling_file_exits_3_naming_it(self, artifact, tmp_path, capsys):
+        scaling = artifact / "scaling.json"
+        scaling.unlink()
+        scaling.mkdir()
+        assert main(["train", "--data-dir", str(artifact), "--epochs", "1",
+                     "--output-dir", str(tmp_path / "t")]) == 3
+        assert str(scaling) in capsys.readouterr().err
+
     def test_dataset_not_utf8_exits_3_naming_file(self, artifact, tmp_path, capsys):
         dataset = artifact / "dataset.csv"
         dataset.write_bytes(dataset.read_bytes().replace(b"date", "d\u00e4te".encode("latin-1")))
@@ -578,6 +604,14 @@ class TestCompare:
                      "--output-dir", str(tmp_path / "c")]) == 2
         assert "'alpha'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["nan", "inf", "-2", "0"])
+    def test_q_not_finite_and_positive_exits_2(self, tmp_path, capsys, q):
+        scores = tmp_path / "scores.csv"
+        self.make_scores(scores)
+        assert main(["compare", "--scores", str(scores), "--q", q,
+                     "--output-dir", str(tmp_path / "c")]) == 2
+        assert "q must be" in capsys.readouterr().err
+
     def test_empty_csv_exits_3(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("", encoding="utf-8")
@@ -608,6 +642,11 @@ class TestBenchOpt:
         assert main(["bench-opt", "--dimension", dimension, "--population", "4",
                      "--iterations", "1", "--output-dir", str(tmp_path / "bo")]) == 2
         assert "dimension" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["bench-opt", "--seed", "-1", "--population", "4", "--iterations", "1",
+                     "--output-dir", str(tmp_path / "bo")]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_unknown_function_exits_2(self, tmp_path):
         import pytest as _pytest

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import friedman_loop, mae_loop, mse_loop, r_squared_loop, ranks_loop
-from swarmcast.errors import DataError, DegenerateVarianceError
+from swarmcast.errors import ConfigError, DataError, DegenerateVarianceError
 from swarmcast.evaluation import (
     compare_methods,
     friedman_statistic,
@@ -181,6 +181,11 @@ class TestNemenyi:
             nemenyi_cd(4, 10, alpha=0.01)
         # explicit q bypasses the table
         assert nemenyi_cd(11, 10, q=3.0) > 0
+
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), -2.0, 0.0])
+    def test_q_not_finite_and_positive_rejected(self, q):
+        with pytest.raises(ConfigError, match="q must be"):
+            nemenyi_cd(4, 10, q=q)
 
 
 class TestCompare:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import load_csv_rows
+from oracles import impute_missing_loop, load_csv_rows
 from swarmcast import timeseries
 from swarmcast.errors import (
     ConfigError,
@@ -265,6 +265,16 @@ class TestImpute:
         once = impute_missing(values)
         assert np.array_equal(impute_missing(once), once)
         assert not np.isnan(once).any()
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_the_loop_oracle_bit_for_bit(self, data):
+        present = st.floats(allow_nan=False, allow_infinity=False)
+        inner = data.draw(st.lists(st.one_of(present, st.just(math.nan)), max_size=60))
+        values = [data.draw(present), *inner, data.draw(present)]
+        with np.errstate(over="ignore"):  # near the float limit both overflow to inf alike
+            got = impute_missing(values)
+        assert got.tobytes() == np.array(impute_missing_loop(values)).tobytes()
 
 
 class TestScaling:
