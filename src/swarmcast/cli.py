@@ -21,10 +21,8 @@ divergence or a degenerate objective.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import json
 import math
 import os
 import platform
@@ -47,7 +45,7 @@ from .errors import (
 )
 from .benchmarks import BENCHMARKS
 from .evaluation import CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
-from .fileio import atomic_writer, read_json
+from .fileio import canonical_json, read_json, write_csv_rows, write_json
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
     WEIGHT_OPTIMIZERS,
@@ -150,22 +148,6 @@ OPTIONS = {
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def write_json(path: Path, obj) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(canonical_json(obj))
-
-
-def write_csv_rows(path: Path, header, rows) -> None:
-    with atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -314,6 +296,26 @@ def cmd_ingest(options, out_dir: Path):
     ]
 
 
+def _is_finite(value) -> bool:
+    """Whether a JSON value is a finite number (a bool is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < math.inf
+
+
+def _is_count(value) -> bool:
+    """Whether a JSON value is an integer >= 1 (a bool is not one)."""
+    return isinstance(value, int) and _is_finite(value) and value >= 1
+
+
+def _is_rate(value) -> bool:
+    """Whether a JSON value is a finite number > 0 (a bool is not one)."""
+    return _is_finite(value) and value > 0
+
+
+# each variable's scaling.json entry: key -> (check, what it wants)
+SCALING_ENTRY = dict.fromkeys(("minimum", "maximum"), (_is_finite, "a finite number")) | {
+    "degenerate": (lambda value: isinstance(value, bool), "true or false")}
+
+
 def read_artifact(data_dir, variable: str | None) -> dict:
     """Load one variable of an ingest artifact back into memory (scaled
     values): ``variable``, or the first column when it is None.
@@ -330,19 +332,26 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     for key in ("split_index", "variables"):
         if key not in meta:
             raise DataError(f"{scaling_path}: missing key {key!r}")
-    if not isinstance(meta["split_index"], int) or not isinstance(meta["variables"], dict):
-        raise DataError(f"{scaling_path}: 'split_index' must be an integer and "
+    cut = meta["split_index"]
+    if not _is_count(cut) or not isinstance(meta["variables"], dict):
+        raise DataError(f"{scaling_path}: 'split_index' must be an integer >= 1 and "
                         "'variables' an object")
     names = csv_variables(dataset_path)
     for name in names:
         entry = meta["variables"].get(name)
-        for key in ("minimum", "maximum", "degenerate"):
+        for key, (check, wanted) in SCALING_ENTRY.items():
             if not isinstance(entry, dict) or key not in entry:
                 raise DataError(f"{scaling_path}: missing key 'variables.{name}.{key}'")
+            if not check(entry[key]):
+                raise DataError(f"{scaling_path}: 'variables.{name}.{key}' must be {wanted},"
+                                f" got {entry[key]!r}")
     name = variable or names[0]
     if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
     dates, variables = load_csv(dataset_path, variable_columns={name: name})
+    if cut >= len(dates):
+        raise DataError(f"{scaling_path}: 'split_index' {cut} leaves no test rows"
+                        f" of {len(dates)}")
     entry = meta["variables"][name]
     return {
         "dates": dates,
@@ -355,16 +364,6 @@ def read_artifact(data_dir, variable: str | None) -> dict:
 
 
 # ------------------------------------------------------------------ tune
-
-def _is_count(value) -> bool:
-    """Whether a JSON value is an integer >= 1 (a bool is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _is_rate(value) -> bool:
-    """Whether a JSON value is a finite number > 0 (a bool is not one)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
-
 
 # the cell values cell_configs reads as numbers: dimension -> (check, what it wants)
 NUMERIC_DIMENSIONS = dict.fromkeys(
@@ -468,19 +467,26 @@ def cmd_tune(options, out_dir: Path):
 
 def _assignment_from_options(options) -> dict:
     path = options["from_tuning"]
-    if path:
-        best = read_json(path, "tuning report", DataError).get("best_assignment")
-        if not isinstance(best, dict):
-            raise DataError(f"{path}: missing key 'best_assignment'")
-        missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in best]
-        if missing:
-            raise DataError(f"{path}: 'best_assignment' lacks {', '.join(missing)}")
-        for key, (check, wanted) in NUMERIC_DIMENSIONS.items():
-            if key in best and not check(best[key]):
-                raise DataError(f"{path}: 'best_assignment.{key}' must be {wanted},"
-                                f" got {best[key]!r}")
-        return dict(best)
-    return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
+    if not path:
+        return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
+    report = read_json(path, "tuning report", DataError)
+    best = report.get("best_assignment")
+    if not isinstance(best, dict):
+        raise DataError(f"{path}: missing key 'best_assignment'")
+    missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in best]
+    if missing:
+        raise DataError(f"{path}: 'best_assignment' lacks {', '.join(missing)}")
+    for key, (check, wanted) in NUMERIC_DIMENSIONS.items():
+        if key in best and not check(best[key]):
+            raise DataError(f"{path}: 'best_assignment.{key}' must be {wanted},"
+                            f" got {best[key]!r}")
+    for key in ("lookback", "horizon"):
+        if key not in report:
+            raise DataError(f"{path}: missing key {key!r}")
+        if report[key] != options[key]:
+            raise ConfigError(f"{path} was tuned at {key} {report[key]!r}, but train runs"
+                              f" at {key} {options[key]}; pass {_flag(key)} {report[key]!r}")
+    return dict(best)
 
 
 def cmd_train(options, out_dir: Path):
@@ -507,8 +513,6 @@ def cmd_train(options, out_dir: Path):
 
 def cmd_forecast(options, out_dir: Path):
     steps = options["steps"]
-    if steps < 1:
-        raise ConfigError("steps must be at least 1")
     net = load_model(options["model"])
     artifact = read_artifact(options["data_dir"], options["variable"])
     name, series, params = artifact["name"], artifact["series"], artifact["scaling"]

@@ -1,5 +1,7 @@
 """Reading inputs and writing artifacts.
 
+Every JSON artifact goes through ``canonical_json`` (sorted keys, two-space
+indent, a final newline) and every CSV artifact through ``write_csv_rows``.
 An input problem is raised naming the file (and a CSV row's line). A
 command that fails halfway must not leave a half-written artifact next
 to the last good one: every artifact is written to a temporary file in
@@ -9,6 +11,7 @@ has finished.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
@@ -58,3 +61,19 @@ def atomic_writer(path, newline=None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, obj) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(canonical_json(obj))
+
+
+def write_csv_rows(path, header, rows) -> None:
+    with atomic_writer(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -19,14 +19,13 @@ float64, so save/load round-trips are bit-exact.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergedError
-from .fileio import atomic_writer, read_json
+from .fileio import read_json, write_json
 from .layers import (
     ACTIVATIONS,
     GATES,
@@ -164,14 +163,6 @@ class TrainedNetwork:
         """Per-gate views of ``weights``; writing to them changes the network."""
         return self.weights.named()
 
-    def with_params(self, params: dict[str, np.ndarray]) -> "TrainedNetwork":
-        """A copy whose weights take the given per-gate arrays."""
-        weights = _FlatParams(self.config, self.lookback, self.weights.buf.copy())
-        views = weights.named()
-        for key, value in params.items():
-            views[key][...] = value
-        return replace(self, weights=weights)
-
 
 def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
     """Seeded weight init: Glorot-style uniform for conv and dense,
@@ -259,18 +250,6 @@ def network_forward(x, net: TrainedNetwork) -> np.ndarray:
     """Run one lookback window through the network; returns (horizon,)."""
     output, _ = _forward(net.weights, _window_cols(net, x), net.config)
     return output
-
-
-def compute_gradients(net: TrainedNetwork, x, target) -> dict[str, np.ndarray]:
-    """Exact gradients of the MSE between ``network_forward(x)`` and target,
-    for every weight and bias (keys as in ``TrainedNetwork.params``)."""
-    cfg = net.config
-    target = np.asarray(target, dtype=float).reshape(-1)
-    if target.shape != (cfg.horizon,):
-        raise DataError(f"target must have {cfg.horizon} entries, got {target.shape}")
-    grads = _FlatParams(cfg, net.lookback)
-    _gradients(net.weights, grads, _window_cols(net, x), target, cfg)
-    return grads.named()
 
 
 class _Adam:
@@ -471,9 +450,7 @@ def model_from_dict(doc: dict, source: str = "model") -> TrainedNetwork:
 
 
 def save_model(net: TrainedNetwork, path) -> None:
-    with atomic_writer(path) as fh:
-        json.dump(model_to_dict(net), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(net))
 
 
 def load_model(path) -> TrainedNetwork:

@@ -116,6 +116,7 @@ def finite_difference_grads(net, x, target, eps=1e-5):
     parameter of ``net``; only the forward pass is used."""
     import numpy as np
 
+    from fused import with_params
     from swarmcast.network import network_forward
 
     def loss_for(candidate):
@@ -132,9 +133,9 @@ def finite_difference_grads(net, x, target, eps=1e-5):
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + eps
-            hi = loss_for(net.with_params(params))
+            hi = loss_for(with_params(net, params))
             flat[i] = original - eps
-            lo = loss_for(net.with_params(params))
+            lo = loss_for(with_params(net, params))
             flat[i] = original
             grad_flat[i] = (hi - lo) / (2.0 * eps)
         grads[key] = grad

@@ -3,7 +3,8 @@ single pass/fail line with the measured value.
 
 Run with timings visible:  pytest tests/test_acceptance.py -v -s
 The end-to-end forecasting gate (criterion 7) trains real networks and
-takes several minutes; everything else finishes in seconds.
+takes several minutes; everything else finishes in seconds. It is marked
+``slow``, so ``pytest -m "not slow"`` leaves it out.
 """
 
 import math
@@ -14,8 +15,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from fused import lstm_step_fused
+from fused import compute_gradients, lstm_step_fused
 from oracles import finite_difference_grads, friedman_loop, lstm_step_scalar, max_relative_error
 from swarmcast.benchmarks import rastrigin, sphere
 from swarmcast.cli import VOLATILE_FILES
@@ -25,7 +27,6 @@ from swarmcast.metaheuristics import OptimizerParams, SearchBounds, rs_gwo_woa
 from swarmcast.network import (
     NetworkConfig,
     TrainingConfig,
-    compute_gradients,
     initialize_network,
     persistence_predictions,
     predict_windows,
@@ -206,6 +207,7 @@ def _tuned_vs_persistence(seed, lookback=7):
     return model_mse, naive_mse
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_beats_persistence():
     started = time.perf_counter()
     wins = 0

@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmcast import cli
-from swarmcast import network as network_module
+from swarmcast import cli, fileio
 from swarmcast.cli import main
 from swarmcast.network import (
     NetworkConfig,
@@ -345,10 +344,14 @@ class TestTrainForecast:
                      "--data-dir", str(artifact), "--steps", "2",
                      "--output-dir", str(tmp_path / "x")]) == 3
 
-    def test_bad_steps_exits_2(self, artifact, tmp_path):
-        assert main(["forecast", "--model", str(tmp_path / "nope.json"),
+    def test_bad_steps_exits_2(self, artifact, tmp_path, capsys):
+        # a readable model: the one steps check is iterative_forecast's
+        model = tmp_path / "model.json"
+        save_model(initialize_network(NetworkConfig(n_filters=2, lstm_units=3), 7), model)
+        assert main(["forecast", "--model", str(model),
                      "--data-dir", str(artifact), "--steps", "0",
                      "--output-dir", str(tmp_path / "x")]) == 2
+        assert "steps must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_exits_4(self, artifact, tmp_path):
@@ -446,6 +449,42 @@ class TestArtifactChecks:
         assert code == 3
         assert str(scaling) in err and named in err
 
+    @staticmethod
+    def train_after(artifact, tmp_path, capsys, edit):
+        """``train``'s exit code and stderr once ``edit`` changed scaling.json."""
+        scaling = artifact / "scaling.json"
+        doc = json.loads(scaling.read_text(encoding="utf-8"))
+        edit(doc)
+        scaling.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["train", "--data-dir", str(artifact), "--epochs", "1", "--n-filters", "2",
+                     "--lstm-units", "2", "--output-dir", str(tmp_path / "t")])
+        return code, capsys.readouterr().err
+
+    # the split must leave rows on both sides; a bool is not an integer
+    @pytest.mark.parametrize("value", [-5, 0, "n_rows", 1_000_000, True],
+                             ids=["negative", "zero", "row-count", "million", "true"])
+    def test_split_index_out_of_range_exits_3_naming_it(self, artifact, tmp_path, capsys,
+                                                        value):
+        def edit(doc):
+            doc["split_index"] = doc["n_rows"] if value == "n_rows" else value
+
+        code, err = self.train_after(artifact, tmp_path, capsys, edit)
+        assert code == 3
+        assert str(artifact / "scaling.json") in err and "'split_index'" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("minimum", "0"), ("minimum", None), ("maximum", True), ("maximum", math.nan),
+        ("degenerate", "no"), ("degenerate", 0),
+    ])
+    def test_mistyped_scaling_entry_exits_3_naming_it(self, artifact, tmp_path, capsys,
+                                                      key, value):
+        def edit(doc):
+            doc["variables"]["confirmed"][key] = value
+
+        code, err = self.train_after(artifact, tmp_path, capsys, edit)
+        assert code == 3
+        assert str(artifact / "scaling.json") in err and f"'variables.confirmed.{key}'" in err
+
     def test_unreadable_scaling_file_exits_3_naming_it(self, artifact, tmp_path, capsys):
         scaling = artifact / "scaling.json"
         scaling.unlink()
@@ -516,9 +555,9 @@ def _drop(text, *path):
 
 
 class TestTrainFromTuning:
-    def train(self, artifact, tmp_path, report):
+    def train(self, artifact, tmp_path, report, *flags):
         return main(["train", "--data-dir", str(artifact), "--from-tuning", str(report),
-                     "--epochs", "1", "--output-dir", str(tmp_path / "t")])
+                     "--epochs", "1", "--output-dir", str(tmp_path / "t"), *flags])
 
     def test_report_not_json_exits_3_naming_file(self, artifact, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -529,7 +568,9 @@ class TestTrainFromTuning:
     @pytest.mark.parametrize("doc, named", [
         ({"best_loss": 0.1}, "best_assignment"),
         ({"best_assignment": {"n_filters": 2, "kernel_size": 3, "pool_size": 2}}, "lstm_units"),
-    ], ids=["no-best-assignment", "no-lstm-units"])
+        ({"best_assignment": {"n_filters": 2, "kernel_size": 3, "pool_size": 2, "lstm_units": 3},
+          "horizon": 1}, "'lookback'"),
+    ], ids=["no-best-assignment", "no-lstm-units", "no-lookback"])
     def test_report_missing_key_exits_3_naming_it(self, artifact, tmp_path, capsys, doc, named):
         report = tmp_path / "report.json"
         report.write_text(json.dumps(doc), encoding="utf-8")
@@ -552,6 +593,41 @@ class TestTrainFromTuning:
         assert self.train(artifact, tmp_path, report) == 3
         err = capsys.readouterr().err
         assert str(report) in err and key in err
+
+    @pytest.fixture()
+    def tuned(self, artifact, tmp_path):
+        """A surrogate tune at the given options, over kernels that fit lookbacks 7 to 14."""
+        cfg = tmp_path / "space.json"
+        cfg.write_text(json.dumps({"space": {
+            "n_filters": [2], "kernel_size": [2, 3], "pool_size": [2], "lstm_units": [2],
+        }}), encoding="utf-8")
+
+        def tune(*flags):
+            out = tmp_path / "tune"
+            assert main(["tune", "--config", str(cfg), "--data-dir", str(artifact),
+                         "--surrogate", "hash", "--population", "4", "--iterations", "1",
+                         "--output-dir", str(out), *flags]) == 0
+            return out / "report.json"
+
+        return tune
+
+    @pytest.mark.parametrize("tuned_at, trained_at, named", [
+        (["--lookback", "14", "--horizon", "2"], [], ("lookback 14", "lookback 7")),
+        (["--horizon", "2"], [], ("horizon 2", "horizon 1")),
+        (["--lookback", "14"], ["--lookback", "8"], ("lookback 14", "lookback 8")),
+    ], ids=["both", "horizon", "lookback"])
+    def test_lookback_or_horizon_unlike_the_reports_exits_2_naming_both(
+        self, artifact, tmp_path, capsys, tuned, tuned_at, trained_at, named
+    ):
+        report = tuned(*tuned_at)
+        capsys.readouterr()
+        assert self.train(artifact, tmp_path, report, *trained_at) == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and all(value in err for value in named)
+
+    def test_lookback_and_horizon_like_the_reports_train(self, artifact, tmp_path, tuned):
+        report = tuned("--lookback", "14", "--horizon", "2")
+        assert self.train(artifact, tmp_path, report, "--lookback", "14", "--horizon", "2") == 0
 
 
 class TestCompare:
@@ -854,18 +930,18 @@ class TestAtomicWrites:
 
     def test_write_json(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"
-        cli.write_json(path, {"a": 1})
+        fileio.write_json(path, {"a": 1})
         before = path.read_bytes()
 
         # a lone surrogate cannot be encoded, so the write fails after it began
-        monkeypatch.setattr(cli, "canonical_json", lambda obj: '{"a": 2, "b": "\ud800"}\n')
+        monkeypatch.setattr(fileio, "canonical_json", lambda obj: '{"a": 2, "b": "\ud800"}\n')
         with pytest.raises(UnicodeEncodeError):
-            cli.write_json(path, {"a": 2})
+            fileio.write_json(path, {"a": 2})
         self.assert_untouched(path, before)
 
     def test_write_csv_rows(self, tmp_path):
         path = tmp_path / "rows.csv"
-        cli.write_csv_rows(path, ["x"], [[1], [2]])
+        fileio.write_csv_rows(path, ["x"], [[1], [2]])
         before = path.read_bytes()
 
         def rows():
@@ -873,7 +949,7 @@ class TestAtomicWrites:
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError):
-            cli.write_csv_rows(path, ["x"], rows())
+            fileio.write_csv_rows(path, ["x"], rows())
         self.assert_untouched(path, before)
 
     def test_save_model(self, tmp_path, monkeypatch):
@@ -882,11 +958,11 @@ class TestAtomicWrites:
         save_model(net, path)
         before = path.read_bytes()
 
-        def half_dump(doc, fh, **kwargs):
-            fh.write('{"config": ')
+        # the model goes through the one JSON serializer, which fails here
+        def failing(obj):
             raise RuntimeError("serializer failed")
 
-        monkeypatch.setattr(network_module.json, "dump", half_dump)
+        monkeypatch.setattr(fileio, "canonical_json", failing)
         with pytest.raises(RuntimeError):
             save_model(net, path)
         self.assert_untouched(path, before)

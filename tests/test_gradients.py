@@ -7,6 +7,7 @@ faster always-on guard plus the hand-derived special cases.
 import numpy as np
 import pytest
 
+from fused import compute_gradients, with_params
 from oracles import (
     conv1d_loop,
     finite_difference_grads,
@@ -17,7 +18,6 @@ from oracles import (
 from swarmcast.layers import GATES
 from swarmcast.network import (
     NetworkConfig,
-    compute_gradients,
     initialize_network,
     network_forward,
 )
@@ -167,7 +167,7 @@ def test_fused_gradients_match_unfused_reference(config, lookback):
     for seed in range(3):
         rng = np.random.default_rng(100 + seed)
         net = initialize_network(NetworkConfig(seed=seed, **config), lookback)
-        net = net.with_params({  # nonzero biases exercise every bias path
+        net = with_params(net, {  # nonzero biases exercise every bias path
             key: value + rng.normal(scale=0.3, size=value.shape) if key.endswith("_b") else value
             for key, value in net.params().items()
         })

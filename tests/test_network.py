@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fused import with_params
 from oracles import conv1d_loop, lstm_step_scalar, maxpool1d_loop
 from swarmcast.errors import ConfigError, DataError, DivergedError
 from swarmcast.layers import GATES, conv_output_size
@@ -85,9 +86,9 @@ class TestConfigs:
 class TestForward:
     def test_zero_weights_output_equals_dense_bias(self):
         net = initialize_network(tiny_config(horizon=2), lookback=6)
-        zeroed = net.with_params({k: np.zeros_like(v) for k, v in net.params().items()})
+        zeroed = with_params(net, {k: np.zeros_like(v) for k, v in net.params().items()})
         bias = np.array([0.25, -1.5])
-        zeroed = zeroed.with_params({**zeroed.params(), "dense_b": bias})
+        zeroed = with_params(zeroed, {**zeroed.params(), "dense_b": bias})
         out = network_forward(np.random.default_rng(0).normal(size=(6, 1)), zeroed)
         assert np.array_equal(out, bias)
 
@@ -208,7 +209,7 @@ class TestTrain:
         # gate pre-activations near +-1000 would overflow a naive exp(-x)
         net = initialize_network(tiny_config(seed=21), 6)
         biases = {f"{gate}_b": np.full(4, sign * 1e3) for gate, sign in zip(GATES, (1, -1, 1, -1))}
-        net = net.with_params({**net.params(), **biases})
+        net = with_params(net, {**net.params(), **biases})
         trained = train(net, constant_samples(n=3), TrainingConfig(epochs=3, seed=21))
         assert np.all(np.isfinite(trained.loss_history))
 
@@ -373,7 +374,7 @@ class TestSerialization:
         views = net.params()
         assert all(np.shares_memory(v, net.weights.buf) for v in views.values())
         assert sum(v.size for v in views.values()) == net.weights.buf.size
-        changed = net.with_params({"dense_b": np.array([2.0])})
+        changed = with_params(net, {"dense_b": np.array([2.0])})
         assert changed.params()["dense_b"][0] == 2.0
         assert net.params()["dense_b"][0] == 0.0
 
