@@ -44,7 +44,7 @@ from .errors import (
     SwarmcastError,
 )
 from .benchmarks import BENCHMARKS
-from .evaluation import CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
+from .evaluation import ALPHA, CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
 from .fileio import canonical_json, read_json, write_csv_rows, write_json
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
@@ -77,6 +77,7 @@ from .tuning import (
     EXTENDED_SPACE,
     FITNESS_EPOCHS,
     LOOKBACK,
+    VAL_FRACTION,
     HyperparamSpace,
     cell_configs,
     tune_series,
@@ -345,6 +346,9 @@ def read_artifact(data_dir, variable: str | None) -> dict:
             if not check(entry[key]):
                 raise DataError(f"{scaling_path}: 'variables.{name}.{key}' must be {wanted},"
                                 f" got {entry[key]!r}")
+        if entry["maximum"] < entry["minimum"]:
+            raise DataError(f"{scaling_path}: 'variables.{name}' has maximum {entry['maximum']!r}"
+                            f" below minimum {entry['minimum']!r}")
     name = variable or names[0]
     if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
@@ -391,11 +395,13 @@ def _resolve_space(options) -> HyperparamSpace:
     for name, values in override.items():
         if not isinstance(values, list):
             raise ConfigError(f"config 'space' dimension {name!r} must be a list, got {values!r}")
-        if name in NUMERIC_DIMENSIONS:
-            check, wanted = NUMERIC_DIMENSIONS[name]
-            if not all(map(check, values)):
-                raise ConfigError(f"config 'space' dimension {name!r}: each candidate"
-                                  f" must be {wanted}, got {values!r}")
+        if name not in NUMERIC_DIMENSIONS:
+            raise ConfigError(f"config 'space' has unknown dimension {name!r};"
+                              f" pick from {list(NUMERIC_DIMENSIONS)}")
+        check, wanted = NUMERIC_DIMENSIONS[name]
+        if not all(map(check, values)):
+            raise ConfigError(f"config 'space' dimension {name!r}: each candidate"
+                              f" must be {wanted}, got {values!r}")
     return HyperparamSpace(
         tuple((name, tuple(values)) for name, values in override.items())
     )
@@ -656,7 +662,7 @@ COMMANDS = {
     "tune": Command(cmd_tune, "search hyperparameters for one variable", {
         "data_dir": None, "variable": None,
         "algorithm": "rs-gwo-woa", "population": 10, "iterations": 10, "seed": 0,
-        "lookback": LOOKBACK, "val_fraction": 0.2, "fitness_epochs": FITNESS_EPOCHS,
+        "lookback": LOOKBACK, "val_fraction": VAL_FRACTION, "fitness_epochs": FITNESS_EPOCHS,
         "surrogate": None, "extended_space": False, "space": None, "evaluation_budget": None,
     } | RECIPE_DEFAULTS | OUTPUT_DEFAULTS, required=("data_dir",)),
     "train": Command(cmd_train, "train the final model at full epochs", {
@@ -671,11 +677,12 @@ COMMANDS = {
         "data_dir": None, "model": None, "variable": None,
     } | OUTPUT_DEFAULTS, required=("model", "data_dir")),
     "compare": Command(cmd_compare, "Friedman + critical-difference comparison", {
-        "scores": None, "alpha": 0.05, "q": None,
+        "scores": None, "alpha": ALPHA, "q": None,
     } | OUTPUT_DEFAULTS, required=("scores",)),
     "bench-opt": Command(cmd_bench_opt, "run an optimizer on a benchmark function", {
         "function": "sphere", "algorithm": "rs-gwo-woa", "dimension": 5,
-        "population": 30, "iterations": 200, "seed": 0,
+        "population": OptimizerParams.population_size,
+        "iterations": OptimizerParams.max_iterations, "seed": 0,
     } | OUTPUT_DEFAULTS),
 }
 

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigError, DataError, DegenerateVarianceError
 from .fileio import numbered_rows
 
+# significance level of the Friedman test and the Nemenyi post hoc, unless a run sets its own
+ALPHA = 0.05
+
 # Studentized range over sqrt(2) at infinite degrees of freedom, the usual
 # Nemenyi table for k = 2..10 methods.
 NEMENYI_Q = {
@@ -127,7 +130,7 @@ class FriedmanResult:
     degrees_of_freedom: int
 
 
-def friedman_statistic(rank_matrix: RankMatrix, alpha: float = 0.05) -> FriedmanResult:
+def friedman_statistic(rank_matrix: RankMatrix, alpha: float = ALPHA) -> FriedmanResult:
     """Friedman chi-square over rank sums.
 
     statistic = 12 / (n k (k+1)) * sum_i R_i^2 - 3 n (k+1), with R_i the
@@ -152,7 +155,7 @@ def friedman_statistic(rank_matrix: RankMatrix, alpha: float = 0.05) -> Friedman
     )
 
 
-def nemenyi_cd(k: int, n: int, alpha: float = 0.05, q: float | None = None) -> float:
+def nemenyi_cd(k: int, n: int, alpha: float = ALPHA, q: float | None = None) -> float:
     """Critical difference q_alpha * sqrt(k (k+1) / (6 N)).
 
     ``q``, a finite number > 0, overrides the embedded table, which
@@ -194,7 +197,7 @@ class ComparisonResult:
 
 
 def compare_methods(
-    scores, methods=None, tests=None, alpha: float = 0.05, q: float | None = None
+    scores, methods=None, tests=None, alpha: float = ALPHA, q: float | None = None
 ) -> ComparisonResult:
     """Rank, test and post-hoc compare methods on a loss matrix.
 
@@ -225,7 +228,8 @@ def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a score matrix: first column test name, one column per method.
 
     Returns (test names, method names, N x k matrix). An error names the
-    line its row starts on; blank lines are skipped.
+    line its row starts on; blank lines are skipped. ``inf`` is a valid
+    (worst) loss, NaN is not.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -244,7 +248,11 @@ def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
             raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
         tests.append(row[0].strip())
         try:
-            values.append([float(c) for c in row[1:]])
+            scores = [float(c) for c in row[1:]]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric score") from exc
+        for method, score in zip(methods, scores):
+            if math.isnan(score):
+                raise DataError(f"{path}:{lineno}: score of {method!r} is NaN")
+        values.append(scores)
     return tests, methods, np.asarray(values, dtype=float)

@@ -11,11 +11,11 @@ determines the trajectory.
 An objective scores a whole population per call: it maps an ``(n, d)``
 matrix of positions to ``n`` fitness values, one per row.
 
-Leaders (alpha, beta, delta) are re-ranked every iteration as the three
-best agents of the current population; the whale branch encircles alpha,
-so both strategies share one best-solution notion, while the returned
-optimum is the best position ever evaluated. NaN fitnesses are treated
-as +inf and can never lead the pack.
+Leaders (alpha, beta, delta) are re-ranked every iteration as the
+``(3, d)`` matrix of the three best rows of the current population; the
+whale branch encircles alpha, so both strategies share one best-solution
+notion, while the returned optimum is the best position ever evaluated.
+NaN fitnesses are treated as +inf and can never lead the pack.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ class SearchBounds:
 
 
 @dataclass(frozen=True)
-class Agent:
-    """A candidate solution and its (lower-is-better) fitness."""
-
-    position: np.ndarray
-    fitness: float
-
-
-@dataclass(frozen=True)
 class OptimizerParams:
     population_size: int = 30
     max_iterations: int = 200
@@ -111,44 +103,33 @@ def _evaluate(objective, positions: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(fitness), math.inf, fitness)
 
 
-def _rank_leaders(positions, fitness) -> tuple[Agent, Agent, Agent]:
-    """The three best distinct agents of the current population, by fitness."""
-    order = np.argsort(fitness, kind="stable")
-    return tuple(
-        Agent(position=positions[i].copy(), fitness=float(fitness[i]))
-        for i in order[:3]
-    )
-
-
 def gwo_step(positions, leaders, a: float, rng, bounds: SearchBounds) -> np.ndarray:
-    """Wolf-pack position update toward alpha, beta and delta.
+    """Wolf-pack position update toward the ``(3, d)`` leaders alpha, beta, delta.
 
     For each leader: A = 2 a r1 - a and C = 2 r2 with fresh random
     vectors per agent, D = |C * X_leader - X|, candidate = X_leader - A * D;
-    the new position is the mean of the three candidates, clamped.
+    the new position is the mean of the three candidates, clamped. One
+    draw holds r1 then r2 for alpha, then for beta, then for delta.
     """
     positions = np.asarray(positions, dtype=float)
     if len(positions) < 4:
         raise ConfigError("grey wolf update needs a population of at least 4")
-    pop, dim = positions.shape
-    total = np.zeros_like(positions)
-    for leader in leaders:
-        r1 = rng.random((pop, dim))
-        r2 = rng.random((pop, dim))
-        coeff_a = 2.0 * a * r1 - a
-        coeff_c = 2.0 * r2
-        dist = np.abs(coeff_c * leader.position - positions)
-        total += leader.position - coeff_a * dist
-    return clamp_to_bounds(total / 3.0, bounds)
+    draws = rng.random((3, 2) + positions.shape)
+    r1, r2 = draws[:, 0], draws[:, 1]
+    leaders = np.asarray(leaders, dtype=float)[:, None, :]
+    coeff_a = 2.0 * a * r1 - a
+    dist = np.abs(2.0 * r2 * leaders - positions)
+    return clamp_to_bounds((leaders - coeff_a * dist).sum(axis=0) / 3.0, bounds)
 
 
-def woa_step(positions, best: Agent, a: float, rng, bounds: SearchBounds) -> np.ndarray:
+def woa_step(positions, best, a: float, rng, bounds: SearchBounds) -> np.ndarray:
     """Whale update: encircle the best, spiral toward it, or chase a random peer.
 
     Per agent, p decides spiral (p >= 0.5) versus encircling; within
     encircling |A| >= 1 switches to exploration around a random *other*
     agent. A and C are scalar per agent so the single |A| test drives the
     whole move; l is uniform on [-1, 1] and the spiral constant b is 1.
+    ``best`` is the ``(d,)`` position of alpha.
     """
     positions = np.asarray(positions, dtype=float)
     pop, _ = positions.shape
@@ -165,14 +146,14 @@ def woa_step(positions, best: Agent, a: float, rng, bounds: SearchBounds) -> np.
 
     spiral = p >= 0.5
     if spiral.any():
-        dist = np.abs(best.position - positions[spiral])
+        dist = np.abs(best - positions[spiral])
         swirl = np.exp(spiral_l[spiral]) * np.cos(2.0 * np.pi * spiral_l[spiral])
-        new_positions[spiral] = dist * swirl[:, None] + best.position
+        new_positions[spiral] = dist * swirl[:, None] + best
 
     encircle = ~spiral & (np.abs(coeff_a) < 1.0)
     if encircle.any():
-        dist = np.abs(coeff_c[encircle, None] * best.position - positions[encircle])
-        new_positions[encircle] = best.position - coeff_a[encircle, None] * dist
+        dist = np.abs(coeff_c[encircle, None] * best - positions[encircle])
+        new_positions[encircle] = best - coeff_a[encircle, None] * dist
 
     explore = ~spiral & ~encircle
     if explore.any():
@@ -183,36 +164,25 @@ def woa_step(positions, best: Agent, a: float, rng, bounds: SearchBounds) -> np.
     return clamp_to_bounds(new_positions, bounds)
 
 
-def _drive(
-    objective,
-    bounds: SearchBounds,
-    params: OptimizerParams,
-    step,
-    init_population=None,
-    callback=None,
-):
+def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callback=None):
     """The population loop every optimizer runs.
 
-    The initial population is given, or drawn as the generator's first
-    numbers. Each iteration ``step(positions, fitness, leaders, a, rng,
-    bounds)`` returns ``(branch, positions)``, the next population, with
-    ``a`` decaying linearly from 2 towards 0; the driver scores it with
-    one objective call, re-ranks the leaders and counts the iteration
-    under its branch. Returns the best position ever evaluated, its
-    fitness and the trace.
+    The initial population is the generator's first numbers. Each
+    iteration ``step(positions, fitness, leaders, a, rng, bounds)``
+    returns ``(branch, positions)``, the next population, with ``a``
+    decaying linearly from 2 towards 0; the loop scores it with one
+    objective call, re-ranks the leaders (the ``(3, d)`` best rows) and
+    counts the iteration under its branch. Returns the best position
+    ever evaluated, its fitness and the trace.
     """
     rng = np.random.default_rng(params.seed)
-    pop, dim = params.population_size, bounds.dimension
-    if init_population is not None:
-        positions = clamp_to_bounds(np.asarray(init_population, dtype=float), bounds)
-        if positions.shape != (pop, dim):
-            raise ConfigError(f"init population must have shape {(pop, dim)}")
-    else:
-        positions = rng.uniform(bounds.lower, bounds.upper, size=(pop, dim))
+    pop = params.population_size
+    positions = rng.uniform(bounds.lower, bounds.upper, size=(pop, bounds.dimension))
     fitness = _evaluate(objective, positions)
     trace = OptimizationTrace(evaluations=pop)
-    leaders = _rank_leaders(positions, fitness)
-    best = leaders[0]
+    order = np.argsort(fitness, kind="stable")
+    leaders = positions[order[:3]]
+    best, best_fitness = leaders[0], float(fitness[order[0]])
 
     for t in range(params.max_iterations):
         a = 2.0 * (1.0 - t / params.max_iterations)
@@ -223,16 +193,17 @@ def _drive(
             trace.woa_iterations += 1
         fitness = _evaluate(objective, positions)
         trace.evaluations += pop
-        leaders = _rank_leaders(positions, fitness)
-        if leaders[0].fitness < best.fitness:
-            best = leaders[0]
-        trace.best_fitness_per_iteration.append(best.fitness)
+        order = np.argsort(fitness, kind="stable")
+        leaders = positions[order[:3]]
+        if fitness[order[0]] < best_fitness:
+            best, best_fitness = leaders[0], float(fitness[order[0]])
+        trace.best_fitness_per_iteration.append(best_fitness)
         if callback is not None:
             callback(t, branch, positions, fitness, leaders)
 
-    if math.isinf(best.fitness):
+    if math.isinf(best_fitness):
         raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
-    return best.position.copy(), best.fitness, trace
+    return best.copy(), best_fitness, trace
 
 
 def _gwo_move(positions, fitness, leaders, a, rng, bounds):
@@ -248,20 +219,20 @@ def _rs_move(positions, fitness, leaders, a, rng, bounds):
     return move(positions, fitness, leaders, a, rng, bounds)
 
 
-def rs_gwo_woa(objective, bounds, params, init_population=None, callback=None):
+def rs_gwo_woa(objective, bounds, params, callback=None):
     """Random switcher: a fair coin per iteration picks the whale or wolf
     branch for the whole population; one shared a-schedule decays 2 -> 0."""
-    return _drive(objective, bounds, params, _rs_move, init_population, callback)
+    return _drive(objective, bounds, params, _rs_move, callback)
 
 
-def gwo_optimize(objective, bounds, params, init_population=None, callback=None):
+def gwo_optimize(objective, bounds, params, callback=None):
     """Plain grey-wolf driver (the random switcher pinned to its wolf branch)."""
-    return _drive(objective, bounds, params, _gwo_move, init_population, callback)
+    return _drive(objective, bounds, params, _gwo_move, callback)
 
 
-def woa_optimize(objective, bounds, params, init_population=None, callback=None):
+def woa_optimize(objective, bounds, params, callback=None):
     """Plain whale driver (the random switcher pinned to its whale branch)."""
-    return _drive(objective, bounds, params, _woa_move, init_population, callback)
+    return _drive(objective, bounds, params, _woa_move, callback)
 
 
 def uniform_crossover(parent1, parent2, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +256,7 @@ def _ga_step(positions, fitness, leaders, a, rng, bounds):
     """One GA generation, drawn as whole arrays: every tournament for the
     ``pop // 2`` couples at once, one crossover of the stacked parents and
     one mutation of the ``pop - 1`` children, interleaved child1, child2
-    per couple. The elite (alpha) is row 0. Every row is a parent gene or
+    per couple. The elite (alpha, ``leaders[:1]``) is row 0. Every row is a parent gene or
     a fresh draw inside the box, so no clamp is needed."""
     pop = len(positions)
     couples = pop // 2
@@ -298,14 +269,14 @@ def _ga_step(positions, fitness, leaders, a, rng, bounds):
     )
     children = np.stack((child1, child2), axis=1).reshape(2 * couples, -1)[: pop - 1]
     children = uniform_mutation(children, GA_MUTATION_RATE, bounds, rng)
-    return "ga", np.concatenate((leaders[0].position[None], children))
+    return "ga", np.concatenate((leaders[:1], children))
 
 
-def ga_optimize(objective, bounds, params, init_population=None, callback=None):
+def ga_optimize(objective, bounds, params, callback=None):
     """Generational GA baseline: size-2 tournaments, uniform crossover and
     mutation at ``GA_CROSSOVER_RATE`` and ``GA_MUTATION_RATE``, elitism of
     one (see ``_ga_step``)."""
-    return _drive(objective, bounds, params, _ga_step, init_population, callback)
+    return _drive(objective, bounds, params, _ga_step, callback)
 
 
 OPTIMIZERS = {

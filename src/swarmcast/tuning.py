@@ -36,6 +36,8 @@ from .timeseries import WindowedSamples, make_windows, split_index, split_window
 FITNESS_EPOCHS = 20
 # input window length in days, unless a run sets its own
 LOOKBACK = 7
+# share of the training series held out to score each cell, unless a run sets its own
+VAL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def fitness(
 
 
 def inner_validation_split(
-    series, lookback: int, horizon: int, val_fraction: float = 0.2
+    series, lookback: int, horizon: int, val_fraction: float = VAL_FRACTION
 ) -> tuple[WindowedSamples, WindowedSamples]:
     """Chronological window split of the series at ``1 - val_fraction``
     (see ``split_windows``); both sides must be non-empty."""
@@ -260,23 +262,20 @@ def tune(
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
     if evaluation_budget is not None and evaluation_budget < 1:
         raise ConfigError("evaluation_budget must be positive")
-    cache: dict[tuple, float] = {}  # grid indices -> loss
-    records: list[EvaluationRecord] = []
+    log: dict[tuple, EvaluationRecord] = {}  # grid indices -> record, in evaluation order
     hits = 0
 
     def evaluate_cell(indices):
         nonlocal hits
-        if indices in cache:
+        if indices in log:
             hits += 1
-            return cache[indices]
-        if len(records) == evaluation_budget:
+            return log[indices].loss
+        if len(log) == evaluation_budget:
             return math.inf  # spent: an unvisited cell can never win
         cell = space.cell(indices)
         started = time.perf_counter()
         loss = float(evaluate(cell))
-        elapsed = time.perf_counter() - started
-        cache[indices] = loss
-        records.append(EvaluationRecord(cell, loss, elapsed))
+        log[indices] = EvaluationRecord(cell, loss, time.perf_counter() - started)
         return loss
 
     def objective(positions):
@@ -289,9 +288,9 @@ def tune(
 
     if evaluation_budget is not None:
         for indices in _grid(space):
-            if len(records) >= evaluation_budget:
+            if len(log) >= evaluation_budget:
                 break
-            if indices in cache:
+            if indices in log:
                 continue
             loss = evaluate_cell(indices)
             if loss < best_loss:
@@ -301,10 +300,10 @@ def tune(
         algorithm=algorithm,
         best_assignment=best_assignment,
         best_loss=best_loss,
-        records=records,
+        records=list(log.values()),
         trace=trace,
         cache_hits=hits,
-        cache_misses=len(records),
+        cache_misses=len(log),
     )
 
 
@@ -317,7 +316,7 @@ def tune_series(
     network: NetworkConfig = NetworkConfig(),
     training: TrainingConfig = TrainingConfig(epochs=FITNESS_EPOCHS),
     lookback: int = LOOKBACK,
-    val_fraction: float = 0.2,
+    val_fraction: float = VAL_FRACTION,
     global_seed: int = 0,
     surrogate: str | None = None,
     evaluation_budget: int | None = None,

@@ -1,10 +1,13 @@
 """Independent reference implementations used to check the package.
 
-Everything here is written with plain Python loops and ``math`` so it
-shares no code path with the vectorised implementations under test.
+Everything here is written with plain Python loops, over scalars with
+``math`` or over one row at a time with numpy, so it shares no code path
+with the vectorised implementations under test.
 """
 
 import math
+
+import numpy as np
 
 
 def sigmoid_scalar(v):
@@ -237,3 +240,20 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
     matrix[[(day - first).days for day in parsed]] = list(parsed.values())
     dates = tuple(first + timedelta(days=i) for i in range(span))
     return dates, dict(zip(variable_columns, matrix.T))
+
+
+def gwo_step_loop(positions, leaders, a, rng, bounds):
+    """Grey-wolf update with one pass per leader, drawing r1 then r2 for
+    alpha, then for beta, then for delta, and summing the candidates in
+    that order; the vectorised ``gwo_step`` must match it byte for byte."""
+    positions = np.asarray(positions, dtype=float)
+    pop, dim = positions.shape
+    total = np.zeros_like(positions)
+    for leader in leaders:
+        r1 = rng.random((pop, dim))
+        r2 = rng.random((pop, dim))
+        coeff_a = 2.0 * a * r1 - a
+        coeff_c = 2.0 * r2
+        dist = np.abs(coeff_c * leader - positions)
+        total += leader - coeff_a * dist
+    return np.clip(total / 3.0, bounds.lower, bounds.upper)

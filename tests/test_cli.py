@@ -485,6 +485,15 @@ class TestArtifactChecks:
         assert code == 3
         assert str(artifact / "scaling.json") in err and f"'variables.confirmed.{key}'" in err
 
+    def test_maximum_below_minimum_exits_3_naming_variable(self, artifact, tmp_path, capsys):
+        def edit(doc):
+            doc["variables"]["confirmed"]["maximum"] = -1.0
+
+        code, err = self.train_after(artifact, tmp_path, capsys, edit)
+        assert code == 3
+        assert str(artifact / "scaling.json") in err and "'variables.confirmed'" in err
+        assert "maximum -1.0 below minimum" in err
+
     def test_unreadable_scaling_file_exits_3_naming_it(self, artifact, tmp_path, capsys):
         scaling = artifact / "scaling.json"
         scaling.unlink()
@@ -525,6 +534,15 @@ class TestArtifactVariables:
         assert self.train(three, tmp_path, "--variable", "a") == 3
         err = capsys.readouterr().err
         assert str(scaling) in err and "'variables.c.minimum'" in err
+
+    def test_non_target_maximum_below_minimum_exits_3(self, three, tmp_path, capsys):
+        scaling = three / "scaling.json"
+        doc = json.loads(scaling.read_text(encoding="utf-8"))
+        doc["variables"]["c"]["maximum"] = doc["variables"]["c"]["minimum"] - 1.0
+        scaling.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.train(three, tmp_path, "--variable", "a") == 3
+        err = capsys.readouterr().err
+        assert str(scaling) in err and "'variables.c'" in err and "below minimum" in err
 
     def test_unknown_variable_exits_2_listing_all_three(self, three, tmp_path, capsys):
         assert self.train(three, tmp_path, "--variable", "nope") == 2
@@ -693,6 +711,21 @@ class TestCompare:
         empty.write_text("", encoding="utf-8")
         assert main(["compare", "--scores", str(empty),
                      "--output-dir", str(tmp_path / "c")]) == 3
+
+    def test_nan_score_exits_3_naming_line_and_method(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("test,a,b\ncase0,1.0,2.0\n\ncase1,0.5,nan\n", encoding="utf-8")
+        assert main(["compare", "--scores", str(scores),
+                     "--output-dir", str(tmp_path / "c")]) == 3
+        assert f"{scores}:4: score of 'b' is NaN" in capsys.readouterr().err
+
+    def test_inf_score_is_a_valid_worst_loss(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("test,a,b\ncase0,1.0,inf\ncase1,0.5,2.0\n", encoding="utf-8")
+        out = tmp_path / "c"
+        assert main(["compare", "--scores", str(scores), "--output-dir", str(out)]) == 0
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["average_ranks"] == [1.0, 2.0]
 
     def test_missing_scores_exits_3_naming_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
@@ -893,6 +926,16 @@ class TestOptionTable:
         assert main(["tune", "--config", cfg, "--data-dir", str(artifact),
                      "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
         assert "'kernel_size'" in capsys.readouterr().err
+
+    def test_space_unknown_dimension_exits_2_listing_allowed(self, artifact, tmp_path, capsys):
+        space = {"n_filters": [4], "kernel_size": [3], "pool_size": [2], "lstm_units": [3],
+                 "epoch": [1, 2]}
+        cfg = self.config(tmp_path, {"space": space})
+        assert main(["tune", "--config", cfg, "--data-dir", str(artifact),
+                     "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert "'epoch'" in err and "'epochs'" in err and "'learning_rate'" in err
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("command", ["ingest", "forecast", "evaluate", "compare"])
     def test_seedless_commands_reject_seed_flag(self, command, tmp_path):

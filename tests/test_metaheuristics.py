@@ -1,13 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from oracles import gwo_step_loop
 
 from swarmcast import metaheuristics
 from swarmcast.benchmarks import BENCHMARKS, ackley, rastrigin, rosenbrock, sphere
 from swarmcast.errors import ConfigError, DegenerateObjectiveError
 from swarmcast.metaheuristics import (
-    Agent,
+    OPTIMIZERS,
     OptimizerParams,
     SearchBounds,
     clamp_to_bounds,
@@ -76,7 +78,7 @@ class TestGwoStep:
     def test_fixed_point_when_a_zero_and_all_equal(self):
         position = np.array([0.4, 0.6])
         positions = np.tile(position, (5, 1))
-        leaders = tuple(Agent(position.copy(), 1.0) for _ in range(3))
+        leaders = np.tile(position, (3, 1))
         rng = np.random.default_rng(0)
         updated = gwo_step(positions, leaders, 0.0, rng, unit_bounds(2))
         assert np.allclose(updated, positions)
@@ -85,7 +87,7 @@ class TestGwoStep:
         bounds = SearchBounds.cube(-1.0, 1.0, 3)
         rng = np.random.default_rng(1)
         positions = rng.uniform(-1, 1, (6, 3))
-        leaders = tuple(Agent(np.zeros(3), 0.0) for _ in range(3))
+        leaders = np.zeros((3, 3))
         updated = gwo_step(positions, leaders, 0.0, rng, bounds)
         assert np.allclose(updated, 0.0)
 
@@ -93,23 +95,39 @@ class TestGwoStep:
         bounds = SearchBounds.cube(-2.0, 3.0, 4)
         rng = np.random.default_rng(2)
         positions = rng.uniform(-2, 3, (8, 4))
-        leaders = tuple(Agent(rng.uniform(-2, 3, 4), float(i)) for i in range(3))
+        leaders = rng.uniform(-2, 3, (3, 4))
         for step in range(1000):
             a = 2.0 * (1 - step / 1000)
             positions = gwo_step(positions, leaders, a, rng, bounds)
             assert np.all(positions >= bounds.lower) and np.all(positions <= bounds.upper)
 
     def test_small_population_rejected(self):
-        leaders = tuple(Agent(np.zeros(2), 0.0) for _ in range(3))
         with pytest.raises(ConfigError):
-            gwo_step(np.zeros((3, 2)), leaders, 1.0, np.random.default_rng(0), unit_bounds(2))
+            gwo_step(np.zeros((3, 2)), np.zeros((3, 2)), 1.0, np.random.default_rng(0),
+                     unit_bounds(2))
+
+    @pytest.mark.parametrize("pop, dim, a, seed", [
+        (4, 1, 2.0, 0), (4, 3, 1.3, 1), (5, 2, 0.0, 2), (9, 6, 0.7, 3), (30, 4, 1.9, 4),
+    ])
+    def test_matches_per_leader_loop_bytewise(self, pop, dim, a, seed):
+        # one (3, 2, pop, dim) draw consumes the stream exactly as the
+        # per-leader r1, r2 draws did, and the sum keeps the leader order
+        bounds = SearchBounds.cube(-2.0, 3.0, dim)
+        start = np.random.default_rng(seed + 100)
+        positions = start.uniform(-2.5, 3.5, (pop, dim))
+        leaders = start.uniform(-2.0, 3.0, (3, dim))
+        fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = gwo_step(positions, leaders, a, fast_rng, bounds)
+        expected = gwo_step_loop(positions, leaders, a, loop_rng, bounds)
+        assert fast.tobytes() == expected.tobytes()
+        assert fast_rng.random() == loop_rng.random()
 
 
 class TestWoaStep:
     def test_spiral_at_l_zero_lands_at_distance_plus_best(self):
         # p >= 0.5 selects the spiral; exp(0) * cos(0) = 1
         positions = np.array([[0.2, 0.2]])
-        best = Agent(np.array([0.5, 0.55]), 0.0)
+        best = np.array([0.5, 0.55])
         rng = ScriptedRng([
             np.array([0.3]),   # r1
             np.array([0.3]),   # r2
@@ -118,13 +136,13 @@ class TestWoaStep:
             np.array([0]),     # rand index (unused)
         ])
         updated = woa_step(positions, best, 1.0, rng, unit_bounds(2))
-        expected = np.abs(best.position - positions[0]) + best.position
+        expected = np.abs(best - positions[0]) + best
         assert np.allclose(updated[0], expected)
 
     def test_encircle_with_zero_a_returns_best(self):
         # r1 = 0.5 makes A = 2 a r1 - a = 0
         positions = np.array([[0.1, 0.9]])
-        best = Agent(np.array([0.5, 0.5]), 0.0)
+        best = np.array([0.5, 0.5])
         rng = ScriptedRng([
             np.array([0.5]),   # r1 -> A = 0
             np.array([0.7]),   # r2
@@ -133,7 +151,7 @@ class TestWoaStep:
             np.array([0]),
         ])
         updated = woa_step(positions, best, 1.5, rng, unit_bounds(2))
-        assert np.allclose(updated[0], best.position)
+        assert np.allclose(updated[0], best)
 
     def test_exploration_with_identical_population_matches_encircle_form(self):
         # |A| >= 1 forces exploration; with every agent identical the random
@@ -141,7 +159,7 @@ class TestWoaStep:
         # encircling formula about that position
         shared = np.array([0.4, 0.6])
         positions = np.tile(shared, (4, 1))
-        best = Agent(shared.copy(), 0.0)
+        best = shared.copy()
         r1, r2 = 1.0, 0.8
         a = 2.0
         coeff_a, coeff_c = 2 * a * r1 - a, 2 * r2
@@ -207,17 +225,27 @@ class TestDrivers:
         assert trace.gwo_iterations + trace.woa_iterations == 1000
 
     def test_single_iteration_matches_enumeration(self):
-        # four known starting points, one iteration: the returned best is
-        # the minimum over every evaluation the driver made
+        # four starting points, one iteration: the returned best is the
+        # minimum over every evaluation the run made
         params = OptimizerParams(population_size=4, max_iterations=1, seed=9)
-        init = np.array([[3.0, 4.0], [1.0, 1.0], [-2.0, 0.5], [0.2, -0.3]])
-        objective = count_evaluations(sphere)
-        _, best_fit, trace = rs_gwo_woa(
-            objective, SearchBounds.cube(-5, 5, 2), params, init_population=init
-        )
+        populations = []
+
+        def objective(X):
+            populations.append(X.copy())
+            return sphere(X)
+
+        objective = count_evaluations(objective)
+        best_pos, best_fit, trace = rs_gwo_woa(objective, SearchBounds.cube(-5, 5, 2), params)
         assert trace.evaluations == 8
         assert len(objective.calls) == 8
         assert best_fit == min(objective.calls)
+        assert type(best_fit) is float
+        assert all(type(v) is float for v in trace.best_fitness_per_iteration)
+        # the first population is the generator's first draw
+        first = np.random.default_rng(9).uniform(-5, 5, (4, 2))
+        assert populations[0].tobytes() == first.tobytes()
+        rows = np.concatenate(populations)
+        assert best_pos.tobytes() == rows[np.argmin(objective.calls)].tobytes()
 
     def test_every_evaluated_position_feasible(self):
         bounds = SearchBounds.cube(-1.5, 2.5, 3)
@@ -239,7 +267,10 @@ class TestDrivers:
             records = []
 
             def callback(t, branch, positions, fitness, leaders):
-                records.append((t, fitness.copy(), [l.fitness for l in leaders]))
+                assert leaders.shape == (3, 3)
+                order = np.argsort(fitness, kind="stable")[:3]
+                assert leaders.tobytes() == positions[order].tobytes()
+                records.append((t, fitness.copy(), list(fitness[order])))
 
             params = OptimizerParams(population_size=6, max_iterations=40, seed=17)
             optimize(sphere, SearchBounds.cube(-4, 4, 3), params, callback=callback)
@@ -274,10 +305,30 @@ class TestDrivers:
         with pytest.raises(ConfigError):
             rs_gwo_woa(objective, unit_bounds(2), params)
 
-    def test_rejects_bad_init_shape(self):
-        params = OptimizerParams(population_size=4, max_iterations=2, seed=1)
-        with pytest.raises(ConfigError):
-            rs_gwo_woa(sphere, unit_bounds(2), params, init_population=np.zeros((3, 2)))
+    # sha256 of (best position, best fitness, trace) for rastrigin in d=3,
+    # population 6, 20 iterations, seeds 0 and 1; any change to a draw or
+    # an update moves them, so change one only when a trajectory must move
+    TRAJECTORY_DIGESTS = {
+        "rs-gwo-woa": "11136f3e57e33533536319dcb06f15db6f09d495e6b12a3e02e3492894a3a869",
+        "gwo": "67d54233983bcd6bf987b75d5c3c49b6ada23f528830b69b67f2a17efaacf3d1",
+        "woa": "9fe4b2e6798a6a39e2ee771dc4079344e4c2a4e9dd15d20b0b58513c8d087b95",
+        "ga": "33f7c66537c5000b80e3b8c0eda65bd419fd21de94326455b4b0803146c288b5",
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(TRAJECTORY_DIGESTS))
+    def test_trajectory_matches_recorded_digest(self, algorithm):
+        digest = hashlib.sha256()
+        for seed in (0, 1):
+            params = OptimizerParams(population_size=6, max_iterations=20, seed=seed)
+            position, best, trace = OPTIMIZERS[algorithm](
+                rastrigin, SearchBounds.cube(-5.12, 5.12, 3), params
+            )
+            digest.update(position.tobytes())
+            digest.update(np.float64(best).tobytes())
+            digest.update(np.array(trace.best_fitness_per_iteration).tobytes())
+            counts = (trace.evaluations, trace.gwo_iterations, trace.woa_iterations)
+            digest.update(np.array(counts, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == self.TRAJECTORY_DIGESTS[algorithm]
 
 
 class TestGa:
@@ -286,17 +337,16 @@ class TestGa:
         monkeypatch.setattr(metaheuristics, "GA_MUTATION_RATE", 0.0)
         params = OptimizerParams(population_size=6, max_iterations=25, seed=23)
         bounds = SearchBounds.cube(-3, 3, 2)
-        rng = np.random.default_rng(23)
-        init = rng.uniform(-3, 3, (6, 2))
-        initial_rows = {tuple(row) for row in init}
-        seen_rows = set()
+        populations = []
 
         def objective(X):
-            seen_rows.update(tuple(row) for row in X)
+            populations.append({tuple(row) for row in X})
             return sphere(X)
 
-        _, _, trace = ga_optimize(objective, bounds, params, init_population=init)
-        assert seen_rows <= initial_rows
+        _, _, trace = ga_optimize(objective, bounds, params)
+        assert len(populations) == 26
+        initial_rows = populations[0]
+        assert set().union(*populations) <= initial_rows
         best = trace.best_fitness_per_iteration
         assert all(a >= b for a, b in zip(best, best[1:]))
 
