@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import math
 import os
 import platform
 import sys
@@ -45,7 +44,8 @@ from .errors import (
 )
 from .benchmarks import BENCHMARKS
 from .evaluation import ALPHA, CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
-from .fileio import canonical_json, read_json, write_csv_rows, write_json
+from .fileio import (COUNT_RULE, OBJECT_RULE, canonical_json, check_fields, read_json,
+                     write_csv_rows, write_json)
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
     WEIGHT_OPTIMIZERS,
@@ -60,6 +60,7 @@ from .network import (
     train,
 )
 from .timeseries import (
+    SCALING_RULES,
     ScalingParams,
     apply_scale,
     csv_variables,
@@ -78,9 +79,11 @@ from .tuning import (
     FITNESS_EPOCHS,
     LOOKBACK,
     VAL_FRACTION,
-    HyperparamSpace,
     cell_configs,
+    read_best_assignment,
+    space_from_json,
     tune_series,
+    tuning_report,
 )
 
 # the options that fill a run's network and training templates
@@ -297,26 +300,6 @@ def cmd_ingest(options, out_dir: Path):
     ]
 
 
-def _is_finite(value) -> bool:
-    """Whether a JSON value is a finite number (a bool is not one)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < math.inf
-
-
-def _is_count(value) -> bool:
-    """Whether a JSON value is an integer >= 1 (a bool is not one)."""
-    return isinstance(value, int) and _is_finite(value) and value >= 1
-
-
-def _is_rate(value) -> bool:
-    """Whether a JSON value is a finite number > 0 (a bool is not one)."""
-    return _is_finite(value) and value > 0
-
-
-# each variable's scaling.json entry: key -> (check, what it wants)
-SCALING_ENTRY = dict.fromkeys(("minimum", "maximum"), (_is_finite, "a finite number")) | {
-    "degenerate": (lambda value: isinstance(value, bool), "true or false")}
-
-
 def read_artifact(data_dir, variable: str | None) -> dict:
     """Load one variable of an ingest artifact back into memory (scaled
     values): ``variable``, or the first column when it is None.
@@ -330,25 +313,18 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     if not scaling_path.exists() or not dataset_path.exists():
         raise DataError(f"{data_dir} is not an ingest artifact")
     meta = read_json(scaling_path, "scaling file", DataError)
-    for key in ("split_index", "variables"):
-        if key not in meta:
-            raise DataError(f"{scaling_path}: missing key {key!r}")
+    check_fields(meta, {"split_index": COUNT_RULE, "variables": OBJECT_RULE}, DataError, "",
+                 scaling_path)
     cut = meta["split_index"]
-    if not _is_count(cut) or not isinstance(meta["variables"], dict):
-        raise DataError(f"{scaling_path}: 'split_index' must be an integer >= 1 and "
-                        "'variables' an object")
     names = csv_variables(dataset_path)
+    scaling = {}
     for name in names:
         entry = meta["variables"].get(name)
-        for key, (check, wanted) in SCALING_ENTRY.items():
-            if not isinstance(entry, dict) or key not in entry:
-                raise DataError(f"{scaling_path}: missing key 'variables.{name}.{key}'")
-            if not check(entry[key]):
-                raise DataError(f"{scaling_path}: 'variables.{name}.{key}' must be {wanted},"
-                                f" got {entry[key]!r}")
-        if entry["maximum"] < entry["minimum"]:
-            raise DataError(f"{scaling_path}: 'variables.{name}' has maximum {entry['maximum']!r}"
-                            f" below minimum {entry['minimum']!r}")
+        check_fields(entry, SCALING_RULES, DataError, f"variables.{name}", scaling_path)
+        try:
+            scaling[name] = ScalingParams(**{key: entry[key] for key in SCALING_RULES})
+        except DataError as exc:
+            raise DataError(f"{scaling_path}: 'variables.{name}' has {exc}") from None
     name = variable or names[0]
     if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
@@ -356,24 +332,16 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     if cut >= len(dates):
         raise DataError(f"{scaling_path}: 'split_index' {cut} leaves no test rows"
                         f" of {len(dates)}")
-    entry = meta["variables"][name]
     return {
         "dates": dates,
         "meta": meta,
         "name": name,
         "series": variables[name],
-        "scaling": ScalingParams(entry["minimum"], entry["maximum"],
-                                 degenerate=entry["degenerate"]),
+        "scaling": scaling[name],
     }
 
 
 # ------------------------------------------------------------------ tune
-
-# the cell values cell_configs reads as numbers: dimension -> (check, what it wants)
-NUMERIC_DIMENSIONS = dict.fromkeys(
-    ARCHITECTURE_DIMENSIONS + ("epochs",), (_is_count, "an integer >= 1")
-) | {"learning_rate": (_is_rate, "a finite number > 0")}
-
 
 def _templates(options, epochs: int) -> tuple[NetworkConfig, TrainingConfig]:
     """The run's network and training templates, which ``cell_configs``
@@ -381,30 +349,6 @@ def _templates(options, epochs: int) -> tuple[NetworkConfig, TrainingConfig]:
     network = NetworkConfig(**{key: options[key] for key in NETWORK_RECIPE})
     training = TrainingConfig(epochs=epochs, **{key: options[key] for key in TRAINING_RECIPE})
     return network, training
-
-
-def _resolve_space(options) -> HyperparamSpace:
-    override = options["space"]
-    if override is None:
-        return EXTENDED_SPACE if options["extended_space"] else DEFAULT_SPACE
-    if not isinstance(override, dict) or not override:
-        raise ConfigError("config 'space' must map dimension name -> candidate list")
-    missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in override]
-    if missing:
-        raise ConfigError(f"custom space must keep the architecture dimensions; missing {missing}")
-    for name, values in override.items():
-        if not isinstance(values, list):
-            raise ConfigError(f"config 'space' dimension {name!r} must be a list, got {values!r}")
-        if name not in NUMERIC_DIMENSIONS:
-            raise ConfigError(f"config 'space' has unknown dimension {name!r};"
-                              f" pick from {list(NUMERIC_DIMENSIONS)}")
-        check, wanted = NUMERIC_DIMENSIONS[name]
-        if not all(map(check, values)):
-            raise ConfigError(f"config 'space' dimension {name!r}: each candidate"
-                              f" must be {wanted}, got {values!r}")
-    return HyperparamSpace(
-        tuple((name, tuple(values)) for name, values in override.items())
-    )
 
 
 def _optimizer_params(options) -> OptimizerParams:
@@ -423,7 +367,10 @@ def cmd_tune(options, out_dir: Path):
     artifact = read_artifact(options["data_dir"], options["variable"])
     name, series = artifact["name"], artifact["series"]
     cut = artifact["meta"]["split_index"]
-    space = _resolve_space(options)
+    if options["space"] is not None:
+        space = space_from_json(options["space"])
+    else:
+        space = EXTENDED_SPACE if options["extended_space"] else DEFAULT_SPACE
     network, training = _templates(options, options["fitness_epochs"])
 
     result = tune_series(
@@ -442,21 +389,8 @@ def cmd_tune(options, out_dir: Path):
 
     # wall times go to a side file so the report stays byte-reproducible
     return {
-        "report.json": {
-            "algorithm": result.algorithm,
-            "variable": name,
-            "best_assignment": result.best_assignment,
-            "best_loss": result.best_loss,
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
-            "evaluation_log": [
-                {"assignment": record.values, "loss": record.loss}
-                for record in result.records
-            ],
-            "lookback": options["lookback"],
-            "horizon": options["horizon"],
-            "seed": options["seed"],
-        },
+        "report.json": tuning_report(result, variable=name, lookback=options["lookback"],
+                                     horizon=options["horizon"], seed=options["seed"]),
         "trace.csv": _trace_table(result.trace),
         "timings.csv": (
             ["evaluation", "wall_time_seconds"],
@@ -471,35 +405,15 @@ def cmd_tune(options, out_dir: Path):
 
 # ----------------------------------------------------------------- train
 
-def _assignment_from_options(options) -> dict:
-    path = options["from_tuning"]
-    if not path:
-        return {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
-    report = read_json(path, "tuning report", DataError)
-    best = report.get("best_assignment")
-    if not isinstance(best, dict):
-        raise DataError(f"{path}: missing key 'best_assignment'")
-    missing = [d for d in ARCHITECTURE_DIMENSIONS if d not in best]
-    if missing:
-        raise DataError(f"{path}: 'best_assignment' lacks {', '.join(missing)}")
-    for key, (check, wanted) in NUMERIC_DIMENSIONS.items():
-        if key in best and not check(best[key]):
-            raise DataError(f"{path}: 'best_assignment.{key}' must be {wanted},"
-                            f" got {best[key]!r}")
-    for key in ("lookback", "horizon"):
-        if key not in report:
-            raise DataError(f"{path}: missing key {key!r}")
-        if report[key] != options[key]:
-            raise ConfigError(f"{path} was tuned at {key} {report[key]!r}, but train runs"
-                              f" at {key} {options[key]}; pass {_flag(key)} {report[key]!r}")
-    return dict(best)
-
-
 def cmd_train(options, out_dir: Path):
     artifact = read_artifact(options["data_dir"], options["variable"])
     name, series = artifact["name"], artifact["series"]
     cut = artifact["meta"]["split_index"]
-    values = _assignment_from_options(options)
+    if options["from_tuning"]:
+        values = read_best_assignment(options["from_tuning"], options["lookback"],
+                                      options["horizon"])
+    else:
+        values = {key: options[key] for key in ARCHITECTURE_DIMENSIONS}
     config, training_cfg = cell_configs(
         values, *_templates(options, options["epochs"]), options["seed"]
     )

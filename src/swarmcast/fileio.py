@@ -2,17 +2,20 @@
 
 Every JSON artifact goes through ``canonical_json`` (sorted keys, two-space
 indent, a final newline) and every CSV artifact through ``write_csv_rows``.
-An input problem is raised naming the file (and a CSV row's line). A
-command that fails halfway must not leave a half-written artifact next
-to the last good one: every artifact is written to a temporary file in
-its target directory and renamed over the target only once the write
-has finished.
+An input problem is raised naming the file (and a CSV row's line or a
+JSON key, whose rule is declared beside the type it builds). A command
+that fails halfway must not leave a half-written artifact next to the
+last good one: every artifact is written to a temporary file in its
+target directory and renamed over the target only once the write has
+finished.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,6 +37,31 @@ def read_json(path, what: str, error: type[Exception]) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{what} {path} must hold a JSON object")
     return doc
+
+
+def is_finite(value) -> bool:
+    """Whether a value is a finite number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
+
+
+def is_count(value) -> bool:
+    """Whether a value is an integer >= 1 (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+COUNT_RULE = (is_count, "an integer >= 1")
+OBJECT_RULE = (lambda value: isinstance(value, dict), "an object")
+
+
+def check_fields(values, rules: dict, error: type[Exception], where: str, source) -> None:
+    """Raise ``error`` naming ``source: 'where.key'`` for the first key of ``rules``
+    (key -> (check, what it wants)) that ``values``, a dict or not, lacks or breaks."""
+    for key, (check, wanted) in rules.items():
+        name = f"{where}.{key}" if where else key
+        if not isinstance(values, dict) or key not in values:
+            raise error(f"{source}: missing key {name!r}")
+        if not check(values[key]):
+            raise error(f"{source}: {name!r} must be {wanted}, got {values[key]!r}")
 
 
 def numbered_rows(reader):

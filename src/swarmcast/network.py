@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergedError
-from .fileio import read_json, write_json
+from .fileio import COUNT_RULE, OBJECT_RULE, check_fields, is_finite, read_json, write_json
 from .layers import (
     ACTIVATIONS,
     GATES,
@@ -39,6 +39,13 @@ from .layers import (
     conv_output_size,
 )
 from .timeseries import ScalingParams, WindowedSamples, inverse_scale
+
+
+# each config field's rule, key -> (check, what it wants), for its constructor and JSON readers
+NETWORK_RULES = dict.fromkeys(("n_filters", "kernel_size", "pool_size", "lstm_units",
+                               "repeat_steps", "n_features", "horizon"), COUNT_RULE)
+TRAINING_RULES = {"epochs": COUNT_RULE, "learning_rate": (
+    lambda value: is_finite(value) and value > 0, "a finite number > 0")}
 
 
 @dataclass(frozen=True)
@@ -57,10 +64,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_filters", "kernel_size", "pool_size", "lstm_units",
-                     "repeat_steps", "n_features", "horizon"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        check_fields(vars(self), NETWORK_RULES, ConfigError, "", "network config")
         if self.conv_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown conv activation {self.conv_activation!r}")
 
@@ -92,10 +96,7 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        check_fields(vars(self), TRAINING_RULES, ConfigError, "", "training config")
         if self.optimizer not in WEIGHT_OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -416,22 +417,19 @@ def model_from_dict(doc: dict, source: str = "model") -> TrainedNetwork:
     """Rebuild a ``model_to_dict`` document into a fresh weight buffer.
     Anything missing, unknown or misshaped raises DataError naming
     ``source`` and the key."""
-    if not isinstance(doc, dict):
-        raise DataError(f"{source}: a model must be a JSON object")
-    for key in ("config", "lookback", "weights", "loss_history"):
-        if key not in doc:
-            raise DataError(f"{source}: missing key {key!r}")
+    check_fields(doc, {"config": OBJECT_RULE, "lookback": COUNT_RULE, "weights": OBJECT_RULE,
+                       "loss_history": (lambda value: isinstance(value, list), "a list")},
+                 DataError, "", source)
+    check_fields(doc["config"], NETWORK_RULES, DataError, "config", source)
+    lookback = doc["lookback"]
     try:
         config = NetworkConfig(**doc["config"])  # the TypeError names an unknown field
-        lookback = int(doc["lookback"])
         config.validate_for_lookback(lookback)
         history = tuple(float(v) for v in doc["loss_history"])
     except (ConfigError, TypeError, ValueError) as exc:
         raise DataError(f"{source}: bad 'config', 'lookback' or 'loss_history': {exc}") from exc
 
     blobs = doc["weights"]
-    if not isinstance(blobs, dict):
-        raise DataError(f"{source}: 'weights' must be a JSON object")
     weights = _FlatParams(config, lookback)
     for key, view in weights.named().items():
         if key not in blobs:

@@ -23,10 +23,14 @@ from .errors import (
     EdgeMissingError,
     TooShortError,
 )
-from .fileio import numbered_rows
+from .fileio import check_fields, is_finite, numbered_rows
 
 MISSING_MARKERS = {"", "NA"}
 CHUNK_LINES = 1024  # CSV lines load_csv converts at a time
+
+# each ScalingParams field's rule: key -> (check, what it wants)
+SCALING_RULES = dict.fromkeys(("minimum", "maximum"), (is_finite, "a finite number")) | {
+    "degenerate": (lambda value: isinstance(value, bool), "true or false")}
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,9 @@ class ScalingParams:
     degenerate: bool = False
 
     def __post_init__(self):
+        check_fields(vars(self), SCALING_RULES, DataError, "", "scaling")
         if self.maximum < self.minimum:
-            raise DataError("scaling maximum below minimum")
+            raise DataError(f"maximum {self.maximum!r} below minimum {self.minimum!r}")
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError, TooShortError
+from .errors import ConfigError, DataError, DivergedError, TooShortError
 from .evaluation import mse
+from .fileio import check_fields, read_json
 from .metaheuristics import OPTIMIZERS, OptimizationTrace, OptimizerParams, SearchBounds
 from .network import (
+    NETWORK_RULES,
+    TRAINING_RULES,
     NetworkConfig,
     TrainingConfig,
     initialize_network,
@@ -84,6 +87,34 @@ EXTENDED_SPACE = HyperparamSpace(DEFAULT_SPACE.dimensions + (
     ("learning_rate", (1e-2, 1e-3, 1e-4)),
     ("epochs", (50, 100)),
 ))
+
+# every dimension a cell may set, with its config field's rule: name -> (check, what it wants)
+CELL_RULES = {name: NETWORK_RULES[name] for name in ARCHITECTURE_DIMENSIONS} | TRAINING_RULES
+
+
+def _check_dimensions(names, error: type[Exception], where: str) -> None:
+    """A space or a cell names every architecture dimension and no unknown one."""
+    missing = [name for name in ARCHITECTURE_DIMENSIONS if name not in names]
+    if missing:
+        raise error(f"{where} lacks {', '.join(missing)}")
+    for name in names:
+        if name not in CELL_RULES:
+            raise error(f"{where} has unknown dimension {name!r}; pick from {list(CELL_RULES)}")
+
+
+def space_from_json(space) -> HyperparamSpace:
+    """The grid of a config's ``space`` entry: dimension name -> candidate list."""
+    if not isinstance(space, dict) or not space:
+        raise ConfigError("config 'space' must map dimension name -> candidate list")
+    _check_dimensions(space, ConfigError, "config 'space'")
+    for name, values in space.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"config 'space' dimension {name!r} must be a list, got {values!r}")
+        check, wanted = CELL_RULES[name]
+        if not all(map(check, values)):
+            raise ConfigError(f"config 'space' dimension {name!r}: each candidate"
+                              f" must be {wanted}, got {values!r}")
+    return HyperparamSpace(tuple((name, tuple(values)) for name, values in space.items()))
 
 
 def decode_position(positions, space: HyperparamSpace) -> np.ndarray:
@@ -345,3 +376,43 @@ def tune_series(
     else:
         raise ConfigError(f"unknown surrogate {surrogate!r}")
     return tune(evaluate, algorithm, params, space, evaluation_budget=evaluation_budget)
+
+
+def tuning_report(result: TuningResult, **run) -> dict:
+    """The report.json of a tune: its result and evaluation log, plus the
+    ``run`` values (variable, lookback, horizon, seed)."""
+    return {
+        "algorithm": result.algorithm,
+        "best_assignment": result.best_assignment,
+        "best_loss": result.best_loss,
+        "cache_hits": result.cache_hits,
+        "cache_misses": result.cache_misses,
+        "evaluation_log": [
+            {"assignment": record.values, "loss": record.loss} for record in result.records
+        ],
+    } | run
+
+
+def read_best_assignment(path, lookback: int, horizon: int) -> dict:
+    """The best cell of a ``tuning_report`` file, checked by ``CELL_RULES``: a
+    DataError if malformed, a ConfigError if tuned at another lookback or
+    horizon or too wide for the lookback, each naming the file."""
+    report = read_json(path, "tuning report", DataError)
+    best = report.get("best_assignment")
+    if not isinstance(best, dict):
+        raise DataError(f"{path}: missing key 'best_assignment'")
+    _check_dimensions(best, DataError, f"{path}: 'best_assignment'")
+    check_fields(best, {name: CELL_RULES[name] for name in best}, DataError,
+                 "best_assignment", path)
+    for key, value in (("lookback", lookback), ("horizon", horizon)):
+        if key not in report:
+            raise DataError(f"{path}: missing key {key!r}")
+        if report[key] != value:
+            raise ConfigError(f"{path} was tuned at {key} {report[key]!r}, but train runs"
+                              f" at {key} {value}; pass --{key} {report[key]!r}")
+    try:
+        NetworkConfig(kernel_size=best["kernel_size"],
+                      pool_size=best["pool_size"]).validate_for_lookback(lookback)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: 'best_assignment' does not fit: {exc}") from None
+    return dict(best)

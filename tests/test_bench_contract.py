@@ -185,3 +185,48 @@ def test_traced_cli_evaluate_records_one_read(tracer_module, tmp_path, trained_a
         tracer.uninstall()
     assert code == 0
     assert span_counts(tracer).get("timeseries.load_csv") == 1
+
+
+# every span of one small traced pipeline; a refactor that moves a call off a
+# patched name, or adds one, changes what the benchmark measures
+PIPELINE_SPANS = {
+    "evaluation.compare": 1, "evaluation.metric_report": 2, "evaluation.mse": 6,
+    "evaluation.parse_scores": 1, "evaluation.rank": 1,
+    "layers.conv_bwd": 501, "layers.conv_fwd": 508, "layers.lstm_bwd": 1503,
+    "layers.lstm_fwd": 1524, "layers.pool_bwd": 501, "layers.pool_fwd": 508,
+    "metaheuristics.rs-gwo-woa": 1, "metaheuristics.woa_step": 1,
+    "network.grad": 501, "network.initialize_network": 5, "network.iterative_forecast": 1,
+    "network.load_model": 2, "network.optimizer": 501, "network.predict_window": 2,
+    "network.predict_windows": 5, "network.save_model": 1, "network.train": 5,
+    "timeseries.apply_scale": 3, "timeseries.impute_missing": 3,
+    "timeseries.inverse_scale": 3, "timeseries.load_csv": 5, "timeseries.make_windows": 3,
+    "tuning.decode": 3, "tuning.fitness": 6, "tuning.objective": 2, "tuning.tune_series": 1,
+}
+
+
+def test_traced_pipeline_records_the_pinned_span_counts(tracer_module, tmp_path):
+    ingest, tune, train = tmp_path / "ingest", tmp_path / "tune", tmp_path / "train"
+    scores = tmp_path / "scores.csv"
+    scores.write_text("test,a,b,c\n" + "".join(
+        f"case{t},{t % 3},{(t + 1) % 3},{(t + 2) % 3}\n" for t in range(6)), encoding="utf-8")
+    model = str(train / "model.json")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        codes = [main(argv) for argv in (
+            ["ingest", "--data", str(REPO_ROOT / "data" / "sample_daily_cases.csv"),
+             "--output-dir", str(ingest)],
+            ["tune", "--data-dir", str(ingest), "--population", "4", "--iterations", "1",
+             "--fitness-epochs", "1", "--seed", "3", "--output-dir", str(tune)],
+            ["train", "--data-dir", str(ingest), "--epochs", "1", "--seed", "3",
+             "--from-tuning", str(tune / "report.json"), "--output-dir", str(train)],
+            ["evaluate", "--model", model, "--data-dir", str(ingest),
+             "--output-dir", str(tmp_path / "e")],
+            ["forecast", "--model", model, "--data-dir", str(ingest), "--steps", "2",
+             "--output-dir", str(tmp_path / "f")],
+            ["compare", "--scores", str(scores), "--output-dir", str(tmp_path / "c")],
+        )]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * 6
+    assert span_counts(tracer) == PIPELINE_SPANS

@@ -410,8 +410,14 @@ class TestModelFileChecks:
         (lambda doc: doc["weights"].update(
             output_b={"shape": [1], "data": "AAAAAAAA8D8="}), "'output_b'"),
         (lambda doc: doc["weights"]["dense_w"].update(data="AAAA"), "'dense_w'"),
+        # a count is a JSON integer >= 1, never truncated
+        (lambda doc: doc["config"].update(n_filters=2.5), "'config.n_filters'"),
+        (lambda doc: doc["config"].update(n_filters=2.0), "'config.n_filters'"),
+        (lambda doc: doc["config"].update(n_filters=True), "'config.n_filters'"),
+        (lambda doc: doc.update(lookback=7.9), "'lookback'"),
     ], ids=["no-weights", "no-loss-history", "no-weight-key", "unknown-config-key",
-            "wrong-shape", "short-data"])
+            "wrong-shape", "short-data", "fractional-count", "integral-float-count",
+            "bool-count", "fractional-lookback"])
     def test_malformed_model_exits_3_naming_file_and_key(self, artifact, tmp_path, capsys,
                                                           mutate, named):
         doc = self.model_doc(tmp_path)
@@ -646,6 +652,32 @@ class TestTrainFromTuning:
     def test_lookback_and_horizon_like_the_reports_train(self, artifact, tmp_path, tuned):
         report = tuned("--lookback", "14", "--horizon", "2")
         assert self.train(artifact, tmp_path, report, "--lookback", "14", "--horizon", "2") == 0
+
+    @staticmethod
+    def edit_best(report, **values):
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        doc["best_assignment"].update(values)
+        report.write_text(json.dumps(doc), encoding="utf-8")
+
+    def test_unknown_dimension_exits_3_listing_allowed(self, artifact, tmp_path, capsys, tuned):
+        # an extra key would enter the cell's seed and train another model
+        report = tuned()
+        self.edit_best(report, epoch=1)
+        capsys.readouterr()
+        assert self.train(artifact, tmp_path, report) == 3
+        err = capsys.readouterr().err
+        assert str(report) in err and "'best_assignment'" in err and "'epoch'" in err
+        assert "'epochs'" in err and "'learning_rate'" in err
+        assert not (tmp_path / "t").exists()
+
+    def test_infeasible_best_cell_exits_2_naming_report(self, artifact, tmp_path, capsys, tuned):
+        report = tuned()
+        self.edit_best(report, kernel_size=8)
+        capsys.readouterr()
+        assert self.train(artifact, tmp_path, report) == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and "'best_assignment'" in err
+        assert "kernel_size 8 exceeds lookback 7" in err
 
 
 class TestCompare:
