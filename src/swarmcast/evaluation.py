@@ -61,12 +61,24 @@ def mse(predicted, actual) -> float:
 
 
 def r_squared(predicted, actual) -> float:
-    """1 - SS_res / SS_tot about the actual mean; negative when worse than the mean."""
+    """1 - SS_res / SS_tot about the actual mean; negative when worse than the mean.
+
+    A constant actual series (max == min) raises DegenerateVarianceError.
+    """
     y, x = _check_pair(predicted, actual)
-    ss_tot = float(np.sum((x - x.mean()) ** 2))
-    if ss_tot == 0.0:
+    if x.max() == x.min():
         raise DegenerateVarianceError("actual series is constant")
-    ss_res = float(np.sum((y - x) ** 2))
+    deviations = x - x.mean()
+    residuals = y - x
+    ss_tot = float(np.sum(deviations**2))
+    if ss_tot < np.finfo(float).tiny:
+        # the squares underflow: one power of two lifts the largest deviation
+        # into [0.5, 1) and scales both sums alike, leaving their ratio
+        _, exponent = math.frexp(float(np.abs(deviations).max()))
+        deviations = np.ldexp(deviations, -exponent)
+        residuals = np.ldexp(residuals, -exponent)
+        ss_tot = float(np.sum(deviations**2))
+    ss_res = float(np.sum(residuals**2))
     return 1.0 - ss_res / ss_tot
 
 

@@ -87,14 +87,26 @@ def _maxpool1d_cache(x, pool):
     return trimmed.max(axis=-2), (trimmed, length)
 
 
+@functools.lru_cache(maxsize=None)
+def _pool_offsets(windows: int, pool: int, channels: int) -> np.ndarray:
+    """Flat index into a C-ordered (rows, channels) array of each window's
+    first row, per channel: (windows, channels). Read-only, shared."""
+    row_stride = pool * channels
+    offsets = np.arange(0, windows * row_stride, row_stride)[:, None] + np.arange(channels)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _maxpool1d_backward(dout, cache):
     """Route each window's gradient to its (first) argmax; windows never
     overlap, so a plain index assignment places every entry."""
     trimmed, length = cache
     windows, pool, channels = trimmed.shape
     dx = np.zeros((length, channels))
-    rows = trimmed.argmax(axis=1) + np.arange(0, windows * pool, pool)[:, None]
-    dx[rows, np.arange(channels)] = dout
+    index = trimmed.argmax(axis=1)
+    index *= channels
+    index += _pool_offsets(windows, pool, channels)
+    dx.reshape(-1)[index] = dout
     return dx
 
 
@@ -107,6 +119,16 @@ def _gate_scale(units: int) -> tuple[np.ndarray, np.ndarray]:
     shift = np.repeat([0.5, 0.5, 0.0, 0.5], units)
     scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_scale_squared(units: int) -> np.ndarray:
+    """scale * scale of ``_gate_scale``, the chain-rule factor of the fused
+    gates' backward. Exact, as every scale is a power of two. Read-only, shared."""
+    scale, _ = _gate_scale(units)
+    squared = scale * scale
+    squared.flags.writeable = False
+    return squared
 
 
 def _lstm_cell_cache(xproj, prev_cell, prev_hidden, w_h):
@@ -146,20 +168,23 @@ def _lstm_cell_backward(dhidden, dcell, cache, dgates):
     """
     prev_cell, gates, squashed, tanh_cell = cache
     units = len(tanh_cell)
-    forget, update, candidate, out_gate = gates.reshape(4, units)
+    by_row = gates.reshape(4, units)
     by_gate = dgates.reshape(4, units)
 
-    dcell_total = dhidden * out_gate * (1.0 - tanh_cell * tanh_cell)
+    dcell_total = dhidden * by_row[3]
+    dcell_total *= 1.0 - tanh_cell * tanh_cell
     if dcell is not None:
         dcell_total += dcell
-    by_gate[0] = 0.0 if prev_cell is None else dcell_total * prev_cell
-    by_gate[1] = dcell_total * candidate
-    by_gate[2] = dcell_total * update
-    by_gate[3] = dhidden * tanh_cell
+    if prev_cell is None:
+        by_gate[0] = 0.0
+    else:
+        np.multiply(dcell_total, prev_cell, out=by_gate[0])
+    # input row against the candidate, candidate row against the input
+    np.multiply(dcell_total, by_row[2:0:-1], out=by_gate[1:3])
+    np.multiply(dhidden, tanh_cell, out=by_gate[3])
     # d gate / d pre = scale^2 (1 - squashed^2): sigmoid' = s(1 - s), tanh' = 1 - t^2
-    scale, _ = _gate_scale(units)
-    slope = 1.0 - squashed * squashed
-    slope *= scale
-    slope *= scale
+    slope = squashed * squashed
+    np.subtract(1.0, slope, out=slope)
+    slope *= _gate_scale_squared(units)
     dgates *= slope
-    return dcell_total * forget
+    return dcell_total * by_row[0]

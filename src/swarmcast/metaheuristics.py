@@ -129,39 +129,24 @@ def woa_step(positions, best, a: float, rng, bounds: SearchBounds) -> np.ndarray
     encircling |A| >= 1 switches to exploration around a random *other*
     agent. A and C are scalar per agent so the single |A| test drives the
     whole move; l is uniform on [-1, 1] and the spiral constant b is 1.
-    ``best`` is the ``(d,)`` position of alpha.
+    ``best`` is the ``(d,)`` position of alpha. One ``(4, pop)`` draw
+    holds every agent's r1, r2, p and l, then one draw picks the peers.
     """
     positions = np.asarray(positions, dtype=float)
     pop, _ = positions.shape
-    r1 = rng.random(pop)
-    r2 = rng.random(pop)
-    coeff_a = 2.0 * a * r1 - a
-    coeff_c = 2.0 * r2
-    p = rng.random(pop)
-    spiral_l = rng.uniform(-1.0, 1.0, pop)
+    r1, r2, p, u = rng.random((4, pop))
+    coeff_a = (2.0 * a * r1 - a)[:, None]
+    coeff_c = (2.0 * r2)[:, None]
+    spiral_l = -1.0 + 2.0 * u  # uniform(-1, 1) as numpy draws it
     rand_idx = rng.integers(0, pop - 1, size=pop)
-    rand_idx = rand_idx + (rand_idx >= np.arange(pop))
+    rand_idx += rand_idx >= np.arange(pop)
 
-    new_positions = np.empty_like(positions)
-
-    spiral = p >= 0.5
-    if spiral.any():
-        dist = np.abs(best - positions[spiral])
-        swirl = np.exp(spiral_l[spiral]) * np.cos(2.0 * np.pi * spiral_l[spiral])
-        new_positions[spiral] = dist * swirl[:, None] + best
-
-    encircle = ~spiral & (np.abs(coeff_a) < 1.0)
-    if encircle.any():
-        dist = np.abs(coeff_c[encircle, None] * best - positions[encircle])
-        new_positions[encircle] = best - coeff_a[encircle, None] * dist
-
-    explore = ~spiral & ~encircle
-    if explore.any():
-        peers = positions[rand_idx[explore]]
-        dist = np.abs(coeff_c[explore, None] * peers - positions[explore])
-        new_positions[explore] = peers - coeff_a[explore, None] * dist
-
-    return clamp_to_bounds(new_positions, bounds)
+    # encircling (|A| < 1) moves about the best, exploring about a random peer
+    anchor = np.where(np.abs(coeff_a) < 1.0, best, positions[rand_idx])
+    encircled = anchor - coeff_a * np.abs(coeff_c * anchor - positions)
+    swirl = np.exp(spiral_l) * np.cos(2.0 * np.pi * spiral_l)
+    spiralled = np.abs(best - positions) * swirl[:, None] + best
+    return clamp_to_bounds(np.where((p >= 0.5)[:, None], spiralled, encircled), bounds)
 
 
 def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callback=None):

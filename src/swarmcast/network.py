@@ -254,7 +254,13 @@ def network_forward(x, net: TrainedNetwork) -> np.ndarray:
 
 
 class _Adam:
-    """Adam over the whole flat buffer, in place, with preallocated scratch."""
+    """Adam over the whole flat buffer, in place, with preallocated scratch.
+
+    The bias corrections are folded into two scalars (Kingma and Ba, 2015,
+    section 2): with root = sqrt(1 - beta2^t), the step lr * m_hat /
+    (sqrt(v_hat) + eps) is (m / (sqrt(v) + eps * root)) * (lr * root /
+    (1 - beta1^t)), one array division per update.
+    """
 
     def __init__(self, size, learning_rate):
         self.lr = learning_rate
@@ -277,13 +283,11 @@ class _Adam:
         np.multiply(grads, 1.0 - self.beta2, out=step)
         step *= grads
         v += step
-        # params -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - self.beta1**self.t, out=step)
-        step *= self.lr
-        np.divide(v, 1.0 - self.beta2**self.t, out=scale)
-        np.sqrt(scale, out=scale)
-        scale += self.eps
-        step /= scale
+        root = math.sqrt(1.0 - self.beta2**self.t)
+        np.sqrt(v, out=scale)
+        scale += self.eps * root
+        np.divide(m, scale, out=step)
+        step *= self.lr * root / (1.0 - self.beta1**self.t)
         params -= step
 
 
@@ -331,13 +335,17 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
     grads = _FlatParams(net.config, net.lookback)
     optimizer = WEIGHT_OPTIMIZERS[cfg.optimizer](params.buf.size, cfg.learning_rate)
     errors = np.empty_like(targets)
+    # per-sample (window, target) views, made once for every epoch
+    pairs = list(zip(cols, targets))
+    config, weights, gradient = net.config, params.buf, grads.buf
 
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(inputs))
-        for idx in order:
-            errors[idx] = _gradients(params, grads, cols[idx], targets[idx], net.config)
-            optimizer.update(params.buf, grads.buf)
+        for idx in order.tolist():
+            window, target = pairs[idx]
+            errors[idx] = _gradients(params, grads, window, target, config)
+            optimizer.update(weights, gradient)
         total = 0.0  # the per-sample losses, summed one by one in visiting order
         for loss in np.mean(errors[order] ** 2, axis=1).tolist():
             total += loss

@@ -71,6 +71,24 @@ def lstm_step_scalar(x, prev_cell, prev_hidden, w):
     return hidden, cell
 
 
+def adam_loop(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma and Ba's Adam (ICLR 2015, Algorithm 1), element by element
+    in Python floats with the bias-corrected m_hat and v_hat. ``grads``
+    holds one gradient vector per step; yields, per step, the list of
+    amounts lr * m_hat / (sqrt(v_hat) + eps) the algorithm subtracts
+    from the parameters."""
+    m, v = [0.0] * len(grads[0]), [0.0] * len(grads[0])
+    for t, grad in enumerate(grads, start=1):
+        steps = []
+        for i, g in enumerate(float(value) for value in grad):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            m_hat = m[i] / (1.0 - beta1**t)
+            v_hat = v[i] / (1.0 - beta2**t)
+            steps.append(lr * m_hat / (math.sqrt(v_hat) + eps))
+        yield steps
+
+
 def mae_loop(predicted, actual):
     total = 0.0
     for y, x in zip(predicted, actual):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import friedman_loop, mae_loop, mse_loop, r_squared_loop, ranks_loop
@@ -49,6 +49,25 @@ class TestMetrics:
         with pytest.raises(DegenerateVarianceError):
             r_squared([1, 2, 3], [5, 5, 5])
 
+    def test_r2_constant_actual_with_inexact_mean_rejected(self):
+        # the mean of [0.1] * 3 rounds away from 0.1, so the deviations are not all 0
+        with pytest.raises(DegenerateVarianceError):
+            r_squared([0.2] * 3, [0.1] * 3)
+
+    def test_r2_of_underflowing_deviations(self):
+        # the squared deviations of a non-constant series underflow to 0
+        assert r_squared([0.0, 0.0], [0.0, 1.4082492351316105e-251]) == -1.0
+
+    @pytest.mark.parametrize("exponent", [-520, -540, -600])
+    @pytest.mark.parametrize("predicted, actual", [
+        ([1.0, 2.0, 5.0], [1.0, 2.0, 3.0]),
+        ([0.3, -1.1, 2.2, 0.1], [1.3, -2.2, 1.7, 0.4]),
+    ])
+    def test_r2_is_unchanged_by_scaling_into_underflow(self, predicted, actual, exponent):
+        # a power of two scales every value exactly, so R^2 keeps its bits
+        scaled = r_squared(np.ldexp(predicted, exponent), np.ldexp(actual, exponent))
+        assert scaled == r_squared(predicted, actual)
+
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             mae([1], [1, 2])
@@ -77,6 +96,7 @@ class TestMetrics:
             )
         )
     )
+    @example(pair=([0.0, 0.0], [0.0, 1.4082492351316105e-251]))
     def test_metrics_match_loop_oracle(self, pair):
         # 1e-12 relative: summation order alone shifts absolute values
         # by ~eps * n * magnitude
@@ -85,7 +105,10 @@ class TestMetrics:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
         a, b = mse(predicted, actual), mse_loop(predicted, actual)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
-        if max(actual) > min(actual):
+        # the oracle squares in plain floats, so it is only exact while its
+        # sum of squared deviations stays a normal number
+        mean = sum(actual) / len(actual)
+        if sum((x - mean) ** 2 for x in actual) >= np.finfo(float).tiny:
             assert abs(
                 r_squared(predicted, actual) - r_squared_loop(predicted, actual)
             ) <= 1e-9 * max(1.0, abs(r_squared_loop(predicted, actual)))

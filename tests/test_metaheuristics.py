@@ -38,9 +38,6 @@ class ScriptedRng:
     def random(self, size=None):
         return self._next(np.empty(size).shape if size else ())
 
-    def uniform(self, low, high, size=None):
-        return self._next(np.empty(size).shape if size else ())
-
     def integers(self, low, high, size=None):
         value = np.asarray(self.draws.pop(0))
         return np.broadcast_to(value, (size,)).copy() if size else value
@@ -126,32 +123,32 @@ class TestGwoStep:
 class TestWoaStep:
     def test_spiral_at_l_zero_lands_at_distance_plus_best(self):
         # p >= 0.5 selects the spiral; exp(0) * cos(0) = 1
-        positions = np.array([[0.2, 0.2]])
+        positions = np.array([[0.2, 0.2], [0.9, 0.4]])
         best = np.array([0.5, 0.55])
         rng = ScriptedRng([
-            np.array([0.3]),   # r1
-            np.array([0.3]),   # r2
-            np.array([0.9]),   # p -> spiral
-            np.array([0.0]),   # l
+            np.array([[0.3],   # r1
+                      [0.3],   # r2
+                      [0.9],   # p -> spiral
+                      [0.5]]),  # l = -1 + 2 * 0.5 = 0
             np.array([0]),     # rand index (unused)
         ])
         updated = woa_step(positions, best, 1.0, rng, unit_bounds(2))
-        expected = np.abs(best - positions[0]) + best
-        assert np.allclose(updated[0], expected)
+        expected = np.abs(best - positions) + best
+        assert np.allclose(updated, expected)
 
     def test_encircle_with_zero_a_returns_best(self):
         # r1 = 0.5 makes A = 2 a r1 - a = 0
-        positions = np.array([[0.1, 0.9]])
+        positions = np.array([[0.1, 0.9], [0.8, 0.3]])
         best = np.array([0.5, 0.5])
         rng = ScriptedRng([
-            np.array([0.5]),   # r1 -> A = 0
-            np.array([0.7]),   # r2
-            np.array([0.2]),   # p -> encircle
-            np.array([0.4]),   # l
+            np.array([[0.5],   # r1 -> A = 0
+                      [0.7],   # r2
+                      [0.2],   # p -> encircle
+                      [0.7]]),  # l
             np.array([0]),
         ])
         updated = woa_step(positions, best, 1.5, rng, unit_bounds(2))
-        assert np.allclose(updated[0], best)
+        assert np.allclose(updated, best)
 
     def test_exploration_with_identical_population_matches_encircle_form(self):
         # |A| >= 1 forces exploration; with every agent identical the random
@@ -164,10 +161,10 @@ class TestWoaStep:
         a = 2.0
         coeff_a, coeff_c = 2 * a * r1 - a, 2 * r2
         rng = ScriptedRng([
-            np.full(4, r1),
-            np.full(4, r2),
-            np.full(4, 0.1),   # p -> not spiral
-            np.full(4, 0.5),   # l
+            np.array([np.full(4, r1),
+                      np.full(4, r2),
+                      np.full(4, 0.1),    # p -> not spiral
+                      np.full(4, 0.75)]),  # l
             np.array([0, 0, 0, 0]),
         ])
         updated = woa_step(positions, best, a, rng, unit_bounds(2))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fused import with_params
-from oracles import conv1d_loop, lstm_step_scalar, maxpool1d_loop
+from oracles import adam_loop, conv1d_loop, lstm_step_scalar, maxpool1d_loop
 from swarmcast.errors import ConfigError, DataError, DivergedError
 from swarmcast.layers import GATES, conv_output_size
 from swarmcast.network import (
     PREDICT_BLOCK,
     NetworkConfig,
+    _Adam,
     TrainingConfig,
     initialize_network,
     iterative_forecast,
@@ -218,6 +220,69 @@ class TestTrain:
         cfg = TrainingConfig(epochs=300, learning_rate=5e-2, optimizer="sgd", seed=8)
         trained = train(net, constant_samples(), cfg)
         assert trained.loss_history[-1] < 1e-3
+
+
+class TestAdam:
+    def test_folded_update_matches_the_papers_algorithm(self):
+        rng = np.random.default_rng(41)
+        size, steps, lr = 24, 300, 1e-3
+        grads = rng.normal(size=(steps, size))
+        grads[:, 0] = 0.0  # a parameter that never sees a gradient
+        grads[rng.random((steps, size)) < 0.1] = 0.0
+        grads[150, 5] = 1e6
+        optimizer = _Adam(size, lr)
+        for grad, expected in zip(grads, adam_loop(grads, lr)):
+            params = np.zeros(size)  # so the update leaves exactly -step
+            optimizer.update(params, grad)
+            assert np.all(np.abs(params + expected) <= 1e-12 * np.abs(expected))
+
+
+class TestTrainingTrajectory:
+    """sha256 of (weights buffer, loss history) after 3 epochs, per config
+    and optimizer. Bit-exact rewrites of the training step leave every
+    digest as it is; a change that rounds differently must re-record the
+    digests it moves and say so."""
+
+    CONFIGS = {
+        "default": {},
+        "one-step": {"repeat_steps": 1},
+        "horizon-2": {"horizon": 2},
+        "tanh": {"conv_activation": "tanh"},
+        "identity-pool-3": {"conv_activation": "identity", "pool_size": 3},
+        "two-features-kernel-4": {"n_features": 2, "kernel_size": 4},
+    }
+    DIGESTS = {
+        "default/adam": "6d795fd1f85adfd9c2dc4bea4bfcec1f29b0a288144a85889816f1f8234a5dc7",
+        "horizon-2/adam": "64bb9b00b974b03a60c1cf6951a114231ccde010f4f81dbac65a37ab7ebbed1a",
+        "identity-pool-3/adam": "4f339943ea46972fe33b0f7a3aa1d456b6f74726b45207640b11ccfa98e9415a",
+        "one-step/adam": "235d81e3818d01668d664eba56f9a073f251f7ed1611bdc0e50665d8432bb1b2",
+        "tanh/adam": "15e7d217b810a999c4df4afab8a2a10fd1c4588448ee63e8b7800a1cfdc2408f",
+        "two-features-kernel-4/adam": "69c8fec1d715af8ce6d70899e11d296c3eba68d4bf74bfebd4ebc7f65efeb4e7",
+        "default/sgd": "0265b31dd256def4eb05177d43014981c53a6db7329eafbd637437fe7f0fb1eb",
+        "horizon-2/sgd": "324143f853efac71221f382fc883ff0ce175c3c62f5fcb1e588e2937dca97bc5",
+        "identity-pool-3/sgd": "cbc6db931084843637a23f37d1ec533e8279a5780b95e4f0a5c6c3e9742ab141",
+        "one-step/sgd": "c8328f52aee236610be7ff7ec2bb26472f6af79b369c2c8a46e2f5851da456c3",
+        "tanh/sgd": "969bcfb64631ef29c7e07858ac90c8c42e7e984feeba89fc31e3d4c5a454589a",
+        "two-features-kernel-4/sgd": "fdb08a620201415eefc18b0a5671bdd820b9ff2560577135100cb536abc19356",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_trajectory_matches_recorded_digest(self, name, optimizer):
+        config = tiny_config(seed=31, **self.CONFIGS[name])
+        lookback, n = 8, 6
+        rng = np.random.default_rng(31)
+        samples = WindowedSamples(
+            inputs=rng.uniform(0.0, 1.0, size=(n, lookback, config.n_features)),
+            targets=rng.uniform(0.0, 1.0, size=(n, config.horizon, 1)),
+            lookback=lookback,
+            horizon=config.horizon,
+        )
+        cfg = TrainingConfig(epochs=3, learning_rate=1e-2, optimizer=optimizer, seed=31)
+        trained = train(initialize_network(config, lookback), samples, cfg)
+        digest = hashlib.sha256(trained.weights.buf.tobytes())
+        digest.update(np.array(trained.loss_history).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[f"{name}/{optimizer}"]
 
 
 class TestPrediction:
