@@ -10,10 +10,12 @@ the primary artifacts against tests/golden/demo/.
 Run from the repo root:  python scripts/demo_pipeline.py
 With --update-golden the run replaces tests/golden/demo/ with its
 primary artifacts (everything but the VOLATILE_FILES), for a change
-that is meant to alter their bits.
+that is meant to alter their bits, and prints each golden file it
+changed, added or removed.
 """
 
 import argparse
+import hashlib
 import shutil
 import sys
 from pathlib import Path
@@ -58,13 +60,28 @@ def main_demo(out: Path = OUT):
     print(f"\nall demo artifacts under {out}")
 
 
+def file_digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under ``root``, by its path relative to it."""
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in root.rglob("*") if path.is_file()}
+
+
 def update_golden():
+    before = file_digests(GOLDEN)
     shutil.rmtree(GOLDEN, ignore_errors=True)
     main_demo(GOLDEN)
     for path in sorted(GOLDEN.rglob("*")):
         if path.name in VOLATILE_FILES:
             path.unlink()
-    print(f"golden artifacts rewritten under {GOLDEN.relative_to(ROOT)}")
+    after = file_digests(GOLDEN)
+    print(f"\ngolden artifacts rewritten under {GOLDEN.relative_to(ROOT)}")
+    moved = sorted(name for name in before.keys() | after.keys()
+                   if before.get(name) != after.get(name))
+    for name in moved:
+        status = "added" if name not in before else "removed" if name not in after else "changed"
+        print(f"  {status}: {name}")
+    if not moved:
+        print("  no golden file changed")
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ from .benchmarks import BENCHMARKS
 from .evaluation import ALPHA, CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
 from .fileio import (COUNT_RULE, OBJECT_RULE, canonical_json, check_fields, read_json,
                      write_csv_rows, write_json)
+from .layers import ACTIVATIONS
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
     WEIGHT_OPTIMIZERS,
@@ -129,7 +130,7 @@ OPTIONS = {
     "learning_rate": Option(float, "optimizer step size"),
     "optimizer": Option(help="weight optimizer", choices=tuple(WEIGHT_OPTIMIZERS)),
     "repeat_steps": Option(int, "LSTM steps fed the repeated conv features"),
-    "conv_activation": Option(help="convolution activation", choices=("relu", "tanh")),
+    "conv_activation": Option(help="convolution activation", choices=tuple(ACTIVATIONS)),
     "surrogate": Option(help="replace fitness by a hash pseudo-loss", choices=("hash",)),
     "extended_space": Option(bool, "add learning_rate and epochs to the grid"),
     "space": Option(flag=False, free_form=True),

@@ -37,13 +37,6 @@ ACTIVATIONS = {
 }
 
 
-def conv_output_size(input_len: int, kernel: int) -> int:
-    """Output length of a valid stride-1 convolution: W - F + 1."""
-    if kernel > input_len:
-        raise ConfigError(f"kernel {kernel} larger than input {input_len}")
-    return input_len - kernel + 1
-
-
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     """The kernel-length windows of x (..., L, F) as rows (..., L-K+1, K*F).
 

@@ -36,7 +36,6 @@ from .layers import (
     _lstm_cell_cache,
     _maxpool1d_backward,
     _maxpool1d_cache,
-    conv_output_size,
 )
 from .timeseries import ScalingParams, WindowedSamples, inverse_scale
 
@@ -46,6 +45,12 @@ NETWORK_RULES = dict.fromkeys(("n_filters", "kernel_size", "pool_size", "lstm_un
                                "repeat_steps", "n_features", "horizon"), COUNT_RULE)
 TRAINING_RULES = {"epochs": COUNT_RULE, "learning_rate": (
     lambda value: is_finite(value) and value > 0, "a finite number > 0")}
+
+
+def pooled_length(lookback, kernel_size, pool_size):
+    """Length of the pooled conv output. The one fit rule: a kernel and pool
+    fit a lookback iff it is >= 1. Elementwise on arrays, for a whole grid."""
+    return (lookback - kernel_size + 1) // pool_size
 
 
 @dataclass(frozen=True)
@@ -73,19 +78,13 @@ class NetworkConfig:
             raise ConfigError(
                 f"kernel_size {self.kernel_size} exceeds lookback {lookback}"
             )
-        if self.pooled_length(lookback) < 1:
+        if pooled_length(lookback, self.kernel_size, self.pool_size) < 1:
             raise ConfigError(
                 f"pool_size {self.pool_size} empties the conv output for lookback {lookback}"
             )
 
-    def conv_length(self, lookback: int) -> int:
-        return conv_output_size(lookback, self.kernel_size)
-
-    def pooled_length(self, lookback: int) -> int:
-        return self.conv_length(lookback) // self.pool_size
-
     def flat_length(self, lookback: int) -> int:
-        return self.pooled_length(lookback) * self.n_filters
+        return pooled_length(lookback, self.kernel_size, self.pool_size) * self.n_filters
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,8 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
 
 
 def _forward(p: _FlatParams, cols, cfg: NetworkConfig):
-    """Forward pass of im2col windows cols (..., conv_length, K*F), one window
-    or a batch; returns the outputs (..., horizon) and the backward cache."""
+    """Forward pass of im2col windows cols (..., lookback - K + 1, K*F), one
+    window or a batch; returns the outputs (..., horizon) and the backward cache."""
     conv_out, conv_cache = _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation)
     pooled, pool_cache = _maxpool1d_cache(conv_out, cfg.pool_size)
     flat = pooled.reshape(pooled.shape[:-2] + (-1,))

@@ -254,9 +254,8 @@ def minmax_scale(series) -> tuple[np.ndarray, ScalingParams]:
     if np.isnan(values).any():
         raise DataError("series must be imputed before scaling")
     lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        return np.zeros_like(values), ScalingParams(lo, hi, degenerate=True)
-    return (values - lo) / (hi - lo), ScalingParams(lo, hi)
+    params = ScalingParams(lo, hi, degenerate=hi == lo)
+    return apply_scale(values, params), params
 
 
 def apply_scale(series, params: ScalingParams) -> np.ndarray:

@@ -12,7 +12,6 @@ only 2*6*3*4 = 144 cells under the default space.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -30,6 +29,7 @@ from .network import (
     NetworkConfig,
     TrainingConfig,
     initialize_network,
+    pooled_length,
     predict_windows,
     train,
 )
@@ -64,8 +64,13 @@ class HyperparamSpace:
     def __len__(self):
         return len(self.dimensions)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Candidates per dimension: the grid as an array shape."""
+        return tuple(len(candidates) for _, candidates in self.dimensions)
+
     def cells(self) -> int:
-        return math.prod(len(c) for _, c in self.dimensions)
+        return math.prod(self.shape)
 
     def cell(self, indices) -> dict:
         """The cell at the given grid indices: dimension name -> candidate."""
@@ -127,19 +132,23 @@ def decode_position(positions, space: HyperparamSpace) -> np.ndarray:
     raw = np.asarray(positions, dtype=float)
     if raw.ndim not in (1, 2) or raw.shape[-1] != len(space):
         raise ConfigError(f"positions must have {len(space)} columns, got shape {raw.shape}")
-    sizes = np.array([len(candidates) for _, candidates in space.dimensions])
+    sizes = np.array(space.shape)
     return np.minimum((np.clip(raw, 0.0, 1.0) * sizes).astype(np.intp), sizes - 1)
-
-
-def _grid(space: HyperparamSpace):
-    """The index tuple of every grid cell, in lexicographic order."""
-    return itertools.product(*(range(len(c)) for _, c in space.dimensions))
 
 
 def enumerate_assignments(space: HyperparamSpace):
     """Every grid cell, in lexicographic candidate order."""
-    for indices in _grid(space):
+    for indices in np.ndindex(space.shape):
         yield space.cell(indices)
+
+
+def fit_mask(space: HyperparamSpace, lookback: int) -> np.ndarray:
+    """One bool per grid cell, indexed by its grid indices: whether the
+    cell's kernel and pool fit ``lookback`` (see ``pooled_length``)."""
+    axes = {name: np.reshape(candidates, [-1 if j == i else 1 for j in range(len(space))])
+            for i, (name, candidates) in enumerate(space.dimensions)}
+    fits = pooled_length(lookback, axes["kernel_size"], axes["pool_size"]) >= 1
+    return np.broadcast_to(fits, space.shape)
 
 
 def derive_seed(global_seed: int, assignment: dict) -> int:
@@ -184,18 +193,6 @@ def cell_configs(
     return network, training
 
 
-def _fits(assignment: dict, lookback: int) -> bool:
-    """Whether the cell's kernel and pool leave a non-empty pooled conv
-    output at this lookback; ``fitness`` scores the others +inf."""
-    config = NetworkConfig(kernel_size=int(assignment["kernel_size"]),
-                           pool_size=int(assignment["pool_size"]))
-    try:
-        config.validate_for_lookback(lookback)
-    except ConfigError:
-        return False
-    return True
-
-
 def fitness(
     assignment: dict,
     train_windows: WindowedSamples,
@@ -205,19 +202,14 @@ def fitness(
     global_seed: int,
 ) -> float:
     """Validation MSE of a network trained under the assignment (see
-    ``cell_configs``); the windows set its feature count and horizon.
-
-    Infeasible shape combinations and diverged trainings come back as
-    +inf so the search stays total.
+    ``cell_configs``) on windows whose lookback it fits; the windows set
+    its feature count and horizon. A diverged training scores +inf.
     """
-    lookback = train_windows.lookback
-    if not _fits(assignment, lookback):
-        return math.inf
     network = replace(
         network, n_features=train_windows.inputs.shape[2], horizon=train_windows.horizon
     )
     config, run_cfg = cell_configs(assignment, network, training, global_seed)
-    net = initialize_network(config, lookback)
+    net = initialize_network(config, train_windows.lookback)
     try:
         trained = train(net, train_windows, run_cfg)
     except DivergedError:
@@ -273,26 +265,29 @@ def tune(
     params: OptimizerParams,
     space: HyperparamSpace = DEFAULT_SPACE,
     evaluation_budget: int | None = None,
+    fits: np.ndarray | None = None,
 ) -> TuningResult:
     """Drive a metaheuristic over the grid's unit box.
 
     ``evaluate`` maps a cell (a dict) to a loss; results are cached by
     the cell's grid indices so revisits cost nothing. The optimizer
     scores each population with one objective call, which decodes the
-    whole population at once and evaluates its rows in row order.
-    ``evaluation_budget`` caps the number of
+    whole population at once and evaluates its rows in row order, but
+    only the rows whose cell ``fits`` (one bool per cell, see
+    ``fit_mask``; all by default): the others score +inf, unlogged,
+    uncounted and uncharged. ``evaluation_budget`` caps the number of
     *distinct* cells evaluated: once it is spent, a row whose cell was
     never evaluated scores +inf, uncached and uncounted, while cached
-    cells keep their loss. Whatever the search leaves unspent is used to
-    sweep still-unvisited cells in grid order, so a budget covering the
-    whole grid guarantees the exact grid optimum.
-    Returns the best cell, its loss, the fresh-evaluation log and the
-    optimizer trace.
+    cells keep their loss. Whatever the search leaves unspent sweeps the
+    unvisited fitting cells in grid order, so a budget covering them all
+    guarantees the exact optimum. Returns the best cell, its loss, the
+    fresh-evaluation log and the optimizer trace.
     """
     if algorithm not in OPTIMIZERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
     if evaluation_budget is not None and evaluation_budget < 1:
         raise ConfigError("evaluation_budget must be positive")
+    fits = np.ones(space.shape, dtype=bool) if fits is None else fits
     log: dict[tuple, EvaluationRecord] = {}  # grid indices -> record, in evaluation order
     hits = 0
 
@@ -310,7 +305,11 @@ def tune(
         return loss
 
     def objective(positions):
-        return [evaluate_cell(tuple(row)) for row in decode_position(positions, space).tolist()]
+        rows = decode_position(positions, space)
+        losses = np.full(len(rows), math.inf)
+        fitting = fits[tuple(rows.T)]
+        losses[fitting] = [evaluate_cell(tuple(row)) for row in rows[fitting].tolist()]
+        return losses
 
     bounds = SearchBounds.cube(0.0, 1.0, len(space))
     best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
@@ -318,7 +317,7 @@ def tune(
     best_loss = float(best_loss)
 
     if evaluation_budget is not None:
-        for indices in _grid(space):
+        for indices in map(tuple, np.argwhere(fits).tolist()):
             if len(log) >= evaluation_budget:
                 break
             if indices in log:
@@ -357,16 +356,18 @@ def tune_series(
     Each cell trains under ``cell_configs(cell, network, training,
     global_seed)``; the network template's horizon sets the windows'.
     ``surrogate='hash'`` swaps the real fitness for the deterministic
-    pseudo-loss, which is handy for exercising the search itself.
+    pseudo-loss, which is handy for exercising the search itself. Either
+    way only the cells that fit ``lookback`` are scored.
     """
+    fits = fit_mask(space, lookback)
+    if not fits.any():
+        raise ConfigError(
+            f"no cell of the space fits lookback {lookback}: each kernel_size is"
+            " wider than it or its pool_size empties the conv output"
+        )
     if surrogate == "hash":
         evaluate = lambda assignment: surrogate_fitness(assignment, global_seed)
     elif surrogate is None:
-        if not any(_fits(assignment, lookback) for assignment in enumerate_assignments(space)):
-            raise ConfigError(
-                f"no cell of the space fits lookback {lookback}: each kernel_size is"
-                " wider than it or its pool_size empties the conv output"
-            )
         train_windows, val_windows = inner_validation_split(
             series, lookback, network.horizon, val_fraction
         )
@@ -375,7 +376,8 @@ def tune_series(
         )
     else:
         raise ConfigError(f"unknown surrogate {surrogate!r}")
-    return tune(evaluate, algorithm, params, space, evaluation_budget=evaluation_budget)
+    return tune(evaluate, algorithm, params, space, evaluation_budget=evaluation_budget,
+                fits=fits)
 
 
 def tuning_report(result: TuningResult, **run) -> dict:

@@ -220,10 +220,13 @@ class TestTune:
                      "--output-dir", str(tmp_path / "opt")])
         assert code == 0
         report = json.loads((tmp_path / "opt" / "report.json").read_text())
+        # the minimum over the cells that fit the default lookback 7
         true_min = min(
             surrogate_fitness(a, seed) for a in enumerate_assignments(DEFAULT_SPACE)
+            if a["kernel_size"] + a["pool_size"] <= 8
         )
         assert report["best_loss"] == true_min
+        assert len(report["evaluation_log"]) == 72
 
     def test_custom_space_from_config(self, artifact, tmp_path):
         cfg = tmp_path / "space.json"
@@ -274,9 +277,26 @@ class TestTune:
                      "--output-dir", str(tmp_path / "tr")]) == 0
 
     def test_no_cell_fitting_the_lookback_exits_2(self, artifact, tmp_path, capsys):
-        assert main(["tune", "--data-dir", str(artifact), "--lookback", "2",
-                     "--output-dir", str(tmp_path / "t")]) == 2
-        assert "lookback 2" in capsys.readouterr().err
+        for flags in (["--lookback", "2"], ["--lookback", "2", "--surrogate", "hash"],
+                      ["--lookback", "0", "--surrogate", "hash"]):
+            assert main(["tune", "--data-dir", str(artifact), *flags,
+                         "--output-dir", str(tmp_path / "t")]) == 2
+            assert f"lookback {flags[1]}" in capsys.readouterr().err
+            assert not (tmp_path / "t").exists()
+
+    # at these seeds the first row of the first population is a cell that does
+    # not fit lookback 7; it must not take the budget's one training
+    @pytest.mark.parametrize("seed", [1, 4, 5, 7, 8])
+    def test_budget_of_one_trains_a_fitting_cell(self, artifact, tmp_path, seed):
+        out = tmp_path / "t"
+        assert main(["tune", "--data-dir", str(artifact), "--evaluation-budget", "1",
+                     "--population", "4", "--iterations", "1", "--fitness-epochs", "1",
+                     "--seed", str(seed), "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        [entry] = report["evaluation_log"]
+        assert entry["assignment"] == report["best_assignment"]
+        NetworkConfig(kernel_size=entry["assignment"]["kernel_size"],
+                      pool_size=entry["assignment"]["pool_size"]).validate_for_lookback(7)
 
     def test_trace_csv_matches_iterations(self, artifact, tmp_path):
         code = main(["tune", "--data-dir", str(artifact), "--surrogate", "hash",
@@ -361,6 +381,20 @@ class TestTrainForecast:
                      "--optimizer", "sgd", "--learning-rate", "1e14",
                      "--output-dir", str(tmp_path / "dv")])
         assert code == 4
+
+    def test_identity_activation_trains_and_evaluates(self, artifact, tmp_path):
+        # every activation the network knows is a choice, from a flag or a config file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"conv_activation": "identity"}), encoding="utf-8")
+        for flags, out in ((["--conv-activation", "identity"], "flag"),
+                           (["--config", str(cfg)], "config")):
+            assert main(["train", "--data-dir", str(artifact), *flags, "--n-filters", "2",
+                         "--lstm-units", "3", "--epochs", "2", "--seed", "4",
+                         "--output-dir", str(tmp_path / out)]) == 0
+            model = tmp_path / out / "model.json"
+            assert load_model(model).config.conv_activation == "identity"
+            assert main(["evaluate", "--model", str(model), "--data-dir", str(artifact),
+                         "--output-dir", str(tmp_path / f"{out}-ev")]) == 0
 
     def test_evaluate_writes_metrics(self, artifact, tmp_path):
         train_dir = tmp_path / "m2"

@@ -7,25 +7,22 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fused import lstm_step_fused
 from oracles import conv1d_loop, lstm_step_scalar, maxpool1d_loop
 from swarmcast.errors import ConfigError
-from swarmcast.layers import (
-    GATES,
-    _conv1d_cache,
-    _im2col,
-    _maxpool1d_cache,
-    conv_output_size,
-)
+from swarmcast.layers import GATES, _conv1d_cache, _im2col, _maxpool1d_cache
+from swarmcast.network import NetworkConfig, pooled_length
 
 
 class TestConvOutputSize:
+    # with pool 1 the pooled length is the valid convolution's W - F + 1
     def test_valid_convolution(self):
-        assert conv_output_size(10, 3) == 8
+        assert pooled_length(10, 3, 1) == 8
 
     def test_full_width_kernel(self):
-        assert conv_output_size(7, 7) == 1
+        assert pooled_length(7, 7, 1) == 1
 
     def test_kernel_too_large(self):
-        with pytest.raises(ConfigError):
-            conv_output_size(4, 6)
+        assert pooled_length(4, 6, 1) < 1
+        with pytest.raises(ConfigError, match="kernel_size 6 exceeds lookback 4"):
+            NetworkConfig(kernel_size=6, pool_size=1).validate_for_lookback(4)
 
 
 def im2col_reference(x, kernel):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fused import with_params
 from oracles import adam_loop, conv1d_loop, lstm_step_scalar, maxpool1d_loop
 from swarmcast.errors import ConfigError, DataError, DivergedError
-from swarmcast.layers import GATES, conv_output_size
+from swarmcast.layers import GATES
 from swarmcast.network import (
     PREDICT_BLOCK,
     NetworkConfig,
@@ -23,6 +23,7 @@ from swarmcast.network import (
     model_to_dict,
     network_forward,
     persistence_predictions,
+    pooled_length,
     predict_windows,
     save_model,
     train,
@@ -74,9 +75,9 @@ class TestConfigs:
     )
     def test_flat_length_shape_algebra(self, n_filters, kernel, pool, lookback):
         config = tiny_config(n_filters=n_filters, kernel_size=kernel, pool_size=pool)
-        conv_len = conv_output_size(lookback, kernel)
-        expected = (conv_len // pool) * n_filters
-        if kernel > lookback or conv_len // pool < 1:
+        pooled = pooled_length(lookback, kernel, pool)
+        expected = pooled * n_filters
+        if pooled < 1:
             with pytest.raises(ConfigError):
                 initialize_network(config, lookback)
             return

@@ -12,11 +12,13 @@ from swarmcast.network import NetworkConfig, TrainingConfig
 from swarmcast.tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
+    LOOKBACK,
     HyperparamSpace,
     cell_configs,
     decode_position,
     derive_seed,
     enumerate_assignments,
+    fit_mask,
     fitness,
     inner_validation_split,
     surrogate_fitness,
@@ -160,17 +162,6 @@ def learnable_constant_series(n=30, value=0.5):
 
 
 class TestFitness:
-    def test_infeasible_kernel_is_inf(self):
-        train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
-        a = {"n_filters": 32, "kernel_size": 8, "pool_size": 2, "lstm_units": 10}
-        assert fitness(a, train_w, val_w, NetworkConfig(), TrainingConfig(epochs=1), 0) == math.inf
-
-    def test_infeasible_pool_is_inf(self):
-        train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
-        a = {"n_filters": 32, "kernel_size": 7, "pool_size": 2, "lstm_units": 10}
-        # conv length 1, pool 2 -> empty
-        assert fitness(a, train_w, val_w, NetworkConfig(), TrainingConfig(epochs=1), 0) == math.inf
-
     def test_identical_assignment_identical_loss(self):
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
         a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
@@ -326,11 +317,65 @@ class TestTune:
         assert result.trace.evaluations == unbudgeted.trace.evaluations
         assert unbudgeted.cache_misses > 5
 
-    def test_budget_spent_on_infeasible_cells_is_degenerate(self):
-        losses = iter([math.inf])  # the one cell the budget pays for is infeasible
+    # at lookback 7 a kernel of 8 is wider than the window, and a kernel of 7
+    # leaves one conv output, which a pool of 2 empties
+    @pytest.mark.parametrize("unfit", [{"kernel_size": (3, 8), "pool_size": (2,)},
+                                       {"kernel_size": (3, 7), "pool_size": (2,)}],
+                             ids=["kernel", "pool"])
+    def test_unfit_cell_is_never_evaluated_logged_or_charged(self, monkeypatch, unfit):
+        space = HyperparamSpace((("n_filters", (32,)), ("kernel_size", unfit["kernel_size"]),
+                                 ("pool_size", unfit["pool_size"]), ("lstm_units", (10,))))
+        fitting = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
+        rows = []  # every population row, as grid indices
+
+        def recording_decode(positions, space):
+            decoded = decode_position(positions, space)
+            if decoded.ndim == 2:
+                rows.extend(map(tuple, decoded.tolist()))
+            return decoded
+
+        monkeypatch.setattr(tuning, "decode_position", recording_decode)
+        calls = []
+
+        def evaluate(assignment):
+            calls.append(assignment)
+            return 0.25
+
+        params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
+        result = tune(evaluate, "gwo", params, space, evaluation_budget=1,
+                      fits=fit_mask(space, 7))
+        fitting_rows = rows.count((0, 0, 0, 0))
+        assert 0 < fitting_rows < len(rows)  # both cells were visited
+        assert calls == [fitting] and [r.values for r in result.records] == [fitting]
+        assert (result.cache_misses, result.cache_hits) == (1, fitting_rows - 1)
+        assert (result.best_assignment, result.best_loss) == (fitting, 0.25)
+
+    def test_budget_spent_on_diverged_cells_is_degenerate(self):
+        losses = iter([math.inf])  # the one cell the budget pays for diverges
         params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
         with pytest.raises(DegenerateObjectiveError):
             tune(lambda a: next(losses, 0.5), "gwo", params, evaluation_budget=1)
+
+
+class TestFitMask:
+    @pytest.mark.parametrize("lookback", range(-1, 11))
+    def test_agrees_with_the_config_check_in_any_dimension_order(self, lookback):
+        reordered = HyperparamSpace(DEFAULT_SPACE.dimensions[::-1])
+        for space in (DEFAULT_SPACE, reordered):
+            mask = fit_mask(space, lookback)
+            assert mask.shape == space.shape
+            for indices in np.ndindex(space.shape):
+                cell = space.cell(indices)
+                try:
+                    NetworkConfig(kernel_size=cell["kernel_size"],
+                                  pool_size=cell["pool_size"]).validate_for_lookback(lookback)
+                except ConfigError:
+                    assert not mask[indices], cell
+                else:
+                    assert mask[indices], cell
+
+    def test_half_the_default_grid_fits_lookback_7(self):
+        assert fit_mask(DEFAULT_SPACE, LOOKBACK).sum() == 72
 
 
 class TestTuneSeries:
@@ -363,9 +408,37 @@ class TestTuneSeries:
             raise AssertionError("fitness evaluated")
 
         monkeypatch.setattr(tuning, "fitness", never)
+        monkeypatch.setattr(tuning, "surrogate_fitness", never)
         params = OptimizerParams(population_size=4, max_iterations=2, seed=5)
-        with pytest.raises(ConfigError, match="lookback 2"):
-            tune_series(np.linspace(0.0, 1.0, 40), "rs-gwo-woa", params, lookback=2)
+        for surrogate in (None, "hash"):
+            with pytest.raises(ConfigError, match="lookback 2"):
+                tune_series(np.linspace(0.0, 1.0, 40), "rs-gwo-woa", params, lookback=2,
+                            surrogate=surrogate)
+
+    def test_real_fitness_trains_only_fitting_cells(self, monkeypatch):
+        trained = []
+
+        def counting(assignment, train_windows, *args):
+            trained.append(assignment)
+            return fitness(assignment, train_windows, *args)
+
+        monkeypatch.setattr(tuning, "fitness", counting)
+        params = OptimizerParams(population_size=4, max_iterations=1, seed=1)
+        result = tune_series(learnable_constant_series(40), "rs-gwo-woa", params,
+                             training=TrainingConfig(epochs=1), global_seed=1)
+        assert trained == [r.values for r in result.records]
+        for cell in trained:
+            NetworkConfig(kernel_size=cell["kernel_size"],
+                          pool_size=cell["pool_size"]).validate_for_lookback(7)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_surrogate_tune_picks_a_cell_that_fits(self, seed):
+        # scored like the others, an unfit cell won at 14 of these 30 seeds
+        params = OptimizerParams(population_size=10, max_iterations=10, seed=seed)
+        result = tune_series(None, "rs-gwo-woa", params, surrogate="hash", global_seed=seed)
+        for cell in [result.best_assignment] + [r.values for r in result.records]:
+            NetworkConfig(kernel_size=cell["kernel_size"],
+                          pool_size=cell["pool_size"]).validate_for_lookback(LOOKBACK)
 
     def test_unknown_surrogate_rejected(self):
         with pytest.raises(ConfigError):
