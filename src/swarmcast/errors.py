@@ -35,7 +35,13 @@ class DivergedError(SwarmcastError):
 
 
 class DegenerateObjectiveError(SwarmcastError):
-    """Every objective evaluation came back NaN or infeasible."""
+    """Every objective evaluation came back NaN or infeasible. ``result``
+    holds what the search returns otherwise (best position, its +inf
+    fitness, trace), for a caller that can still look elsewhere."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class DegenerateVarianceError(DataError):

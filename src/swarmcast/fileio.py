@@ -44,9 +44,9 @@ def is_finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
 
 
-def is_count(value) -> bool:
-    """Whether a value is an integer >= 1 (a bool is not one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def is_count(value, least: int = 1) -> bool:
+    """Whether a value is an integer >= ``least`` (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 COUNT_RULE = (is_count, "an integer >= 1")

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateObjectiveError
+from .fileio import COUNT_RULE, check_fields, is_count
 
 # per-gene rates of the GA baseline's uniform crossover and mutation
 GA_CROSSOVER_RATE = 0.25
@@ -62,6 +63,14 @@ class SearchBounds:
         return cls(np.full(dimension, float(low)), np.full(dimension, float(high)))
 
 
+# each field's rule, key -> (check, what it wants), for the constructor
+OPTIMIZER_RULES = {
+    "population_size": (lambda value: is_count(value, 4), "an integer >= 4"),
+    "max_iterations": COUNT_RULE,
+    "seed": (lambda value: is_count(value, 0), "an integer >= 0"),
+}
+
+
 @dataclass(frozen=True)
 class OptimizerParams:
     population_size: int = 30
@@ -69,12 +78,7 @@ class OptimizerParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 4:
-            raise ConfigError("population_size must be at least 4")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be at least 0, got {self.seed}")
+        check_fields(vars(self), OPTIMIZER_RULES, ConfigError, "", "optimizer params")
 
 
 @dataclass
@@ -186,9 +190,10 @@ def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callb
         if callback is not None:
             callback(t, branch, positions, fitness, leaders)
 
+    result = best.copy(), best_fitness, trace
     if math.isinf(best_fitness):
-        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
-    return best.copy(), best_fitness, trace
+        raise DegenerateObjectiveError("every evaluation returned NaN or +inf", result)
+    return result
 
 
 def _gwo_move(positions, fitness, leaders, a, rng, bounds):

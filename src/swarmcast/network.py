@@ -11,7 +11,11 @@ A network keeps its parameters in one flat buffer (``_FlatParams``);
 ``train`` copies it once and the optimizer updates the copy in place,
 against a gradient buffer of the same layout. The LSTM gates are fused
 into one matrix, and the repeated input is projected once per window.
-Inference runs fixed-size blocks of windows through the same forward.
+``train`` also makes one set of step buffers (``_StepBuffers``) from the
+config and lookback, into which every sample's forward and backward
+intermediates are written, and takes the LSTM's two derivative arrays
+for all repeat steps at once after the forward. Inference runs
+fixed-size blocks of windows through the same forward, without buffers.
 Models serialise to JSON with weights base64-encoded as little-endian
 float64, so save/load round-trips are bit-exact.
 """
@@ -34,6 +38,7 @@ from .layers import (
     _im2col,
     _lstm_cell_backward,
     _lstm_cell_cache,
+    _lstm_slopes,
     _maxpool1d_backward,
     _maxpool1d_cache,
 )
@@ -184,52 +189,94 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
     return TrainedNetwork(config=config, lookback=lookback, weights=weights)
 
 
-def _forward(p: _FlatParams, cols, cfg: NetworkConfig):
+class _StepBuffers:
+    """Every intermediate of one window's training step, made once per
+    ``train`` call from (config, lookback) and overwritten by each sample:
+    the conv output, the pooled output (``flat`` views it), the input
+    projection, per LSTM step the arrays ``_lstm_cell_cache`` writes
+    (``steps``: scratch pre-activation, squashed gates, gates, cell,
+    tanh(cell), hidden, and the gates' four blocks; row t of ``hidden`` is
+    the state after step t), the squashed gates and tanh(cell) side by
+    side (``activations``) and their derivatives (``derivatives``, see
+    ``_lstm_slopes``), per step the (4, u) gate gradients (rows of
+    ``dgates``) and slope and the 1 - tanh(cell)^2 ``_lstm_cell_backward``
+    writes and reads (``backward``), and the pool backward's input
+    gradient ``dx``. Every per-step entry is a view, made here once."""
+
+    def __init__(self, config: NetworkConfig, lookback: int):
+        steps, units, filters = config.repeat_steps, config.lstm_units, config.n_filters
+        conv_length = lookback - config.kernel_size + 1
+        self.conv, self.dx = np.empty((2, conv_length, filters))
+        self.pooled = np.empty((pooled_length(lookback, config.kernel_size, config.pool_size),
+                                filters))
+        self.flat = self.pooled.reshape(-1)
+        self.xproj, pre = np.empty((2, 4 * units))
+        gates, self.dgates = np.empty((2, steps, 4 * units))
+        cell, self.hidden = np.empty((2, steps, units))
+        self.activations, self.derivatives = np.empty((2, steps, 5 * units))
+        squashed, tanh_cell = np.hsplit(self.activations, [4 * units])
+        slope, dtanh = np.hsplit(self.derivatives, [4 * units])
+        blocks = [tuple(row.reshape(4, units)) for row in gates]
+        self.steps = list(zip([pre] * steps, squashed, gates, cell, tanh_cell, self.hidden,
+                              blocks))
+        by_gate = (steps, 4, units)
+        self.backward = list(zip(self.dgates.reshape(by_gate), slope.reshape(by_gate), dtanh))
+
+
+def _forward(p: _FlatParams, cols, cfg: NetworkConfig, buffers: _StepBuffers | None = None):
     """Forward pass of im2col windows cols (..., lookback - K + 1, K*F), one
-    window or a batch; returns the outputs (..., horizon) and the backward cache."""
-    conv_out, conv_cache = _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation)
-    pooled, pool_cache = _maxpool1d_cache(conv_out, cfg.pool_size)
+    window or a batch; returns the outputs (..., horizon) and the backward
+    cache (conv, pool and per-step LSTM caches). One window may write every
+    intermediate into ``buffers``; without them each is a fresh array."""
+    b = buffers
+    conv_out, conv_cache = _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation,
+                                         None if b is None else b.conv)
+    pooled, pool_cache = _maxpool1d_cache(conv_out, cfg.pool_size,
+                                          None if b is None else b.pooled)
     flat = pooled.reshape(pooled.shape[:-2] + (-1,))
     # the repeat layer feeds flat to every step, so its projection is shared
-    xproj = flat @ p.w_x.T + p.gate_b
+    xproj = np.matmul(flat, p.w_x.T, out=None if b is None else b.xproj)
+    xproj += p.gate_b
     cell = hidden = None
-    steps, hiddens = [], []
-    for _ in range(cfg.repeat_steps):
-        cell, hidden, cache = _lstm_cell_cache(xproj, cell, hidden, p.w_h)
+    steps = []
+    for out in [None] * cfg.repeat_steps if b is None else b.steps:
+        cell, hidden, cache = _lstm_cell_cache(xproj, cell, hidden, p.w_h, out)
         steps.append(cache)
-        hiddens.append(hidden)
     output = hidden @ p.dense_w.T + p.dense_b
-    return output, (conv_cache, pool_cache, flat, steps, hiddens)
+    return output, (conv_cache, pool_cache, steps)
 
 
-def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig):
+def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig,
+               buffers: _StepBuffers | None = None):
     """Gradient of one window's squared error, written into ``g``, which
-    shares ``p``'s layout; returns the error (output - target)."""
-    output, (conv_cache, pool_cache, flat, steps, hiddens) = _forward(p, cols, cfg)
+    shares ``p``'s layout; returns the error (output - target). The step
+    runs in ``buffers``, or in a set made for this call."""
+    b = _StepBuffers(cfg, len(cols) + cfg.kernel_size - 1) if buffers is None else buffers
+    output, (conv_cache, pool_cache, steps) = _forward(p, cols, cfg, b)
     error = output - target
-    doutput = 2.0 * error / cfg.horizon
-    np.multiply(doutput[:, None], hiddens[-1], out=g.dense_w)
-    g.dense_b[...] = doutput
+    doutput = np.multiply(2.0, error, out=g.dense_b)
+    doutput /= cfg.horizon
+    hidden, dgates, last = b.hidden, b.dgates, len(steps)
+    np.multiply(doutput[:, None], hidden[-1], out=g.dense_w)
 
+    _lstm_slopes(b.activations, b.derivatives)
     dhidden = doutput @ p.dense_w
     dcell = None
-    dgates = np.empty((len(steps), 4 * p.units))
-    for t in reversed(range(len(steps))):
-        dcell = _lstm_cell_backward(dhidden, dcell, steps[t], dgates[t])
+    for t in reversed(range(last)):
+        dcell = _lstm_cell_backward(dhidden, dcell, steps[t], *b.backward[t])
         if t:
             dhidden = dgates[t] @ p.w_h
     # bias and input weights see every step's input; the recurrent weight
     # sees step t against hidden t - 1 (step 0 starts from zero)
-    dsum = dgates.sum(axis=0)
-    g.gate_b[...] = dsum
-    np.multiply(dsum[:, None], flat, out=g.w_x)
-    if len(steps) > 1:
-        np.matmul(dgates[1:].T, np.array(hiddens[:-1]), out=g.w_h)
+    dsum = np.add.reduce(dgates, axis=0, out=g.gate_b)
+    np.multiply(dsum[:, None], b.flat, out=g.w_x)
+    if last > 1:
+        np.matmul(dgates[1:].T, hidden[:-1], out=g.w_h)
     else:
         g.w_h[...] = 0.0
 
     dpooled = (dsum @ p.w_x).reshape(-1, cfg.n_filters)
-    dconv = _maxpool1d_backward(dpooled, pool_cache)
+    dconv = _maxpool1d_backward(dpooled, pool_cache, b.dx)
     _conv1d_backward(dconv, conv_cache, cfg.conv_activation, g.conv_w2d, g.conv_b)
     return error
 
@@ -253,12 +300,18 @@ def network_forward(x, net: TrainedNetwork) -> np.ndarray:
 
 
 class _Adam:
-    """Adam over the whole flat buffer, in place, with preallocated scratch.
+    """Adam over the whole flat buffer, in place, with one preallocated scratch array.
 
-    The bias corrections are folded into two scalars (Kingma and Ba, 2015,
-    section 2): with root = sqrt(1 - beta2^t), the step lr * m_hat /
-    (sqrt(v_hat) + eps) is (m / (sqrt(v) + eps * root)) * (lr * root /
-    (1 - beta1^t)), one array division per update.
+    It keeps the second moment unnormalised, v' = v / (1 - beta2), so it
+    updates as v' = beta2 v' + g^2, and folds the bias corrections into
+    two scalars (Kingma and Ba, 2015, section 2): with root = sqrt(1 -
+    beta2^t) and tail = sqrt(1 - beta2), the step lr * m_hat /
+    (sqrt(v_hat) + eps) is (m / (sqrt(v') + eps * root / tail)) * (lr *
+    root / (tail * (1 - beta1^t))). That is eleven array passes per
+    update, one of them a division. The first moment stays normalised: an
+    m' = m / (1 - beta1) would save one more pass, but where m cancels to
+    a small value it drifts from the textbook recursion by more than 1e-12
+    relative.
     """
 
     def __init__(self, size, learning_rate):
@@ -267,26 +320,26 @@ class _Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.step = np.empty(size)
-        self.scale = np.empty(size)
         self.t = 0
 
     def update(self, params, grads):
         self.t += 1
-        m, v, step, scale = self.m, self.v, self.step, self.scale
+        m, v, step = self.m, self.v, self.step
         # m = beta1 * m + (1 - beta1) * g
         m *= self.beta1
         np.multiply(grads, 1.0 - self.beta1, out=step)
         m += step
-        # v = beta2 * v + (1 - beta2) * g * g
+        # v' = beta2 * v' + g * g
         v *= self.beta2
-        np.multiply(grads, 1.0 - self.beta2, out=step)
-        step *= grads
+        np.multiply(grads, grads, out=step)
         v += step
         root = math.sqrt(1.0 - self.beta2**self.t)
-        np.sqrt(v, out=scale)
-        scale += self.eps * root
-        np.divide(m, scale, out=step)
-        step *= self.lr * root / (1.0 - self.beta1**self.t)
+        tail = math.sqrt(1.0 - self.beta2)
+        # step = m / (sqrt(v') + eps * root / tail) * (lr * root / (tail * (1 - beta1^t)))
+        np.sqrt(v, out=step)
+        step += self.eps * root / tail
+        np.divide(m, step, out=step)
+        step *= self.lr * root / (tail * (1.0 - self.beta1**self.t))
         params -= step
 
 
@@ -337,13 +390,14 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
     # per-sample (window, target) views, made once for every epoch
     pairs = list(zip(cols, targets))
     config, weights, gradient = net.config, params.buf, grads.buf
+    buffers = _StepBuffers(config, net.lookback)
 
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(inputs))
         for idx in order.tolist():
             window, target = pairs[idx]
-            errors[idx] = _gradients(params, grads, window, target, config)
+            errors[idx] = _gradients(params, grads, window, target, config, buffers)
             optimizer.update(weights, gradient)
         total = 0.0  # the per-sample losses, summed one by one in visiting order
         for loss in np.mean(errors[order] ** 2, axis=1).tolist():

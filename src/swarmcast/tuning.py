@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergedError, TooShortError
+from .errors import ConfigError, DataError, DegenerateObjectiveError, DivergedError, TooShortError
 from .evaluation import mse
 from .fileio import check_fields, read_json
 from .metaheuristics import OPTIMIZERS, OptimizationTrace, OptimizerParams, SearchBounds
@@ -280,8 +280,10 @@ def tune(
     never evaluated scores +inf, uncached and uncounted, while cached
     cells keep their loss. Whatever the search leaves unspent sweeps the
     unvisited fitting cells in grid order, so a budget covering them all
-    guarantees the exact optimum. Returns the best cell, its loss, the
-    fresh-evaluation log and the optimizer trace.
+    guarantees the exact optimum; it runs even when the search scored
+    every row +inf, and only if it finds no finite loss either does a
+    budgeted tune raise DegenerateObjectiveError. Returns the best cell,
+    its loss, the fresh-evaluation log and the optimizer trace.
     """
     if algorithm not in OPTIMIZERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
@@ -312,7 +314,12 @@ def tune(
         return losses
 
     bounds = SearchBounds.cube(0.0, 1.0, len(space))
-    best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
+    try:
+        best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
+    except DegenerateObjectiveError as exc:
+        if evaluation_budget is None:
+            raise
+        best_position, best_loss, trace = exc.result  # the sweep below may still find one
     best_assignment = space.cell(decode_position(best_position, space))
     best_loss = float(best_loss)
 
@@ -325,6 +332,8 @@ def tune(
             loss = evaluate_cell(indices)
             if loss < best_loss:
                 best_loss, best_assignment = loss, space.cell(indices)
+        if math.isinf(best_loss):
+            raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
 
     return TuningResult(
         algorithm=algorithm,

@@ -19,7 +19,7 @@ def lstm_step_fused(x, prev_cell, prev_hidden, w):
     units = len(prev_hidden)
     gate_w = np.concatenate([w[gate][0] for gate in GATES])
     gate_b = np.concatenate([w[gate][1] for gate in GATES])
-    cell, hidden, (_, gates, _, _) = _lstm_cell_cache(
+    cell, hidden, (_, gates, _) = _lstm_cell_cache(
         gate_w[:, units:] @ x + gate_b, prev_cell, prev_hidden, gate_w[:, :units]
     )
     return hidden, cell, gates

@@ -298,6 +298,44 @@ class TestTune:
         NetworkConfig(kernel_size=entry["assignment"]["kernel_size"],
                       pool_size=entry["assignment"]["pool_size"]).validate_for_lookback(7)
 
+    @pytest.fixture()
+    def narrow_space(self, tmp_path):
+        """A space in which only kernel 3 of eight fits lookback 7."""
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({"space": {
+            "n_filters": [32], "kernel_size": [8, 9, 10, 11, 12, 13, 14, 3], "pool_size": [2],
+            "lstm_units": [10],
+        }}), encoding="utf-8")
+        return cfg
+
+    # at these seeds no row of the search lands on the one fitting cell, so
+    # only the budget sweep trains it
+    @pytest.mark.parametrize("fitness, seed", [
+        ("surrogate", 2), ("surrogate", 3), ("surrogate", 4), ("real", 2),
+    ])
+    def test_budget_sweep_runs_when_the_search_finds_no_fitting_cell(
+        self, artifact, tmp_path, narrow_space, fitness, seed
+    ):
+        out = tmp_path / "t"
+        flags = ["--surrogate", "hash"] if fitness == "surrogate" else ["--fitness-epochs", "1"]
+        assert main(["tune", "--config", str(narrow_space), "--data-dir", str(artifact),
+                     "--population", "4", "--iterations", "1", "--evaluation-budget", "8",
+                     "--seed", str(seed), "--output-dir", str(out), *flags]) == 0
+        report = json.loads((out / "report.json").read_text())
+        [entry] = report["evaluation_log"]
+        assert entry["assignment"]["kernel_size"] == 3
+        assert report["best_assignment"] == entry["assignment"]
+        assert math.isfinite(report["best_loss"])
+
+    def test_unbudgeted_search_finding_no_fitting_cell_exits_4(
+        self, artifact, tmp_path, narrow_space, capsys
+    ):
+        assert main(["tune", "--config", str(narrow_space), "--data-dir", str(artifact),
+                     "--surrogate", "hash", "--population", "4", "--iterations", "1",
+                     "--seed", "2", "--output-dir", str(tmp_path / "t")]) == 4
+        assert "NaN or +inf" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_trace_csv_matches_iterations(self, artifact, tmp_path):
         code = main(["tune", "--data-dir", str(artifact), "--surrogate", "hash",
                      "--population", "4", "--iterations", "7", "--seed", "4",

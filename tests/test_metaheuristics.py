@@ -53,6 +53,21 @@ class TestBounds:
             SearchBounds(np.zeros(0), np.zeros(0))
 
 
+class TestOptimizerParams:
+    @pytest.mark.parametrize("key, value", [
+        ("population_size", 6.5), ("population_size", 6.0), ("population_size", 3),
+        ("population_size", True), ("max_iterations", 2.5), ("max_iterations", 0),
+        ("max_iterations", "3"), ("seed", 1.5), ("seed", -1), ("seed", None),
+    ])
+    def test_bad_value_raises_config_error_naming_the_field(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' must be an integer >= "):
+            OptimizerParams(**{key: value})
+
+    def test_smallest_values_accepted(self):
+        params = OptimizerParams(population_size=4, max_iterations=1, seed=np.int64(0))
+        assert (params.population_size, params.max_iterations, params.seed) == (4, 1, 0)
+
+
 class TestClamp:
     def test_clamps_out_of_range(self):
         bounds = unit_bounds(3)
@@ -289,8 +304,12 @@ class TestDrivers:
 
     def test_all_nan_objective_raises(self):
         params = OptimizerParams(population_size=4, max_iterations=3, seed=21)
-        with pytest.raises(DegenerateObjectiveError):
+        with pytest.raises(DegenerateObjectiveError) as raised:
             rs_gwo_woa(lambda X: np.full(len(X), math.nan), SearchBounds.cube(-1, 1, 2), params)
+        # the error carries what the search would have returned
+        best, fitness, trace = raised.value.result
+        assert best.shape == (2,) and math.isinf(fitness)
+        assert trace.best_fitness_per_iteration == [math.inf] * 3
 
     @pytest.mark.parametrize("objective", [
         lambda X: sphere(X[0]),

@@ -15,6 +15,10 @@ from swarmcast.network import (
     PREDICT_BLOCK,
     NetworkConfig,
     _Adam,
+    _FlatParams,
+    _gradients,
+    _StepBuffers,
+    _window_cols,
     TrainingConfig,
     initialize_network,
     iterative_forecast,
@@ -253,12 +257,12 @@ class TestTrainingTrajectory:
         "two-features-kernel-4": {"n_features": 2, "kernel_size": 4},
     }
     DIGESTS = {
-        "default/adam": "6d795fd1f85adfd9c2dc4bea4bfcec1f29b0a288144a85889816f1f8234a5dc7",
-        "horizon-2/adam": "64bb9b00b974b03a60c1cf6951a114231ccde010f4f81dbac65a37ab7ebbed1a",
-        "identity-pool-3/adam": "4f339943ea46972fe33b0f7a3aa1d456b6f74726b45207640b11ccfa98e9415a",
-        "one-step/adam": "235d81e3818d01668d664eba56f9a073f251f7ed1611bdc0e50665d8432bb1b2",
-        "tanh/adam": "15e7d217b810a999c4df4afab8a2a10fd1c4588448ee63e8b7800a1cfdc2408f",
-        "two-features-kernel-4/adam": "69c8fec1d715af8ce6d70899e11d296c3eba68d4bf74bfebd4ebc7f65efeb4e7",
+        "default/adam": "5a750efa6daf45cce720e1a0e375f5238b6b260f5fc9d6a94f7c3d72a8a6eddc",
+        "horizon-2/adam": "ec147f6dbe36d428f53e09d748ce7254e5d7fabf1e59830077964afff7ef2538",
+        "identity-pool-3/adam": "b03f2a2f8edffa4d582a712fdd4d00075e11cb4bb7ccd890ae64e8df0eafcef7",
+        "one-step/adam": "324ce2d1bbaf9ab765efd8a60de5c2295b170aa649655b0036759441cf85e963",
+        "tanh/adam": "ccd29978d17c853314824d1d797f14daff76484332f8105e9528ffdaa588ab43",
+        "two-features-kernel-4/adam": "800a697c517870aa75b8dc74130b2c777eb7c6084efa09a2c8d037b83dac2b86",
         "default/sgd": "0265b31dd256def4eb05177d43014981c53a6db7329eafbd637437fe7f0fb1eb",
         "horizon-2/sgd": "324143f853efac71221f382fc883ff0ce175c3c62f5fcb1e588e2937dca97bc5",
         "identity-pool-3/sgd": "cbc6db931084843637a23f37d1ec533e8279a5780b95e4f0a5c6c3e9742ab141",
@@ -267,10 +271,10 @@ class TestTrainingTrajectory:
         "two-features-kernel-4/sgd": "fdb08a620201415eefc18b0a5671bdd820b9ff2560577135100cb536abc19356",
     }
 
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_trajectory_matches_recorded_digest(self, name, optimizer):
-        config = tiny_config(seed=31, **self.CONFIGS[name])
+    @classmethod
+    def run(cls, name):
+        """The config and six samples of lookback 8 the digest of ``name`` trains on."""
+        config = tiny_config(seed=31, **cls.CONFIGS[name])
         lookback, n = 8, 6
         rng = np.random.default_rng(31)
         samples = WindowedSamples(
@@ -279,11 +283,63 @@ class TestTrainingTrajectory:
             lookback=lookback,
             horizon=config.horizon,
         )
+        return config, samples
+
+    @classmethod
+    def digest(cls, name, optimizer):
+        config, samples = cls.run(name)
         cfg = TrainingConfig(epochs=3, learning_rate=1e-2, optimizer=optimizer, seed=31)
-        trained = train(initialize_network(config, lookback), samples, cfg)
+        trained = train(initialize_network(config, samples.lookback), samples, cfg)
         digest = hashlib.sha256(trained.weights.buf.tobytes())
         digest.update(np.array(trained.loss_history).tobytes())
-        assert digest.hexdigest() == self.DIGESTS[f"{name}/{optimizer}"]
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_trajectory_matches_recorded_digest(self, name, optimizer):
+        assert self.digest(name, optimizer) == self.DIGESTS[f"{name}/{optimizer}"]
+
+
+class TestStepBuffers:
+    """One ``_StepBuffers`` set serves every sample of a training run: nothing
+    a sample writes may reach the next sample or another run."""
+
+    @pytest.mark.parametrize("name", sorted(TestTrainingTrajectory.CONFIGS))
+    def test_shared_buffers_give_the_fresh_gradients_bitwise(self, name):
+        config, samples = TestTrainingTrajectory.run(name)
+        lookback = samples.lookback
+        net = initialize_network(config, lookback)
+        buffers = _StepBuffers(config, lookback)
+        shared, fresh = _FlatParams(config, lookback), _FlatParams(config, lookback)
+        targets = samples.targets[:, :, 0]
+        for window, target in zip(_window_cols(net, samples.inputs), targets):
+            error = _gradients(net.weights, shared, window, target, config, buffers)
+            expected = _gradients(net.weights, fresh, window, target, config)
+            assert error.tobytes() == expected.tobytes()
+            assert shared.buf.tobytes() == fresh.buf.tobytes()
+
+    def test_runs_in_one_process_repeat_their_recorded_bytes(self):
+        # A, B, A: the second A must not see anything the first A or B left
+        for name, optimizer in (("default", "adam"), ("tanh", "sgd"), ("default", "adam")):
+            key = f"{name}/{optimizer}"
+            assert TestTrainingTrajectory.digest(name, optimizer) == \
+                TestTrainingTrajectory.DIGESTS[key], key
+
+    def test_pool_gradient_keeps_no_entry_of_the_previous_sample(self):
+        # kernel 1 and an identity conv of weight 1 pass the window to the pool
+        # unchanged, so each window picks the row of every pool pair that wins
+        config = tiny_config(seed=5, n_filters=1, kernel_size=1, conv_activation="identity")
+        lookback = 6
+        net = initialize_network(config, lookback)
+        net.params()["conv_w"][...] = 1.0
+        first, second = (np.tile(pair, 3)[:, None] for pair in ([1.0, 0.0], [0.0, 1.0]))
+        buffers = _StepBuffers(config, lookback)
+        grads = _FlatParams(config, lookback)
+        for window, winners in ((first, 0), (second, 1)):
+            cols = _window_cols(net, window)
+            _gradients(net.weights, grads, cols, np.zeros(1), config, buffers)
+            assert np.all(buffers.dx[winners::2] != 0.0)
+            assert np.all(buffers.dx[1 - winners::2] == 0.0)
 
 
 class TestPrediction:

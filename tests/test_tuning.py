@@ -350,6 +350,23 @@ class TestTune:
         assert (result.cache_misses, result.cache_hits) == (1, fitting_rows - 1)
         assert (result.best_assignment, result.best_loss) == (fitting, 0.25)
 
+    def test_sweep_runs_when_no_row_of_the_search_fits(self):
+        # only kernel 3 fits lookback 7; at seed 2 no row of the search lands on it
+        space = HyperparamSpace((
+            ("n_filters", (32,)), ("kernel_size", (8, 9, 10, 11, 12, 13, 14, 3)),
+            ("pool_size", (2,)), ("lstm_units", (10,)),
+        ))
+        params = OptimizerParams(population_size=4, max_iterations=1, seed=2)
+        calls = []
+        result = tune(lambda cell: calls.append(cell) or 0.5, "rs-gwo-woa", params, space,
+                      evaluation_budget=8, fits=fit_mask(space, 7))
+        fitting = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
+        assert calls == [fitting]
+        assert (result.best_assignment, result.best_loss) == (fitting, 0.5)
+        assert result.trace.best_fitness_per_iteration == [math.inf]
+        with pytest.raises(DegenerateObjectiveError):  # without a budget there is no sweep
+            tune(lambda cell: 0.5, "rs-gwo-woa", params, space, fits=fit_mask(space, 7))
+
     def test_budget_spent_on_diverged_cells_is_degenerate(self):
         losses = iter([math.inf])  # the one cell the budget pays for diverges
         params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
