@@ -2,11 +2,11 @@
 as ``network`` runs them.
 
 Everything is float64 numpy; shapes follow the convention (time,
-channels), optionally behind leading batch axes. Backward functions
-consume the caches their forward counterparts produce, so gradients are
-exact reverse-mode. The forward functions write into output arrays the
-caller passes, if any, so a single-window training step can reuse one
-set of arrays for every sample; the backward functions always do.
+channels), optionally behind leading batch axes. Every function writes
+into arrays the caller passes, so one set of arrays serves every window
+of a run (``network._StepBuffers``). The backward functions read what
+their forward counterparts wrote there, so gradients are exact
+reverse-mode.
 
 The LSTM keeps its four gates fused, as PyTorch ``nn.LSTM`` and Appleyard
 et al., "Optimizing Performance of RNNs on GPUs" (arXiv:1604.01946) do:
@@ -55,33 +55,29 @@ def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     return windows.reshape(*lead, length - kernel + 1, kernel * features)
 
 
-def _conv1d_cache(cols, weights2d, bias, activation, out=None):
+def _conv1d_cache(cols, weights2d, bias, activation, out):
     """Convolution of im2col rows cols (..., L', K*F) with weights2d (filters,
-    K*F), written into ``out`` if given."""
+    K*F), written into ``out`` (..., L', filters), which it returns."""
     act, _ = ACTIVATIONS[activation]
-    out = np.matmul(cols, weights2d.T, out=out)
+    np.matmul(cols, weights2d.T, out=out)
     out += bias
-    out = act(out)
-    return out, (cols, out)
+    return act(out)
 
 
-def _conv1d_backward(dout, cache, activation, dweights2d, dbias):
-    """Write the weight and bias gradients of one window into the given arrays."""
-    cols, out = cache
+def _conv1d_backward(dout, cols, out, activation, dweights2d, dbias):
+    """Write the weight and bias gradients of one window, whose forward read
+    ``cols`` and wrote ``out``, into the given arrays."""
     _, dact = ACTIVATIONS[activation]
     dpre = dout * dact(out)
     np.matmul(dpre.T, cols, out=dweights2d)
     np.add.reduce(dpre, axis=0, out=dbias)
 
 
-def _maxpool1d_cache(x, pool, out=None):
-    """Pool x (..., L, C) to (..., L // pool, C), written into ``out`` if
-    given; the cache is the windows, a view of x, for the backward pass to
-    find their argmax."""
-    length, channels = x.shape[-2:]
-    windows = length // pool
-    trimmed = x[..., : windows * pool, :].reshape(x.shape[:-2] + (windows, pool, channels))
-    return np.maximum.reduce(trimmed, axis=-2, out=out), trimmed
+def _maxpool1d_cache(windows, out):
+    """Max of each non-overlapping pool window, the view (..., L // pool,
+    pool, C) of an input (..., L, C) without its remainder of rows, written
+    into ``out`` (..., L // pool, C), which it returns."""
+    return np.maximum.reduce(windows, axis=-2, out=out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,7 +93,7 @@ def _pool_offsets(windows: int, pool: int, channels: int) -> np.ndarray:
 def _maxpool1d_backward(dout, trimmed, dx):
     """Route each window's gradient to its (first) argmax in the input
     gradient ``dx`` (L, C), which it zeroes first and returns; ``trimmed``
-    is the forward's cache. Windows never overlap, so a plain index
+    is the forward's window view. Windows never overlap, so a plain index
     assignment places every entry."""
     windows, pool, channels = trimmed.shape
     dx.fill(0.0)
@@ -131,20 +127,18 @@ def _slope_scale(units: int) -> np.ndarray:
     return factor
 
 
-def _lstm_cell_cache(xproj, prev_cell, prev_hidden, w_h, out=None):
+def _lstm_cell_cache(xproj, prev_cell, prev_hidden, w_h, out):
     """One step on the fused gates.
 
     xproj (..., 4u) is the input's share W_x.x + b of the pre-activation
     and w_h (4u, u) the recurrent weight. ``None`` for the previous state
-    means the zero state, whose recurrent share vanishes. ``out``, if
-    given, holds one sample's arrays to write the step into: pre
-    (scratch), squashed, gates, cell, tanh_cell, hidden, and the four
-    blocks of gates in ``GATES`` order as views. Returns (cell, hidden,
-    cache).
+    means the zero state, whose recurrent share vanishes. ``out`` holds
+    the arrays to write the step into: pre (scratch), squashed, gates,
+    cell, tanh_cell, hidden, and the four blocks of gates in ``GATES``
+    order as views. Returns (cell, hidden).
     """
-    units = w_h.shape[1]
-    scale, shift = _gate_scale(units)
-    pre, squashed, gates, cell, tanh_cell, hidden, blocks = (None,) * 7 if out is None else out
+    scale, shift = _gate_scale(w_h.shape[1])
+    pre, squashed, gates, cell, tanh_cell, hidden, blocks = out
     if prev_hidden is None:
         pre = xproj
     else:
@@ -154,9 +148,6 @@ def _lstm_cell_cache(xproj, prev_cell, prev_hidden, w_h, out=None):
     np.tanh(squashed, out=squashed)
     gates = np.multiply(squashed, scale, out=gates)
     gates += shift
-    if blocks is None:
-        blocks = (gates[..., :units], gates[..., units : 2 * units],
-                  gates[..., 2 * units : 3 * units], gates[..., 3 * units :])
     forget, update, candidate, out_gate = blocks
     cell = np.multiply(update, candidate, out=cell)
     if prev_cell is not None:
@@ -164,7 +155,7 @@ def _lstm_cell_cache(xproj, prev_cell, prev_hidden, w_h, out=None):
         cell += tanh_cell
     tanh_cell = np.tanh(cell, out=tanh_cell)
     hidden = np.multiply(out_gate, tanh_cell, out=hidden)
-    return cell, hidden, (prev_cell, gates, tanh_cell)
+    return cell, hidden
 
 
 def _lstm_slopes(activations, out):
@@ -178,19 +169,18 @@ def _lstm_slopes(activations, out):
     out *= _slope_scale(activations.shape[-1] // 5)
 
 
-def _lstm_cell_backward(dhidden, dcell, cache, dgates, slope, dtanh):
+def _lstm_cell_backward(dhidden, dcell, prev_cell, by_row, tanh_cell, dgates, slope, dtanh):
     """Backward through one step of a single sample.
 
     ``dcell`` is the gradient reaching this step's cell from later steps
-    (``None`` at the last step); ``slope`` (4, u) and ``dtanh`` (u,) are
-    the step's two parts of ``_lstm_slopes``. Writes the gradient at the
-    fused pre-activation into ``dgates`` (4, u), one gate per row, from
-    which the caller forms the weight, bias and input gradients, and
-    returns the cell gradient for the previous step (``None`` at the first
-    step, which has none).
+    (``None`` at the last step). ``prev_cell``, ``by_row`` (the gates as a
+    (4, u) view) and ``tanh_cell`` are what the forward read and wrote;
+    ``slope`` (4, u) and ``dtanh`` (u,) are the step's parts of
+    ``_lstm_slopes``. Writes the gradient at the fused pre-activation into
+    ``dgates`` (4, u), one gate per row, from which the caller forms the
+    weight, bias and input gradients, and returns the cell gradient for
+    the previous step (``None`` at the first step, which has none).
     """
-    prev_cell, gates, tanh_cell = cache
-    by_row = gates.reshape(dgates.shape)
     by_gate = dgates
 
     dcell_total = dhidden * by_row[3]

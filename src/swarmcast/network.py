@@ -11,11 +11,13 @@ A network keeps its parameters in one flat buffer (``_FlatParams``);
 ``train`` copies it once and the optimizer updates the copy in place,
 against a gradient buffer of the same layout. The LSTM gates are fused
 into one matrix, and the repeated input is projected once per window.
-``train`` also makes one set of step buffers (``_StepBuffers``) from the
-config and lookback, into which every sample's forward and backward
-intermediates are written, and takes the LSTM's two derivative arrays
-for all repeat steps at once after the forward. Inference runs
-fixed-size blocks of windows through the same forward, without buffers.
+Every forward pass writes its intermediates into a set of step buffers
+(``_StepBuffers``) made from the config, lookback and batch shape, and
+the backward reads them there. ``train`` makes one set for every sample
+and takes the LSTM's two derivative arrays for all repeat steps at once
+after the forward. Inference runs fixed-size blocks of windows through
+the same forward, one set per block size, and a recursive forecast
+reuses one set for every step.
 Models serialise to JSON with weights base64-encoded as little-endian
 float64, so save/load round-trips are bit-exact.
 """
@@ -190,80 +192,78 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
 
 
 class _StepBuffers:
-    """Every intermediate of one window's training step, made once per
-    ``train`` call from (config, lookback) and overwritten by each sample:
-    the conv output, the pooled output (``flat`` views it), the input
-    projection, per LSTM step the arrays ``_lstm_cell_cache`` writes
-    (``steps``: scratch pre-activation, squashed gates, gates, cell,
-    tanh(cell), hidden, and the gates' four blocks; row t of ``hidden`` is
-    the state after step t), the squashed gates and tanh(cell) side by
-    side (``activations``) and their derivatives (``derivatives``, see
-    ``_lstm_slopes``), per step the (4, u) gate gradients (rows of
-    ``dgates``) and slope and the 1 - tanh(cell)^2 ``_lstm_cell_backward``
-    writes and reads (``backward``), and the pool backward's input
+    """Every intermediate of a forward pass of ``batch`` windows, made once
+    from (config, lookback, batch) and overwritten by each pass: the conv
+    output (``windows``, its pool windows, views it), the pooled output
+    (``flat`` views it), the input projection, per LSTM step the arrays
+    ``_lstm_cell_cache`` writes (``steps``: scratch pre-activation,
+    squashed gates, gates, cell, tanh(cell), hidden, and the gates' four
+    blocks; ``hidden[t]`` is the state after step t), and the squashed
+    gates and tanh(cell) side by side (``activations``). A single-window
+    set also holds what its backward reads and writes: their derivatives
+    (``derivatives``, see ``_lstm_slopes``), per step the arguments of
+    ``_lstm_cell_backward`` after the two gradients (``backward``, whose
+    gate gradients are rows of ``dgates``), and the pool backward's input
     gradient ``dx``. Every per-step entry is a view, made here once."""
 
-    def __init__(self, config: NetworkConfig, lookback: int):
+    def __init__(self, config: NetworkConfig, lookback: int, batch: tuple[int, ...] = ()):
         steps, units, filters = config.repeat_steps, config.lstm_units, config.n_filters
         conv_length = lookback - config.kernel_size + 1
-        self.conv, self.dx = np.empty((2, conv_length, filters))
-        self.pooled = np.empty((pooled_length(lookback, config.kernel_size, config.pool_size),
-                                filters))
-        self.flat = self.pooled.reshape(-1)
-        self.xproj, pre = np.empty((2, 4 * units))
-        gates, self.dgates = np.empty((2, steps, 4 * units))
-        cell, self.hidden = np.empty((2, steps, units))
-        self.activations, self.derivatives = np.empty((2, steps, 5 * units))
-        squashed, tanh_cell = np.hsplit(self.activations, [4 * units])
-        slope, dtanh = np.hsplit(self.derivatives, [4 * units])
-        blocks = [tuple(row.reshape(4, units)) for row in gates]
+        self.conv = np.empty((*batch, conv_length, filters))
+        pool = config.pool_size
+        pooled = pooled_length(lookback, config.kernel_size, pool)
+        self.windows = self.conv[..., : pooled * pool, :].reshape(*batch, pooled, pool, filters)
+        self.pooled = np.empty((*batch, pooled, filters))
+        self.flat = self.pooled.reshape(*batch, -1)
+        self.xproj, pre = np.empty((2, *batch, 4 * units))
+        gates = np.empty((steps, *batch, 4 * units))
+        cell, self.hidden = np.empty((2, steps, *batch, units))
+        self.activations = np.empty((steps, *batch, 5 * units))
+        squashed, tanh_cell = np.split(self.activations, [4 * units], axis=-1)
+        blocks = [tuple(np.split(row, 4, axis=-1)) for row in gates]
         self.steps = list(zip([pre] * steps, squashed, gates, cell, tanh_cell, self.hidden,
                               blocks))
-        by_gate = (steps, 4, units)
-        self.backward = list(zip(self.dgates.reshape(by_gate), slope.reshape(by_gate), dtanh))
+        if not batch:  # the backward runs on one window at a time
+            self.dx, self.dgates = np.empty_like(self.conv), np.empty_like(gates)
+            self.derivatives = np.empty_like(self.activations)
+            slope, dtanh = np.hsplit(self.derivatives, [4 * units])
+            by_gate = (steps, 4, units)
+            self.backward = list(zip([None, *cell[:-1]], gates.reshape(by_gate), tanh_cell,
+                                     self.dgates.reshape(by_gate), slope.reshape(by_gate), dtanh))
 
 
-def _forward(p: _FlatParams, cols, cfg: NetworkConfig, buffers: _StepBuffers | None = None):
-    """Forward pass of im2col windows cols (..., lookback - K + 1, K*F), one
-    window or a batch; returns the outputs (..., horizon) and the backward
-    cache (conv, pool and per-step LSTM caches). One window may write every
-    intermediate into ``buffers``; without them each is a fresh array."""
-    b = buffers
-    conv_out, conv_cache = _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation,
-                                         None if b is None else b.conv)
-    pooled, pool_cache = _maxpool1d_cache(conv_out, cfg.pool_size,
-                                          None if b is None else b.pooled)
-    flat = pooled.reshape(pooled.shape[:-2] + (-1,))
+def _forward(p: _FlatParams, cols, cfg: NetworkConfig, b: _StepBuffers):
+    """Forward pass of im2col windows cols (*batch, lookback - K + 1, K*F)
+    in ``b``, a set made for that batch shape, which keeps every
+    intermediate; returns the outputs (*batch, horizon)."""
+    _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation, b.conv)
+    _maxpool1d_cache(b.windows, b.pooled)
     # the repeat layer feeds flat to every step, so its projection is shared
-    xproj = np.matmul(flat, p.w_x.T, out=None if b is None else b.xproj)
+    xproj = np.matmul(b.flat, p.w_x.T, out=b.xproj)
     xproj += p.gate_b
     cell = hidden = None
-    steps = []
-    for out in [None] * cfg.repeat_steps if b is None else b.steps:
-        cell, hidden, cache = _lstm_cell_cache(xproj, cell, hidden, p.w_h, out)
-        steps.append(cache)
-    output = hidden @ p.dense_w.T + p.dense_b
-    return output, (conv_cache, pool_cache, steps)
+    for out in b.steps:
+        cell, hidden = _lstm_cell_cache(xproj, cell, hidden, p.w_h, out)
+    return hidden @ p.dense_w.T + p.dense_b
 
 
 def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig,
-               buffers: _StepBuffers | None = None):
+               b: _StepBuffers):
     """Gradient of one window's squared error, written into ``g``, which
     shares ``p``'s layout; returns the error (output - target). The step
-    runs in ``buffers``, or in a set made for this call."""
-    b = _StepBuffers(cfg, len(cols) + cfg.kernel_size - 1) if buffers is None else buffers
-    output, (conv_cache, pool_cache, steps) = _forward(p, cols, cfg, b)
-    error = output - target
+    runs in ``b``, a single-window set, and the backward reads there what
+    the forward wrote."""
+    error = _forward(p, cols, cfg, b) - target
     doutput = np.multiply(2.0, error, out=g.dense_b)
     doutput /= cfg.horizon
-    hidden, dgates, last = b.hidden, b.dgates, len(steps)
+    hidden, dgates, last = b.hidden, b.dgates, cfg.repeat_steps
     np.multiply(doutput[:, None], hidden[-1], out=g.dense_w)
 
     _lstm_slopes(b.activations, b.derivatives)
     dhidden = doutput @ p.dense_w
     dcell = None
     for t in reversed(range(last)):
-        dcell = _lstm_cell_backward(dhidden, dcell, steps[t], *b.backward[t])
+        dcell = _lstm_cell_backward(dhidden, dcell, *b.backward[t])
         if t:
             dhidden = dgates[t] @ p.w_h
     # bias and input weights see every step's input; the recurrent weight
@@ -276,8 +276,8 @@ def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig,
         g.w_h[...] = 0.0
 
     dpooled = (dsum @ p.w_x).reshape(-1, cfg.n_filters)
-    dconv = _maxpool1d_backward(dpooled, pool_cache, b.dx)
-    _conv1d_backward(dconv, conv_cache, cfg.conv_activation, g.conv_w2d, g.conv_b)
+    dconv = _maxpool1d_backward(dpooled, b.windows, b.dx)
+    _conv1d_backward(dconv, cols, b.conv, cfg.conv_activation, g.conv_w2d, g.conv_b)
     return error
 
 
@@ -293,10 +293,13 @@ def _window_cols(net: TrainedNetwork, inputs) -> np.ndarray:
     return _im2col(inputs, net.config.kernel_size)
 
 
-def network_forward(x, net: TrainedNetwork) -> np.ndarray:
-    """Run one lookback window through the network; returns (horizon,)."""
-    output, _ = _forward(net.weights, _window_cols(net, x), net.config)
-    return output
+def network_forward(x, net: TrainedNetwork, buffers: _StepBuffers | None = None) -> np.ndarray:
+    """Run one lookback window through the network; returns (horizon,). The
+    pass runs in ``buffers``, a single-window set of ``net``'s config and
+    lookback, or in a fresh one."""
+    if buffers is None:
+        buffers = _StepBuffers(net.config, net.lookback)
+    return _forward(net.weights, _window_cols(net, x), net.config, buffers)
 
 
 class _Adam:
@@ -357,16 +360,6 @@ class _SGD:
 WEIGHT_OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
 
 
-def _sample_arrays(samples: WindowedSamples):
-    inputs = np.asarray(samples.inputs, dtype=float)
-    targets = np.asarray(samples.targets, dtype=float)
-    if targets.ndim == 3:
-        if targets.shape[2] != 1:
-            raise ConfigError("the network head predicts a single variable")
-        targets = targets[:, :, 0]
-    return inputs, targets
-
-
 def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) -> TrainedNetwork:
     """Per-sample gradient training for a fixed epoch count.
 
@@ -374,7 +367,12 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
     loss history records the mean training MSE per epoch. A non-finite
     epoch loss aborts with DivergedError.
     """
-    inputs, targets = _sample_arrays(samples)
+    inputs = np.asarray(samples.inputs, dtype=float)
+    targets = np.asarray(samples.targets, dtype=float)
+    if targets.ndim == 3:
+        if targets.shape[2] != 1:
+            raise ConfigError("the network head predicts a single variable")
+        targets = targets[:, :, 0]
     if len(inputs) == 0:
         raise DataError("no training samples")
     if samples.horizon != net.config.horizon:
@@ -416,13 +414,16 @@ PREDICT_BLOCK = 32
 
 
 def predict_windows(net: TrainedNetwork, samples: WindowedSamples) -> np.ndarray:
-    """One-step-ahead predictions for every window; shape (n, horizon)."""
-    inputs, _ = _sample_arrays(samples)
+    """One-step-ahead predictions for every window; shape (n, horizon).
+    Only the inputs are read, so the windows may carry any targets."""
+    inputs = np.asarray(samples.inputs, dtype=float)
     out = np.empty((len(inputs), net.config.horizon))
     for start in range(0, len(inputs), PREDICT_BLOCK):
         block = inputs[start : start + PREDICT_BLOCK]
+        if start == 0 or len(block) < PREDICT_BLOCK:  # one set per block size
+            buffers = _StepBuffers(net.config, net.lookback, block.shape[:1])
         cols = _window_cols(net, block)
-        out[start : start + len(block)], _ = _forward(net.weights, cols, net.config)
+        out[start : start + len(block)] = _forward(net.weights, cols, net.config, buffers)
     return out
 
 
@@ -454,9 +455,10 @@ def iterative_forecast(
     produced = -(-steps // horizon) * horizon
     values = np.empty(lookback + produced)
     values[:lookback] = series[-lookback:]
+    buffers = _StepBuffers(net.config, lookback)
     for start in range(0, produced, horizon):
         block = values[start : start + lookback, None]
-        values[start + lookback : start + lookback + horizon] = network_forward(block, net)
+        values[start + lookback : start + lookback + horizon] = network_forward(block, net, buffers)
     return inverse_scale(values[lookback : lookback + steps], scaling)
 
 

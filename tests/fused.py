@@ -8,19 +8,21 @@ from dataclasses import replace
 import numpy as np
 
 from swarmcast.layers import GATES, _lstm_cell_cache
-from swarmcast.network import _FlatParams, _gradients, _window_cols
+from swarmcast.network import _FlatParams, _gradients, _StepBuffers, _window_cols
 
 
 def lstm_step_fused(x, prev_cell, prev_hidden, w):
     """``layers._lstm_cell_cache`` on ``w`` (gate name -> (weight rows over
     [hidden, input], bias)) stacked in ``GATES`` order; x and the previous
-    state are arrays. Returns (hidden, cell, gates), gates being the four
-    activations (4 * units,)."""
+    state are arrays. The step writes into fresh arrays. Returns (hidden,
+    cell, gates), gates being the four activations (4 * units,)."""
     units = len(prev_hidden)
     gate_w = np.concatenate([w[gate][0] for gate in GATES])
     gate_b = np.concatenate([w[gate][1] for gate in GATES])
-    cell, hidden, (_, gates, _) = _lstm_cell_cache(
-        gate_w[:, units:] @ x + gate_b, prev_cell, prev_hidden, gate_w[:, :units]
+    pre, squashed, gates = np.empty((3, 4 * units))
+    out = (pre, squashed, gates, *np.empty((3, units)), tuple(gates.reshape(4, units)))
+    cell, hidden = _lstm_cell_cache(
+        gate_w[:, units:] @ x + gate_b, prev_cell, prev_hidden, gate_w[:, :units], out
     )
     return hidden, cell, gates
 
@@ -30,7 +32,8 @@ def compute_gradients(net, x, target) -> dict[str, np.ndarray]:
     ``target``, for every weight and bias (keys as in ``net.params()``)."""
     grads = _FlatParams(net.config, net.lookback)
     target = np.asarray(target, dtype=float).reshape(-1)
-    _gradients(net.weights, grads, _window_cols(net, x), target, net.config)
+    buffers = _StepBuffers(net.config, net.lookback)
+    _gradients(net.weights, grads, _window_cols(net, x), target, net.config, buffers)
     return grads.named()
 
 

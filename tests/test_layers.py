@@ -63,23 +63,24 @@ class TestConv1d:
     def test_difference_kernel(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         w = np.array([[1.0, 0.0, -1.0]])
-        out, _ = _conv1d_cache(_im2col(x, 3), w, np.zeros(1), "identity")
+        out = _conv1d_cache(_im2col(x, 3), w, np.zeros(1), "identity", np.empty((2, 1)))
         assert np.array_equal(out[:, 0], [-2.0, -2.0])
 
     def test_zero_kernel_relu(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(9, 2))
-        out, _ = _conv1d_cache(_im2col(x, 4), np.zeros((3, 8)), np.zeros(3), "relu")
+        out = _conv1d_cache(_im2col(x, 4), np.zeros((3, 8)), np.zeros(3), "relu",
+                            np.empty((6, 3)))
         assert np.array_equal(out, np.zeros((6, 3)))
 
     def test_sum_kernel(self):
-        out, _ = _conv1d_cache(_im2col(np.ones((3, 1)), 3), np.ones((1, 3)), np.zeros(1),
-                               "identity")
+        out = _conv1d_cache(_im2col(np.ones((3, 1)), 3), np.ones((1, 3)), np.zeros(1),
+                            "identity", np.empty((1, 1)))
         assert np.array_equal(out, [[3.0]])
 
     def test_bias_and_activation(self):
-        out, _ = _conv1d_cache(_im2col(np.zeros((4, 1)), 2), np.zeros((2, 2)),
-                               np.array([-1.0, 2.0]), "relu")
+        out = _conv1d_cache(_im2col(np.zeros((4, 1)), 2), np.zeros((2, 2)),
+                            np.array([-1.0, 2.0]), "relu", np.empty((3, 2)))
         assert np.array_equal(out, np.tile([0.0, 2.0], (3, 1)))
 
     def test_matches_naive_loops(self):
@@ -87,27 +88,35 @@ class TestConv1d:
         x = rng.normal(size=(8, 3))
         w = rng.normal(size=(2, 4, 3))
         b = rng.normal(size=2)
-        out, _ = _conv1d_cache(_im2col(x, 4), w.reshape(2, -1), b, "identity")
+        out = _conv1d_cache(_im2col(x, 4), w.reshape(2, -1), b, "identity", np.empty((5, 2)))
         expected = conv1d_loop(x.tolist(), w.tolist(), b.tolist())
         assert np.allclose(out, expected, atol=1e-12, rtol=0)
+
+
+def maxpool(x, pool):
+    """``_maxpool1d_cache`` over the pool windows of x (L, C), into a fresh
+    array."""
+    windows = len(x) // pool
+    return _maxpool1d_cache(x[: windows * pool].reshape(windows, pool, -1),
+                            np.empty((windows, x.shape[1])))
 
 
 class TestMaxPool:
     def test_pairs(self):
         x = np.array([[1.0], [3.0], [2.0], [8.0]])
-        assert np.array_equal(_maxpool1d_cache(x, 2)[0][:, 0], [3.0, 8.0])
+        assert np.array_equal(maxpool(x, 2)[:, 0], [3.0, 8.0])
 
     def test_remainder_dropped(self):
         x = np.array([[5.0], [4.0], [3.0]])
-        assert np.array_equal(_maxpool1d_cache(x, 2)[0], [[5.0]])
+        assert np.array_equal(maxpool(x, 2), [[5.0]])
 
     def test_constant_series(self):
         x = np.full((6, 2), 1.5)
-        assert np.array_equal(_maxpool1d_cache(x, 3)[0], np.full((2, 2), 1.5))
+        assert np.array_equal(maxpool(x, 3), np.full((2, 2), 1.5))
 
     def test_matches_naive_loops(self):
         x = np.random.default_rng(9).normal(size=(11, 3))
-        assert np.array_equal(_maxpool1d_cache(x, 3)[0], maxpool1d_loop(x.tolist(), 3))
+        assert np.array_equal(maxpool(x, 3), maxpool1d_loop(x.tolist(), 3))
 
 
 def random_gates(rng, units, input_dim):

@@ -314,7 +314,8 @@ class TestStepBuffers:
         targets = samples.targets[:, :, 0]
         for window, target in zip(_window_cols(net, samples.inputs), targets):
             error = _gradients(net.weights, shared, window, target, config, buffers)
-            expected = _gradients(net.weights, fresh, window, target, config)
+            expected = _gradients(net.weights, fresh, window, target, config,
+                                  _StepBuffers(config, lookback))
             assert error.tobytes() == expected.tobytes()
             assert shared.buf.tobytes() == fresh.buf.tobytes()
 
@@ -342,7 +343,68 @@ class TestStepBuffers:
             assert np.all(buffers.dx[1 - winners::2] == 0.0)
 
 
+class TestInferenceBytes:
+    """sha256 of ``predict_windows`` on two full blocks and a tail, and of a
+    137-step ``iterative_forecast``, per single-feature config of
+    ``TestTrainingTrajectory``. A rewrite of the forward that rounds the
+    same keeps every digest."""
+
+    NAMES = sorted(name for name, extra in TestTrainingTrajectory.CONFIGS.items()
+                   if extra.get("n_features", 1) == 1)
+    DIGESTS = {
+        "default/predict": "711cf707c243453e4239e2b2c2653bfb4f7d8dc28c5d2390bfbf452cf3b30182",
+        "default/forecast": "c4ee0cfd1ab9d7b1de06548ebc313cc1d2eb521437a6a5cc3026ad26cb40257a",
+        "horizon-2/predict": "482f68f174353831061cf81bd121b2005d52ccaceaf8e40e51ec64242524ca8b",
+        "horizon-2/forecast": "47a79e4e7f462c45e57d284af8753473509f4759464ded3da74a0078a5705e09",
+        "identity-pool-3/predict": "760c3b931fa835f85769589892659d68c2f7e1607bb0b414370a2a250fdd840c",
+        "identity-pool-3/forecast": "41536698276e5b881b168508fbdc20c40ebe70c7022cac7178240c12f11b7e61",
+        "one-step/predict": "7338d2aba922823be36fbf5385ecdf4ee3ae061a3ff05b94851c51bd25725d76",
+        "one-step/forecast": "6ea55fca199f9e8e09d7a77f1bf1d3d2bbc990e6a426fa8d1476f904fc97445f",
+        "tanh/predict": "c8c627f65de6a7805d8075b669a432d4fa7fdd6b4df8841c05129fb13cb9e04b",
+        "tanh/forecast": "24a18157f431f8e55943a1d950819379a5cc4f88cfcb1cf7f83be6b54f77bb2e",
+    }
+
+    @staticmethod
+    def digest(name, kind):
+        config, samples = TestTrainingTrajectory.run(name)
+        net = initialize_network(config, samples.lookback)
+        n = 2 * PREDICT_BLOCK + 5
+        series = np.random.default_rng(37).uniform(
+            0.0, 1.0, size=n + samples.lookback + config.horizon - 1)
+        if kind == "predict":
+            windows = make_windows(series, samples.lookback, config.horizon)
+            assert len(windows) == n
+            values = predict_windows(net, windows)
+        else:
+            values = iterative_forecast(net, series, 137, ScalingParams(2.0, 12.0))
+        return hashlib.sha256(values.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("kind", ["predict", "forecast"])
+    def test_inference_matches_recorded_digest(self, name, kind):
+        assert self.digest(name, kind) == self.DIGESTS[f"{name}/{kind}"]
+
+    def test_inference_in_one_process_repeats_its_recorded_bytes(self):
+        # A, B, A: the second A must not see anything the first A or B left
+        for kind in ("forecast", "predict"):
+            for name in ("default", "tanh", "default"):
+                key = f"{name}/{kind}"
+                assert self.digest(name, kind) == self.DIGESTS[key], key
+
+
 class TestPrediction:
+    def test_multi_feature_windows_are_predicted(self):
+        # prediction reads only the inputs, so two-column targets are no error
+        config = tiny_config(seed=18, n_features=2)
+        net = initialize_network(config, 6)
+        matrix = np.random.default_rng(18).normal(size=(12, 2))
+        windows = make_windows(matrix, 6, 1)
+        preds = predict_windows(net, windows)
+        assert preds.shape == (len(windows), 1)
+        for i in range(len(windows)):
+            assert np.allclose(preds[i], network_forward(windows.inputs[i], net),
+                               atol=1e-12, rtol=0)
+
     def test_predict_windows_shape(self):
         series = np.linspace(0, 1, 20)
         windows = make_windows(series, 6, 1)
@@ -394,7 +456,7 @@ class TestIterativeForecast:
 
         net = initialize_network(tiny_config(seed=12), 6)
         monkeypatch.setattr(
-            network_module, "network_forward", lambda x, _: np.array([x[-1, 0]])
+            network_module, "network_forward", lambda x, _, buffers: np.array([x[-1, 0]])
         )
         history = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         forecast = network_module.iterative_forecast(
