@@ -369,6 +369,8 @@ def cmd_tune(options, out_dir: Path):
     name, series = artifact["name"], artifact["series"]
     cut = artifact["meta"]["split_index"]
     if options["space"] is not None:
+        if options["extended_space"]:
+            raise ConfigError("config 'space' and 'extended_space' both set the grid; drop one")
         space = space_from_json(options["space"])
     else:
         space = EXTENDED_SPACE if options["extended_space"] else DEFAULT_SPACE

@@ -2,6 +2,8 @@
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 DataError (and subclasses) -> 3, DivergedError / DegenerateObjectiveError -> 4.
+Only ``tuning.tune`` raises DegenerateObjectiveError; an optimizer that
+saw nothing finite returns +inf.
 """
 
 
@@ -35,13 +37,8 @@ class DivergedError(SwarmcastError):
 
 
 class DegenerateObjectiveError(SwarmcastError):
-    """Every objective evaluation came back NaN or infeasible. ``result``
-    holds what the search returns otherwise (best position, its +inf
-    fitness, trace), for a caller that can still look elsewhere."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """A tune found no finite loss: every cell it scored, in the search
+    and in the budget's sweep, came back NaN or +inf."""
 
 
 class DegenerateVarianceError(DataError):

@@ -15,7 +15,9 @@ Leaders (alpha, beta, delta) are re-ranked every iteration as the
 ``(3, d)`` matrix of the three best rows of the current population; the
 whale branch encircles alpha, so both strategies share one best-solution
 notion, while the returned optimum is the best position ever evaluated.
-NaN fitnesses are treated as +inf and can never lead the pack.
+NaN fitnesses are treated as +inf and can never lead the pack; a search
+that saw nothing finite returns +inf, and its caller decides what that
+means.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateObjectiveError
+from .errors import ConfigError
 from .fileio import COUNT_RULE, check_fields, is_count
 
 # per-gene rates of the GA baseline's uniform crossover and mutation
@@ -162,7 +164,7 @@ def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callb
     decaying linearly from 2 towards 0; the loop scores it with one
     objective call, re-ranks the leaders (the ``(3, d)`` best rows) and
     counts the iteration under its branch. Returns the best position
-    ever evaluated, its fitness and the trace.
+    ever evaluated, its fitness (+inf if none was finite) and the trace.
     """
     rng = np.random.default_rng(params.seed)
     pop = params.population_size
@@ -190,10 +192,7 @@ def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callb
         if callback is not None:
             callback(t, branch, positions, fitness, leaders)
 
-    result = best.copy(), best_fitness, trace
-    if math.isinf(best_fitness):
-        raise DegenerateObjectiveError("every evaluation returned NaN or +inf", result)
-    return result
+    return best.copy(), best_fitness, trace
 
 
 def _gwo_move(positions, fitness, leaders, a, rng, bounds):

@@ -256,7 +256,11 @@ class TuningResult:
     records: list[EvaluationRecord] = field(default_factory=list)
     trace: OptimizationTrace | None = None
     cache_hits: int = 0
-    cache_misses: int = 0
+
+    @property
+    def cache_misses(self) -> int:
+        """Distinct cells evaluated: the length of the log."""
+        return len(self.records)
 
 
 def tune(
@@ -269,21 +273,18 @@ def tune(
 ) -> TuningResult:
     """Drive a metaheuristic over the grid's unit box.
 
-    ``evaluate`` maps a cell (a dict) to a loss; results are cached by
-    the cell's grid indices so revisits cost nothing. The optimizer
-    scores each population with one objective call, which decodes the
-    whole population at once and evaluates its rows in row order, but
-    only the rows whose cell ``fits`` (one bool per cell, see
-    ``fit_mask``; all by default): the others score +inf, unlogged,
-    uncounted and uncharged. ``evaluation_budget`` caps the number of
-    *distinct* cells evaluated: once it is spent, a row whose cell was
-    never evaluated scores +inf, uncached and uncounted, while cached
-    cells keep their loss. Whatever the search leaves unspent sweeps the
+    ``evaluate`` maps a cell (a dict) to a loss. One rule scores the
+    search's populations and the sweep alike: the uncached cells, in
+    first-occurrence order, are evaluated once each until
+    ``evaluation_budget`` distinct cells have been; a cell past that cut
+    scores +inf, while cached cells keep their loss. Only the rows whose
+    cell ``fits`` (one bool per cell, see ``fit_mask``; all by default)
+    are scored; the others score +inf, unlogged, uncounted and
+    uncharged. Whatever the search leaves of a budget sweeps the
     unvisited fitting cells in grid order, so a budget covering them all
-    guarantees the exact optimum; it runs even when the search scored
-    every row +inf, and only if it finds no finite loss either does a
-    budgeted tune raise DegenerateObjectiveError. Returns the best cell,
-    its loss, the fresh-evaluation log and the optimizer trace.
+    guarantees the exact optimum. Raises DegenerateObjectiveError if
+    neither found a finite loss. Returns the best cell, its loss, the
+    fresh-evaluation log and the optimizer trace.
     """
     if algorithm not in OPTIMIZERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
@@ -293,47 +294,39 @@ def tune(
     log: dict[tuple, EvaluationRecord] = {}  # grid indices -> record, in evaluation order
     hits = 0
 
-    def evaluate_cell(indices):
+    def score(cells: list[tuple]) -> list[float]:
+        """One loss per fitting cell (grid indices); a cell the budget cut scores +inf."""
         nonlocal hits
-        if indices in log:
-            hits += 1
-            return log[indices].loss
-        if len(log) == evaluation_budget:
-            return math.inf  # spent: an unvisited cell can never win
-        cell = space.cell(indices)
-        started = time.perf_counter()
-        loss = float(evaluate(cell))
-        log[indices] = EvaluationRecord(cell, loss, time.perf_counter() - started)
-        return loss
+        fresh = [indices for indices in dict.fromkeys(cells) if indices not in log]
+        if evaluation_budget is not None:
+            fresh = fresh[: evaluation_budget - len(log)]
+        for indices in fresh:
+            cell = space.cell(indices)
+            started = time.perf_counter()
+            loss = float(evaluate(cell))
+            log[indices] = EvaluationRecord(cell, loss, time.perf_counter() - started)
+        hits += sum(indices in log for indices in cells) - len(fresh)
+        return [log[indices].loss if indices in log else math.inf for indices in cells]
 
     def objective(positions):
         rows = decode_position(positions, space)
         losses = np.full(len(rows), math.inf)
         fitting = fits[tuple(rows.T)]
-        losses[fitting] = [evaluate_cell(tuple(row)) for row in rows[fitting].tolist()]
+        losses[fitting] = score(list(map(tuple, rows[fitting].tolist())))
         return losses
 
     bounds = SearchBounds.cube(0.0, 1.0, len(space))
-    try:
-        best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
-    except DegenerateObjectiveError as exc:
-        if evaluation_budget is None:
-            raise
-        best_position, best_loss, trace = exc.result  # the sweep below may still find one
+    best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
     best_assignment = space.cell(decode_position(best_position, space))
-    best_loss = float(best_loss)
 
     if evaluation_budget is not None:
-        for indices in map(tuple, np.argwhere(fits).tolist()):
-            if len(log) >= evaluation_budget:
-                break
-            if indices in log:
-                continue
-            loss = evaluate_cell(indices)
+        unvisited = [indices for indices in map(tuple, np.argwhere(fits).tolist())
+                     if indices not in log]
+        for indices, loss in zip(unvisited, score(unvisited)):
             if loss < best_loss:
                 best_loss, best_assignment = loss, space.cell(indices)
-        if math.isinf(best_loss):
-            raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
+    if math.isinf(best_loss):
+        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
 
     return TuningResult(
         algorithm=algorithm,
@@ -342,7 +335,6 @@ def tune(
         records=list(log.values()),
         trace=trace,
         cache_hits=hits,
-        cache_misses=len(log),
     )
 
 

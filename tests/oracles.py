@@ -6,6 +6,8 @@ with the vectorised implementations under test.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -87,6 +89,30 @@ def adam_loop(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             v_hat = v[i] / (1.0 - beta2**t)
             steps.append(lr * m_hat / (math.sqrt(v_hat) + eps))
         yield steps
+
+
+def _decimal(value: Fraction) -> Decimal:
+    return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+def adam_exact(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, digits=50):
+    """``adam_loop`` without rounding: m, v and the bias corrections are
+    exact ``Fraction``s of the float inputs, and the square root and the
+    step are taken in ``digits``-digit decimal. Yields, per step, the
+    list of ``Decimal`` amounts the algorithm subtracts."""
+    beta1, beta2 = Fraction(beta1), Fraction(beta2)
+    m, v = [Fraction(0)] * len(grads[0]), [Fraction(0)] * len(grads[0])
+    with localcontext() as context:
+        context.prec = digits
+        for t, grad in enumerate(grads, start=1):
+            steps = []
+            for i, g in enumerate(Fraction(float(value)) for value in grad):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v[i] = beta2 * v[i] + (1 - beta2) * g * g
+                m_hat = _decimal(m[i] / (1 - beta1**t))
+                v_hat = _decimal(v[i] / (1 - beta2**t))
+                steps.append(Decimal(lr) * m_hat / (v_hat.sqrt() + Decimal(eps)))
+            yield steps
 
 
 def mae_loop(predicted, actual):

@@ -1041,6 +1041,20 @@ class TestOptionTable:
         assert "'epoch'" in err and "'epochs'" in err and "'learning_rate'" in err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_space_with_extended_space_exits_2_naming_both(
+        self, artifact, tmp_path, capsys, from_config
+    ):
+        space = {"n_filters": [4], "kernel_size": [3], "pool_size": [2], "lstm_units": [3]}
+        cfg = self.config(tmp_path, {"space": space} | ({"extended_space": True}
+                                                        if from_config else {}))
+        flag = [] if from_config else ["--extended-space"]
+        assert main(["tune", "--config", cfg, *flag, "--data-dir", str(artifact),
+                     "--surrogate", "hash", "--output-dir", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert "'space'" in err and "'extended_space'" in err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("command", ["ingest", "forecast", "evaluate", "compare"])
     def test_seedless_commands_reject_seed_flag(self, command, tmp_path):
         with pytest.raises(SystemExit) as exc:

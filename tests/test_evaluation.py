@@ -97,6 +97,7 @@ class TestMetrics:
         )
     )
     @example(pair=([0.0, 0.0], [0.0, 1.4082492351316105e-251]))
+    @example(pair=([0.0] * 3, [341.7017563720102] * 3))
     def test_metrics_match_loop_oracle(self, pair):
         # 1e-12 relative: summation order alone shifts absolute values
         # by ~eps * n * magnitude
@@ -106,9 +107,11 @@ class TestMetrics:
         a, b = mse(predicted, actual), mse_loop(predicted, actual)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
         # the oracle squares in plain floats, so it is only exact while its
-        # sum of squared deviations stays a normal number
+        # sum of squared deviations stays a normal number; its rounded mean
+        # can leave a constant series deviations, which r_squared rejects
         mean = sum(actual) / len(actual)
-        if sum((x - mean) ** 2 for x in actual) >= np.finfo(float).tiny:
+        squares = sum((x - mean) ** 2 for x in actual)
+        if max(actual) != min(actual) and squares >= np.finfo(float).tiny:
             assert abs(
                 r_squared(predicted, actual) - r_squared_loop(predicted, actual)
             ) <= 1e-9 * max(1.0, abs(r_squared_loop(predicted, actual)))

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fused import with_params
-from oracles import adam_loop, conv1d_loop, lstm_step_scalar, maxpool1d_loop
+from oracles import adam_exact, adam_loop, conv1d_loop, lstm_step_scalar, maxpool1d_loop
 from swarmcast.errors import ConfigError, DataError, DivergedError
 from swarmcast.layers import GATES
 from swarmcast.network import (
@@ -240,6 +242,25 @@ class TestAdam:
             params = np.zeros(size)  # so the update leaves exactly -step
             optimizer.update(params, grad)
             assert np.all(np.abs(params + expected) <= 1e-12 * np.abs(expected))
+
+    def test_no_less_accurate_than_the_papers_algorithm_in_floats(self):
+        # against exact arithmetic, each step may err by what the textbook
+        # float recursion errs where m cancels, plus the roundings in which
+        # the folded form differs from it (measured: at most 9 ulps over
+        # 120-300 steps of seeds 1, 7 and 41-46)
+        rng = np.random.default_rng(43)
+        size, steps, lr = 24, 120, 1e-3
+        grads = rng.normal(size=(steps, size))
+        grads[:, 0] = 0.0
+        grads[rng.random((steps, size)) < 0.1] = 0.0
+        grads[60, 5] = 1e6
+        optimizer = _Adam(size, lr)
+        for grad, floats, exact in zip(grads, adam_loop(grads, lr), adam_exact(grads, lr)):
+            params = np.zeros(size)
+            optimizer.update(params, grad)
+            for folded, textbook, step in zip(-params, floats, exact):
+                slack = 16 * Decimal(math.ulp(float(step)))
+                assert abs(Decimal(folded) - step) <= abs(Decimal(textbook) - step) + slack
 
 
 class TestTrainingTrajectory:

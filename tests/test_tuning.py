@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmcast import tuning
+from swarmcast import metaheuristics, tuning
 from swarmcast.errors import ConfigError, DegenerateObjectiveError, TooShortError
 from swarmcast.metaheuristics import OptimizerParams
 from swarmcast.network import NetworkConfig, TrainingConfig
@@ -316,6 +316,41 @@ class TestTune:
         # the optimizer still runs every iteration
         assert result.trace.evaluations == unbudgeted.trace.evaluations
         assert unbudgeted.cache_misses > 5
+
+    def test_budget_cut_inside_a_population(self, monkeypatch):
+        # at seed 2 the first population decodes to the (n_filters, lstm_units)
+        # cells (32,10) (64,10) (32,10) (32,15) (64,10) (32,15) (32,15) (32,15):
+        # a budget of 2 pays for the first two and cuts (32,15), each of the
+        # three on several rows
+        space = HyperparamSpace((("n_filters", (32, 64)), ("kernel_size", (3,)),
+                                 ("pool_size", (2,)), ("lstm_units", (10, 15))))
+        losses = {(32, 10): 0.5, (64, 10): 0.25, (32, 15): 0.125, (64, 15): 0.0625}
+        calls = []
+
+        def evaluate(cell):
+            calls.append((cell["n_filters"], cell["lstm_units"]))
+            return losses[calls[-1]]
+
+        seen = []  # the losses the optimizer sees, one array per population
+        evaluate_population = metaheuristics._evaluate
+
+        def recording_evaluate(objective, positions):
+            seen.append(evaluate_population(objective, positions))
+            return seen[-1]
+
+        monkeypatch.setattr(metaheuristics, "_evaluate", recording_evaluate)
+        params = OptimizerParams(population_size=8, max_iterations=1, seed=2)
+        result = tune(evaluate, "gwo", params, space, evaluation_budget=2)
+        assert calls == [(32, 10), (64, 10)]
+        assert [(r.values["n_filters"], r.values["lstm_units"], r.loss)
+                for r in result.records] == [(32, 10, 0.5), (64, 10, 0.25)]
+        assert (result.cache_misses, result.cache_hits) == (2, 7)
+        inf = math.inf
+        assert [s.tolist() for s in seen] == [
+            [0.5, 0.25, 0.5, inf, 0.25, inf, inf, inf],
+            [0.5, 0.25, 0.5, inf, 0.25, 0.5, inf, inf],
+        ]
+        assert (result.best_assignment["n_filters"], result.best_loss) == (64, 0.25)
 
     # at lookback 7 a kernel of 8 is wider than the window, and a kernel of 7
     # leaves one conv output, which a pool of 2 empties
