@@ -500,11 +500,10 @@ def cmd_evaluate(options, out_dir: Path):
 # --------------------------------------------------------------- compare
 
 def cmd_compare(options, out_dir: Path):
-    tests, methods, matrix = parse_score_csv(options["scores"])
+    methods, matrix = parse_score_csv(options["scores"])
     result = compare_methods(
         matrix,
         methods=methods,
-        tests=tests,
         alpha=options["alpha"],
         q=options["q"],
     )

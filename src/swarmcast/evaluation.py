@@ -95,26 +95,8 @@ def metric_report(predicted, actual) -> MetricReport:
     return MetricReport(mae=mae(y, x), mse=mse(y, x), r_squared=r_squared(y, x), n=y.size)
 
 
-@dataclass(frozen=True)
-class RankMatrix:
-    """Per-test ranks of k methods over N tests (losses, lower better)."""
-
-    methods: tuple[str, ...]
-    tests: tuple[str, ...]
-    scores: np.ndarray
-    ranks: np.ndarray
-
-    @property
-    def rank_sums(self) -> np.ndarray:
-        return self.ranks.sum(axis=0)
-
-    @property
-    def average_ranks(self) -> np.ndarray:
-        return self.ranks.mean(axis=0)
-
-
-def rank_methods(scores, methods=None, tests=None) -> RankMatrix:
-    """Rank methods per test row: rank 1 = lowest loss, ties averaged."""
+def rank_methods(scores) -> np.ndarray:
+    """(tests x methods) ranks of a loss matrix: rank 1 = lowest loss, ties averaged."""
     matrix = np.asarray(scores, dtype=float)
     if matrix.ndim != 2:
         raise DataError("scores must be a 2-d (tests x methods) matrix")
@@ -123,14 +105,9 @@ def rank_methods(scores, methods=None, tests=None) -> RankMatrix:
         raise DataError(f"need at least 1 test and 2 methods, got {n}x{k}")
     if np.isnan(matrix).any():
         raise DataError("scores contain NaN")
-    method_names = tuple(methods) if methods else tuple(f"method_{i+1}" for i in range(k))
-    test_names = tuple(tests) if tests else tuple(f"test_{i+1}" for i in range(n))
-    if len(method_names) != k or len(test_names) != n:
-        raise DataError("name lists do not match matrix shape")
     # per row: 1 + the values below + half the other values equal to it
     value, other = matrix[:, :, None], matrix[:, None, :]
-    ranks = 1.0 + (other < value).sum(axis=2) + ((other == value).sum(axis=2) - 1) / 2.0
-    return RankMatrix(methods=method_names, tests=test_names, scores=matrix, ranks=ranks)
+    return 1.0 + (other < value).sum(axis=2) + ((other == value).sum(axis=2) - 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -142,20 +119,20 @@ class FriedmanResult:
     degrees_of_freedom: int
 
 
-def friedman_statistic(rank_matrix: RankMatrix, alpha: float = ALPHA) -> FriedmanResult:
-    """Friedman chi-square over rank sums.
+def friedman_statistic(ranks: np.ndarray, alpha: float = ALPHA) -> FriedmanResult:
+    """Friedman chi-square over the rank sums of ``rank_methods``' ranks.
 
     statistic = 12 / (n k (k+1)) * sum_i R_i^2 - 3 n (k+1), with R_i the
     rank sum of method i over the n tests. The decision compares against
     the embedded chi-square quantile with k-1 degrees of freedom.
     """
-    n, k = rank_matrix.ranks.shape
+    n, k = ranks.shape
     if alpha not in CHI2_CRITICAL:
         raise DataError(f"alpha must be one of {sorted(CHI2_CRITICAL)}")
     df = k - 1
     if df not in CHI2_CRITICAL[alpha]:
         raise DataError(f"no chi-square quantile for {k} methods")
-    rank_sums = rank_matrix.rank_sums
+    rank_sums = ranks.sum(axis=0)
     statistic = 12.0 / (n * k * (k + 1)) * float(np.sum(rank_sums**2)) - 3.0 * n * (k + 1)
     critical = CHI2_CRITICAL[alpha][df]
     return FriedmanResult(
@@ -209,18 +186,22 @@ class ComparisonResult:
 
 
 def compare_methods(
-    scores, methods=None, tests=None, alpha: float = ALPHA, q: float | None = None
+    scores, methods=None, alpha: float = ALPHA, q: float | None = None
 ) -> ComparisonResult:
-    """Rank, test and post-hoc compare methods on a loss matrix.
+    """Rank, test and post-hoc compare methods on a loss matrix, its
+    columns named by ``methods`` (default ``method_1``, ...).
 
     Pairwise flags are |avg_rank_i - avg_rank_j| > CD, reported only when
     the Friedman null is rejected (the post hoc is meaningless otherwise).
     """
-    rm = rank_methods(scores, methods=methods, tests=tests)
-    n, k = rm.ranks.shape
-    fr = friedman_statistic(rm, alpha=alpha)
+    ranks = rank_methods(scores)
+    n, k = ranks.shape
+    methods = tuple(methods) if methods else tuple(f"method_{i+1}" for i in range(k))
+    if len(methods) != k:
+        raise DataError(f"{len(methods)} method names for {k} score columns")
+    fr = friedman_statistic(ranks, alpha=alpha)
     cd = nemenyi_cd(k, n, alpha=alpha, q=q)
-    avg = rm.average_ranks
+    avg = ranks.mean(axis=0)
     if fr.reject:
         diff = np.abs(avg[:, None] - avg[None, :])
         pairwise = diff > cd
@@ -228,7 +209,7 @@ def compare_methods(
     else:
         pairwise = np.zeros((k, k), dtype=bool)
     return ComparisonResult(
-        methods=rm.methods,
+        methods=methods,
         average_ranks=avg,
         friedman=fr,
         cd=cd,
@@ -236,12 +217,13 @@ def compare_methods(
     )
 
 
-def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
+def parse_score_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a score matrix: first column test name, one column per method.
 
-    Returns (test names, method names, N x k matrix). An error names the
-    line its row starts on; blank lines are skipped. ``inf`` is a valid
-    (worst) loss, NaN is not.
+    Returns (method names, N x k matrix); the test names are skipped. An
+    error names the line its row starts on; blank lines are skipped. A
+    method name must be non-blank and unique. ``inf`` is a valid (worst)
+    loss, NaN is not.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -250,15 +232,18 @@ def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
         raise DataError(f"cannot read scores {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one test row")
-    header = rows[0][1]
+    header_line, header = rows[0]
     if len(header) < 3:
         raise DataError(f"{path}: need at least two method columns")
     methods = [h.strip() for h in header[1:]]
-    tests, values = [], []
+    for column, method in enumerate(methods, start=2):
+        if not method or method in methods[:column - 2]:
+            problem = f"repeated method name {method!r}" if method else "blank method name"
+            raise DataError(f"{path}:{header_line}: column {column}: {problem}")
+    values = []
     for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
-        tests.append(row[0].strip())
         try:
             scores = [float(c) for c in row[1:]]
         except ValueError as exc:
@@ -267,4 +252,4 @@ def parse_score_csv(path) -> tuple[list[str], list[str], np.ndarray]:
             if math.isnan(score):
                 raise DataError(f"{path}:{lineno}: score of {method!r} is NaN")
         values.append(scores)
-    return tests, methods, np.asarray(values, dtype=float)
+    return methods, np.asarray(values, dtype=float)

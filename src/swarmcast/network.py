@@ -256,24 +256,22 @@ def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig,
     error = _forward(p, cols, cfg, b) - target
     doutput = np.multiply(2.0, error, out=g.dense_b)
     doutput /= cfg.horizon
-    hidden, dgates, last = b.hidden, b.dgates, cfg.repeat_steps
+    hidden, dgates = b.hidden, b.dgates
     np.multiply(doutput[:, None], hidden[-1], out=g.dense_w)
 
     _lstm_slopes(b.activations, b.derivatives)
     dhidden = doutput @ p.dense_w
     dcell = None
-    for t in reversed(range(last)):
+    for t in reversed(range(cfg.repeat_steps)):
         dcell = _lstm_cell_backward(dhidden, dcell, *b.backward[t])
         if t:
             dhidden = dgates[t] @ p.w_h
     # bias and input weights see every step's input; the recurrent weight
-    # sees step t against hidden t - 1 (step 0 starts from zero)
+    # sees step t against hidden t - 1 (step 0 starts from zero, so one
+    # step leaves a sum over no steps: +0.0)
     dsum = np.add.reduce(dgates, axis=0, out=g.gate_b)
     np.multiply(dsum[:, None], b.flat, out=g.w_x)
-    if last > 1:
-        np.matmul(dgates[1:].T, hidden[:-1], out=g.w_h)
-    else:
-        g.w_h[...] = 0.0
+    np.matmul(dgates[1:].T, hidden[:-1], out=g.w_h)
 
     dpooled = (dsum @ p.w_x).reshape(-1, cfg.n_filters)
     dconv = _maxpool1d_backward(dpooled, b.windows, b.dx)

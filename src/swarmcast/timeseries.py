@@ -117,16 +117,16 @@ def load_csv(
     )
 
 
-def csv_variables(path, date_column: str = "date") -> list[str]:
+def csv_variables(path) -> list[str]:
     """The variable names ``load_csv`` reads from a CSV by default: its
-    header's non-date columns, checked as ``load_csv`` checks them."""
+    header's columns but ``date``, checked as ``load_csv`` checks them."""
     path = str(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), [])
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return list(_variable_columns(path, header, date_column, None))
+    return list(_variable_columns(path, header, "date", None))
 
 
 def _row_chunks(reader):

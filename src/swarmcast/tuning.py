@@ -69,9 +69,6 @@ class HyperparamSpace:
         """Candidates per dimension: the grid as an array shape."""
         return tuple(len(candidates) for _, candidates in self.dimensions)
 
-    def cells(self) -> int:
-        return math.prod(self.shape)
-
     def cell(self, indices) -> dict:
         """The cell at the given grid indices: dimension name -> candidate."""
         return {name: candidates[i] for (name, candidates), i in zip(self.dimensions, indices)}
@@ -223,9 +220,8 @@ def inner_validation_split(
     series, lookback: int, horizon: int, val_fraction: float = VAL_FRACTION
 ) -> tuple[WindowedSamples, WindowedSamples]:
     """Chronological window split of the series at ``1 - val_fraction``
-    (see ``split_windows``); both sides must be non-empty."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError("val_fraction must be in (0, 1)")
+    (see ``split_windows``), a fraction in (0, 1) that ``tune_series``
+    checks; both sides must be non-empty."""
     windows = make_windows(series, lookback, horizon)
     too_short = TooShortError(
         f"series of length {len(series)} cannot supply both fit and "
@@ -360,6 +356,8 @@ def tune_series(
     pseudo-loss, which is handy for exercising the search itself. Either
     way only the cells that fit ``lookback`` are scored.
     """
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError("val_fraction must be in (0, 1)")
     fits = fit_mask(space, lookback)
     if not fits.any():
         raise ConfigError(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -267,6 +268,16 @@ class TestTune:
         assert main([*command, "--data-dir", str(artifact), f"--learning-rate={rate}",
                      "--output-dir", str(tmp_path / "t")]) == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["7", "0", "1", "-0.2", "nan"])
+    @pytest.mark.parametrize("fitness", ["surrogate", "real"])
+    def test_val_fraction_outside_unit_interval_exits_2(self, artifact, tmp_path, capsys,
+                                                        fitness, fraction):
+        flags = ["--surrogate", "hash"] if fitness == "surrogate" else ["--fitness-epochs", "1"]
+        assert main(["tune", "--data-dir", str(artifact), *flags, f"--val-fraction={fraction}",
+                     "--output-dir", str(tmp_path / "t")]) == 2
+        assert "val_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_negative_seed_exits_2_in_tune_but_not_in_train(self, artifact, tmp_path, capsys):
         assert main(["tune", "--data-dir", str(artifact), "--surrogate", "hash", "--seed", "-3",
@@ -837,6 +848,51 @@ class TestCompare:
                      "--output-dir", str(tmp_path / "c")]) == 3
         assert str(missing) in capsys.readouterr().err
 
+    # two tied score matrices, one per Friedman decision: the sha256 of
+    # comparison.json and cd_diagram.csv, and the stdout lines before the path
+    PINNED = {
+        "rejected": (
+            "test,alpha,beta,gamma\nt1,0.1,0.2,0.3\nt2,0.1,0.2,0.3\nt3,0.1,0.1,0.3\n"
+            "t4,0.1,0.2,0.2\nt5,0.1,0.2,0.3\nt6,0.1,0.2,0.3\nt7,0.2,0.2,0.3\nt8,0.1,0.3,0.3\n",
+            "86cfd8931d94ea559468b119ede64aefa976fa5f88e46e5ebf0f1105ddcd1497",
+            "6c7e7eb10dcd745611411d9d3983d4498052b5780567600ba45603846a9159f5",
+            ["friedman statistic: 12.25", "critical value (chi-square, alpha=0.05): 5.991",
+             "null rejected: True", "critical difference: 1.1715"],
+        ),
+        "kept": (
+            "test,a,b,c\nt1,1,2,3\nt2,3,1,2\nt3,2,3,1\nt4,1,1,2\n",
+            "318b2f3860cb6d47a09d152648756912e855abc2dd211de284e400ca4fc11174",
+            "5f0f96ea9ee74d60e30b9fd506ddc9dc6c187941593132d76e84b13f7cec0653",
+            ["friedman statistic: 0.375", "critical value (chi-square, alpha=0.05): 5.991",
+             "null rejected: False", "critical difference: 1.656751188320081"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_artifacts_and_stdout_are_pinned(self, tmp_path, capsys, case):
+        text, comparison_sha, diagram_sha, lines = self.PINNED[case]
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text, encoding="utf-8")
+        out = tmp_path / "c"
+        assert main(["compare", "--scores", str(scores), "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            *lines, f"comparison: {out / 'comparison.json'}"
+        ]
+        for name, expected in (("comparison.json", comparison_sha),
+                               ("cd_diagram.csv", diagram_sha)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+    @pytest.mark.parametrize("header, column", [("test,a,a", 3), ("test,,b", 2),
+                                                ("test, a ,a", 3)])
+    def test_blank_or_repeated_method_exits_3_naming_column(self, tmp_path, capsys,
+                                                            header, column):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"{header}\ncase0,1.0,2.0\n", encoding="utf-8")
+        assert main(["compare", "--scores", str(scores),
+                     "--output-dir", str(tmp_path / "c")]) == 3
+        assert f"{scores}:1: column {column}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 class TestBenchOpt:
     def test_writes_result_and_trace(self, tmp_path):
@@ -940,6 +996,11 @@ class TestConfigResolution:
 
 class TestOptionTable:
     """Options, defaults and config checks all come from cli.OPTIONS and cli.COMMANDS."""
+
+    def test_every_option_belongs_to_a_command(self):
+        # build_parser looks up each command's keys in OPTIONS; this is the reverse
+        used = {key for command in cli.COMMANDS.values() for key in command.defaults}
+        assert sorted(set(cli.OPTIONS) - used) == []
 
     @staticmethod
     def config(tmp_path, doc):

@@ -119,12 +119,12 @@ class TestMetrics:
 
 class TestRanks:
     def test_simple_ordering(self):
-        rm = rank_methods([[3.0, 1.0, 2.0]])
-        assert np.array_equal(rm.ranks[0], [3, 1, 2])
+        ranks = rank_methods([[3.0, 1.0, 2.0]])
+        assert np.array_equal(ranks[0], [3, 1, 2])
 
     def test_average_ties(self):
-        rm = rank_methods([[1.0, 1.0, 2.0]])
-        assert np.array_equal(rm.ranks[0], [1.5, 1.5, 3])
+        ranks = rank_methods([[1.0, 1.0, 2.0]])
+        assert np.array_equal(ranks[0], [1.5, 1.5, 3])
 
     def test_nan_rejected(self):
         with pytest.raises(DataError):
@@ -141,18 +141,19 @@ class TestRanks:
         )
     )
     def test_rank_sum_identity(self, rows):
-        rm = rank_methods(rows)
+        ranks = rank_methods(rows)
         k = len(rows[0])
-        for row in rm.ranks:
+        for row in ranks:
             assert row.sum() == pytest.approx(k * (k + 1) / 2)
-        assert np.all(rm.average_ranks >= 1.0) and np.all(rm.average_ranks <= k)
+        average = ranks.mean(axis=0)
+        assert np.all(average >= 1.0) and np.all(average <= k)
 
     @given(
         st.lists(st.floats(0, 10, allow_nan=False), min_size=3, max_size=3)
     )
     def test_matches_loop_oracle(self, row):
-        rm = rank_methods([row])
-        assert np.allclose(rm.ranks[0], ranks_loop(row))
+        ranks = rank_methods([row])
+        assert np.allclose(ranks[0], ranks_loop(row))
 
 
 class TestFriedman:
@@ -226,14 +227,14 @@ class TestCompare:
         rng = np.random.default_rng(9)
         scores = rng.random((5, 4))
         result = compare_methods(scores)
-        rm = rank_methods(scores)
-        fr = friedman_statistic(rm)
+        average = rank_methods(scores).mean(axis=0)
+        fr = friedman_statistic(rank_methods(scores))
         cd = nemenyi_cd(4, 5)
-        assert np.allclose(result.average_ranks, rm.average_ranks)
+        assert np.allclose(result.average_ranks, average)
         assert result.friedman.statistic == pytest.approx(fr.statistic)
         assert result.cd == pytest.approx(cd)
         if fr.reject:
-            diff = np.abs(rm.average_ranks[:, None] - rm.average_ranks[None, :])
+            diff = np.abs(average[:, None] - average[None, :])
             expected = diff > cd
             np.fill_diagonal(expected, False)
             assert np.array_equal(result.pairwise_significant, expected)
@@ -256,6 +257,13 @@ class TestCompare:
         doc = compare_methods(scores).to_dict()
         json.dumps(doc)
 
+    def test_method_names_default_and_must_match_the_columns(self):
+        scores = np.array([[1.0, 2.0, 3.0]] * 3)
+        assert compare_methods(scores).methods == ("method_1", "method_2", "method_3")
+        assert compare_methods(scores, methods=["a", "b", "c"]).methods == ("a", "b", "c")
+        with pytest.raises(DataError, match="2 method names for 3 score columns"):
+            compare_methods(scores, methods=["a", "b"])
+
 
 class TestScoreCsv:
     def test_round_trip(self, tmp_path):
@@ -264,10 +272,9 @@ class TestScoreCsv:
             "test,alpha,beta,gamma\ncase1,1.0,2.0,3.0\ncase2,0.5,0.4,0.3\n",
             encoding="utf-8",
         )
-        tests, methods, matrix = parse_score_csv(path)
-        assert tests == ["case1", "case2"]
+        methods, matrix = parse_score_csv(path)
         assert methods == ["alpha", "beta", "gamma"]
-        assert matrix.shape == (2, 3)
+        assert matrix.tolist() == [[1.0, 2.0, 3.0], [0.5, 0.4, 0.3]]
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"

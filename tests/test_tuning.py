@@ -93,9 +93,9 @@ class TestDecode:
             assert decode_position(row, space).tolist() == decoded.tolist()
 
     def test_grid_size(self):
-        assert DEFAULT_SPACE.cells() == 144
+        assert math.prod(DEFAULT_SPACE.shape) == 144
         assert len(list(enumerate_assignments(DEFAULT_SPACE))) == 144
-        assert EXTENDED_SPACE.cells() == 144 * 6
+        assert math.prod(EXTENDED_SPACE.shape) == 144 * 6
 
     def test_surjective_by_inverse_sampling(self):
         seen = set()
@@ -491,6 +491,13 @@ class TestTuneSeries:
         for cell in [result.best_assignment] + [r.values for r in result.records]:
             NetworkConfig(kernel_size=cell["kernel_size"],
                           pool_size=cell["pool_size"]).validate_for_lookback(LOOKBACK)
+
+    @pytest.mark.parametrize("surrogate", [None, "hash"])
+    def test_val_fraction_outside_unit_interval_rejected(self, surrogate):
+        params = OptimizerParams(population_size=4, max_iterations=1, seed=0)
+        with pytest.raises(ConfigError, match="val_fraction must be in"):
+            tune_series(np.arange(50.0), "rs-gwo-woa", params, val_fraction=7.0,
+                        surrogate=surrogate)
 
     def test_unknown_surrogate_rejected(self):
         with pytest.raises(ConfigError):
