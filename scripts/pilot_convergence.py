@@ -28,7 +28,7 @@ GATES = [
 
 
 def main():
-    bounds = SearchBounds.cube(-5.12, 5.12, 5)
+    bounds = SearchBounds(-5.12, 5.12, 5)
     started = time.perf_counter()
     for name, objective, threshold, required in GATES:
         results = []

@@ -323,9 +323,13 @@ def read_artifact(data_dir, variable: str | None) -> dict:
         entry = meta["variables"].get(name)
         check_fields(entry, SCALING_RULES, DataError, f"variables.{name}", scaling_path)
         try:
-            scaling[name] = ScalingParams(**{key: entry[key] for key in SCALING_RULES})
+            params = scaling[name] = ScalingParams(entry["minimum"], entry["maximum"])
         except DataError as exc:
             raise DataError(f"{scaling_path}: 'variables.{name}' has {exc}") from None
+        # the recorded flag must be the bool that the bounds determine
+        flag = (lambda value: value is params.degenerate,
+                f"{params.degenerate} (minimum == maximum)")
+        check_fields(entry, {"degenerate": flag}, DataError, f"variables.{name}", scaling_path)
     name = variable or names[0]
     if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
@@ -529,7 +533,7 @@ def cmd_bench_opt(options, out_dir: Path):
     name = options["function"]
     algorithm = options["algorithm"]
     objective, (low, high) = BENCHMARKS[name]
-    bounds = SearchBounds.cube(low, high, options["dimension"])
+    bounds = SearchBounds(low, high, options["dimension"])
     params = _optimizer_params(options)
     position, fitness_value, trace = OPTIMIZERS[algorithm](objective, bounds, params)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import COUNT_RULE, check_fields, is_count
+from .fileio import COUNT_RULE, check_fields, is_count, is_finite
 
 # per-gene rates of the GA baseline's uniform crossover and mutation
 GA_CROSSOVER_RATE = 0.25
@@ -37,32 +37,17 @@ GA_MUTATION_RATE = 0.25
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Feasible box: lower[d] < upper[d] for every dimension."""
+    """Feasible box: the cube [low, high] ** dimension, finite low < high."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    low: float
+    high: float
+    dimension: int
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ConfigError("bounds must be equal-length 1-d vectors")
-        if lower.size == 0:
-            raise ConfigError("bounds must have at least one dimension")
-        if not np.all(lower < upper):
-            raise ConfigError("every lower bound must be below its upper bound")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lower)
-
-    @classmethod
-    def cube(cls, low: float, high: float, dimension: int) -> "SearchBounds":
-        if dimension < 1:
-            raise ConfigError(f"dimension must be at least 1, got {dimension}")
-        return cls(np.full(dimension, float(low)), np.full(dimension, float(high)))
+        rules = dict.fromkeys(("low", "high"), (is_finite, "a finite number"))
+        check_fields(vars(self), rules | {"dimension": COUNT_RULE}, ConfigError, "", "bounds")
+        if not self.low < self.high:
+            raise ConfigError(f"low bound {self.low!r} must be below high bound {self.high!r}")
 
 
 # each field's rule, key -> (check, what it wants), for the constructor
@@ -94,8 +79,8 @@ class OptimizationTrace:
 
 
 def clamp_to_bounds(position, bounds: SearchBounds) -> np.ndarray:
-    """Elementwise clamp into [lower, upper]; accepts a vector or a matrix."""
-    return np.clip(np.asarray(position, dtype=float), bounds.lower, bounds.upper)
+    """Elementwise clamp into [low, high]; accepts a vector or a matrix."""
+    return np.clip(np.asarray(position, dtype=float), bounds.low, bounds.high)
 
 
 def _evaluate(objective, positions: np.ndarray) -> np.ndarray:
@@ -168,7 +153,7 @@ def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callb
     """
     rng = np.random.default_rng(params.seed)
     pop = params.population_size
-    positions = rng.uniform(bounds.lower, bounds.upper, size=(pop, bounds.dimension))
+    positions = rng.uniform(bounds.low, bounds.high, size=(pop, bounds.dimension))
     fitness = _evaluate(objective, positions)
     trace = OptimizationTrace(evaluations=pop)
     order = np.argsort(fitness, kind="stable")
@@ -237,7 +222,7 @@ def uniform_mutation(genome, rate: float, bounds: SearchBounds, rng) -> np.ndarr
     """Per-gene resample within bounds at the given rate; takes a genome or
     a stack of genomes."""
     mutate = rng.random(np.shape(genome)) < rate
-    fresh = rng.uniform(bounds.lower, bounds.upper, np.shape(genome))
+    fresh = rng.uniform(bounds.low, bounds.high, np.shape(genome))
     return np.where(mutate, fresh, genome)
 
 

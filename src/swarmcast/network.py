@@ -366,11 +366,9 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
     epoch loss aborts with DivergedError.
     """
     inputs = np.asarray(samples.inputs, dtype=float)
-    targets = np.asarray(samples.targets, dtype=float)
-    if targets.ndim == 3:
-        if targets.shape[2] != 1:
-            raise ConfigError("the network head predicts a single variable")
-        targets = targets[:, :, 0]
+    if samples.targets.shape[2] != 1:
+        raise ConfigError("the network head predicts a single variable")
+    targets = np.asarray(samples.targets[:, :, 0], dtype=float)
     if len(inputs) == 0:
         raise DataError("no training samples")
     if samples.horizon != net.config.horizon:

@@ -29,8 +29,7 @@ MISSING_MARKERS = {"", "NA"}
 CHUNK_LINES = 1024  # CSV lines load_csv converts at a time
 
 # each ScalingParams field's rule: key -> (check, what it wants)
-SCALING_RULES = dict.fromkeys(("minimum", "maximum"), (is_finite, "a finite number")) | {
-    "degenerate": (lambda value: isinstance(value, bool), "true or false")}
+SCALING_RULES = dict.fromkeys(("minimum", "maximum"), (is_finite, "a finite number"))
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,16 @@ class ScalingParams:
 
     minimum: float
     maximum: float
-    degenerate: bool = False
 
     def __post_init__(self):
         check_fields(vars(self), SCALING_RULES, DataError, "", "scaling")
         if self.maximum < self.minimum:
             raise DataError(f"maximum {self.maximum!r} below minimum {self.minimum!r}")
+
+    @property
+    def degenerate(self) -> bool:
+        """A constant variable: it scales to zeros and back to its value."""
+        return bool(self.maximum == self.minimum)
 
 
 @dataclass(frozen=True)
@@ -58,15 +61,23 @@ class WindowedSamples:
 
     inputs: np.ndarray
     targets: np.ndarray
-    lookback: int
-    horizon: int
 
     def __post_init__(self):
+        if self.inputs.ndim != 3 or self.targets.ndim != 3:
+            raise DataError("inputs and targets must be (windows, steps, features) arrays")
         if len(self.inputs) != len(self.targets):
             raise DataError("inputs/targets length mismatch")
 
     def __len__(self):
         return len(self.inputs)
+
+    @property
+    def lookback(self) -> int:
+        return self.inputs.shape[1]
+
+    @property
+    def horizon(self) -> int:
+        return self.targets.shape[1]
 
 
 def load_csv(
@@ -253,8 +264,7 @@ def minmax_scale(series) -> tuple[np.ndarray, ScalingParams]:
         raise DataError("cannot scale an empty series")
     if np.isnan(values).any():
         raise DataError("series must be imputed before scaling")
-    lo, hi = float(values.min()), float(values.max())
-    params = ScalingParams(lo, hi, degenerate=hi == lo)
+    params = ScalingParams(float(values.min()), float(values.max()))
     return apply_scale(values, params), params
 
 
@@ -308,7 +318,7 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedSamples:
         )
     # (n - lookback - horizon + 1, lookback + horizon, features)
     spans = sliding_window_view(matrix, lookback + horizon, axis=0).transpose(0, 2, 1)
-    return WindowedSamples(spans[:, :lookback], spans[:, lookback:], lookback, horizon)
+    return WindowedSamples(spans[:, :lookback], spans[:, lookback:])
 
 
 def split_windows(
@@ -325,8 +335,6 @@ def split_windows(
     test_start = max(cut - windows.lookback, 0)
 
     def part(rows: slice) -> WindowedSamples:
-        return WindowedSamples(
-            windows.inputs[rows], windows.targets[rows], windows.lookback, windows.horizon
-        )
+        return WindowedSamples(windows.inputs[rows], windows.targets[rows])
 
     return part(slice(0, fit_end)), part(slice(test_start, None))

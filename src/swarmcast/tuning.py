@@ -311,7 +311,7 @@ def tune(
         losses[fitting] = score(list(map(tuple, rows[fitting].tolist())))
         return losses
 
-    bounds = SearchBounds.cube(0.0, 1.0, len(space))
+    bounds = SearchBounds(0.0, 1.0, len(space))
     best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
     best_assignment = space.cell(decode_position(best_position, space))
 
@@ -353,8 +353,8 @@ def tune_series(
     Each cell trains under ``cell_configs(cell, network, training,
     global_seed)``; the network template's horizon sets the windows'.
     ``surrogate='hash'`` swaps the real fitness for the deterministic
-    pseudo-loss, which is handy for exercising the search itself. Either
-    way only the cells that fit ``lookback`` are scored.
+    pseudo-loss, handy for exercising the search. Either way the series
+    must split into windows and only cells that fit ``lookback`` score.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must be in (0, 1)")
@@ -364,12 +364,12 @@ def tune_series(
             f"no cell of the space fits lookback {lookback}: each kernel_size is"
             " wider than it or its pool_size empties the conv output"
         )
+    train_windows, val_windows = inner_validation_split(
+        series, lookback, network.horizon, val_fraction
+    )
     if surrogate == "hash":
         evaluate = lambda assignment: surrogate_fitness(assignment, global_seed)
     elif surrogate is None:
-        train_windows, val_windows = inner_validation_split(
-            series, lookback, network.horizon, val_fraction
-        )
         evaluate = lambda assignment: fitness(
             assignment, train_windows, val_windows, network, training, global_seed
         )

@@ -300,4 +300,4 @@ def gwo_step_loop(positions, leaders, a, rng, bounds):
         coeff_c = 2.0 * r2
         dist = np.abs(coeff_c * leader - positions)
         total += leader - coeff_a * dist
-    return np.clip(total / 3.0, bounds.lower, bounds.upper)
+    return np.clip(total / 3.0, bounds.low, bounds.high)

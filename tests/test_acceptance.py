@@ -140,7 +140,7 @@ def test_criterion_4_lstm_oracle():
 
 def test_criterion_5_optimizer_convergence():
     started = time.perf_counter()
-    bounds = SearchBounds.cube(-5.12, 5.12, 5)
+    bounds = SearchBounds(-5.12, 5.12, 5)
     sphere_hits = rastrigin_hits = 0
     for seed in range(20):
         params = OptimizerParams(population_size=30, max_iterations=200, seed=seed)

@@ -101,7 +101,7 @@ def test_traced_surrogate_tune_records_objective_spans(tracer_module):
     params = OptimizerParams(population_size=4, max_iterations=3, seed=1)
     tracer.install()
     try:
-        result = tuning.tune_series(None, "rs-gwo-woa", params, surrogate="hash")
+        result = tuning.tune_series(np.arange(40.0), "rs-gwo-woa", params, surrogate="hash")
     finally:
         tracer.uninstall()
     counts = span_counts(tracer)

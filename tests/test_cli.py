@@ -279,6 +279,16 @@ class TestTune:
         assert "val_fraction" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("fitness", ["surrogate", "real"])
+    def test_lookback_longer_than_training_split_exits_3(self, artifact, tmp_path, capsys,
+                                                         fitness):
+        # the artifact's training split has 24 rows
+        flags = ["--surrogate", "hash"] if fitness == "surrogate" else ["--fitness-epochs", "1"]
+        assert main(["tune", "--data-dir", str(artifact), *flags, "--lookback", "40",
+                     "--output-dir", str(tmp_path / "t")]) == 3
+        assert "too short for lookback 40" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_negative_seed_exits_2_in_tune_but_not_in_train(self, artifact, tmp_path, capsys):
         assert main(["tune", "--data-dir", str(artifact), "--surrogate", "hash", "--seed", "-3",
                      "--output-dir", str(tmp_path / "t")]) == 2
@@ -380,7 +390,7 @@ class TestTrainForecast:
 
         net = load_model(model_path)
         meta = json.loads((artifact / "scaling.json").read_text())["variables"]["confirmed"]
-        params = ScalingParams(meta["minimum"], meta["maximum"], degenerate=meta["degenerate"])
+        params = ScalingParams(meta["minimum"], meta["maximum"])
         rows = (artifact / "dataset.csv").read_text().strip().splitlines()[1:]
         series = np.array([float(r.split(",")[1]) for r in rows])
         expected = iterative_forecast(net, series, 3, params)
@@ -404,7 +414,7 @@ class TestTrainForecast:
         rows = (artifact / "dataset.csv").read_text().strip().splitlines()[1:]
         series = np.array([float(r.split(",")[1]) for r in rows])
         meta = json.loads((artifact / "scaling.json").read_text())["variables"]["confirmed"]
-        params = ScalingParams(meta["minimum"], meta["maximum"], degenerate=meta["degenerate"])
+        params = ScalingParams(meta["minimum"], meta["maximum"])
         direct = network_forward(series[-net.lookback:][:, None], net)[0]
         assert got == pytest.approx(float(inverse_scale([direct], params)[0]), abs=1e-12)
 
@@ -548,6 +558,18 @@ class TestArtifactChecks:
         code = main(["train", "--data-dir", str(artifact), "--epochs", "1", "--n-filters", "2",
                      "--lstm-units", "2", "--output-dir", str(tmp_path / "t")])
         return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: entry.update(degenerate=True),
+        lambda entry: entry.update(minimum=entry["maximum"]),
+    ], ids=["forged-true", "constant-but-false"])
+    def test_degenerate_flag_must_equal_minimum_equals_maximum(self, artifact, tmp_path,
+                                                               capsys, edit):
+        code, err = self.train_after(artifact, tmp_path, capsys,
+                                     lambda doc: edit(doc["variables"]["confirmed"]))
+        assert code == 3
+        assert str(artifact / "scaling.json") in err
+        assert "'variables.confirmed.degenerate'" in err
 
     # the split must leave rows on both sides; a bool is not an integer
     @pytest.mark.parametrize("value", [-5, 0, "n_rows", 1_000_000, True],
@@ -905,6 +927,28 @@ class TestBenchOpt:
         assert doc["best_fitness"] >= 0.0
         rows = (out / "trace.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 25
+
+    # sha256 of result.json and trace.csv for rastrigin, d=3, population 6,
+    # 5 iterations, seed 1: the search box's bits must not move the search
+    PINNED = {
+        "rs-gwo-woa": ("1b508d2e949ec22625e9c21d09a0fc237eba4375e263c82b978475f2cf4b4e1d",
+                       "b2a5be4829fd4059356ed0f5bc333d82100425942ad17f30c8f8ce22361955c8"),
+        "gwo": ("402d19f13bc749db22eb840f9c7bf7e4d46672029ef98aff4294cff153050ad8",
+                "201105d52be6fa7a785f88a5468b86924c8d9b54a60d2d6503e905319706a446"),
+        "woa": ("fb96560003d2284dd930073f5f8ed1c6ba3990025a5fd4b201865c05fe3dab28",
+                "66de49b8c2b01a5a1bfc595721a96c6430b7de7ce6390d59a1e9d3f11df6ad2e"),
+        "ga": ("639e6264f2c75e3efbaf4326700ce4aa79ba1e5ac517d41f478ecfb19e209aa5",
+               "d59e4a8989325a98cb5cf9f847308cad8877cbc262e28205d73bbaa1bcdaf67c"),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(PINNED))
+    def test_artifacts_are_pinned(self, tmp_path, algorithm):
+        out = tmp_path / "bo"
+        assert main(["bench-opt", "--function", "rastrigin", "--dimension", "3",
+                     "--population", "6", "--iterations", "5", "--seed", "1",
+                     "--algorithm", algorithm, "--output-dir", str(out)]) == 0
+        for name, expected in zip(("result.json", "trace.csv"), self.PINNED[algorithm]):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
 
     @pytest.mark.parametrize("dimension", ["0", "-1"])
     def test_dimension_below_one_exits_2(self, dimension, tmp_path, capsys):

@@ -44,13 +44,13 @@ class ScriptedRng:
 
 
 def unit_bounds(dim):
-    return SearchBounds.cube(0.0, 1.0, dim)
+    return SearchBounds(0.0, 1.0, dim)
 
 
 class TestBounds:
     def test_empty_box_rejected(self):
         with pytest.raises(ConfigError):
-            SearchBounds(np.zeros(0), np.zeros(0))
+            SearchBounds(0.0, 1.0, 0)
 
 
 class TestOptimizerParams:
@@ -96,7 +96,7 @@ class TestGwoStep:
         assert np.allclose(updated, positions)
 
     def test_population_collapses_onto_origin_leaders(self):
-        bounds = SearchBounds.cube(-1.0, 1.0, 3)
+        bounds = SearchBounds(-1.0, 1.0, 3)
         rng = np.random.default_rng(1)
         positions = rng.uniform(-1, 1, (6, 3))
         leaders = np.zeros((3, 3))
@@ -104,14 +104,14 @@ class TestGwoStep:
         assert np.allclose(updated, 0.0)
 
     def test_positions_stay_feasible(self):
-        bounds = SearchBounds.cube(-2.0, 3.0, 4)
+        bounds = SearchBounds(-2.0, 3.0, 4)
         rng = np.random.default_rng(2)
         positions = rng.uniform(-2, 3, (8, 4))
         leaders = rng.uniform(-2, 3, (3, 4))
         for step in range(1000):
             a = 2.0 * (1 - step / 1000)
             positions = gwo_step(positions, leaders, a, rng, bounds)
-            assert np.all(positions >= bounds.lower) and np.all(positions <= bounds.upper)
+            assert np.all(positions >= bounds.low) and np.all(positions <= bounds.high)
 
     def test_small_population_rejected(self):
         with pytest.raises(ConfigError):
@@ -124,7 +124,7 @@ class TestGwoStep:
     def test_matches_per_leader_loop_bytewise(self, pop, dim, a, seed):
         # one (3, 2, pop, dim) draw consumes the stream exactly as the
         # per-leader r1, r2 draws did, and the sum keeps the leader order
-        bounds = SearchBounds.cube(-2.0, 3.0, dim)
+        bounds = SearchBounds(-2.0, 3.0, dim)
         start = np.random.default_rng(seed + 100)
         positions = start.uniform(-2.5, 3.5, (pop, dim))
         leaders = start.uniform(-2.0, 3.0, (3, dim))
@@ -214,7 +214,7 @@ class TestDrivers:
     @pytest.mark.parametrize("optimize", [rs_gwo_woa, gwo_optimize, woa_optimize, ga_optimize])
     def test_trace_is_non_increasing(self, optimize):
         params = OptimizerParams(population_size=8, max_iterations=40, seed=3)
-        _, _, trace = optimize(sphere, SearchBounds.cube(-5, 5, 4), params)
+        _, _, trace = optimize(sphere, SearchBounds(-5, 5, 4), params)
         best = trace.best_fitness_per_iteration
         assert len(best) == 40
         assert all(a >= b for a, b in zip(best, best[1:]))
@@ -222,7 +222,7 @@ class TestDrivers:
     @pytest.mark.parametrize("optimize", [rs_gwo_woa, gwo_optimize, woa_optimize, ga_optimize])
     def test_seed_determinism(self, optimize):
         params = OptimizerParams(population_size=6, max_iterations=25, seed=11)
-        bounds = SearchBounds.cube(-2, 2, 3)
+        bounds = SearchBounds(-2, 2, 3)
         pos1, fit1, trace1 = optimize(rastrigin, bounds, params)
         pos2, fit2, trace2 = optimize(rastrigin, bounds, params)
         assert np.array_equal(pos1, pos2)
@@ -231,7 +231,7 @@ class TestDrivers:
 
     def test_both_branches_execute_over_many_iterations(self):
         params = OptimizerParams(population_size=4, max_iterations=1000, seed=5)
-        _, _, trace = rs_gwo_woa(sphere, SearchBounds.cube(-1, 1, 2), params)
+        _, _, trace = rs_gwo_woa(sphere, SearchBounds(-1, 1, 2), params)
         assert trace.gwo_iterations > 0
         assert trace.woa_iterations > 0
         assert trace.gwo_iterations + trace.woa_iterations == 1000
@@ -247,7 +247,7 @@ class TestDrivers:
             return sphere(X)
 
         objective = count_evaluations(objective)
-        best_pos, best_fit, trace = rs_gwo_woa(objective, SearchBounds.cube(-5, 5, 2), params)
+        best_pos, best_fit, trace = rs_gwo_woa(objective, SearchBounds(-5, 5, 2), params)
         assert trace.evaluations == 8
         assert len(objective.calls) == 8
         assert best_fit == min(objective.calls)
@@ -260,7 +260,7 @@ class TestDrivers:
         assert best_pos.tobytes() == rows[np.argmin(objective.calls)].tobytes()
 
     def test_every_evaluated_position_feasible(self):
-        bounds = SearchBounds.cube(-1.5, 2.5, 3)
+        bounds = SearchBounds(-1.5, 2.5, 3)
         seen = []
 
         def objective(X):
@@ -270,7 +270,7 @@ class TestDrivers:
         params = OptimizerParams(population_size=5, max_iterations=30, seed=13)
         rs_gwo_woa(objective, bounds, params)
         stacked = np.array(seen)
-        assert np.all(stacked >= bounds.lower) and np.all(stacked <= bounds.upper)
+        assert np.all(stacked >= bounds.low) and np.all(stacked <= bounds.high)
 
     def test_leader_ordering_after_each_iteration(self):
         # every algorithm runs the same loop, so each callback sees the
@@ -285,7 +285,7 @@ class TestDrivers:
                 records.append((t, fitness.copy(), list(fitness[order])))
 
             params = OptimizerParams(population_size=6, max_iterations=40, seed=17)
-            optimize(sphere, SearchBounds.cube(-4, 4, 3), params, callback=callback)
+            optimize(sphere, SearchBounds(-4, 4, 3), params, callback=callback)
             assert [t for t, _, _ in records] == list(range(40)), optimize.__name__
             for _, fitness, values in records:
                 assert values == sorted(values)
@@ -298,7 +298,7 @@ class TestDrivers:
             return np.where(X[:, 0] > 0, math.nan, sphere(X))
 
         params = OptimizerParams(population_size=8, max_iterations=30, seed=19)
-        best_pos, best_fit, _ = rs_gwo_woa(objective, SearchBounds.cube(-1, 1, 2), params)
+        best_pos, best_fit, _ = rs_gwo_woa(objective, SearchBounds(-1, 1, 2), params)
         assert math.isfinite(best_fit)
         assert best_pos[0] <= 0
 
@@ -306,7 +306,7 @@ class TestDrivers:
         params = OptimizerParams(population_size=4, max_iterations=3, seed=21)
         # the search does not raise: only the tuner decides nothing was found
         best, fitness, trace = rs_gwo_woa(
-            lambda X: np.full(len(X), math.nan), SearchBounds.cube(-1, 1, 2), params
+            lambda X: np.full(len(X), math.nan), SearchBounds(-1, 1, 2), params
         )
         assert best.shape == (2,) and fitness == math.inf
         assert trace.best_fitness_per_iteration == [math.inf] * 3
@@ -337,7 +337,7 @@ class TestDrivers:
         for seed in (0, 1):
             params = OptimizerParams(population_size=6, max_iterations=20, seed=seed)
             position, best, trace = OPTIMIZERS[algorithm](
-                rastrigin, SearchBounds.cube(-5.12, 5.12, 3), params
+                rastrigin, SearchBounds(-5.12, 5.12, 3), params
             )
             digest.update(position.tobytes())
             digest.update(np.float64(best).tobytes())
@@ -352,7 +352,7 @@ class TestGa:
         monkeypatch.setattr(metaheuristics, "GA_CROSSOVER_RATE", 0.0)
         monkeypatch.setattr(metaheuristics, "GA_MUTATION_RATE", 0.0)
         params = OptimizerParams(population_size=6, max_iterations=25, seed=23)
-        bounds = SearchBounds.cube(-3, 3, 2)
+        bounds = SearchBounds(-3, 3, 2)
         populations = []
 
         def objective(X):
@@ -376,7 +376,7 @@ class TestGa:
             return fitness
 
         params = OptimizerParams(population_size=pop, max_iterations=15, seed=seed)
-        result = ga_optimize(objective, SearchBounds.cube(-5.12, 5.12, 3), params)
+        result = ga_optimize(objective, SearchBounds(-5.12, 5.12, 3), params)
         return generations, result
 
     @pytest.mark.parametrize("pop", [4, 5, 30, 31])
@@ -395,12 +395,12 @@ class TestGa:
 
     def test_sphere_convergence(self):
         params = OptimizerParams(population_size=30, max_iterations=300, seed=2)
-        _, best, _ = ga_optimize(sphere, SearchBounds.cube(-5.12, 5.12, 3), params)
+        _, best, _ = ga_optimize(sphere, SearchBounds(-5.12, 5.12, 3), params)
         assert best < 1e-2
 
     def test_mutation_frequency_matches_rate(self):
         rng = np.random.default_rng(29)
-        bounds = SearchBounds.cube(0.0, 1.0, 100_000)
+        bounds = SearchBounds(0.0, 1.0, 100_000)
         genome = np.full(100_000, 0.5)
         mutated = uniform_mutation(genome, 0.25, bounds, rng)
         frequency = np.mean(mutated != genome)

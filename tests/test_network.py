@@ -48,8 +48,6 @@ def constant_samples(value_in=0.3, value_out=0.5, lookback=6, n=1):
     return WindowedSamples(
         inputs=np.full((n, lookback, 1), value_in),
         targets=np.full((n, 1, 1), value_out),
-        lookback=lookback,
-        horizon=1,
     )
 
 
@@ -188,8 +186,6 @@ class TestTrain:
         samples = WindowedSamples(
             inputs=rng.normal(size=(4, 6, 1)) * 10,
             targets=rng.normal(size=(4, 1, 1)) * 10,
-            lookback=6,
-            horizon=1,
         )
         net = initialize_network(tiny_config(seed=6), 6)
         cfg = TrainingConfig(epochs=5, learning_rate=1e12, optimizer="sgd", seed=6)
@@ -200,8 +196,6 @@ class TestTrain:
         samples = WindowedSamples(
             inputs=np.zeros((2, 6, 1)),
             targets=np.zeros((2, 1, 2)),
-            lookback=6,
-            horizon=1,
         )
         net = initialize_network(tiny_config(), 6)
         with pytest.raises(ConfigError):
@@ -211,6 +205,14 @@ class TestTrain:
         samples = constant_samples()
         net = initialize_network(tiny_config(horizon=2), 6)
         with pytest.raises(ConfigError):
+            train(net, samples, TrainingConfig(epochs=1))
+
+    def test_targets_shorter_than_network_horizon_rejected(self):
+        # the window set's horizon is its targets' step count, so it cannot
+        # claim the network's horizon while holding fewer steps
+        samples = WindowedSamples(np.zeros((2, 6, 1)), np.zeros((2, 1, 1)))
+        net = initialize_network(tiny_config(horizon=2), 6)
+        with pytest.raises(ConfigError, match="window horizon 1 != network horizon 2"):
             train(net, samples, TrainingConfig(epochs=1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -301,8 +303,6 @@ class TestTrainingTrajectory:
         samples = WindowedSamples(
             inputs=rng.uniform(0.0, 1.0, size=(n, lookback, config.n_features)),
             targets=rng.uniform(0.0, 1.0, size=(n, config.horizon, 1)),
-            lookback=lookback,
-            horizon=config.horizon,
         )
         return config, samples
 
@@ -443,8 +443,6 @@ class TestPrediction:
         windows = WindowedSamples(
             inputs=rng.normal(size=(n, lookback, 2)),
             targets=np.zeros((n, 2, 1)),
-            lookback=lookback,
-            horizon=2,
         )
         preds = predict_windows(net, windows)
         assert preds.shape == (n, 2)

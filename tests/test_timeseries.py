@@ -19,6 +19,9 @@ from swarmcast.errors import (
     TooShortError,
 )
 from swarmcast.timeseries import (
+    ScalingParams,
+    WindowedSamples,
+    apply_scale,
     impute_missing,
     inverse_scale,
     load_csv,
@@ -296,8 +299,6 @@ class TestScaling:
         assert np.all(np.abs(back - x) <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
     def test_inverse_examples(self):
-        from swarmcast.timeseries import ScalingParams
-
         assert np.array_equal(
             inverse_scale([0.0, 0.5, 1.0], ScalingParams(0, 10)), [0, 5, 10]
         )
@@ -305,10 +306,14 @@ class TestScaling:
         assert np.array_equal(inverse_scale([0.25], ScalingParams(4, 8)), [5.0])
 
     def test_degenerate_inverse_gives_constant(self):
-        from swarmcast.timeseries import ScalingParams
-
-        params = ScalingParams(7, 7, degenerate=True)
+        params = ScalingParams(7, 7)
         assert np.array_equal(inverse_scale([0.0, 0.3], params), [7.0, 7.0])
+
+    def test_equal_bounds_are_degenerate_and_scale_to_zeros(self):
+        params = ScalingParams(7.0, 7.0)
+        assert params.degenerate
+        assert np.array_equal(apply_scale([7.0, 7.0], params), [0.0, 0.0])
+        assert not ScalingParams(0.0, 10.0).degenerate
 
     def test_empty_series_rejected(self):
         with pytest.raises(DataError):
@@ -399,6 +404,19 @@ class TestWindows:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             make_windows(np.arange(4, dtype=float), lookback=4, horizon=1)
+
+    def test_lengths_are_the_arrays_step_counts(self):
+        w = make_windows(np.arange(20, dtype=float), lookback=5, horizon=3)
+        assert (w.lookback, w.horizon) == (5, 3)
+        fit, test = split_windows(w, 12)
+        assert (fit.lookback, fit.horizon, test.lookback, test.horizon) == (5, 3, 5, 3)
+
+    @pytest.mark.parametrize("inputs, targets", [
+        (np.zeros((4, 3)), np.zeros((4, 1, 1))), (np.zeros((4, 3, 1)), np.zeros((4, 1))),
+    ], ids=["2-d-inputs", "2-d-targets"])
+    def test_arrays_must_be_windows_steps_features(self, inputs, targets):
+        with pytest.raises(DataError, match="windows, steps, features"):
+            WindowedSamples(inputs, targets)
 
     def test_windows_are_read_only_views(self):
         series = np.arange(10, dtype=float)

@@ -487,7 +487,8 @@ class TestTuneSeries:
     def test_surrogate_tune_picks_a_cell_that_fits(self, seed):
         # scored like the others, an unfit cell won at 14 of these 30 seeds
         params = OptimizerParams(population_size=10, max_iterations=10, seed=seed)
-        result = tune_series(None, "rs-gwo-woa", params, surrogate="hash", global_seed=seed)
+        result = tune_series(np.arange(40.0), "rs-gwo-woa", params, surrogate="hash",
+                             global_seed=seed)
         for cell in [result.best_assignment] + [r.values for r in result.records]:
             NetworkConfig(kernel_size=cell["kernel_size"],
                           pool_size=cell["pool_size"]).validate_for_lookback(LOOKBACK)
