@@ -26,7 +26,6 @@ import hashlib
 import os
 import platform
 import sys
-from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -306,7 +305,7 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     values): ``variable``, or the first column when it is None.
 
     Every variable's scaling entry is checked, but only the target's
-    column of dataset.csv is parsed.
+    column of dataset.csv is parsed; it must hold a value for every day.
     """
     data_dir = Path(data_dir)
     scaling_path = data_dir / "scaling.json"
@@ -334,6 +333,10 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
     dates, variables = load_csv(dataset_path, variable_columns={name: name})
+    # ingest writes every day with a value, so a gap means a damaged file
+    missing = np.flatnonzero(np.isnan(variables[name]))
+    if missing.size:
+        raise DataError(f"{dataset_path}: variable {name!r} has no value on {dates[missing[0]]}")
     if cut >= len(dates):
         raise DataError(f"{scaling_path}: 'split_index' {cut} leaves no test rows"
                         f" of {len(dates)}")
@@ -490,13 +493,13 @@ def cmd_evaluate(options, out_dir: Path):
         "metrics.json": {
             "variable": name,
             "n_windows": len(test_windows),
-            "scaled": asdict(scaled_report),
-            "original_units": asdict(units_report),
+            "scaled": scaled_report,
+            "original_units": units_report,
         },
         "predictions.csv": (["date", "step", "actual", "predicted"], rows),
     }, [
         f"variable: {name}",
-        f"test mse (scaled): {scaled_report.mse}",
+        f"test mse (scaled): {scaled_report['mse']}",
         f"metrics: {out_dir / 'metrics.json'}",
     ]
 
@@ -505,24 +508,18 @@ def cmd_evaluate(options, out_dir: Path):
 
 def cmd_compare(options, out_dir: Path):
     methods, matrix = parse_score_csv(options["scores"])
-    result = compare_methods(
-        matrix,
-        methods=methods,
-        alpha=options["alpha"],
-        q=options["q"],
-    )
+    doc = compare_methods(matrix, methods=methods, alpha=options["alpha"], q=options["q"])
     return {
-        "comparison.json": result.to_dict(),
+        "comparison.json": doc,
         "cd_diagram.csv": (
             ["method", "average_rank"],
-            [[m, repr(float(r))] for m, r in zip(result.methods, result.average_ranks)],
+            [[m, repr(r)] for m, r in zip(doc["methods"], doc["average_ranks"])],
         ),
     }, [
-        f"friedman statistic: {result.friedman.statistic}",
-        f"critical value (chi-square, alpha={result.friedman.alpha}): "
-        f"{result.friedman.critical_value}",
-        f"null rejected: {result.friedman.reject}",
-        f"critical difference: {result.cd}",
+        f"friedman statistic: {doc['friedman_statistic']}",
+        f"critical value (chi-square, alpha={doc['alpha']}): {doc['critical_value']}",
+        f"null rejected: {doc['null_rejected']}",
+        f"critical difference: {doc['cd']}",
         f"comparison: {out_dir / 'comparison.json'}",
     ]
 

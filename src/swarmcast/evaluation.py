@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,17 +81,10 @@ def r_squared(predicted, actual) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    mae: float
-    mse: float
-    r_squared: float
-    n: int
-
-
-def metric_report(predicted, actual) -> MetricReport:
+def metric_report(predicted, actual) -> dict:
+    """The metrics of one prediction set, as ``metrics.json`` records them."""
     y, x = _check_pair(predicted, actual)
-    return MetricReport(mae=mae(y, x), mse=mse(y, x), r_squared=r_squared(y, x), n=y.size)
+    return {"mae": mae(y, x), "mse": mse(y, x), "r_squared": r_squared(y, x), "n": y.size}
 
 
 def rank_methods(scores) -> np.ndarray:
@@ -110,21 +102,14 @@ def rank_methods(scores) -> np.ndarray:
     return 1.0 + (other < value).sum(axis=2) + ((other == value).sum(axis=2) - 1) / 2.0
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
-    statistic: float
-    critical_value: float
-    reject: bool
-    alpha: float
-    degrees_of_freedom: int
-
-
-def friedman_statistic(ranks: np.ndarray, alpha: float = ALPHA) -> FriedmanResult:
+def friedman_statistic(ranks: np.ndarray, alpha: float = ALPHA) -> dict:
     """Friedman chi-square over the rank sums of ``rank_methods``' ranks.
 
     statistic = 12 / (n k (k+1)) * sum_i R_i^2 - 3 n (k+1), with R_i the
     rank sum of method i over the n tests. The decision compares against
-    the embedded chi-square quantile with k-1 degrees of freedom.
+    the embedded chi-square quantile with k-1 degrees of freedom. Returns
+    the test's keys of ``comparison.json``: ``friedman_statistic``,
+    ``critical_value``, ``null_rejected``, ``alpha`` and ``degrees_of_freedom``.
     """
     n, k = ranks.shape
     if alpha not in CHI2_CRITICAL:
@@ -135,13 +120,13 @@ def friedman_statistic(ranks: np.ndarray, alpha: float = ALPHA) -> FriedmanResul
     rank_sums = ranks.sum(axis=0)
     statistic = 12.0 / (n * k * (k + 1)) * float(np.sum(rank_sums**2)) - 3.0 * n * (k + 1)
     critical = CHI2_CRITICAL[alpha][df]
-    return FriedmanResult(
-        statistic=statistic,
-        critical_value=critical,
-        reject=statistic > critical,
-        alpha=alpha,
-        degrees_of_freedom=df,
-    )
+    return {
+        "friedman_statistic": statistic,
+        "critical_value": critical,
+        "null_rejected": statistic > critical,
+        "alpha": alpha,
+        "degrees_of_freedom": df,
+    }
 
 
 def nemenyi_cd(k: int, n: int, alpha: float = ALPHA, q: float | None = None) -> float:
@@ -163,58 +148,30 @@ def nemenyi_cd(k: int, n: int, alpha: float = ALPHA, q: float | None = None) -> 
     return float(q * np.sqrt(k * (k + 1) / (6.0 * n)))
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    methods: tuple[str, ...]
-    average_ranks: np.ndarray
-    friedman: FriedmanResult
-    cd: float
-    pairwise_significant: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "average_ranks": [float(r) for r in self.average_ranks],
-            "friedman_statistic": self.friedman.statistic,
-            "critical_value": self.friedman.critical_value,
-            "null_rejected": self.friedman.reject,
-            "alpha": self.friedman.alpha,
-            "degrees_of_freedom": self.friedman.degrees_of_freedom,
-            "cd": self.cd,
-            "pairwise_significant": self.pairwise_significant.tolist(),
-        }
-
-
 def compare_methods(
     scores, methods=None, alpha: float = ALPHA, q: float | None = None
-) -> ComparisonResult:
+) -> dict:
     """Rank, test and post-hoc compare methods on a loss matrix, its
     columns named by ``methods`` (default ``method_1``, ...).
 
-    Pairwise flags are |avg_rank_i - avg_rank_j| > CD, reported only when
-    the Friedman null is rejected (the post hoc is meaningless otherwise).
+    Returns ``comparison.json``: ``methods``, their ``average_ranks``, the
+    ``friedman_statistic`` keys, the critical difference ``cd`` and the
+    (k x k) ``pairwise_significant`` flags. A flag is |avg_rank_i -
+    avg_rank_j| > CD, set only when the Friedman null is rejected (the
+    post hoc is meaningless otherwise).
     """
     ranks = rank_methods(scores)
     n, k = ranks.shape
-    methods = tuple(methods) if methods else tuple(f"method_{i+1}" for i in range(k))
+    methods = list(methods) if methods else [f"method_{i+1}" for i in range(k)]
     if len(methods) != k:
         raise DataError(f"{len(methods)} method names for {k} score columns")
     fr = friedman_statistic(ranks, alpha=alpha)
     cd = nemenyi_cd(k, n, alpha=alpha, q=q)
     avg = ranks.mean(axis=0)
-    if fr.reject:
-        diff = np.abs(avg[:, None] - avg[None, :])
-        pairwise = diff > cd
-        np.fill_diagonal(pairwise, False)
-    else:
-        pairwise = np.zeros((k, k), dtype=bool)
-    return ComparisonResult(
-        methods=methods,
-        average_ranks=avg,
-        friedman=fr,
-        cd=cd,
-        pairwise_significant=pairwise,
-    )
+    # cd > 0, so a method is never flagged against itself
+    pairwise = (np.abs(avg[:, None] - avg[None, :]) > cd) & fr["null_rejected"]
+    return {"methods": methods, "average_ranks": avg.tolist(), **fr, "cd": cd,
+            "pairwise_significant": pairwise.tolist()}
 
 
 def parse_score_csv(path) -> tuple[list[str], np.ndarray]:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,8 +40,9 @@ def read_json(path, what: str, error: type[Exception]) -> dict:
 
 
 def is_finite(value) -> bool:
-    """Whether a value is a finite number (a bool is not one)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
+    """Whether a value is a number that converts to a finite float (a bool is not one)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def is_count(value, least: int = 1) -> bool:

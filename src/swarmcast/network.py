@@ -474,19 +474,20 @@ def model_to_dict(net: TrainedNetwork) -> dict:
 
 def model_from_dict(doc: dict, source: str = "model") -> TrainedNetwork:
     """Rebuild a ``model_to_dict`` document into a fresh weight buffer.
-    Anything missing, unknown or misshaped raises DataError naming
-    ``source`` and the key."""
+    Anything missing, unknown, misshaped or not finite raises DataError
+    naming ``source`` and the key."""
     check_fields(doc, {"config": OBJECT_RULE, "lookback": COUNT_RULE, "weights": OBJECT_RULE,
-                       "loss_history": (lambda value: isinstance(value, list), "a list")},
+                       "loss_history": (lambda value: isinstance(value, list)
+                                        and all(map(is_finite, value)),
+                                        "a list of finite numbers")},
                  DataError, "", source)
     check_fields(doc["config"], NETWORK_RULES, DataError, "config", source)
     lookback = doc["lookback"]
     try:
         config = NetworkConfig(**doc["config"])  # the TypeError names an unknown field
         config.validate_for_lookback(lookback)
-        history = tuple(float(v) for v in doc["loss_history"])
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise DataError(f"{source}: bad 'config', 'lookback' or 'loss_history': {exc}") from exc
+    except (ConfigError, TypeError) as exc:
+        raise DataError(f"{source}: bad 'config' or 'lookback': {exc}") from exc
 
     blobs = doc["weights"]
     weights = _FlatParams(config, lookback)
@@ -503,7 +504,10 @@ def model_from_dict(doc: dict, source: str = "model") -> TrainedNetwork:
             view[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{source}: weight {key!r} is not an encoded array: {exc}") from exc
-    return TrainedNetwork(config=config, lookback=lookback, weights=weights, loss_history=history)
+        if not np.isfinite(view).all():
+            raise DataError(f"{source}: weight {key!r} holds a non-finite value")
+    return TrainedNetwork(config=config, lookback=lookback, weights=weights,
+                          loss_history=tuple(map(float, doc["loss_history"])))
 
 
 def save_model(net: TrainedNetwork, path) -> None:

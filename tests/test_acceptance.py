@@ -73,19 +73,19 @@ def test_criterion_1_nemenyi_reproduction():
 def test_criterion_2_friedman_identity():
     started = time.perf_counter()
     fixture = friedman_statistic(rank_methods([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
-    exact = fixture.statistic == 4.0
+    exact = fixture["friedman_statistic"] == 4.0
 
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
         scores = rng.random((10, 5))
-        ours = friedman_statistic(rank_methods(scores)).statistic
+        ours = friedman_statistic(rank_methods(scores))["friedman_statistic"]
         brute = friedman_loop(scores.tolist())
         worst = max(worst, abs(ours - brute))
     elapsed = time.perf_counter() - started
     ok = exact and worst <= 1e-12 and elapsed < 1.0
     report("criterion 2 (Friedman identity)", ok,
-           f"fixture={fixture.statistic} (want exactly 4), "
+           f"fixture={fixture['friedman_statistic']} (want exactly 4), "
            f"max |ours-brute|={worst:.2e} over 100 matrices, {elapsed:.2f}s")
 
 

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -16,6 +17,8 @@ from swarmcast.network import (
     save_model,
 )
 from swarmcast.timeseries import ScalingParams, inverse_scale
+
+SAMPLE_CSV = Path(__file__).resolve().parents[1] / "data" / "sample_daily_cases.csv"
 
 SMALL_CSV = """date,confirmed
 2020-03-22,10
@@ -470,6 +473,35 @@ class TestTrainForecast:
         lines = (ev_dir / "predictions.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + metrics["scaled"]["n"]
 
+    def test_horizon_two_evaluate_is_pinned(self, tmp_path, capsys):
+        # the sample data splits at row 128 (2020-07-28); each test window
+        # predicts two days, so its rows are steps 1 and 2 of one window
+        ingest, model, ev = tmp_path / "ing", tmp_path / "m", tmp_path / "ev"
+        assert main(["ingest", "--data", str(SAMPLE_CSV), "--output-dir", str(ingest)]) == 0
+        assert main(["train", "--data-dir", str(ingest), "--horizon", "2", "--n-filters", "2",
+                     "--lstm-units", "3", "--epochs", "2", "--seed", "4",
+                     "--output-dir", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model / "model.json"),
+                     "--data-dir", str(ingest), "--output-dir", str(ev)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "variable: confirmed", "test mse (scaled): 0.5075957800496046",
+            f"metrics: {ev / 'metrics.json'}",
+        ]
+        for name, expected in (
+            ("metrics.json", "242c5ec7e3386c59672b3da5719855c558695137a2c4beaf6dccadd2ce77b484"),
+            ("predictions.csv", "bb0a9b5a3eb8a8794b8a4be6fd846fc3396161449463a7950b2d4ca857d8e8c3"),
+        ):
+            assert hashlib.sha256((ev / name).read_bytes()).hexdigest() == expected, name
+        rows = (ev / "predictions.csv").read_text().splitlines()[1:3]
+        assert [row.split(",")[:2] for row in rows] == [["2020-07-28", "1"], ["2020-07-29", "2"]]
+
+
+def _encoded(*values) -> dict:
+    """A model file's encoding of a 1-d weight array."""
+    data = np.array(values, dtype="<f8").tobytes()
+    return {"shape": [len(values)], "data": base64.b64encode(data).decode("ascii")}
+
 
 class TestModelFileChecks:
     """load_model rejects every malformed model file with exit 3, naming it."""
@@ -508,9 +540,18 @@ class TestModelFileChecks:
         (lambda doc: doc["config"].update(n_filters=2.0), "'config.n_filters'"),
         (lambda doc: doc["config"].update(n_filters=True), "'config.n_filters'"),
         (lambda doc: doc.update(lookback=7.9), "'lookback'"),
+        # every weight and loss is finite, and a loss is a JSON number
+        (lambda doc: doc["weights"].update(dense_b=_encoded(math.nan)), "'dense_b'"),
+        (lambda doc: doc["weights"].update(candidate_b=_encoded(0.0, -math.inf, 0.0)),
+         "'candidate_b'"),
+        (lambda doc: doc.update(loss_history=[0.5, math.nan]), "'loss_history'"),
+        (lambda doc: doc.update(loss_history=["1.5"]), "'loss_history'"),
+        (lambda doc: doc.update(loss_history=[True]), "'loss_history'"),
+        (lambda doc: doc.update(loss_history=[10**400]), "'loss_history'"),
     ], ids=["no-weights", "no-loss-history", "no-weight-key", "unknown-config-key",
             "wrong-shape", "short-data", "fractional-count", "integral-float-count",
-            "bool-count", "fractional-lookback"])
+            "bool-count", "fractional-lookback", "nan-weight", "infinite-weight",
+            "nan-loss", "string-loss", "bool-loss", "float-overflowing-loss"])
     def test_malformed_model_exits_3_naming_file_and_key(self, artifact, tmp_path, capsys,
                                                           mutate, named):
         doc = self.model_doc(tmp_path)
@@ -585,6 +626,7 @@ class TestArtifactChecks:
 
     @pytest.mark.parametrize("key, value", [
         ("minimum", "0"), ("minimum", None), ("maximum", True), ("maximum", math.nan),
+        pytest.param("maximum", 10**400, id="maximum-10**400"),
         ("degenerate", "no"), ("degenerate", 0),
     ])
     def test_mistyped_scaling_entry_exits_3_naming_it(self, artifact, tmp_path, capsys,
@@ -612,6 +654,31 @@ class TestArtifactChecks:
         assert main(["train", "--data-dir", str(artifact), "--epochs", "1",
                      "--output-dir", str(tmp_path / "t")]) == 3
         assert str(scaling) in capsys.readouterr().err
+
+    # ingest writes every day with a value: a blank cell or a deleted row
+    # (a calendar gap) in the target column is a damaged artifact
+    @pytest.mark.parametrize("day, edit", [
+        ("2020-03-25", "blank"), ("2020-03-26", "delete"), ("2020-04-18", "blank"),
+        ("2020-04-21", "blank"),
+    ], ids=["blank-train", "deleted-row", "blank-test", "blank-last"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "forecast"])
+    def test_day_without_value_exits_3_naming_file_variable_and_date(
+            self, artifact, tmp_path, capsys, command, day, edit):
+        dataset = artifact / "dataset.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith(day))
+        lines[at:at + 1] = [] if edit == "delete" else [f"{day},\n"]
+        dataset.write_text("".join(lines), encoding="utf-8")
+        model = tmp_path / "model.json"
+        save_model(initialize_network(NetworkConfig(n_filters=2, lstm_units=3), 7), model)
+        flags = {"train": ["--epochs", "1", "--n-filters", "2", "--lstm-units", "2"],
+                 "evaluate": ["--model", str(model)],
+                 "forecast": ["--model", str(model), "--steps", "2"]}[command]
+        assert main([command, "--data-dir", str(artifact), *flags,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dataset}: variable 'confirmed' has no value on {day}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_dataset_not_utf8_exits_3_naming_file(self, artifact, tmp_path, capsys):
         dataset = artifact / "dataset.csv"

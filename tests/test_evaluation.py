@@ -160,15 +160,15 @@ class TestFriedman:
     def test_pure_ties_give_zero(self):
         scores = [[1.0, 1.0, 1.0]] * 4
         result = friedman_statistic(rank_methods(scores))
-        assert result.statistic == pytest.approx(0.0)
+        assert result["friedman_statistic"] == pytest.approx(0.0)
 
     def test_hand_fixture_equals_four(self):
         scores = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]
         result = friedman_statistic(rank_methods(scores))
-        assert result.statistic == pytest.approx(4.0)
-        assert result.degrees_of_freedom == 2
-        assert result.critical_value == pytest.approx(5.991)
-        assert not result.reject
+        assert result["friedman_statistic"] == pytest.approx(4.0)
+        assert result["degrees_of_freedom"] == 2
+        assert result["critical_value"] == pytest.approx(5.991)
+        assert not result["null_rejected"]
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -176,14 +176,14 @@ class TestFriedman:
         base = friedman_statistic(rank_methods(scores))
         perm = rng.permutation(4)
         shuffled = friedman_statistic(rank_methods(scores[:, perm]))
-        assert shuffled.statistic == pytest.approx(base.statistic)
-        assert shuffled.reject == base.reject
+        assert shuffled["friedman_statistic"] == pytest.approx(base["friedman_statistic"])
+        assert shuffled["null_rejected"] == base["null_rejected"]
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             scores = rng.random((10, 5))
-            ours = friedman_statistic(rank_methods(scores)).statistic
+            ours = friedman_statistic(rank_methods(scores))["friedman_statistic"]
             theirs = friedman_loop(scores.tolist())
             assert abs(ours - theirs) <= 1e-12
 
@@ -221,7 +221,7 @@ class TestCompare:
         scores = rng.uniform(1.0, 2.0, (8, 4))
         scores[:, 2] = 0.5  # strictly dominates
         result = compare_methods(scores)
-        assert result.average_ranks[2] == pytest.approx(1.0)
+        assert result["average_ranks"][2] == pytest.approx(1.0)
 
     def test_composition_matches_manual(self):
         rng = np.random.default_rng(9)
@@ -230,37 +230,37 @@ class TestCompare:
         average = rank_methods(scores).mean(axis=0)
         fr = friedman_statistic(rank_methods(scores))
         cd = nemenyi_cd(4, 5)
-        assert np.allclose(result.average_ranks, average)
-        assert result.friedman.statistic == pytest.approx(fr.statistic)
-        assert result.cd == pytest.approx(cd)
-        if fr.reject:
+        assert np.allclose(result["average_ranks"], average)
+        assert result["friedman_statistic"] == pytest.approx(fr["friedman_statistic"])
+        assert result["cd"] == pytest.approx(cd)
+        if fr["null_rejected"]:
             diff = np.abs(average[:, None] - average[None, :])
             expected = diff > cd
             np.fill_diagonal(expected, False)
-            assert np.array_equal(result.pairwise_significant, expected)
+            assert np.array_equal(result["pairwise_significant"], expected)
         else:
-            assert not result.pairwise_significant.any()
+            assert not np.any(result["pairwise_significant"])
 
     def test_pairwise_symmetric_false_diagonal(self):
         scores = np.array([[1.0, 10.0, 20.0]] * 12)
         result = compare_methods(scores)
-        mat = result.pairwise_significant
+        mat = np.array(result["pairwise_significant"])
         assert np.array_equal(mat, mat.T)
         assert not mat.diagonal().any()
-        assert result.friedman.reject
+        assert result["null_rejected"]
         assert mat.any()
 
-    def test_to_dict_is_json_friendly(self):
+    def test_result_is_its_json_document(self):
         import json
 
         scores = np.array([[1.0, 2.0, 3.0]] * 3)
-        doc = compare_methods(scores).to_dict()
-        json.dumps(doc)
+        doc = compare_methods(scores)
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_method_names_default_and_must_match_the_columns(self):
         scores = np.array([[1.0, 2.0, 3.0]] * 3)
-        assert compare_methods(scores).methods == ("method_1", "method_2", "method_3")
-        assert compare_methods(scores, methods=["a", "b", "c"]).methods == ("a", "b", "c")
+        assert compare_methods(scores)["methods"] == ["method_1", "method_2", "method_3"]
+        assert compare_methods(scores, methods=("a", "b", "c"))["methods"] == ["a", "b", "c"]
         with pytest.raises(DataError, match="2 method names for 3 score columns"):
             compare_methods(scores, methods=["a", "b"])
 
@@ -301,6 +301,7 @@ class TestScoreCsv:
 
 def test_metric_report_fields():
     report = metric_report([1.0, 2.0], [1.0, 4.0])
-    assert report.n == 2
-    assert report.mae == 1.0
-    assert report.mse == 2.0
+    assert sorted(report) == ["mae", "mse", "n", "r_squared"]
+    assert report["n"] == 2
+    assert report["mae"] == 1.0
+    assert report["mse"] == 2.0

@@ -1,11 +1,14 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package, the scripts and the tests is
+used by its module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "swarmcast"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = [path for folder in ("src/swarmcast", "scripts", "tests")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -23,7 +26,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
