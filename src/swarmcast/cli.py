@@ -83,7 +83,6 @@ from .tuning import (
     read_best_assignment,
     space_from_json,
     tune_series,
-    tuning_report,
 )
 
 # the options that fill a run's network and training templates
@@ -258,6 +257,9 @@ def cmd_ingest(options, out_dir: Path):
     dates, variables = load_csv(
         options["data"], date_column=options["date_column"], variable_columns=columns
     )
+    if "date" in variables:  # dataset.csv's date column
+        raise DataError(f"{options['data']}: variable 'date' would repeat dataset.csv's"
+                        " date column; rename it")
     n = len(dates)
     cut = split_index(n, ratio)
 
@@ -305,7 +307,8 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     values): ``variable``, or the first column when it is None.
 
     Every variable's scaling entry is checked, but only the target's
-    column of dataset.csv is parsed; it must hold a value for every day.
+    column of dataset.csv is parsed; it must hold a value for every day
+    and as many days as scaling.json's ``n_rows``.
     """
     data_dir = Path(data_dir)
     scaling_path = data_dir / "scaling.json"
@@ -313,8 +316,8 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     if not scaling_path.exists() or not dataset_path.exists():
         raise DataError(f"{data_dir} is not an ingest artifact")
     meta = read_json(scaling_path, "scaling file", DataError)
-    check_fields(meta, {"split_index": COUNT_RULE, "variables": OBJECT_RULE}, DataError, "",
-                 scaling_path)
+    check_fields(meta, {"split_index": COUNT_RULE, "n_rows": COUNT_RULE, "variables": OBJECT_RULE},
+                 DataError, "", scaling_path)
     cut = meta["split_index"]
     names = csv_variables(dataset_path)
     scaling = {}
@@ -337,6 +340,10 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     missing = np.flatnonzero(np.isnan(variables[name]))
     if missing.size:
         raise DataError(f"{dataset_path}: variable {name!r} has no value on {dates[missing[0]]}")
+    # ... and a deleted first or last day shows only in the count
+    if meta["n_rows"] != len(dates):
+        raise DataError(f"{scaling_path}: 'n_rows' is {meta['n_rows']}, but {dataset_path}"
+                        f" has {len(dates)} days")
     if cut >= len(dates):
         raise DataError(f"{scaling_path}: 'split_index' {cut} leaves no test rows"
                         f" of {len(dates)}")
@@ -383,7 +390,7 @@ def cmd_tune(options, out_dir: Path):
         space = EXTENDED_SPACE if options["extended_space"] else DEFAULT_SPACE
     network, training = _templates(options, options["fitness_epochs"])
 
-    result = tune_series(
+    report, trace, seconds = tune_series(
         series[:cut],
         options["algorithm"],
         _optimizer_params(options),
@@ -399,16 +406,16 @@ def cmd_tune(options, out_dir: Path):
 
     # wall times go to a side file so the report stays byte-reproducible
     return {
-        "report.json": tuning_report(result, variable=name, lookback=options["lookback"],
-                                     horizon=options["horizon"], seed=options["seed"]),
-        "trace.csv": _trace_table(result.trace),
+        "report.json": report | {"variable": name, "lookback": options["lookback"],
+                                 "horizon": options["horizon"], "seed": options["seed"]},
+        "trace.csv": _trace_table(trace),
         "timings.csv": (
             ["evaluation", "wall_time_seconds"],
-            [[i, f"{record.wall_time:.6f}"] for i, record in enumerate(result.records)],
+            [[i, f"{wall:.6f}"] for i, wall in enumerate(seconds)],
         ),
     }, [
-        f"best assignment: {result.best_assignment}",
-        f"best loss: {result.best_loss}",
+        f"best assignment: {report['best_assignment']}",
+        f"best loss: {report['best_loss']}",
         f"report: {out_dir / 'report.json'}",
     ]
 

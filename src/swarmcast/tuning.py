@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -237,28 +237,6 @@ def inner_validation_split(
     return fit, val
 
 
-@dataclass(frozen=True)
-class EvaluationRecord:
-    values: dict[str, object]
-    loss: float
-    wall_time: float
-
-
-@dataclass
-class TuningResult:
-    algorithm: str
-    best_assignment: dict
-    best_loss: float
-    records: list[EvaluationRecord] = field(default_factory=list)
-    trace: OptimizationTrace | None = None
-    cache_hits: int = 0
-
-    @property
-    def cache_misses(self) -> int:
-        """Distinct cells evaluated: the length of the log."""
-        return len(self.records)
-
-
 def tune(
     evaluate,
     algorithm: str,
@@ -266,7 +244,7 @@ def tune(
     space: HyperparamSpace = DEFAULT_SPACE,
     evaluation_budget: int | None = None,
     fits: np.ndarray | None = None,
-) -> TuningResult:
+) -> tuple[dict, OptimizationTrace, list[float]]:
     """Drive a metaheuristic over the grid's unit box.
 
     ``evaluate`` maps a cell (a dict) to a loss. One rule scores the
@@ -278,16 +256,23 @@ def tune(
     are scored; the others score +inf, unlogged, uncounted and
     uncharged. Whatever the search leaves of a budget sweeps the
     unvisited fitting cells in grid order, so a budget covering them all
-    guarantees the exact optimum. Raises DegenerateObjectiveError if
-    neither found a finite loss. Returns the best cell, its loss, the
-    fresh-evaluation log and the optimizer trace.
+    guarantees the exact optimum.
+
+    Returns ``(report, trace, seconds)``: the report.json document
+    (``algorithm``, ``best_assignment``, ``best_loss``, ``cache_hits``,
+    ``cache_misses`` and the ``evaluation_log`` of ``{"assignment",
+    "loss"}`` entries in evaluation order), the optimizer trace and the
+    wall seconds of each logged evaluation. The best cell is the log's
+    first entry with the lowest loss, NaN counting as +inf; raises
+    DegenerateObjectiveError if that loss is not finite.
     """
     if algorithm not in OPTIMIZERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
     if evaluation_budget is not None and evaluation_budget < 1:
         raise ConfigError("evaluation_budget must be positive")
     fits = np.ones(space.shape, dtype=bool) if fits is None else fits
-    log: dict[tuple, EvaluationRecord] = {}  # grid indices -> record, in evaluation order
+    log: dict[tuple, dict] = {}  # grid indices -> log entry, in evaluation order
+    seconds = []
     hits = 0
 
     def score(cells: list[tuple]) -> list[float]:
@@ -300,9 +285,10 @@ def tune(
             cell = space.cell(indices)
             started = time.perf_counter()
             loss = float(evaluate(cell))
-            log[indices] = EvaluationRecord(cell, loss, time.perf_counter() - started)
+            seconds.append(time.perf_counter() - started)
+            log[indices] = {"assignment": cell, "loss": loss}
         hits += sum(indices in log for indices in cells) - len(fresh)
-        return [log[indices].loss if indices in log else math.inf for indices in cells]
+        return [log[indices]["loss"] if indices in log else math.inf for indices in cells]
 
     def objective(positions):
         rows = decode_position(positions, space)
@@ -311,27 +297,23 @@ def tune(
         losses[fitting] = score(list(map(tuple, rows[fitting].tolist())))
         return losses
 
-    bounds = SearchBounds(0.0, 1.0, len(space))
-    best_position, best_loss, trace = OPTIMIZERS[algorithm](objective, bounds, params)
-    best_assignment = space.cell(decode_position(best_position, space))
-
+    _, _, trace = OPTIMIZERS[algorithm](objective, SearchBounds(0.0, 1.0, len(space)), params)
     if evaluation_budget is not None:
-        unvisited = [indices for indices in map(tuple, np.argwhere(fits).tolist())
-                     if indices not in log]
-        for indices, loss in zip(unvisited, score(unvisited)):
-            if loss < best_loss:
-                best_loss, best_assignment = loss, space.cell(indices)
-    if math.isinf(best_loss):
+        score([indices for indices in map(tuple, np.argwhere(fits).tolist())
+               if indices not in log])
+    entries = list(log.values())
+    best = min(entries, default={"loss": math.inf},
+               key=lambda entry: math.inf if math.isnan(entry["loss"]) else entry["loss"])
+    if not math.isfinite(best["loss"]):
         raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
-
-    return TuningResult(
-        algorithm=algorithm,
-        best_assignment=best_assignment,
-        best_loss=best_loss,
-        records=list(log.values()),
-        trace=trace,
-        cache_hits=hits,
-    )
+    return {
+        "algorithm": algorithm,
+        "best_assignment": best["assignment"],
+        "best_loss": best["loss"],
+        "cache_hits": hits,
+        "cache_misses": len(entries),
+        "evaluation_log": entries,
+    }, trace, seconds
 
 
 def tune_series(
@@ -347,8 +329,9 @@ def tune_series(
     global_seed: int = 0,
     surrogate: str | None = None,
     evaluation_budget: int | None = None,
-) -> TuningResult:
-    """Tune hyperparameters for one (already scaled) training series.
+) -> tuple[dict, OptimizationTrace, list[float]]:
+    """Tune hyperparameters for one (already scaled) training series
+    (see ``tune`` for what it returns).
 
     Each cell trains under ``cell_configs(cell, network, training,
     global_seed)``; the network template's horizon sets the windows'.
@@ -379,23 +362,8 @@ def tune_series(
                 fits=fits)
 
 
-def tuning_report(result: TuningResult, **run) -> dict:
-    """The report.json of a tune: its result and evaluation log, plus the
-    ``run`` values (variable, lookback, horizon, seed)."""
-    return {
-        "algorithm": result.algorithm,
-        "best_assignment": result.best_assignment,
-        "best_loss": result.best_loss,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "evaluation_log": [
-            {"assignment": record.values, "loss": record.loss} for record in result.records
-        ],
-    } | run
-
-
 def read_best_assignment(path, lookback: int, horizon: int) -> dict:
-    """The best cell of a ``tuning_report`` file, checked by ``CELL_RULES``: a
+    """The best cell of a tune's report.json, checked by ``CELL_RULES``: a
     DataError if malformed, a ConfigError if tuned at another lookback or
     horizon or too wide for the lookback, each naming the file."""
     report = read_json(path, "tuning report", DataError)

@@ -161,9 +161,9 @@ def test_criterion_6_tuner_vs_enumeration():
             surrogate_fitness(a, seed) for a in enumerate_assignments(DEFAULT_SPACE)
         )
         params = OptimizerParams(population_size=30, max_iterations=200, seed=seed)
-        result = tune(lambda a, s=seed: surrogate_fitness(a, s), "rs-gwo-woa", params,
-                      evaluation_budget=200)
-        hits += result.best_loss == true_min
+        tuned, _, _ = tune(lambda a, s=seed: surrogate_fitness(a, s), "rs-gwo-woa", params,
+                           evaluation_budget=200)
+        hits += tuned["best_loss"] == true_min
     elapsed = time.perf_counter() - started
     ok = hits == 10 and elapsed < 5.0
     report("criterion 6 (tuner vs enumeration)", ok,
@@ -183,7 +183,7 @@ def _tuned_vs_persistence(seed, lookback=7):
     params = ScalingParams(float(series[:cut].min()), float(series[:cut].max()))
     scaled = apply_scale(series, params)
 
-    result = tune_series(
+    tuned, _, _ = tune_series(
         scaled[:cut], "rs-gwo-woa",
         OptimizerParams(population_size=4, max_iterations=2, seed=seed),
         network=NetworkConfig(horizon=1), training=TrainingConfig(epochs=20),
@@ -192,7 +192,7 @@ def _tuned_vs_persistence(seed, lookback=7):
     # final fit at lr 1e-4: batch-1 Adam at the default 1e-3 leaves too much
     # terminal parameter noise for a stable level estimate
     config, training_cfg = cell_configs(
-        result.best_assignment, NetworkConfig(),
+        tuned["best_assignment"], NetworkConfig(),
         TrainingConfig(epochs=100, learning_rate=1e-4, optimizer="adam"), seed,
     )
     trained = train(

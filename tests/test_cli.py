@@ -114,6 +114,24 @@ class TestIngest:
         written = (tmp_path / "marked" / "dataset.csv").read_bytes()
         assert written == (tmp_path / "plain" / "dataset.csv").read_bytes()
 
+    # dataset.csv's first column is named date, so no variable may be
+    @pytest.mark.parametrize("how", ["config", "header"])
+    def test_variable_named_date_exits_3_naming_file_and_variable(self, tmp_path, capsys,
+                                                                  how):
+        data, out = tmp_path / "cases.csv", tmp_path / "out"
+        if how == "config":  # a variable renamed date
+            data.write_text(SMALL_CSV, encoding="utf-8")
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"variables": {"date": "confirmed"}}), encoding="utf-8")
+            flags = ["--config", str(config)]
+        else:  # a column named date beside another date column
+            data.write_text(SMALL_CSV.replace("date,confirmed", "day,date", 1), encoding="utf-8")
+            flags = ["--date-column", "day"]
+        assert main(["ingest", "--data", str(data), *flags, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}: variable 'date'" in err
+        assert not out.exists()
+
     def test_missing_data_flag_exits_2(self, tmp_path):
         assert main(["ingest", "--output-dir", str(tmp_path / "o")]) == 2
 
@@ -360,6 +378,71 @@ class TestTune:
         assert "NaN or +inf" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    # sha256 of report.json and trace.csv, and the stdout lines before the
+    # path, of a surrogate tune over the extended space (population 6,
+    # 5 iterations, seed 4), without and with an evaluation budget of 5
+    PINNED = {
+        ("ga", None): (
+            "525f03ac6b2b631d355a609a326ec88ec922f0cd9f3cfb82b47100b9c596b1c0",
+            "89fd6b537224cb58cca9773c675510e3b9560b6bc971518089e944261db06eb8",
+            "{'n_filters': 64, 'kernel_size': 5, 'pool_size': 3, 'lstm_units': 25,"
+            " 'learning_rate': 0.01, 'epochs': 100}", "0.00923122053668464"),
+        ("ga", 5): (
+            "a5240add493d2fe2c2a2706a1cc43f03e1cf921613eeb5d964fb1c6a9ab33c12",
+            "df68d2a9662ed1714f65ee246676a8e0d2e44e09d24b8d5aa5ff2caab26fd11d",
+            "{'n_filters': 64, 'kernel_size': 5, 'pool_size': 3, 'lstm_units': 10,"
+            " 'learning_rate': 0.01, 'epochs': 50}", "0.16349631247306565"),
+        ("gwo", None): (
+            "a9ce3894dba72e0b4cac8268dec63bb1cc57694f7fcc09315e900cde1c0382db",
+            "74b068ed4f6e44121ae3338933f2fd952753f7619ba8fc23569eae9d3c684cf2",
+            "{'n_filters': 64, 'kernel_size': 4, 'pool_size': 3, 'lstm_units': 20,"
+            " 'learning_rate': 0.01, 'epochs': 50}", "0.1319146567424589"),
+        ("gwo", 5): (
+            "77506df72ee09c39199f9efc3de6d862ea839c70a9226af58b72eec7aad366ef",
+            "74ba3d86dee163e8ee3754ac3beb4a2f60714d3e34b8285608cc0ba9c6f587a6",
+            "{'n_filters': 64, 'kernel_size': 4, 'pool_size': 4, 'lstm_units': 20,"
+            " 'learning_rate': 0.0001, 'epochs': 50}", "0.36653343154307877"),
+        ("rs-gwo-woa", None): (
+            "1e575a767c47025d8d891c98e5ecc370b6595c6a2db5e44d5c25954d5dc3846d",
+            "85d28a4574e8aa37df5fef89249612c7d763975bbe539eb7fe6f9071f27b157b",
+            "{'n_filters': 64, 'kernel_size': 3, 'pool_size': 3, 'lstm_units': 10,"
+            " 'learning_rate': 0.001, 'epochs': 50}", "0.1487825386289536"),
+        ("rs-gwo-woa", 5): (
+            "defac688ce9f58df21fd1e30a34122cb79c282f534fdb1d17f40f0ed25b70beb",
+            "377fd866834808a93d2f2d7a5a3fbbbec4dd0727c97de40ced87166ea62f97df",
+            "{'n_filters': 64, 'kernel_size': 3, 'pool_size': 4, 'lstm_units': 10,"
+            " 'learning_rate': 0.0001, 'epochs': 50}", "0.2286324564585665"),
+        ("woa", None): (
+            "058c4827acaa374036853ba69b30795671d8b5c06179d1639d35f6d18de4733c",
+            "807f8bd21e4fdc1899c2b44d34c4bed67b14b8aaa64f4e970fb345b4136ac0ef",
+            "{'n_filters': 64, 'kernel_size': 3, 'pool_size': 4, 'lstm_units': 20,"
+            " 'learning_rate': 0.0001, 'epochs': 50}", "0.12429967041938032"),
+        ("woa", 5): (
+            "5eacee2d9188a9fc3bcdb98d59d6b7178c74bae36c34fcabed8431fc938142fc",
+            "807f8bd21e4fdc1899c2b44d34c4bed67b14b8aaa64f4e970fb345b4136ac0ef",
+            "{'n_filters': 64, 'kernel_size': 3, 'pool_size': 4, 'lstm_units': 20,"
+            " 'learning_rate': 0.0001, 'epochs': 50}", "0.12429967041938032"),
+    }
+
+    @pytest.mark.parametrize("algorithm, budget", sorted(PINNED, key=str), ids=str)
+    def test_artifacts_and_stdout_are_pinned(self, artifact, tmp_path, capsys, algorithm,
+                                             budget):
+        report_sha, trace_sha, best, loss = self.PINNED[algorithm, budget]
+        out = tmp_path / "t"
+        flags = [] if budget is None else ["--evaluation-budget", str(budget)]
+        assert main(["tune", "--data-dir", str(artifact), "--surrogate", "hash",
+                     "--extended-space", "--population", "6", "--iterations", "5",
+                     "--seed", "4", "--algorithm", algorithm, "--output-dir", str(out),
+                     *flags]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"best assignment: {best}", f"best loss: {loss}", f"report: {out / 'report.json'}",
+        ]
+        for name, expected in (("report.json", report_sha), ("trace.csv", trace_sha)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        timings = (out / "timings.csv").read_text(encoding="utf-8").splitlines()
+        assert len(timings) == 1 + len(report["evaluation_log"])
+
     def test_trace_csv_matches_iterations(self, artifact, tmp_path):
         code = main(["tune", "--data-dir", str(artifact), "--surrogate", "hash",
                      "--population", "4", "--iterations", "7", "--seed", "4",
@@ -569,6 +652,7 @@ class TestArtifactChecks:
     @pytest.mark.parametrize("mutate, named", [
         (lambda text: "{oops", "not valid JSON"),
         (lambda text: _drop(text, "split_index"), "'split_index'"),
+        (lambda text: _drop(text, "n_rows"), "'n_rows'"),
         (lambda text: _drop(text, "variables"), "'variables'"),
         (lambda text: _drop(text, "variables", "confirmed"), "'variables.confirmed."),
         (lambda text: _drop(text, "variables", "confirmed", "minimum"),
@@ -577,7 +661,7 @@ class TestArtifactChecks:
          "'variables.confirmed.maximum'"),
         (lambda text: _drop(text, "variables", "confirmed", "degenerate"),
          "'variables.confirmed.degenerate'"),
-    ], ids=["invalid-json", "no-split-index", "no-variables", "no-variable-entry",
+    ], ids=["invalid-json", "no-split-index", "no-n-rows", "no-variables", "no-variable-entry",
             "no-minimum", "no-maximum", "no-degenerate"])
     def test_bad_scaling_file_exits_3_naming_file_and_key(self, artifact, tmp_path, capsys,
                                                           mutate, named):
@@ -678,6 +762,27 @@ class TestArtifactChecks:
                      "--output-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert f"{dataset}: variable 'confirmed' has no value on {day}" in err
+        assert not (tmp_path / "out").exists()
+
+    # the artifact holds 31 days; without its first or last one every day
+    # still has a value, so only scaling.json's n_rows tells
+    @pytest.mark.parametrize("row", [1, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "forecast"])
+    def test_deleted_first_or_last_day_exits_3_naming_n_rows_and_both_counts(
+            self, artifact, tmp_path, capsys, command, row):
+        dataset = artifact / "dataset.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        del lines[row]
+        dataset.write_text("".join(lines), encoding="utf-8")
+        model = tmp_path / "model.json"
+        save_model(initialize_network(NetworkConfig(n_filters=2, lstm_units=3), 7), model)
+        flags = {"train": ["--epochs", "1", "--n-filters", "2", "--lstm-units", "2"],
+                 "evaluate": ["--model", str(model)],
+                 "forecast": ["--model", str(model), "--steps", "2"]}[command]
+        assert main([command, "--data-dir", str(artifact), *flags,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{artifact / 'scaling.json'}: 'n_rows' is 31, but {dataset} has 30 days" in err
         assert not (tmp_path / "out").exists()
 
     def test_dataset_not_utf8_exits_3_naming_file(self, artifact, tmp_path, capsys):

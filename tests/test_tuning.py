@@ -249,31 +249,31 @@ class TestTune:
         seed = 4
         true_min = min(surrogate_fitness(a, seed) for a in enumerate_assignments(DEFAULT_SPACE))
         params = OptimizerParams(population_size=30, max_iterations=200, seed=seed)
-        result = tune(
+        result, _, _ = tune(
             lambda a: surrogate_fitness(a, seed), "rs-gwo-woa", params,
             evaluation_budget=200,
         )
-        assert result.best_loss == true_min
-        assert surrogate_fitness(result.best_assignment, seed) == true_min
+        assert result["best_loss"] == true_min
+        assert surrogate_fitness(result["best_assignment"], seed) == true_min
 
     def test_cache_accounting(self):
         params = OptimizerParams(population_size=10, max_iterations=50, seed=6)
-        result = tune(lambda a: surrogate_fitness(a, 6), "rs-gwo-woa", params)
-        assert result.cache_misses <= 144
-        assert result.cache_hits + result.cache_misses == result.trace.evaluations
-        assert result.cache_misses == len(result.records)
+        result, trace, _ = tune(lambda a: surrogate_fitness(a, 6), "rs-gwo-woa", params)
+        assert result["cache_misses"] <= 144
+        assert result["cache_hits"] + result["cache_misses"] == trace.evaluations
+        assert result["cache_misses"] == len(result["evaluation_log"])
 
     def test_cached_loss_matches_fresh_recomputation(self):
         params = OptimizerParams(population_size=8, max_iterations=20, seed=7)
-        result = tune(lambda a: surrogate_fitness(a, 7), "woa", params)
-        for record in result.records[:20]:
-            fresh = surrogate_fitness(record.values, 7)
-            assert record.loss == fresh
+        result, _, _ = tune(lambda a: surrogate_fitness(a, 7), "woa", params)
+        for record in result["evaluation_log"][:20]:
+            fresh = surrogate_fitness(record["assignment"], 7)
+            assert record["loss"] == fresh
 
     def test_best_loss_is_min_of_log(self):
         params = OptimizerParams(population_size=8, max_iterations=30, seed=8)
-        result = tune(lambda a: surrogate_fitness(a, 8), "ga", params)
-        assert result.best_loss == min(r.loss for r in result.records)
+        result, _, _ = tune(lambda a: surrogate_fitness(a, 8), "ga", params)
+        assert result["best_loss"] == min(r["loss"] for r in result["evaluation_log"])
 
     def test_single_cell_space_is_forced(self):
         space = HyperparamSpace((
@@ -281,11 +281,11 @@ class TestTune:
             ("pool_size", (2,)), ("lstm_units", (10,)),
         ))
         params = OptimizerParams(population_size=4, max_iterations=2, seed=9)
-        result = tune(lambda a: 0.125, "rs-gwo-woa", params, space=space)
-        assert result.best_assignment == {
+        result, _, _ = tune(lambda a: 0.125, "rs-gwo-woa", params, space=space)
+        assert result["best_assignment"] == {
             "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
         }
-        assert result.cache_misses == 1
+        assert result["cache_misses"] == 1
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
@@ -294,12 +294,12 @@ class TestTune:
     def test_budget_at_grid_size_guarantees_optimum(self):
         seed = 12
         params = OptimizerParams(population_size=6, max_iterations=5, seed=seed)
-        result = tune(
+        result, _, _ = tune(
             lambda a: surrogate_fitness(a, seed), "gwo", params, evaluation_budget=144
         )
         true_min = min(surrogate_fitness(a, seed) for a in enumerate_assignments(DEFAULT_SPACE))
-        assert result.best_loss == true_min
-        assert result.cache_misses == 144
+        assert result["best_loss"] == true_min
+        assert result["cache_misses"] == 144
 
     def test_budget_caps_the_search(self):
         calls = []
@@ -309,13 +309,14 @@ class TestTune:
             return surrogate_fitness(assignment, 0)
 
         params = OptimizerParams(population_size=10, max_iterations=10, seed=0)
-        result = tune(evaluate, "rs-gwo-woa", params, evaluation_budget=5)
-        unbudgeted = tune(lambda a: surrogate_fitness(a, 0), "rs-gwo-woa", params)
-        assert len(calls) == result.cache_misses == len(result.records) <= 5
-        assert result.best_loss == min(r.loss for r in result.records)
+        result, trace, _ = tune(evaluate, "rs-gwo-woa", params, evaluation_budget=5)
+        unbudgeted, unbudgeted_trace, _ = tune(lambda a: surrogate_fitness(a, 0), "rs-gwo-woa",
+                                               params)
+        assert len(calls) == result["cache_misses"] == len(result["evaluation_log"]) <= 5
+        assert result["best_loss"] == min(r["loss"] for r in result["evaluation_log"])
         # the optimizer still runs every iteration
-        assert result.trace.evaluations == unbudgeted.trace.evaluations
-        assert unbudgeted.cache_misses > 5
+        assert trace.evaluations == unbudgeted_trace.evaluations
+        assert unbudgeted["cache_misses"] > 5
 
     def test_budget_cut_inside_a_population(self, monkeypatch):
         # at seed 2 the first population decodes to the (n_filters, lstm_units)
@@ -340,17 +341,17 @@ class TestTune:
 
         monkeypatch.setattr(metaheuristics, "_evaluate", recording_evaluate)
         params = OptimizerParams(population_size=8, max_iterations=1, seed=2)
-        result = tune(evaluate, "gwo", params, space, evaluation_budget=2)
+        result, _, _ = tune(evaluate, "gwo", params, space, evaluation_budget=2)
         assert calls == [(32, 10), (64, 10)]
-        assert [(r.values["n_filters"], r.values["lstm_units"], r.loss)
-                for r in result.records] == [(32, 10, 0.5), (64, 10, 0.25)]
-        assert (result.cache_misses, result.cache_hits) == (2, 7)
+        assert [(r["assignment"]["n_filters"], r["assignment"]["lstm_units"], r["loss"])
+                for r in result["evaluation_log"]] == [(32, 10, 0.5), (64, 10, 0.25)]
+        assert (result["cache_misses"], result["cache_hits"]) == (2, 7)
         inf = math.inf
         assert [s.tolist() for s in seen] == [
             [0.5, 0.25, 0.5, inf, 0.25, inf, inf, inf],
             [0.5, 0.25, 0.5, inf, 0.25, 0.5, inf, inf],
         ]
-        assert (result.best_assignment["n_filters"], result.best_loss) == (64, 0.25)
+        assert (result["best_assignment"]["n_filters"], result["best_loss"]) == (64, 0.25)
 
     # at lookback 7 a kernel of 8 is wider than the window, and a kernel of 7
     # leaves one conv output, which a pool of 2 empties
@@ -377,13 +378,14 @@ class TestTune:
             return 0.25
 
         params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
-        result = tune(evaluate, "gwo", params, space, evaluation_budget=1,
-                      fits=fit_mask(space, 7))
+        result, _, _ = tune(evaluate, "gwo", params, space, evaluation_budget=1,
+                            fits=fit_mask(space, 7))
         fitting_rows = rows.count((0, 0, 0, 0))
         assert 0 < fitting_rows < len(rows)  # both cells were visited
-        assert calls == [fitting] and [r.values for r in result.records] == [fitting]
-        assert (result.cache_misses, result.cache_hits) == (1, fitting_rows - 1)
-        assert (result.best_assignment, result.best_loss) == (fitting, 0.25)
+        assert calls == [fitting]
+        assert [r["assignment"] for r in result["evaluation_log"]] == [fitting]
+        assert (result["cache_misses"], result["cache_hits"]) == (1, fitting_rows - 1)
+        assert (result["best_assignment"], result["best_loss"]) == (fitting, 0.25)
 
     def test_sweep_runs_when_no_row_of_the_search_fits(self):
         # only kernel 3 fits lookback 7; at seed 2 no row of the search lands on it
@@ -393,14 +395,33 @@ class TestTune:
         ))
         params = OptimizerParams(population_size=4, max_iterations=1, seed=2)
         calls = []
-        result = tune(lambda cell: calls.append(cell) or 0.5, "rs-gwo-woa", params, space,
-                      evaluation_budget=8, fits=fit_mask(space, 7))
+        result, trace, _ = tune(lambda cell: calls.append(cell) or 0.5, "rs-gwo-woa", params,
+                                space, evaluation_budget=8, fits=fit_mask(space, 7))
         fitting = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
         assert calls == [fitting]
-        assert (result.best_assignment, result.best_loss) == (fitting, 0.5)
-        assert result.trace.best_fitness_per_iteration == [math.inf]
+        assert (result["best_assignment"], result["best_loss"]) == (fitting, 0.5)
+        assert trace.best_fitness_per_iteration == [math.inf]
         with pytest.raises(DegenerateObjectiveError):  # without a budget there is no sweep
             tune(lambda cell: 0.5, "rs-gwo-woa", params, space, fits=fit_mask(space, 7))
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("algorithm", sorted(metaheuristics.OPTIMIZERS))
+    def test_best_is_the_first_lowest_loss_of_the_log(self, algorithm, budget):
+        # losses rounded to one decimal tie across cells; 0.3 stands for a
+        # NaN and 0.7 for a diverged cell
+        def evaluate(cell, seed):
+            loss = round(surrogate_fitness(cell, seed), 1)
+            return {0.3: math.nan, 0.7: math.inf}.get(loss, loss)
+
+        for seed in range(10):
+            params = OptimizerParams(population_size=4, max_iterations=3, seed=seed)
+            result, _, _ = tune(lambda cell: evaluate(cell, seed), algorithm, params,
+                                evaluation_budget=budget)
+            losses = [math.inf if math.isnan(r["loss"]) else r["loss"]
+                      for r in result["evaluation_log"]]
+            first = losses.index(min(losses))
+            assert result["best_assignment"] == result["evaluation_log"][first]["assignment"]
+            assert result["best_loss"] == result["evaluation_log"][first]["loss"]
 
     def test_budget_spent_on_diverged_cells_is_degenerate(self):
         losses = iter([math.inf])  # the one cell the budget pays for diverges
@@ -435,23 +456,23 @@ class TestTuneSeries:
         series = np.arange(40, dtype=float) / 40.0
         params = OptimizerParams(population_size=6, max_iterations=10, seed=3)
         results = [
-            tune_series(series, "rs-gwo-woa", params, surrogate="hash", global_seed=3)
+            tune_series(series, "rs-gwo-woa", params, surrogate="hash", global_seed=3)[0]
             for _ in range(2)
         ]
-        assert results[0].best_loss == results[1].best_loss
-        assert results[0].best_assignment == results[1].best_assignment
+        assert results[0]["best_loss"] == results[1]["best_loss"]
+        assert results[0]["best_assignment"] == results[1]["best_assignment"]
 
     def test_real_fitness_smoke(self):
         rng = np.random.default_rng(0)
         series = 0.5 + 0.1 * np.sin(np.arange(40) / 3.0) + 0.01 * rng.normal(size=40)
         params = OptimizerParams(population_size=4, max_iterations=2, seed=5)
-        result = tune_series(
+        result, _, _ = tune_series(
             series, "rs-gwo-woa", params,
             network=NetworkConfig(horizon=1), training=TrainingConfig(epochs=2),
             lookback=7, global_seed=5,
         )
-        assert math.isfinite(result.best_loss)
-        assert set(result.best_assignment) == {
+        assert math.isfinite(result["best_loss"])
+        assert set(result["best_assignment"]) == {
             "n_filters", "kernel_size", "pool_size", "lstm_units",
         }
 
@@ -476,9 +497,9 @@ class TestTuneSeries:
 
         monkeypatch.setattr(tuning, "fitness", counting)
         params = OptimizerParams(population_size=4, max_iterations=1, seed=1)
-        result = tune_series(learnable_constant_series(40), "rs-gwo-woa", params,
-                             training=TrainingConfig(epochs=1), global_seed=1)
-        assert trained == [r.values for r in result.records]
+        result, _, _ = tune_series(learnable_constant_series(40), "rs-gwo-woa", params,
+                                   training=TrainingConfig(epochs=1), global_seed=1)
+        assert trained == [r["assignment"] for r in result["evaluation_log"]]
         for cell in trained:
             NetworkConfig(kernel_size=cell["kernel_size"],
                           pool_size=cell["pool_size"]).validate_for_lookback(7)
@@ -487,9 +508,10 @@ class TestTuneSeries:
     def test_surrogate_tune_picks_a_cell_that_fits(self, seed):
         # scored like the others, an unfit cell won at 14 of these 30 seeds
         params = OptimizerParams(population_size=10, max_iterations=10, seed=seed)
-        result = tune_series(np.arange(40.0), "rs-gwo-woa", params, surrogate="hash",
-                             global_seed=seed)
-        for cell in [result.best_assignment] + [r.values for r in result.records]:
+        result, _, _ = tune_series(np.arange(40.0), "rs-gwo-woa", params, surrogate="hash",
+                                   global_seed=seed)
+        cells = [r["assignment"] for r in result["evaluation_log"]]
+        for cell in [result["best_assignment"]] + cells:
             NetworkConfig(kernel_size=cell["kernel_size"],
                           pool_size=cell["pool_size"]).validate_for_lookback(LOOKBACK)
 
