@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from swarmcast.benchmarks import rastrigin, sphere
-from swarmcast.metaheuristics import OptimizerParams, SearchBounds, rs_gwo_woa
+from swarmcast.metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 
 SEEDS = range(20)
 GATES = [
@@ -34,7 +34,7 @@ def main():
         results = []
         for seed in SEEDS:
             params = OptimizerParams(population_size=30, max_iterations=200, seed=seed)
-            _, best, _ = rs_gwo_woa(objective, bounds, params)
+            _, best, _ = OPTIMIZERS["rs-gwo-woa"](objective, bounds, params)
             results.append(best)
         hits = sum(v < threshold for v in results)
         status = "ok" if hits >= required else "BELOW GATE"

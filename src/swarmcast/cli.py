@@ -15,7 +15,7 @@ the argument parsers, the option resolution and the config-file checks
 are all built from these two tables.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-divergence or a degenerate objective.
+divergence or a degenerate objective, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .errors import (
 )
 from .benchmarks import BENCHMARKS
 from .evaluation import ALPHA, CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
-from .fileio import (COUNT_RULE, OBJECT_RULE, canonical_json, check_fields, read_json,
-                     write_csv_rows, write_json)
+from .fileio import (COUNT_RULE, OBJECT_RULE, canonical_json, check_fields, is_finite,
+                     read_json, write_csv_rows, write_json)
 from .layers import ACTIVATIONS
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
@@ -306,9 +306,9 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     """Load one variable of an ingest artifact back into memory (scaled
     values): ``variable``, or the first column when it is None.
 
-    Every variable's scaling entry is checked, but only the target's
-    column of dataset.csv is parsed; it must hold a value for every day
-    and as many days as scaling.json's ``n_rows``.
+    Every variable's scaling entry is checked and ``split_ratio`` must split
+    ``n_rows`` at ``split_index``, but only the target's column of
+    dataset.csv is parsed; it must hold a value for each of ``n_rows`` days.
     """
     data_dir = Path(data_dir)
     scaling_path = data_dir / "scaling.json"
@@ -316,9 +316,17 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     if not scaling_path.exists() or not dataset_path.exists():
         raise DataError(f"{data_dir} is not an ingest artifact")
     meta = read_json(scaling_path, "scaling file", DataError)
-    check_fields(meta, {"split_index": COUNT_RULE, "n_rows": COUNT_RULE, "variables": OBJECT_RULE},
+    check_fields(meta, {"split_index": COUNT_RULE, "n_rows": COUNT_RULE,
+                        "split_ratio": (is_finite, "a finite number"), "variables": OBJECT_RULE},
                  DataError, "", scaling_path)
-    cut = meta["split_index"]
+    cut, ratio = meta["split_index"], meta["split_ratio"]
+    try:  # the split that ingest makes, which leaves rows on both sides
+        agrees = split_index(meta["n_rows"], ratio) == cut
+    except SwarmcastError:  # a ratio outside (0, 1), or one that empties a side
+        agrees = False
+    if not agrees:
+        raise DataError(f"{scaling_path}: 'split_ratio' {ratio!r} does not split 'n_rows'"
+                        f" {meta['n_rows']} at 'split_index' {cut}")
     names = csv_variables(dataset_path)
     scaling = {}
     for name in names:
@@ -344,9 +352,6 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     if meta["n_rows"] != len(dates):
         raise DataError(f"{scaling_path}: 'n_rows' is {meta['n_rows']}, but {dataset_path}"
                         f" has {len(dates)} days")
-    if cut >= len(dates):
-        raise DataError(f"{scaling_path}: 'split_index' {cut} leaves no test rows"
-                        f" of {len(dates)}")
     return {
         "dates": dates,
         "meta": meta,
@@ -548,7 +553,7 @@ def cmd_bench_opt(options, out_dir: Path):
             "dimension": options["dimension"],
             "best_fitness": fitness_value,
             "best_position": [float(v) for v in position],
-            "evaluations": trace.evaluations,
+            "evaluations": params.population_size * (params.max_iterations + 1),
             "gwo_iterations": trace.gwo_iterations,
             "woa_iterations": trace.woa_iterations,
         },
@@ -669,6 +674,9 @@ def main(argv=None) -> int:
     except SwarmcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a network below the size bound that this host cannot hold
+        print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

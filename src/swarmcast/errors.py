@@ -1,9 +1,9 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError (and subclasses) -> 3, DivergedError / DegenerateObjectiveError -> 4.
-Only ``tuning.tune`` raises DegenerateObjectiveError; an optimizer that
-saw nothing finite returns +inf.
+The CLI maps these onto process exit codes: ConfigError -> 2, DataError
+(and subclasses) -> 3, DivergedError / DegenerateObjectiveError -> 4, and
+Python's MemoryError -> 5. Only ``tuning.tune`` raises
+DegenerateObjectiveError; an optimizer that saw nothing finite returns +inf.
 """
 
 

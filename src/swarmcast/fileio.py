@@ -51,6 +51,7 @@ def is_count(value, least: int = 1) -> bool:
 
 
 COUNT_RULE = (is_count, "an integer >= 1")
+SEED_RULE = (lambda value: is_count(value, 0), "an integer >= 0")
 OBJECT_RULE = (lambda value: isinstance(value, dict), "an object")
 
 

@@ -1,12 +1,12 @@
 """Population optimizers over bounded continuous boxes.
 
-Provides grey-wolf and whale update steps, a random switcher that flips
-a fair coin each iteration to run one of them on a shared population, a
-generational GA baseline, and plain single-strategy drivers. All four
-run through one population loop (``_drive``) and differ only in the
-step that turns one population into the next. All randomness flows
-through one ``numpy.random.Generator`` per run, so a seed fully
-determines the trajectory.
+``OPTIMIZERS`` names four: the random switcher "rs-gwo-woa", which
+flips a fair coin each iteration to run the whale or the grey-wolf step
+on a shared population, the plain "gwo" and "woa" searches, and a
+generational GA baseline "ga". Each is one population loop (``_drive``)
+that picks its step by name. All randomness flows through one
+``numpy.random.Generator`` per run, so a seed fully determines the
+trajectory.
 
 An objective scores a whole population per call: it maps an ``(n, d)``
 matrix of positions to ``n`` fitness values, one per row.
@@ -22,13 +22,14 @@ means.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import COUNT_RULE, check_fields, is_count, is_finite
+from .fileio import COUNT_RULE, SEED_RULE, check_fields, is_count, is_finite
 
 # per-gene rates of the GA baseline's uniform crossover and mutation
 GA_CROSSOVER_RATE = 0.25
@@ -54,7 +55,7 @@ class SearchBounds:
 OPTIMIZER_RULES = {
     "population_size": (lambda value: is_count(value, 4), "an integer >= 4"),
     "max_iterations": COUNT_RULE,
-    "seed": (lambda value: is_count(value, 0), "an integer >= 0"),
+    "seed": SEED_RULE,
 }
 
 
@@ -70,10 +71,11 @@ class OptimizerParams:
 
 @dataclass
 class OptimizationTrace:
-    """Best-so-far fitness per iteration plus bookkeeping counters."""
+    """Best-so-far fitness per iteration and the wolf and whale iteration
+    counts. A run makes ``population_size * (max_iterations + 1)``
+    evaluations."""
 
     best_fitness_per_iteration: list[float] = field(default_factory=list)
-    evaluations: int = 0
     gwo_iterations: int = 0
     woa_iterations: int = 0
 
@@ -140,35 +142,43 @@ def woa_step(positions, best, a: float, rng, bounds: SearchBounds) -> np.ndarray
     return clamp_to_bounds(np.where((p >= 0.5)[:, None], spiralled, encircled), bounds)
 
 
-def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callback=None):
-    """The population loop every optimizer runs.
+def _drive(objective, bounds: SearchBounds, params: OptimizerParams, callback=None, *,
+           algorithm: str):
+    """The population loop of every optimizer; ``algorithm`` names its step.
 
     The initial population is the generator's first numbers. Each
-    iteration ``step(positions, fitness, leaders, a, rng, bounds)``
-    returns ``(branch, positions)``, the next population, with ``a``
-    decaying linearly from 2 towards 0; the loop scores it with one
-    objective call, re-ranks the leaders (the ``(3, d)`` best rows) and
-    counts the iteration under its branch. Returns the best position
-    ever evaluated, its fitness (+inf if none was finite) and the trace.
+    iteration, with ``a`` decaying linearly from 2 towards 0, makes the
+    next population by ``gwo_step`` towards the leaders ("gwo"),
+    ``woa_step`` about alpha ("woa") or ``_ga_step`` ("ga"); "rs-gwo-woa"
+    first draws one uniform number and runs the whale step below 0.5, the
+    wolf step otherwise. One objective call scores the population, the
+    leaders (the ``(3, d)`` best rows) are re-ranked and the trace counts
+    a wolf or whale iteration. Returns the best position ever evaluated,
+    its fitness (+inf if none was finite) and the trace.
     """
     rng = np.random.default_rng(params.seed)
     pop = params.population_size
     positions = rng.uniform(bounds.low, bounds.high, size=(pop, bounds.dimension))
     fitness = _evaluate(objective, positions)
-    trace = OptimizationTrace(evaluations=pop)
+    trace = OptimizationTrace()
     order = np.argsort(fitness, kind="stable")
     leaders = positions[order[:3]]
     best, best_fitness = leaders[0], float(fitness[order[0]])
 
     for t in range(params.max_iterations):
         a = 2.0 * (1.0 - t / params.max_iterations)
-        branch, positions = step(positions, fitness, leaders, a, rng, bounds)
+        branch = algorithm
+        if branch == "rs-gwo-woa":
+            branch = "woa" if rng.random() < 0.5 else "gwo"
         if branch == "gwo":
+            positions = gwo_step(positions, leaders, a, rng, bounds)
             trace.gwo_iterations += 1
         elif branch == "woa":
+            positions = woa_step(positions, leaders[0], a, rng, bounds)
             trace.woa_iterations += 1
+        else:
+            positions = _ga_step(positions, fitness, leaders, rng, bounds)
         fitness = _evaluate(objective, positions)
-        trace.evaluations += pop
         order = np.argsort(fitness, kind="stable")
         leaders = positions[order[:3]]
         if fitness[order[0]] < best_fitness:
@@ -178,35 +188,6 @@ def _drive(objective, bounds: SearchBounds, params: OptimizerParams, step, callb
             callback(t, branch, positions, fitness, leaders)
 
     return best.copy(), best_fitness, trace
-
-
-def _gwo_move(positions, fitness, leaders, a, rng, bounds):
-    return "gwo", gwo_step(positions, leaders, a, rng, bounds)
-
-
-def _woa_move(positions, fitness, leaders, a, rng, bounds):
-    return "woa", woa_step(positions, leaders[0], a, rng, bounds)
-
-
-def _rs_move(positions, fitness, leaders, a, rng, bounds):
-    move = _woa_move if rng.random() < 0.5 else _gwo_move
-    return move(positions, fitness, leaders, a, rng, bounds)
-
-
-def rs_gwo_woa(objective, bounds, params, callback=None):
-    """Random switcher: a fair coin per iteration picks the whale or wolf
-    branch for the whole population; one shared a-schedule decays 2 -> 0."""
-    return _drive(objective, bounds, params, _rs_move, callback)
-
-
-def gwo_optimize(objective, bounds, params, callback=None):
-    """Plain grey-wolf driver (the random switcher pinned to its wolf branch)."""
-    return _drive(objective, bounds, params, _gwo_move, callback)
-
-
-def woa_optimize(objective, bounds, params, callback=None):
-    """Plain whale driver (the random switcher pinned to its whale branch)."""
-    return _drive(objective, bounds, params, _woa_move, callback)
 
 
 def uniform_crossover(parent1, parent2, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -226,12 +207,14 @@ def uniform_mutation(genome, rate: float, bounds: SearchBounds, rng) -> np.ndarr
     return np.where(mutate, fresh, genome)
 
 
-def _ga_step(positions, fitness, leaders, a, rng, bounds):
-    """One GA generation, drawn as whole arrays: every tournament for the
-    ``pop // 2`` couples at once, one crossover of the stacked parents and
-    one mutation of the ``pop - 1`` children, interleaved child1, child2
-    per couple. The elite (alpha, ``leaders[:1]``) is row 0. Every row is a parent gene or
-    a fresh draw inside the box, so no clamp is needed."""
+def _ga_step(positions, fitness, leaders, rng, bounds):
+    """One generation of the GA baseline, drawn as whole arrays: size-2
+    tournaments for the ``pop // 2`` couples at once, one uniform
+    crossover of the stacked parents at ``GA_CROSSOVER_RATE`` and one
+    uniform mutation of the ``pop - 1`` children at ``GA_MUTATION_RATE``,
+    interleaved child1, child2 per couple. The elite (alpha,
+    ``leaders[:1]``) is row 0. Every row is a parent gene or a fresh draw
+    inside the box, so no clamp is needed."""
     pop = len(positions)
     couples = pop // 2
     # contenders[c, k] are the two draws of parent k of couple c
@@ -243,19 +226,10 @@ def _ga_step(positions, fitness, leaders, a, rng, bounds):
     )
     children = np.stack((child1, child2), axis=1).reshape(2 * couples, -1)[: pop - 1]
     children = uniform_mutation(children, GA_MUTATION_RATE, bounds, rng)
-    return "ga", np.concatenate((leaders[:1], children))
+    return np.concatenate((leaders[:1], children))
 
 
-def ga_optimize(objective, bounds, params, callback=None):
-    """Generational GA baseline: size-2 tournaments, uniform crossover and
-    mutation at ``GA_CROSSOVER_RATE`` and ``GA_MUTATION_RATE``, elitism of
-    one (see ``_ga_step``)."""
-    return _drive(objective, bounds, params, _ga_step, callback)
-
-
-OPTIMIZERS = {
-    "rs-gwo-woa": rs_gwo_woa,
-    "gwo": gwo_optimize,
-    "woa": woa_optimize,
-    "ga": ga_optimize,
-}
+# each optimizer by name: (objective, bounds, params, callback=None) ->
+# (best position, best fitness, trace)
+OPTIMIZERS = {name: functools.partial(_drive, algorithm=name)
+              for name in ("rs-gwo-woa", "gwo", "woa", "ga")}

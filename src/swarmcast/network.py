@@ -25,13 +25,15 @@ float64, so save/load round-trips are bit-exact.
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergedError
-from .fileio import COUNT_RULE, OBJECT_RULE, check_fields, is_finite, read_json, write_json
+from .fileio import (COUNT_RULE, OBJECT_RULE, SEED_RULE, check_fields, is_finite, read_json,
+                     write_json)
 from .layers import (
     ACTIVATIONS,
     GATES,
@@ -47,11 +49,19 @@ from .layers import (
 from .timeseries import ScalingParams, WindowedSamples, inverse_scale
 
 
-# each config field's rule, key -> (check, what it wants), for its constructor and JSON readers
+# each config field's rule, key -> (check, what it wants), for its constructor and JSON readers;
+# an activation is looked up in a tuple, where a JSON list is not found rather than unhashable
 NETWORK_RULES = dict.fromkeys(("n_filters", "kernel_size", "pool_size", "lstm_units",
-                               "repeat_steps", "n_features", "horizon"), COUNT_RULE)
+                               "repeat_steps", "n_features", "horizon"), COUNT_RULE) | {
+    "conv_activation": (lambda value: value in tuple(ACTIVATIONS),
+                        f"one of {', '.join(ACTIVATIONS)}"),
+    "seed": SEED_RULE,
+}
 TRAINING_RULES = {"epochs": COUNT_RULE, "learning_rate": (
     lambda value: is_finite(value) and value > 0, "a finite number > 0")}
+# the most weights a network, or LSTM states (repeat_steps * lstm_units) a
+# window, may have: a bigger network is refused by arithmetic, unallocated
+MAX_NETWORK_FLOATS = 2**30
 
 
 def pooled_length(lookback, kernel_size, pool_size):
@@ -77,8 +87,6 @@ class NetworkConfig:
 
     def __post_init__(self):
         check_fields(vars(self), NETWORK_RULES, ConfigError, "", "network config")
-        if self.conv_activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown conv activation {self.conv_activation!r}")
 
     def validate_for_lookback(self, lookback: int) -> None:
         if self.kernel_size > lookback:
@@ -89,6 +97,10 @@ class NetworkConfig:
             raise ConfigError(
                 f"pool_size {self.pool_size} empties the conv output for lookback {lookback}"
             )
+        weights = sum(map(math.prod, _layout(self, lookback).values()))
+        if max(weights, self.repeat_steps * self.lstm_units) > MAX_NETWORK_FLOATS:
+            raise ConfigError(f"{weights} weights or {self.repeat_steps * self.lstm_units} LSTM"
+                              f" states per window exceed {MAX_NETWORK_FLOATS}")
 
     def flat_length(self, lookback: int) -> int:
         return pooled_length(lookback, self.kernel_size, self.pool_size) * self.n_filters
@@ -107,47 +119,48 @@ class TrainingConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
+def _layout(config: NetworkConfig, lookback: int) -> dict[str, tuple[int, ...]]:
+    """Each weight's shape, by its public name, in the order of a network's
+    flat buffer: conv_w, conv_b, then ``{gate}_w`` for each gate in
+    ``GATES`` order, then ``{gate}_b`` likewise, then dense_w, dense_b.
+    Pure arithmetic on the config: it allocates nothing."""
+    units = config.lstm_units
+    return {
+        "conv_w": (config.n_filters, config.kernel_size, config.n_features),
+        "conv_b": (config.n_filters,),
+        **{f"{gate}_w": (units, units + config.flat_length(lookback)) for gate in GATES},
+        **{f"{gate}_b": (units,) for gate in GATES},
+        "dense_w": (config.horizon, units),
+        "dense_b": (config.horizon,),
+    }
+
+
 class _FlatParams:
     """All parameters of one network (or their gradient) in one contiguous
-    float64 buffer, laid out conv_w, conv_b, gate_w, gate_b, dense_w,
-    dense_b. gate_w (4u, u + flat) stacks the gate weights row-wise in
-    ``GATES`` order; its first u columns act on the hidden state (w_h), the
-    rest on the repeated input (w_x). Every attribute is a view of ``buf``,
-    which is zeros unless given.
+    float64 buffer, laid out as ``_layout`` says. ``named`` holds the
+    public per-gate arrays by name; gate_w (4u, u + flat) stacks the gate
+    weights row-wise in ``GATES`` order and gate_b their biases, and gate_w's
+    first u columns act on the hidden state (w_h), the rest on the
+    repeated input (w_x). Every array is a view of ``buf``, which is zeros
+    unless given.
     """
 
     def __init__(self, config: NetworkConfig, lookback: int, buf=None):
-        units = config.lstm_units
-        shapes = {
-            "conv_w": (config.n_filters, config.kernel_size, config.n_features),
-            "conv_b": (config.n_filters,),
-            "gate_w": (4 * units, units + config.flat_length(lookback)),
-            "gate_b": (4 * units,),
-            "dense_w": (config.horizon, units),
-            "dense_b": (config.horizon,),
-        }
-        sizes = [math.prod(shape) for shape in shapes.values()]
+        layout = _layout(config, lookback)
+        sizes = [math.prod(shape) for shape in layout.values()]
         self.buf = np.zeros(sum(sizes)) if buf is None else buf
-        offset = 0
-        for (name, shape), size in zip(shapes.items(), sizes):
-            setattr(self, name, self.buf[offset : offset + size].reshape(shape))
-            offset += size
-        self.units = units
+        starts = dict(zip(layout, itertools.accumulate(sizes, initial=0)))
+        self.named = {name: self.buf[starts[name] : starts[name] + size].reshape(shape)
+                      for (name, shape), size in zip(layout.items(), sizes)}
+        units = config.lstm_units
+        gate_w, gate_b = starts[f"{GATES[0]}_w"], starts[f"{GATES[0]}_b"]
+        self.conv_w, self.conv_b = self.named["conv_w"], self.named["conv_b"]
+        self.gate_w = self.buf[gate_w:gate_b].reshape(4 * units, -1)
+        self.gate_b = self.buf[gate_b : starts["dense_w"]]
+        self.dense_w, self.dense_b = self.named["dense_w"], self.named["dense_b"]
         self.conv_w2d = self.conv_w.reshape(config.n_filters, -1)
         self.w_h = self.gate_w[:, :units]
         self.w_x = self.gate_w[:, units:]
-
-    def named(self) -> dict[str, np.ndarray]:
-        """The public per-gate arrays, as views of the buffer: conv_w, conv_b,
-        then ``{gate}_w``, ``{gate}_b`` for each gate, then dense_w, dense_b."""
-        u = self.units
-        views = {"conv_w": self.conv_w, "conv_b": self.conv_b}
-        for k, gate in enumerate(GATES):
-            views[f"{gate}_w"] = self.gate_w[k * u : (k + 1) * u]
-            views[f"{gate}_b"] = self.gate_b[k * u : (k + 1) * u]
-        views["dense_w"] = self.dense_w
-        views["dense_b"] = self.dense_b
-        return views
 
 
 @dataclass(frozen=True)
@@ -155,10 +168,7 @@ class TrainedNetwork:
     """The weights of one forecaster plus the config that shaped them.
 
     ``weights`` is the network's only weight store. Its per-gate views
-    (``params()``) have shapes conv_w (n_filters, kernel_size, n_features),
-    conv_b (n_filters,); each LSTM gate weight (lstm_units, lstm_units +
-    flat_length), bias (lstm_units,); dense_w (horizon, lstm_units),
-    dense_b (horizon,).
+    (``params()``) have the shapes that ``_layout`` gives.
     """
 
     config: NetworkConfig
@@ -168,7 +178,7 @@ class TrainedNetwork:
 
     def params(self) -> dict[str, np.ndarray]:
         """Per-gate views of ``weights``; writing to them changes the network."""
-        return self.weights.named()
+        return dict(self.weights.named)
 
 
 def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
@@ -490,18 +500,19 @@ def model_from_dict(doc: dict, source: str = "model") -> TrainedNetwork:
         raise DataError(f"{source}: bad 'config' or 'lookback': {exc}") from exc
 
     blobs = doc["weights"]
-    weights = _FlatParams(config, lookback)
-    for key, view in weights.named().items():
+    for key, shape in _layout(config, lookback).items():
         if key not in blobs:
             raise DataError(f"{source}: missing weight {key!r}")
+        recorded = blobs[key].get("shape") if isinstance(blobs[key], dict) else None
+        # compared before the buffer is allocated, and not just by its size
+        if not isinstance(recorded, list) or tuple(recorded) != shape:
+            raise DataError(f"{source}: weight {key!r} has shape {recorded!r}, "
+                            f"expected {list(shape)}")
+    weights = _FlatParams(config, lookback)
+    for key, view in weights.named.items():
         try:
-            shape = tuple(blobs[key]["shape"])
-            # compared explicitly: a smaller blob would broadcast into the view
-            if shape != view.shape:
-                raise DataError(f"{source}: weight {key!r} has shape {list(shape)}, "
-                                f"expected {list(view.shape)}")
             raw = base64.b64decode(blobs[key]["data"])
-            view[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            view[...] = np.frombuffer(raw, dtype="<f8").reshape(view.shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{source}: weight {key!r} is not an encoded array: {exc}") from exc
         if not np.isfinite(view).all():

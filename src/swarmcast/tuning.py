@@ -365,7 +365,8 @@ def tune_series(
 def read_best_assignment(path, lookback: int, horizon: int) -> dict:
     """The best cell of a tune's report.json, checked by ``CELL_RULES``: a
     DataError if malformed, a ConfigError if tuned at another lookback or
-    horizon or too wide for the lookback, each naming the file."""
+    horizon, too wide for the lookback or too large to build, each naming
+    the file."""
     report = read_json(path, "tuning report", DataError)
     best = report.get("best_assignment")
     if not isinstance(best, dict):
@@ -380,8 +381,8 @@ def read_best_assignment(path, lookback: int, horizon: int) -> dict:
             raise ConfigError(f"{path} was tuned at {key} {report[key]!r}, but train runs"
                               f" at {key} {value}; pass --{key} {report[key]!r}")
     try:
-        NetworkConfig(kernel_size=best["kernel_size"],
-                      pool_size=best["pool_size"]).validate_for_lookback(lookback)
+        NetworkConfig(**{name: best[name] for name in ARCHITECTURE_DIMENSIONS}
+                      ).validate_for_lookback(lookback)
     except ConfigError as exc:
         raise ConfigError(f"{path}: 'best_assignment' does not fit: {exc}") from None
     return dict(best)

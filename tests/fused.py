@@ -34,13 +34,13 @@ def compute_gradients(net, x, target) -> dict[str, np.ndarray]:
     target = np.asarray(target, dtype=float).reshape(-1)
     buffers = _StepBuffers(net.config, net.lookback)
     _gradients(net.weights, grads, _window_cols(net, x), target, net.config, buffers)
-    return grads.named()
+    return grads.named
 
 
 def with_params(net, params: dict[str, np.ndarray]):
     """A copy of ``net`` whose weights take the given per-gate arrays."""
     weights = _FlatParams(net.config, net.lookback, net.weights.buf.copy())
-    views = weights.named()
+    views = weights.named
     for key, value in params.items():
         views[key][...] = value
     return replace(net, weights=weights)

@@ -23,7 +23,7 @@ from swarmcast.benchmarks import rastrigin, sphere
 from swarmcast.cli import VOLATILE_FILES
 from swarmcast.evaluation import friedman_statistic, mse, nemenyi_cd, rank_methods
 from swarmcast.layers import GATES
-from swarmcast.metaheuristics import OptimizerParams, SearchBounds, rs_gwo_woa
+from swarmcast.metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from swarmcast.network import (
     NetworkConfig,
     TrainingConfig,
@@ -144,8 +144,8 @@ def test_criterion_5_optimizer_convergence():
     sphere_hits = rastrigin_hits = 0
     for seed in range(20):
         params = OptimizerParams(population_size=30, max_iterations=200, seed=seed)
-        sphere_hits += rs_gwo_woa(sphere, bounds, params)[1] < 1e-3
-        rastrigin_hits += rs_gwo_woa(rastrigin, bounds, params)[1] < 1.0
+        sphere_hits += OPTIMIZERS["rs-gwo-woa"](sphere, bounds, params)[1] < 1e-3
+        rastrigin_hits += OPTIMIZERS["rs-gwo-woa"](rastrigin, bounds, params)[1] < 1.0
     elapsed = time.perf_counter() - started
     ok = sphere_hits >= 18 and rastrigin_hits >= 15 and elapsed < 60.0
     report("criterion 5 (switcher convergence)", ok,

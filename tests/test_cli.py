@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmcast import cli, fileio
+from swarmcast import cli, fileio, network
 from swarmcast.cli import main
 from swarmcast.network import (
     NetworkConfig,
@@ -631,10 +631,22 @@ class TestModelFileChecks:
         (lambda doc: doc.update(loss_history=["1.5"]), "'loss_history'"),
         (lambda doc: doc.update(loss_history=[True]), "'loss_history'"),
         (lambda doc: doc.update(loss_history=[10**400]), "'loss_history'"),
+        # every config field is required: a default would load another model
+        (lambda doc: doc["config"].pop("conv_activation"), "'config.conv_activation'"),
+        (lambda doc: doc["config"].update(conv_activation=["relu"]), "'config.conv_activation'"),
+        (lambda doc: doc["config"].pop("seed"), "'config.seed'"),
+        (lambda doc: doc["config"].update(seed="x"), "'config.seed'"),
+        (lambda doc: doc["config"].update(seed=-1), "'config.seed'"),
+        # 4e12 weights, or 1e12 LSTM steps: refused by arithmetic (see
+        # TestNetworkSize), not by a failed allocation
+        (lambda doc: doc["config"].update(lstm_units=10**6), "'config'"),
+        (lambda doc: doc["config"].update(repeat_steps=10**12), "'config'"),
     ], ids=["no-weights", "no-loss-history", "no-weight-key", "unknown-config-key",
             "wrong-shape", "short-data", "fractional-count", "integral-float-count",
             "bool-count", "fractional-lookback", "nan-weight", "infinite-weight",
-            "nan-loss", "string-loss", "bool-loss", "float-overflowing-loss"])
+            "nan-loss", "string-loss", "bool-loss", "float-overflowing-loss",
+            "no-conv-activation", "list-conv-activation", "no-seed", "string-seed",
+            "negative-seed", "million-units", "huge-repeat-steps"])
     def test_malformed_model_exits_3_naming_file_and_key(self, artifact, tmp_path, capsys,
                                                           mutate, named):
         doc = self.model_doc(tmp_path)
@@ -644,6 +656,56 @@ class TestModelFileChecks:
         code, err = self.run_evaluate(artifact, tmp_path, path, capsys)
         assert code == 3
         assert str(path) in err and named in err
+
+    def test_shapes_are_compared_before_the_buffer_is_allocated(self, artifact, tmp_path,
+                                                                capsys, monkeypatch):
+        doc = self.model_doc(tmp_path)
+        doc["config"]["lstm_units"] = 4  # the blobs hold 3 units
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def allocate(*args):
+            raise AssertionError("allocated a weight buffer before comparing shapes")
+
+        monkeypatch.setattr(network, "_FlatParams", allocate)
+        code, err = self.run_evaluate(artifact, tmp_path, path, capsys)
+        assert code == 3
+        assert str(path) in err and "'forget_w'" in err
+
+
+class TestNetworkSize:
+    """A network too large to allocate ends in one stderr line and a documented
+    exit code, also from a model file (see TestModelFileChecks). Every size
+    here would need more than 2**47 bytes, so it fails at once even where the
+    host overcommits memory."""
+
+    @pytest.mark.parametrize("units", [10**7, 10**12])
+    def test_report_with_huge_lstm_units_exits_2_naming_it(self, artifact, tmp_path, capsys,
+                                                           units):
+        best = {"n_filters": 2, "kernel_size": 3, "pool_size": 2, "lstm_units": units}
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"best_assignment": best, "lookback": 7, "horizon": 1}),
+                          encoding="utf-8")
+        assert TestTrainFromTuning().train(artifact, tmp_path, report) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(report) in err and "exceed " in err
+
+    def test_huge_lstm_units_flag_exits_2(self, artifact, tmp_path, capsys):
+        assert main(["train", "--data-dir", str(artifact), "--lstm-units", str(10**12),
+                     "--epochs", "1", "--output-dir", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "exceed " in err
+
+    def test_out_of_memory_exits_5_with_one_line(self, artifact, tmp_path, capsys,
+                                                 monkeypatch):
+        def initialize(*args):
+            raise MemoryError("Unable to allocate 1.00 PiB")
+
+        monkeypatch.setattr(cli, "initialize_network", initialize)
+        assert main(["train", "--data-dir", str(artifact), "--epochs", "1",
+                     "--output-dir", str(tmp_path / "t")]) == 5
+        assert capsys.readouterr().err == "memory error: Unable to allocate 1.00 PiB\n"
+        assert not (tmp_path / "t").exists()
 
 
 class TestArtifactChecks:
@@ -661,8 +723,13 @@ class TestArtifactChecks:
          "'variables.confirmed.maximum'"),
         (lambda text: _drop(text, "variables", "confirmed", "degenerate"),
          "'variables.confirmed.degenerate'"),
+        (lambda text: _drop(text, "split_ratio"), "'split_ratio'"),
+        # the sample ingest splits at 0.8; another ratio would split elsewhere
+        (lambda text: json.dumps(json.loads(text) | {"split_ratio": 0.5}), "'split_ratio'"),
+        (lambda text: json.dumps(json.loads(text) | {"split_ratio": "abc"}), "'split_ratio'"),
     ], ids=["invalid-json", "no-split-index", "no-n-rows", "no-variables", "no-variable-entry",
-            "no-minimum", "no-maximum", "no-degenerate"])
+            "no-minimum", "no-maximum", "no-degenerate", "no-split-ratio",
+            "split-ratio-disagrees", "split-ratio-string"])
     def test_bad_scaling_file_exits_3_naming_file_and_key(self, artifact, tmp_path, capsys,
                                                           mutate, named):
         scaling = artifact / "scaling.json"

@@ -1,12 +1,18 @@
 """Every module-level import of the package, the scripts and the tests is
-used by its module, and every module-level name the package defines is
-read somewhere in the repository."""
+used by its module, every module-level name the package defines is read
+somewhere in the repository, and every rule table names exactly its
+type's fields."""
 
 import ast
+import dataclasses
 import functools
 from pathlib import Path
 
 import pytest
+
+from swarmcast.metaheuristics import OPTIMIZER_RULES, OptimizerParams
+from swarmcast.network import NETWORK_RULES, NetworkConfig
+from swarmcast.timeseries import SCALING_RULES, ScalingParams
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [path for folder in ("src/swarmcast", "scripts", "tests")
@@ -87,3 +93,12 @@ def test_module_level_name_is_read(path):
 def test_an_unread_definition_is_caught():
     source = "LIMIT = 3\ndef used():\n    return LIMIT\ndef unused():\n    pass\nused()\n"
     assert unread_names(source, read_names([source])) == ["line 4: unused"]
+
+
+# a field without a rule would be filled in by its default when a reader builds the type
+@pytest.mark.parametrize("rules, kind", [
+    (NETWORK_RULES, NetworkConfig), (SCALING_RULES, ScalingParams),
+    (OPTIMIZER_RULES, OptimizerParams),
+], ids=["network", "scaling", "optimizer"])
+def test_rule_table_names_exactly_its_types_fields(rules, kind):
+    assert set(rules) == {field.name for field in dataclasses.fields(kind)}

@@ -13,12 +13,8 @@ from swarmcast.metaheuristics import (
     OptimizerParams,
     SearchBounds,
     clamp_to_bounds,
-    ga_optimize,
-    gwo_optimize,
     gwo_step,
-    rs_gwo_woa,
     uniform_mutation,
-    woa_optimize,
     woa_step,
 )
 
@@ -211,16 +207,17 @@ def count_evaluations(objective):
 
 
 class TestDrivers:
-    @pytest.mark.parametrize("optimize", [rs_gwo_woa, gwo_optimize, woa_optimize, ga_optimize])
-    def test_trace_is_non_increasing(self, optimize):
+    @pytest.mark.parametrize("algorithm", sorted(OPTIMIZERS))
+    def test_trace_is_non_increasing(self, algorithm):
         params = OptimizerParams(population_size=8, max_iterations=40, seed=3)
-        _, _, trace = optimize(sphere, SearchBounds(-5, 5, 4), params)
+        _, _, trace = OPTIMIZERS[algorithm](sphere, SearchBounds(-5, 5, 4), params)
         best = trace.best_fitness_per_iteration
         assert len(best) == 40
         assert all(a >= b for a, b in zip(best, best[1:]))
 
-    @pytest.mark.parametrize("optimize", [rs_gwo_woa, gwo_optimize, woa_optimize, ga_optimize])
-    def test_seed_determinism(self, optimize):
+    @pytest.mark.parametrize("algorithm", sorted(OPTIMIZERS))
+    def test_seed_determinism(self, algorithm):
+        optimize = OPTIMIZERS[algorithm]
         params = OptimizerParams(population_size=6, max_iterations=25, seed=11)
         bounds = SearchBounds(-2, 2, 3)
         pos1, fit1, trace1 = optimize(rastrigin, bounds, params)
@@ -231,7 +228,7 @@ class TestDrivers:
 
     def test_both_branches_execute_over_many_iterations(self):
         params = OptimizerParams(population_size=4, max_iterations=1000, seed=5)
-        _, _, trace = rs_gwo_woa(sphere, SearchBounds(-1, 1, 2), params)
+        _, _, trace = OPTIMIZERS["rs-gwo-woa"](sphere, SearchBounds(-1, 1, 2), params)
         assert trace.gwo_iterations > 0
         assert trace.woa_iterations > 0
         assert trace.gwo_iterations + trace.woa_iterations == 1000
@@ -247,9 +244,10 @@ class TestDrivers:
             return sphere(X)
 
         objective = count_evaluations(objective)
-        best_pos, best_fit, trace = rs_gwo_woa(objective, SearchBounds(-5, 5, 2), params)
-        assert trace.evaluations == 8
-        assert len(objective.calls) == 8
+        best_pos, best_fit, trace = OPTIMIZERS["rs-gwo-woa"](
+            objective, SearchBounds(-5, 5, 2), params
+        )
+        assert len(objective.calls) == params.population_size * (params.max_iterations + 1) == 8
         assert best_fit == min(objective.calls)
         assert type(best_fit) is float
         assert all(type(v) is float for v in trace.best_fitness_per_iteration)
@@ -268,14 +266,14 @@ class TestDrivers:
             return sphere(X)
 
         params = OptimizerParams(population_size=5, max_iterations=30, seed=13)
-        rs_gwo_woa(objective, bounds, params)
+        OPTIMIZERS["rs-gwo-woa"](objective, bounds, params)
         stacked = np.array(seen)
         assert np.all(stacked >= bounds.low) and np.all(stacked <= bounds.high)
 
     def test_leader_ordering_after_each_iteration(self):
         # every algorithm runs the same loop, so each callback sees the
         # three best of the current population once per iteration
-        for optimize in (rs_gwo_woa, gwo_optimize, woa_optimize, ga_optimize):
+        for algorithm, optimize in OPTIMIZERS.items():
             records = []
 
             def callback(t, branch, positions, fitness, leaders):
@@ -286,26 +284,28 @@ class TestDrivers:
 
             params = OptimizerParams(population_size=6, max_iterations=40, seed=17)
             optimize(sphere, SearchBounds(-4, 4, 3), params, callback=callback)
-            assert [t for t, _, _ in records] == list(range(40)), optimize.__name__
+            assert [t for t, _, _ in records] == list(range(40)), algorithm
             for _, fitness, values in records:
                 assert values == sorted(values)
                 # the leaders are exactly the three best of the current pack,
                 # so delta bounds every omega fitness from below
-                assert values == sorted(fitness)[:3], optimize.__name__
+                assert values == sorted(fitness)[:3], algorithm
 
     def test_nan_fitness_never_leads(self):
         def objective(X):
             return np.where(X[:, 0] > 0, math.nan, sphere(X))
 
         params = OptimizerParams(population_size=8, max_iterations=30, seed=19)
-        best_pos, best_fit, _ = rs_gwo_woa(objective, SearchBounds(-1, 1, 2), params)
+        best_pos, best_fit, _ = OPTIMIZERS["rs-gwo-woa"](
+            objective, SearchBounds(-1, 1, 2), params
+        )
         assert math.isfinite(best_fit)
         assert best_pos[0] <= 0
 
     def test_all_nan_objective_returns_inf(self):
         params = OptimizerParams(population_size=4, max_iterations=3, seed=21)
         # the search does not raise: only the tuner decides nothing was found
-        best, fitness, trace = rs_gwo_woa(
+        best, fitness, trace = OPTIMIZERS["rs-gwo-woa"](
             lambda X: np.full(len(X), math.nan), SearchBounds(-1, 1, 2), params
         )
         assert best.shape == (2,) and fitness == math.inf
@@ -319,7 +319,7 @@ class TestDrivers:
     def test_objective_of_wrong_shape_rejected(self, objective):
         params = OptimizerParams(population_size=4, max_iterations=2, seed=1)
         with pytest.raises(ConfigError):
-            rs_gwo_woa(objective, unit_bounds(2), params)
+            OPTIMIZERS["rs-gwo-woa"](objective, unit_bounds(2), params)
 
     # sha256 of (best position, best fitness, trace) for rastrigin in d=3,
     # population 6, 20 iterations, seeds 0 and 1; any change to a draw or
@@ -342,7 +342,8 @@ class TestDrivers:
             digest.update(position.tobytes())
             digest.update(np.float64(best).tobytes())
             digest.update(np.array(trace.best_fitness_per_iteration).tobytes())
-            counts = (trace.evaluations, trace.gwo_iterations, trace.woa_iterations)
+            evaluations = params.population_size * (params.max_iterations + 1)
+            counts = (evaluations, trace.gwo_iterations, trace.woa_iterations)
             digest.update(np.array(counts, dtype=np.int64).tobytes())
         assert digest.hexdigest() == self.TRAJECTORY_DIGESTS[algorithm]
 
@@ -359,7 +360,7 @@ class TestGa:
             populations.append({tuple(row) for row in X})
             return sphere(X)
 
-        _, _, trace = ga_optimize(objective, bounds, params)
+        _, _, trace = OPTIMIZERS["ga"](objective, bounds, params)
         assert len(populations) == 26
         initial_rows = populations[0]
         assert set().union(*populations) <= initial_rows
@@ -376,7 +377,7 @@ class TestGa:
             return fitness
 
         params = OptimizerParams(population_size=pop, max_iterations=15, seed=seed)
-        result = ga_optimize(objective, SearchBounds(-5.12, 5.12, 3), params)
+        result = OPTIMIZERS["ga"](objective, SearchBounds(-5.12, 5.12, 3), params)
         return generations, result
 
     @pytest.mark.parametrize("pop", [4, 5, 30, 31])
@@ -395,7 +396,7 @@ class TestGa:
 
     def test_sphere_convergence(self):
         params = OptimizerParams(population_size=30, max_iterations=300, seed=2)
-        _, best, _ = ga_optimize(sphere, SearchBounds(-5.12, 5.12, 3), params)
+        _, best, _ = OPTIMIZERS["ga"](sphere, SearchBounds(-5.12, 5.12, 3), params)
         assert best < 1e-2
 
     def test_mutation_frequency_matches_rate(self):

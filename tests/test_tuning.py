@@ -260,7 +260,8 @@ class TestTune:
         params = OptimizerParams(population_size=10, max_iterations=50, seed=6)
         result, trace, _ = tune(lambda a: surrogate_fitness(a, 6), "rs-gwo-woa", params)
         assert result["cache_misses"] <= 144
-        assert result["cache_hits"] + result["cache_misses"] == trace.evaluations
+        evaluations = params.population_size * (params.max_iterations + 1)
+        assert result["cache_hits"] + result["cache_misses"] == evaluations
         assert result["cache_misses"] == len(result["evaluation_log"])
 
     def test_cached_loss_matches_fresh_recomputation(self):
@@ -315,7 +316,8 @@ class TestTune:
         assert len(calls) == result["cache_misses"] == len(result["evaluation_log"]) <= 5
         assert result["best_loss"] == min(r["loss"] for r in result["evaluation_log"])
         # the optimizer still runs every iteration
-        assert trace.evaluations == unbudgeted_trace.evaluations
+        iterations = len(trace.best_fitness_per_iteration)
+        assert iterations == len(unbudgeted_trace.best_fitness_per_iteration) == 10
         assert unbudgeted["cache_misses"] > 5
 
     def test_budget_cut_inside_a_population(self, monkeypatch):
