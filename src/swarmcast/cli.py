@@ -14,8 +14,8 @@ and each command once in ``COMMANDS`` (its keys with their defaults);
 the argument parsers, the option resolution and the config-file checks
 are all built from these two tables.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-divergence or a degenerate objective, 5 out of memory.
+A run exits 0 on success, with the ``exit_code`` of the toolkit error
+that stopped it, or 5 when the host runs out of memory.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateObjectiveError,
-    DivergedError,
-    EdgeMissingError,
-    SwarmcastError,
-)
+from .errors import ConfigError, DataError, SwarmcastError
 from .benchmarks import BENCHMARKS
 from .evaluation import ALPHA, CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
 from .fileio import (COUNT_RULE, OBJECT_RULE, canonical_json, check_fields, is_finite,
@@ -268,9 +261,9 @@ def cmd_ingest(options, out_dir: Path):
     for name, raw in variables.items():
         try:
             filled = impute_missing(raw)
-        except EdgeMissingError as exc:
+        except DataError as exc:
             column = columns[name] if columns else name
-            raise EdgeMissingError(f"{options['data']}: column {column!r}: {exc}") from None
+            raise DataError(f"{options['data']}: column {column!r}: {exc}") from None
         _, params = minmax_scale(filled[:cut])
         scaled.append(apply_scale(filled, params))
         variable_meta[name] = {
@@ -411,8 +404,7 @@ def cmd_tune(options, out_dir: Path):
 
     # wall times go to a side file so the report stays byte-reproducible
     return {
-        "report.json": report | {"variable": name, "lookback": options["lookback"],
-                                 "horizon": options["horizon"], "seed": options["seed"]},
+        "report.json": report | {"variable": name},
         "trace.csv": _trace_table(trace),
         "timings.csv": (
             ["evaluation", "wall_time_seconds"],
@@ -662,18 +654,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run_command(args.command, resolve_options(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (DivergedError, DegenerateObjectiveError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
     except SwarmcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:  # a network below the size bound that this host cannot hold
         print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
         return 5

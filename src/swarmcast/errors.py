@@ -1,45 +1,31 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto process exit codes: ConfigError -> 2, DataError
-(and subclasses) -> 3, DivergedError / DegenerateObjectiveError -> 4, and
-Python's MemoryError -> 5. Only ``tuning.tune`` raises
-DegenerateObjectiveError; an optimizer that saw nothing finite returns +inf.
+Each concrete class carries the process exit code and the stderr label
+that ``cli.main`` reports it with.
 """
 
 
 class SwarmcastError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; only its subclasses are raised."""
+
+    exit_code: int
+    label: str
 
 
 class ConfigError(SwarmcastError):
     """Invalid configuration value or missing required setting."""
 
+    exit_code, label = 2, "config error"
+
 
 class DataError(SwarmcastError):
     """Malformed or unusable input data."""
 
-
-class DuplicateDateError(DataError):
-    """The same calendar date appears more than once in an input file."""
+    exit_code, label = 3, "data error"
 
 
-class EdgeMissingError(DataError):
-    """A series starts or ends with a missing value, so the neighbour-mean
-    imputation rule has no defined neighbour."""
+class NumericalError(SwarmcastError):
+    """Training produced a non-finite epoch loss, or a tune found no finite
+    loss in any cell it scored."""
 
-
-class TooShortError(DataError):
-    """A series is too short for the requested window or split."""
-
-
-class DivergedError(SwarmcastError):
-    """Training produced a non-finite epoch loss."""
-
-
-class DegenerateObjectiveError(SwarmcastError):
-    """A tune found no finite loss: every cell it scored, in the search
-    and in the budget's sweep, came back NaN or +inf."""
-
-
-class DegenerateVarianceError(DataError):
-    """The reference series is constant, so R-squared is undefined."""
+    exit_code, label = 4, "numerical error"

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateVarianceError
+from .errors import ConfigError, DataError
 from .fileio import numbered_rows
 
 # significance level of the Friedman test and the Nemenyi post hoc, unless a run sets its own
@@ -62,11 +62,11 @@ def mse(predicted, actual) -> float:
 def r_squared(predicted, actual) -> float:
     """1 - SS_res / SS_tot about the actual mean; negative when worse than the mean.
 
-    A constant actual series (max == min) raises DegenerateVarianceError.
+    A constant actual series (max == min) raises DataError.
     """
     y, x = _check_pair(predicted, actual)
     if x.max() == x.min():
-        raise DegenerateVarianceError("actual series is constant")
+        raise DataError("actual series is constant")
     deviations = x - x.mean()
     residuals = y - x
     ss_tot = float(np.sum(deviations**2))

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergedError
+from .errors import ConfigError, DataError, NumericalError
 from .fileio import (COUNT_RULE, OBJECT_RULE, SEED_RULE, check_fields, is_finite, read_json,
                      write_json)
 from .layers import (
@@ -57,8 +57,6 @@ NETWORK_RULES = dict.fromkeys(("n_filters", "kernel_size", "pool_size", "lstm_un
                         f"one of {', '.join(ACTIVATIONS)}"),
     "seed": SEED_RULE,
 }
-TRAINING_RULES = {"epochs": COUNT_RULE, "learning_rate": (
-    lambda value: is_finite(value) and value > 0, "a finite number > 0")}
 # the most weights a network, or LSTM states (repeat_steps * lstm_units) a
 # window, may have: a bigger network is refused by arithmetic, unallocated
 MAX_NETWORK_FLOATS = 2**30
@@ -115,8 +113,6 @@ class TrainingConfig:
 
     def __post_init__(self):
         check_fields(vars(self), TRAINING_RULES, ConfigError, "", "training config")
-        if self.optimizer not in WEIGHT_OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _layout(config: NetworkConfig, lookback: int) -> dict[str, tuple[int, ...]]:
@@ -366,6 +362,14 @@ class _SGD:
 
 # the optimizer classes by the name a TrainingConfig gives
 WEIGHT_OPTIMIZERS = {"adam": _Adam, "sgd": _SGD}
+# TrainingConfig's field rules, as NETWORK_RULES are NetworkConfig's
+TRAINING_RULES = {
+    "epochs": COUNT_RULE,
+    "learning_rate": (lambda value: is_finite(value) and value > 0, "a finite number > 0"),
+    "optimizer": (lambda value: value in tuple(WEIGHT_OPTIMIZERS),
+                  f"one of {', '.join(WEIGHT_OPTIMIZERS)}"),
+    "seed": SEED_RULE,
+}
 
 
 def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) -> TrainedNetwork:
@@ -373,7 +377,7 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
 
     Sample order is reshuffled every epoch from the seeded stream; the
     loss history records the mean training MSE per epoch. A non-finite
-    epoch loss aborts with DivergedError.
+    epoch loss aborts with NumericalError.
     """
     inputs = np.asarray(samples.inputs, dtype=float)
     if samples.targets.shape[2] != 1:
@@ -408,7 +412,7 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
             total += loss
         epoch_loss = total / len(inputs)
         if not np.isfinite(epoch_loss):
-            raise DivergedError(f"epoch loss became {epoch_loss}")
+            raise NumericalError(f"epoch loss became {epoch_loss}")
         history.append(epoch_loss)
 
     return replace(net, weights=params, loss_history=tuple(history))

@@ -16,13 +16,7 @@ from datetime import date
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DuplicateDateError,
-    EdgeMissingError,
-    TooShortError,
-)
+from .errors import ConfigError, DataError
 from .fileio import check_fields, is_finite, numbered_rows
 
 MISSING_MARKERS = {"", "NA"}
@@ -195,7 +189,7 @@ def _raise_first_fault(path: str, at: list[int], columns):
             except ValueError as exc:
                 raise DataError(f"{where}: unparsable date {cells[at[0]]!r}") from exc
             if day in seen:
-                raise DuplicateDateError(f"{where}: duplicate date {day}")
+                raise DataError(f"{where}: duplicate date {day}")
             seen.add(day)
             for i, col in zip(at[1:], columns):
                 _cell_value(where, cells[i], col)  # raises at the row's first bad cell
@@ -247,7 +241,7 @@ def impute_missing(series) -> np.ndarray:
     if not missing.any():
         return values
     if missing[0] or missing[-1]:
-        raise EdgeMissingError("series starts or ends with a missing value")
+        raise DataError("series starts or ends with a missing value")
 
     # each gap's nearest present index before it and after it
     index = np.arange(len(values))
@@ -295,7 +289,7 @@ def split_index(n: int, ratio: float) -> int:
         raise ConfigError(f"split_ratio must be in (0, 1), got {ratio}")
     cut = math.floor(ratio * n)
     if cut < 1 or cut >= n:
-        raise TooShortError(f"split ratio {ratio} leaves an empty side for {n} rows")
+        raise DataError(f"split ratio {ratio} leaves an empty side for {n} rows")
     return cut
 
 
@@ -313,7 +307,7 @@ def make_windows(series, lookback: int, horizon: int) -> WindowedSamples:
         matrix = matrix[:, None]
     n = len(matrix)
     if n < lookback + horizon:
-        raise TooShortError(
+        raise DataError(
             f"series of length {n} too short for lookback {lookback} + horizon {horizon}"
         )
     # (n - lookback - horizon + 1, lookback + horizon, features)

@@ -12,6 +12,7 @@ only 2*6*3*4 = 144 cells under the default space.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateObjectiveError, DivergedError, TooShortError
+from .errors import ConfigError, DataError, NumericalError
 from .evaluation import mse
 from .fileio import check_fields, read_json
 from .metaheuristics import OPTIMIZERS, OptimizationTrace, OptimizerParams, SearchBounds
@@ -91,7 +92,8 @@ EXTENDED_SPACE = HyperparamSpace(DEFAULT_SPACE.dimensions + (
 ))
 
 # every dimension a cell may set, with its config field's rule: name -> (check, what it wants)
-CELL_RULES = {name: NETWORK_RULES[name] for name in ARCHITECTURE_DIMENSIONS} | TRAINING_RULES
+CELL_RULES = {name: NETWORK_RULES[name] for name in ARCHITECTURE_DIMENSIONS} | {
+    name: TRAINING_RULES[name] for name in ("epochs", "learning_rate")}
 
 
 def _check_dimensions(names, error: type[Exception], where: str) -> None:
@@ -133,12 +135,6 @@ def decode_position(positions, space: HyperparamSpace) -> np.ndarray:
     return np.minimum((np.clip(raw, 0.0, 1.0) * sizes).astype(np.intp), sizes - 1)
 
 
-def enumerate_assignments(space: HyperparamSpace):
-    """Every grid cell, in lexicographic candidate order."""
-    for indices in np.ndindex(space.shape):
-        yield space.cell(indices)
-
-
 def fit_mask(space: HyperparamSpace, lookback: int) -> np.ndarray:
     """One bool per grid cell, indexed by its grid indices: whether the
     cell's kernel and pool fit ``lookback`` (see ``pooled_length``)."""
@@ -146,6 +142,23 @@ def fit_mask(space: HyperparamSpace, lookback: int) -> np.ndarray:
             for i, (name, candidates) in enumerate(space.dimensions)}
     fits = pooled_length(lookback, axes["kernel_size"], axes["pool_size"]) >= 1
     return np.broadcast_to(fits, space.shape)
+
+
+def check_sizes(space: HyperparamSpace, network: NetworkConfig, lookback: int) -> None:
+    """Raise a ConfigError naming a grid cell that fits ``lookback`` but is
+    too large to build (see ``NetworkConfig.validate_for_lookback``).
+    Weights and LSTM states grow with n_filters and lstm_units, so only
+    the largest cell of each fitting kernel and pool is checked."""
+    values = dict(space.dimensions)
+    for kernel, pool in itertools.product(values["kernel_size"], values["pool_size"]):
+        if pooled_length(lookback, kernel, pool) < 1:
+            continue
+        cell = {"n_filters": max(values["n_filters"]), "kernel_size": kernel,
+                "pool_size": pool, "lstm_units": max(values["lstm_units"])}
+        try:
+            replace(network, **cell).validate_for_lookback(lookback)
+        except ConfigError as exc:
+            raise ConfigError(f"grid cell {cell} cannot be built: {exc}") from None
 
 
 def derive_seed(global_seed: int, assignment: dict) -> int:
@@ -209,7 +222,7 @@ def fitness(
     net = initialize_network(config, train_windows.lookback)
     try:
         trained = train(net, train_windows, run_cfg)
-    except DivergedError:
+    except NumericalError:
         return math.inf
     predictions = predict_windows(trained, val_windows)
     actual = np.asarray(val_windows.targets, dtype=float)[:, :, 0]
@@ -223,13 +236,13 @@ def inner_validation_split(
     (see ``split_windows``), a fraction in (0, 1) that ``tune_series``
     checks; both sides must be non-empty."""
     windows = make_windows(series, lookback, horizon)
-    too_short = TooShortError(
+    too_short = DataError(
         f"series of length {len(series)} cannot supply both fit and "
         f"validation windows at val_fraction {val_fraction}"
     )
     try:
         cut = split_index(len(series), 1.0 - val_fraction)
-    except TooShortError:
+    except DataError:
         raise too_short from None
     fit, val = split_windows(windows, cut)
     if len(fit) == 0 or len(val) == 0:
@@ -264,7 +277,7 @@ def tune(
     "loss"}`` entries in evaluation order), the optimizer trace and the
     wall seconds of each logged evaluation. The best cell is the log's
     first entry with the lowest loss, NaN counting as +inf; raises
-    DegenerateObjectiveError if that loss is not finite.
+    NumericalError if that loss is not finite.
     """
     if algorithm not in OPTIMIZERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
@@ -305,7 +318,7 @@ def tune(
     best = min(entries, default={"loss": math.inf},
                key=lambda entry: math.inf if math.isnan(entry["loss"]) else entry["loss"])
     if not math.isfinite(best["loss"]):
-        raise DegenerateObjectiveError("every evaluation returned NaN or +inf")
+        raise NumericalError("every evaluation returned NaN or +inf")
     return {
         "algorithm": algorithm,
         "best_assignment": best["assignment"],
@@ -330,14 +343,17 @@ def tune_series(
     surrogate: str | None = None,
     evaluation_budget: int | None = None,
 ) -> tuple[dict, OptimizationTrace, list[float]]:
-    """Tune hyperparameters for one (already scaled) training series
-    (see ``tune`` for what it returns).
+    """Tune hyperparameters for one (already scaled) training series.
+    Returns ``tune``'s ``(report, trace, seconds)``, the report with the
+    run's ``lookback``, ``horizon`` and ``seed`` added.
 
     Each cell trains under ``cell_configs(cell, network, training,
     global_seed)``; the network template's horizon sets the windows'.
     ``surrogate='hash'`` swaps the real fitness for the deterministic
     pseudo-loss, handy for exercising the search. Either way the series
-    must split into windows and only cells that fit ``lookback`` score.
+    must split into windows, the grid must hold no cell that fits
+    ``lookback`` but is too large to build (``check_sizes``), and only
+    cells that fit ``lookback`` score.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must be in (0, 1)")
@@ -350,6 +366,7 @@ def tune_series(
     train_windows, val_windows = inner_validation_split(
         series, lookback, network.horizon, val_fraction
     )
+    check_sizes(space, replace(network, n_features=train_windows.inputs.shape[2]), lookback)
     if surrogate == "hash":
         evaluate = lambda assignment: surrogate_fitness(assignment, global_seed)
     elif surrogate is None:
@@ -358,8 +375,10 @@ def tune_series(
         )
     else:
         raise ConfigError(f"unknown surrogate {surrogate!r}")
-    return tune(evaluate, algorithm, params, space, evaluation_budget=evaluation_budget,
-                fits=fits)
+    report, trace, seconds = tune(evaluate, algorithm, params, space,
+                                  evaluation_budget=evaluation_budget, fits=fits)
+    run = {"lookback": lookback, "horizon": network.horizon, "seed": global_seed}
+    return report | run, trace, seconds
 
 
 def read_best_assignment(path, lookback: int, horizon: int) -> dict:

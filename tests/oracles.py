@@ -5,6 +5,7 @@ Everything here is written with plain Python loops, over scalars with
 with the vectorised implementations under test.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -233,7 +234,7 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
 
     import numpy as np
 
-    from swarmcast.errors import DataError, DuplicateDateError
+    from swarmcast.errors import DataError
     from swarmcast.timeseries import _variable_columns
 
     def cell_value(where, cell, col):
@@ -271,7 +272,7 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
                 except ValueError as exc:
                     raise DataError(f"{where}: unparsable date {cells[date_at]!r}") from exc
                 if day in parsed:
-                    raise DuplicateDateError(f"{where}: duplicate date {day}")
+                    raise DataError(f"{where}: duplicate date {day}")
                 parsed[day] = [cell_value(where, cells[at], col) for at, col in columns]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -284,6 +285,13 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
     matrix[[(day - first).days for day in parsed]] = list(parsed.values())
     dates = tuple(first + timedelta(days=i) for i in range(span))
     return dates, dict(zip(variable_columns, matrix.T))
+
+
+def enumerate_assignments(space):
+    """Every cell of a HyperparamSpace's grid, in lexicographic candidate order."""
+    names = [name for name, _ in space.dimensions]
+    for values in itertools.product(*(candidates for _, candidates in space.dimensions)):
+        yield dict(zip(names, values))
 
 
 def gwo_step_loop(positions, leaders, a, rng, bounds):

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from fused import compute_gradients, lstm_step_fused
-from oracles import finite_difference_grads, friedman_loop, lstm_step_scalar, max_relative_error
+from oracles import (enumerate_assignments, finite_difference_grads, friedman_loop,
+                     lstm_step_scalar, max_relative_error)
 from swarmcast.benchmarks import rastrigin, sphere
 from swarmcast.cli import VOLATILE_FILES
 from swarmcast.evaluation import friedman_statistic, mse, nemenyi_cd, rank_methods
@@ -46,7 +47,6 @@ from swarmcast.timeseries import (
 from swarmcast.tuning import (
     DEFAULT_SPACE,
     cell_configs,
-    enumerate_assignments,
     surrogate_fitness,
     tune,
     tune_series,

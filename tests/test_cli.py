@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmcast import cli, fileio, network
+from oracles import enumerate_assignments
+from swarmcast import cli, fileio, network, tuning
 from swarmcast.cli import main
+from swarmcast.errors import ConfigError, DataError, NumericalError, SwarmcastError
 from swarmcast.network import (
     NetworkConfig,
     initialize_network,
@@ -233,7 +235,7 @@ class TestTune:
         assert report["algorithm"] == "ga"
 
     def test_surrogate_reproduces_enumeration_optimum(self, artifact, tmp_path):
-        from swarmcast.tuning import DEFAULT_SPACE, enumerate_assignments, surrogate_fitness
+        from swarmcast.tuning import DEFAULT_SPACE, surrogate_fitness
 
         seed = 3
         code = main(["tune", "--data-dir", str(artifact), "--surrogate", "hash",
@@ -695,6 +697,25 @@ class TestNetworkSize:
                      "--epochs", "1", "--output-dir", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "exceed " in err
+
+    @pytest.mark.parametrize("fitness", ["surrogate", "real"])
+    def test_grid_cell_too_large_exits_2_before_any_training(self, artifact, tmp_path, capsys,
+                                                             monkeypatch, fitness):
+        def never(*args):
+            raise AssertionError("a cell was trained")
+
+        monkeypatch.setattr(tuning, "train", never)
+        cfg = tmp_path / "space.json"
+        cfg.write_text(json.dumps({"space": {
+            "n_filters": [2], "kernel_size": [3], "pool_size": [2], "lstm_units": [3, 10**8],
+        }}), encoding="utf-8")
+        flags = ["--surrogate", "hash"] if fitness == "surrogate" else ["--fitness-epochs", "1"]
+        assert main(["tune", "--config", str(cfg), "--data-dir", str(artifact), *flags,
+                     "--output-dir", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'lstm_units': 100000000" in err
+        assert "300000000 LSTM states per window exceed 1073741824" in err
+        assert not (tmp_path / "t").exists()
 
     def test_out_of_memory_exits_5_with_one_line(self, artifact, tmp_path, capsys,
                                                  monkeypatch):
@@ -1471,3 +1492,28 @@ class TestAtomicWrites:
         with pytest.raises(RuntimeError):
             save_model(net, path)
         self.assert_untouched(path, before)
+
+
+class TestExitCodes:
+    def test_one_error_class_per_exit_code(self):
+        assert {error: (error.exit_code, error.label)
+                for error in SwarmcastError.__subclasses__()} == {
+            ConfigError: (2, "config error"),
+            DataError: (3, "data error"),
+            NumericalError: (4, "numerical error"),
+        }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the training overflows
+    @pytest.mark.parametrize("error, argv", [
+        (ConfigError, ["train", "--lstm-units", "0"]),
+        (DataError, ["forecast", "--model", "absent.json"]),
+        (NumericalError, ["train", "--epochs", "5", "--optimizer", "sgd",
+                          "--learning-rate", "1e14"]),
+    ], ids=["config", "data", "numerical"])
+    def test_main_returns_the_class_exit_code_with_one_labelled_line(
+        self, artifact, tmp_path, capsys, error, argv
+    ):
+        assert main([*argv, "--data-dir", str(artifact),
+                     "--output-dir", str(tmp_path / "out")]) == error.exit_code
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{error.label}: ")

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import friedman_loop, mae_loop, mse_loop, r_squared_loop, ranks_loop
-from swarmcast.errors import ConfigError, DataError, DegenerateVarianceError
+from swarmcast.errors import ConfigError, DataError
 from swarmcast.evaluation import (
     compare_methods,
     friedman_statistic,
@@ -46,12 +46,12 @@ class TestMetrics:
         assert r_squared([1, 2, 5], [1, 2, 3]) == -1.0
 
     def test_r2_constant_actual_rejected(self):
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(DataError, match="actual series is constant"):
             r_squared([1, 2, 3], [5, 5, 5])
 
     def test_r2_constant_actual_with_inexact_mean_rejected(self):
         # the mean of [0.1] * 3 rounds away from 0.1, so the deviations are not all 0
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(DataError, match="actual series is constant"):
             r_squared([0.2] * 3, [0.1] * 3)
 
     def test_r2_of_underflowing_deviations(self):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from swarmcast.metaheuristics import OPTIMIZER_RULES, OptimizerParams
-from swarmcast.network import NETWORK_RULES, NetworkConfig
+from swarmcast.network import NETWORK_RULES, TRAINING_RULES, NetworkConfig, TrainingConfig
 from swarmcast.timeseries import SCALING_RULES, ScalingParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,7 +98,7 @@ def test_an_unread_definition_is_caught():
 # a field without a rule would be filled in by its default when a reader builds the type
 @pytest.mark.parametrize("rules, kind", [
     (NETWORK_RULES, NetworkConfig), (SCALING_RULES, ScalingParams),
-    (OPTIMIZER_RULES, OptimizerParams),
-], ids=["network", "scaling", "optimizer"])
+    (OPTIMIZER_RULES, OptimizerParams), (TRAINING_RULES, TrainingConfig),
+], ids=["network", "scaling", "optimizer", "training"])
 def test_rule_table_names_exactly_its_types_fields(rules, kind):
     assert set(rules) == {field.name for field in dataclasses.fields(kind)}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fused import with_params
 from oracles import adam_exact, adam_loop, conv1d_loop, lstm_step_scalar, maxpool1d_loop
-from swarmcast.errors import ConfigError, DataError, DivergedError
+from swarmcast.errors import ConfigError, DataError, NumericalError
 from swarmcast.layers import GATES
 from swarmcast.network import (
     PREDICT_BLOCK,
@@ -66,9 +66,13 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=name):
             tiny_config(**{name: 0})
 
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainingConfig(epochs=0)
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 0), ("seed", -1), ("seed", 2.5), ("seed", True),
+        ("optimizer", "rmsprop"), ("optimizer", ["adam"]),
+    ])
+    def test_bad_training_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"training config: '{name}' must be"):
+            TrainingConfig(**{name: value})
 
     @settings(max_examples=100)
     @given(
@@ -189,7 +193,7 @@ class TestTrain:
         )
         net = initialize_network(tiny_config(seed=6), 6)
         cfg = TrainingConfig(epochs=5, learning_rate=1e12, optimizer="sgd", seed=6)
-        with pytest.raises(DivergedError):
+        with pytest.raises(NumericalError, match="epoch loss became"):
             train(net, samples, cfg)
 
     def test_multivariate_targets_rejected(self):

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmcast import metaheuristics, tuning
-from swarmcast.errors import ConfigError, DegenerateObjectiveError, TooShortError
+from oracles import enumerate_assignments
+from swarmcast import metaheuristics, network, tuning
+from swarmcast.errors import ConfigError, DataError, NumericalError
 from swarmcast.metaheuristics import OptimizerParams
-from swarmcast.network import NetworkConfig, TrainingConfig
+from swarmcast.network import NetworkConfig, TrainingConfig, pooled_length
 from swarmcast.tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
     LOOKBACK,
     HyperparamSpace,
     cell_configs,
+    check_sizes,
     decode_position,
     derive_seed,
-    enumerate_assignments,
     fit_mask,
     fitness,
     inner_validation_split,
@@ -25,6 +26,9 @@ from swarmcast.tuning import (
     tune,
     tune_series,
 )
+
+
+DEGENERATE = r"every evaluation returned NaN or \+inf"
 
 
 def decode_cell(position, space=DEFAULT_SPACE):
@@ -231,12 +235,12 @@ class TestInnerSplit:
         assert len(train_w) + len(val_w) <= 50 - 7
 
     def test_too_short_rejected(self):
-        with pytest.raises(TooShortError):
+        with pytest.raises(DataError, match="cannot supply both fit and validation windows"):
             inner_validation_split(np.arange(9, dtype=float), 7, 1)
 
     @pytest.mark.parametrize("val_fraction", [0.2, 0.9])
     def test_too_short_names_length_and_fraction(self, val_fraction):
-        with pytest.raises(TooShortError, match=f"length 9 .*val_fraction {val_fraction}$"):
+        with pytest.raises(DataError, match=f"length 9 .*val_fraction {val_fraction}$"):
             inner_validation_split(np.arange(9.0), 7, 1, val_fraction=val_fraction)
 
     def test_bad_fraction(self):
@@ -403,7 +407,7 @@ class TestTune:
         assert calls == [fitting]
         assert (result["best_assignment"], result["best_loss"]) == (fitting, 0.5)
         assert trace.best_fitness_per_iteration == [math.inf]
-        with pytest.raises(DegenerateObjectiveError):  # without a budget there is no sweep
+        with pytest.raises(NumericalError, match=DEGENERATE):  # without a budget there is no sweep
             tune(lambda cell: 0.5, "rs-gwo-woa", params, space, fits=fit_mask(space, 7))
 
     @pytest.mark.parametrize("budget", [None, 40])
@@ -428,7 +432,7 @@ class TestTune:
     def test_budget_spent_on_diverged_cells_is_degenerate(self):
         losses = iter([math.inf])  # the one cell the budget pays for diverges
         params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
-        with pytest.raises(DegenerateObjectiveError):
+        with pytest.raises(NumericalError, match=DEGENERATE):
             tune(lambda a: next(losses, 0.5), "gwo", params, evaluation_budget=1)
 
 
@@ -451,6 +455,32 @@ class TestFitMask:
 
     def test_half_the_default_grid_fits_lookback_7(self):
         assert fit_mask(DEFAULT_SPACE, LOOKBACK).sum() == 72
+
+
+class TestCheckSizes:
+    SPACE = HyperparamSpace((
+        ("n_filters", (4, 1)), ("kernel_size", (2, 3, 5, 9)), ("pool_size", (1, 2)),
+        ("lstm_units", (8, 2)),
+    ))
+
+    # bounds on both sides of the space's smallest and largest networks
+    @pytest.mark.parametrize("bound", [20, 100, 250, 600, 1100, 5000])
+    @pytest.mark.parametrize("lookback", [4, 7])
+    def test_raises_iff_some_fitting_cell_is_too_large(self, monkeypatch, bound, lookback):
+        monkeypatch.setattr(network, "MAX_NETWORK_FLOATS", bound)
+        too_large = []
+        for cell in enumerate_assignments(self.SPACE):
+            if pooled_length(lookback, cell["kernel_size"], cell["pool_size"]) >= 1:
+                try:
+                    NetworkConfig(**cell).validate_for_lookback(lookback)
+                except ConfigError:
+                    too_large.append(cell)
+        try:
+            check_sizes(self.SPACE, NetworkConfig(), lookback)
+        except ConfigError as exc:
+            assert any(f"grid cell {cell} cannot be built: " in str(exc) for cell in too_large)
+        else:
+            assert too_large == []
 
 
 class TestTuneSeries:
