@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DataError, SwarmcastError
+from .errors import ConfigError, DataError, NumericalError, SwarmcastError
 from .benchmarks import BENCHMARKS
 from .evaluation import ALPHA, CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
 from .fileio import (COUNT_RULE, OBJECT_RULE, canonical_json, check_fields, is_finite,
@@ -433,7 +433,9 @@ def cmd_train(options, out_dir: Path):
     )
     windows = make_windows(series[:cut], options["lookback"], config.horizon)
     net = initialize_network(config, options["lookback"])
-    trained = train(net, windows, training_cfg)
+    [trained] = train([net], windows, [training_cfg])
+    if isinstance(trained, NumericalError):
+        raise trained
 
     return {"model.json": trained}, [
         f"variable: {name}",

@@ -7,17 +7,23 @@ head mapping the final hidden state to ``horizon`` outputs.
 
 Training is plain per-sample gradient descent (Adam or SGD) on MSE with
 exact reverse-mode gradients, bitwise reproducible for a fixed seed.
-A network keeps its parameters in one flat buffer (``_FlatParams``);
-``train`` copies it once and the optimizer updates the copy in place,
-against a gradient buffer of the same layout. The LSTM gates are fused
-into one matrix, and the repeated input is projected once per window.
-Every forward pass writes its intermediates into a set of step buffers
-(``_StepBuffers``) made from the config, lookback and batch shape, and
-the backward reads them there. ``train`` makes one set for every sample
-and takes the LSTM's two derivative arrays for all repeat steps at once
-after the forward. Inference runs fixed-size blocks of windows through
-the same forward, one set per block size, and a recursive forecast
-reuses one set for every step.
+A network keeps its parameters in one flat buffer (``_FlatParams``).
+``train`` steps a group of networks in lockstep: members that agree on
+every layer after the pooling and on the training recipe
+(``lockstep_key``), each with its own conv front, seeds and sample
+order. A lone network is a group of one. The group copies its members'
+weights once into one buffer (``_Stack``) whose stacked views give the
+layers after the pooling a leading member axis, so one matmul per
+product, one LSTM step and one optimizer update serve every member,
+while each member computes exactly what its lone training would. The
+LSTM gates are fused into one matrix, and the repeated input is
+projected once per window. Every pass writes its intermediates into
+step buffers made once (``_StepBuffers`` for inference,
+``_GroupBuffers`` for a training group), and the backward reads them
+there; it takes the LSTM's two derivative arrays for all repeat steps
+at once after the forward. Inference runs fixed-size blocks of windows
+through the same forward, one set per block size, and a recursive
+forecast reuses one set for every step.
 Models serialise to JSON with weights base64-encoded as little-endian
 float64, so save/load round-trips are bit-exact.
 """
@@ -30,6 +36,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import (COUNT_RULE, OBJECT_RULE, SEED_RULE, check_fields, is_finite, read_json,
@@ -95,13 +102,16 @@ class NetworkConfig:
             raise ConfigError(
                 f"pool_size {self.pool_size} empties the conv output for lookback {lookback}"
             )
-        weights = sum(map(math.prod, _layout(self, lookback).values()))
+        weights = self.weight_count(lookback)
         if max(weights, self.repeat_steps * self.lstm_units) > MAX_NETWORK_FLOATS:
             raise ConfigError(f"{weights} weights or {self.repeat_steps * self.lstm_units} LSTM"
                               f" states per window exceed {MAX_NETWORK_FLOATS}")
 
     def flat_length(self, lookback: int) -> int:
         return pooled_length(lookback, self.kernel_size, self.pool_size) * self.n_filters
+
+    def weight_count(self, lookback: int) -> int:
+        return sum(map(math.prod, _layout(self, lookback).values()))
 
 
 @dataclass(frozen=True)
@@ -137,8 +147,8 @@ class _FlatParams:
     public per-gate arrays by name; gate_w (4u, u + flat) stacks the gate
     weights row-wise in ``GATES`` order and gate_b their biases, and gate_w's
     first u columns act on the hidden state (w_h), the rest on the
-    repeated input (w_x). Every array is a view of ``buf``, which is zeros
-    unless given.
+    repeated input (w_x); w_hT and w_xT are their transposes. Every array
+    is a view of ``buf``, which is zeros unless given.
     """
 
     def __init__(self, config: NetworkConfig, lookback: int, buf=None):
@@ -157,6 +167,35 @@ class _FlatParams:
         self.conv_w2d = self.conv_w.reshape(config.n_filters, -1)
         self.w_h = self.gate_w[:, :units]
         self.w_x = self.gate_w[:, units:]
+        self.w_hT, self.w_xT = self.w_h.T, self.w_x.T
+
+
+class _Stack:
+    """The parameters (or their gradient) of a lockstep group of k networks
+    in one (k, slot) buffer, zeros unless given, slot being the largest
+    member's weight count. Each member's weights lie in ``_layout`` order at
+    the end of its row, so ``members`` are their ``_FlatParams`` views, and
+    the arrays after conv_b, shaped alike in every member, sit at one
+    offset from each row's start: w_h, w_x, dense_w and their transposes
+    are (k, ...) views of them with the row stride, gate_b is (k, 1, 4u)
+    and dense_b (k, 1, horizon). Padding before a shorter member stays
+    zero."""
+
+    def __init__(self, configs, lookback: int, buf=None):
+        sizes = [config.weight_count(lookback) for config in configs]
+        slot = max(sizes)
+        self.buf = np.zeros((len(configs), slot)) if buf is None else buf
+        self.members = [_FlatParams(config, lookback, row[slot - size :])
+                        for config, row, size in zip(configs, self.buf, sizes)]
+        first, across = self.members[0], self.buf.strides[0]
+
+        def stacked(view):
+            return as_strided(view, (len(configs), *view.shape), (across, *view.strides))
+
+        self.w_h, self.w_x, self.dense_w = map(stacked, (first.w_h, first.w_x, first.dense_w))
+        self.gate_b, self.dense_b = (stacked(b)[:, None] for b in (first.gate_b, first.dense_b))
+        self.w_hT, self.w_xT, self.dense_wT = (w.swapaxes(1, 2)
+                                               for w in (self.w_h, self.w_x, self.dense_w))
 
 
 @dataclass(frozen=True)
@@ -197,45 +236,109 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
     return TrainedNetwork(config=config, lookback=lookback, weights=weights)
 
 
+def _conv_buffers(config: NetworkConfig, lookback: int, batch: tuple[int, ...] = ()):
+    """A conv output (*batch, lookback - K + 1, filters) and its pool windows,
+    the view (*batch, pooled, pool, filters) of it without its remainder rows."""
+    conv = np.empty((*batch, lookback - config.kernel_size + 1, config.n_filters))
+    pooled = pooled_length(lookback, config.kernel_size, config.pool_size)
+    windows = conv[..., : pooled * config.pool_size, :].reshape(
+        *batch, pooled, config.pool_size, config.n_filters)
+    return conv, windows
+
+
+def _lstm_buffers(config: NetworkConfig, batch: tuple[int, ...]):
+    """An LSTM pass's arrays for windows of shape ``batch``: the input
+    projection (*batch, 4u) and, step-major, the gates, cells and hidden
+    states (steps, *batch, width) and the squashed gates and tanh(cell)
+    side by side (steps, *batch, 5u); then per step the ``out`` of
+    ``_lstm_cell_cache``: the scratch pre-activation, the squashed gates,
+    gates, cell, tanh(cell), hidden and the gates' four blocks, all
+    views."""
+    steps, units = config.repeat_steps, config.lstm_units
+    xproj, pre = np.empty((2, *batch, 4 * units))
+    gates = np.empty((steps, *batch, 4 * units))
+    cell, hidden = np.empty((2, steps, *batch, units))
+    activations = np.empty((steps, *batch, 5 * units))
+    views = [(pre, both[..., : 4 * units], gate, c, both[..., 4 * units :], h,
+              tuple(gate[..., i * units : (i + 1) * units] for i in range(4)))
+             for both, gate, c, h in zip(activations, gates, cell, hidden)]
+    return xproj, gates, cell, hidden, activations, views
+
+
 class _StepBuffers:
     """Every intermediate of a forward pass of ``batch`` windows, made once
     from (config, lookback, batch) and overwritten by each pass: the conv
     output (``windows``, its pool windows, views it), the pooled output
-    (``flat`` views it), the input projection, per LSTM step the arrays
-    ``_lstm_cell_cache`` writes (``steps``: scratch pre-activation,
-    squashed gates, gates, cell, tanh(cell), hidden, and the gates' four
-    blocks; ``hidden[t]`` is the state after step t), and the squashed
-    gates and tanh(cell) side by side (``activations``). A single-window
-    set also holds what its backward reads and writes: their derivatives
-    (``derivatives``, see ``_lstm_slopes``), per step the arguments of
-    ``_lstm_cell_backward`` after the two gradients (``backward``, whose
-    gate gradients are rows of ``dgates``), and the pool backward's input
-    gradient ``dx``. Every per-step entry is a view, made here once."""
+    (``flat`` views it), the input projection and per LSTM step the arrays
+    ``_lstm_cell_cache`` writes (``steps``; ``hidden[t]`` is the state after
+    step t)."""
 
     def __init__(self, config: NetworkConfig, lookback: int, batch: tuple[int, ...] = ()):
-        steps, units, filters = config.repeat_steps, config.lstm_units, config.n_filters
-        conv_length = lookback - config.kernel_size + 1
-        self.conv = np.empty((*batch, conv_length, filters))
-        pool = config.pool_size
-        pooled = pooled_length(lookback, config.kernel_size, pool)
-        self.windows = self.conv[..., : pooled * pool, :].reshape(*batch, pooled, pool, filters)
-        self.pooled = np.empty((*batch, pooled, filters))
+        self.conv, self.windows = _conv_buffers(config, lookback, batch)
+        pooled = pooled_length(lookback, config.kernel_size, config.pool_size)
+        self.pooled = np.empty((*batch, pooled, config.n_filters))
         self.flat = self.pooled.reshape(*batch, -1)
-        self.xproj, pre = np.empty((2, *batch, 4 * units))
-        gates = np.empty((steps, *batch, 4 * units))
-        cell, self.hidden = np.empty((2, steps, *batch, units))
-        self.activations = np.empty((steps, *batch, 5 * units))
-        squashed, tanh_cell = np.split(self.activations, [4 * units], axis=-1)
-        blocks = [tuple(np.split(row, 4, axis=-1)) for row in gates]
-        self.steps = list(zip([pre] * steps, squashed, gates, cell, tanh_cell, self.hidden,
-                              blocks))
-        if not batch:  # the backward runs on one window at a time
-            self.dx, self.dgates = np.empty_like(self.conv), np.empty_like(gates)
-            self.derivatives = np.empty_like(self.activations)
-            slope, dtanh = np.hsplit(self.derivatives, [4 * units])
-            by_gate = (steps, 4, units)
-            self.backward = list(zip([None, *cell[:-1]], gates.reshape(by_gate), tanh_cell,
-                                     self.dgates.reshape(by_gate), slope.reshape(by_gate), dtanh))
+        self.xproj, _, _, self.hidden, _, self.steps = _lstm_buffers(config, batch)
+
+
+class _GroupBuffers:
+    """Everything a training step of a lockstep group (see ``_Stack``)
+    writes and reads, made once from (configs, lookback).
+
+    Per member, ``fronts`` holds the conv output, its pool windows, the
+    pool backward's input gradient and the pooled output, a view of the
+    member's row of ``flat`` (k, 1, flat). The rest is ``_lstm_buffers``
+    for windows of shape (k, 1), so a step's arrays are (k, 1, width)
+    blocks; ``head`` holds two (k, 1, horizon) scratch arrays for the
+    dense head. The backward adds the derivatives of ``activations``
+    (``derivatives``, see ``_lstm_slopes``), the gate gradients
+    (``dgates``, (steps, k, 1, 4u)), per step the arguments of
+    ``_lstm_cell_backward`` after the two gradients (``backward``) and the
+    operands of the recurrent weight's gradient. Every per-step entry is a
+    view, made here once."""
+
+    def __init__(self, configs, lookback: int):
+        config, k = configs[0], len(configs)
+        steps, units = config.repeat_steps, config.lstm_units
+        self.flat = np.empty((k, 1, config.flat_length(lookback)))
+        self.fronts = []
+        for member, flat in zip(configs, self.flat):
+            conv, windows = _conv_buffers(member, lookback)
+            self.fronts.append((conv, windows, np.empty_like(conv),
+                                flat.reshape(-1, config.n_filters)))
+        self.head = np.empty((2, k, 1, config.horizon))
+        self.xproj, gates, cell, self.hidden, self.activations, self.steps = \
+            _lstm_buffers(config, (k, 1))
+        self.dgates, self.derivatives = np.empty_like(gates), np.empty_like(self.activations)
+        by_gate = (steps, k, 4, units)
+        rows, drows = gates.reshape(by_gate), self.dgates.reshape(by_gate)
+        slope = self.derivatives[..., : 4 * units].reshape(by_gate)
+        self.backward = [(cell[t - 1] if t else None,
+                          (rows[t, :, :1], rows[t, :, 2:0:-1], rows[t, :, 3:]),
+                          self.activations[t, ..., 4 * units :],
+                          (drows[t], drows[t, :, :1], drows[t, :, 1:3], drows[t, :, 3:]),
+                          slope[t], self.derivatives[t, ..., 4 * units :])
+                         for t in range(steps)]
+        # the recurrent weight sees step t's gate gradients against hidden
+        # t - 1. Those states are copied out member by member, as a lone
+        # network keeps them: numpy multiplies a strided one-unit column in
+        # its own loop, not BLAS, which rounds otherwise
+        self.dgates_after = self.dgates[1:, :, 0].transpose(1, 2, 0)
+        self.hidden_steps = self.hidden[:-1, :, 0].swapaxes(0, 1)
+        self.hidden_before = np.empty(self.hidden_steps.shape)
+
+
+def _recurrent(p, b):
+    """The repeat layer and the LSTM on ``b.flat``, with the weights of ``p``,
+    a network's ``_FlatParams`` or a group's ``_Stack``; returns the last
+    hidden state."""
+    # the repeat layer feeds flat to every step, so its projection is shared
+    xproj = np.matmul(b.flat, p.w_xT, out=b.xproj)
+    xproj += p.gate_b
+    cell = hidden = None
+    for out in b.steps:
+        cell, hidden = _lstm_cell_cache(xproj, cell, hidden, p.w_hT, out)
+    return hidden
 
 
 def _forward(p: _FlatParams, cols, cfg: NetworkConfig, b: _StepBuffers):
@@ -244,26 +347,30 @@ def _forward(p: _FlatParams, cols, cfg: NetworkConfig, b: _StepBuffers):
     intermediate; returns the outputs (*batch, horizon)."""
     _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation, b.conv)
     _maxpool1d_cache(b.windows, b.pooled)
-    # the repeat layer feeds flat to every step, so its projection is shared
-    xproj = np.matmul(b.flat, p.w_x.T, out=b.xproj)
-    xproj += p.gate_b
-    cell = hidden = None
-    for out in b.steps:
-        cell, hidden = _lstm_cell_cache(xproj, cell, hidden, p.w_h, out)
-    return hidden @ p.dense_w.T + p.dense_b
+    return _recurrent(p, b) @ p.dense_w.T + p.dense_b
 
 
-def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig,
-               b: _StepBuffers):
-    """Gradient of one window's squared error, written into ``g``, which
-    shares ``p``'s layout; returns the error (output - target). The step
-    runs in ``b``, a single-window set, and the backward reads there what
-    the forward wrote."""
-    error = _forward(p, cols, cfg, b) - target
-    doutput = np.multiply(2.0, error, out=g.dense_b)
-    doutput /= cfg.horizon
-    hidden, dgates = b.hidden, b.dgates
-    np.multiply(doutput[:, None], hidden[-1], out=g.dense_w)
+def _gradients(p: _Stack, g: _Stack, windows, target, error, cfg: NetworkConfig,
+               b: _GroupBuffers):
+    """One lockstep step of a group: each member's gradient of its squared
+    error on one window, written into ``g``, which shares ``p``'s layout.
+    ``windows`` holds the members' im2col windows, ``target`` (k, 1,
+    horizon) their targets, and ``cfg`` any member's config. Writes the
+    errors (output - target) into ``error`` (k, 1, horizon) and returns
+    it. The step runs in ``b``, and the backward reads there what the
+    forward wrote."""
+    activation = cfg.conv_activation
+    for member, cols, (conv, pools, _, pooled) in zip(p.members, windows, b.fronts):
+        _conv1d_cache(cols, member.conv_w2d, member.conv_b, activation, conv)
+        _maxpool1d_cache(pools, pooled)
+    hidden = _recurrent(p, b)
+    # no operand is its own output: numpy takes a slow path for that on one
+    # element, a horizon-1 lone network's
+    output, scratch = b.head
+    np.add(np.matmul(hidden, p.dense_wT, out=output), p.dense_b, out=scratch)
+    np.subtract(scratch, target, out=error)
+    doutput = np.divide(np.multiply(2.0, error, out=output), cfg.horizon, out=g.dense_b)
+    np.multiply(doutput.swapaxes(1, 2), hidden, out=g.dense_w)
 
     _lstm_slopes(b.activations, b.derivatives)
     dhidden = doutput @ p.dense_w
@@ -271,17 +378,19 @@ def _gradients(p: _FlatParams, g: _FlatParams, cols, target, cfg: NetworkConfig,
     for t in reversed(range(cfg.repeat_steps)):
         dcell = _lstm_cell_backward(dhidden, dcell, *b.backward[t])
         if t:
-            dhidden = dgates[t] @ p.w_h
+            dhidden = b.dgates[t] @ p.w_h
     # bias and input weights see every step's input; the recurrent weight
     # sees step t against hidden t - 1 (step 0 starts from zero, so one
     # step leaves a sum over no steps: +0.0)
-    dsum = np.add.reduce(dgates, axis=0, out=g.gate_b)
-    np.multiply(dsum[:, None], b.flat, out=g.w_x)
-    np.matmul(dgates[1:].T, hidden[:-1], out=g.w_h)
+    dsum = np.add.reduce(b.dgates, axis=0, out=g.gate_b)
+    np.multiply(dsum.swapaxes(1, 2), b.flat, out=g.w_x)
+    np.copyto(b.hidden_before, b.hidden_steps)
+    np.matmul(b.dgates_after, b.hidden_before, out=g.w_h)
 
-    dpooled = (dsum @ p.w_x).reshape(-1, cfg.n_filters)
-    dconv = _maxpool1d_backward(dpooled, b.windows, b.dx)
-    _conv1d_backward(dconv, cols, b.conv, cfg.conv_activation, g.conv_w2d, g.conv_b)
+    dpooled = dsum @ p.w_x
+    for grad, cols, (conv, pools, dx, _), dflat in zip(g.members, windows, b.fronts, dpooled):
+        dconv = _maxpool1d_backward(dflat.reshape(-1, cfg.n_filters), pools, dx)
+        _conv1d_backward(dconv, cols, conv, activation, grad.conv_w2d, grad.conv_b)
     return error
 
 
@@ -307,7 +416,8 @@ def network_forward(x, net: TrainedNetwork, buffers: _StepBuffers | None = None)
 
 
 class _Adam:
-    """Adam over the whole flat buffer, in place, with one preallocated scratch array.
+    """Adam over a whole buffer of ``shape``, in place, with one preallocated
+    scratch array; ``state`` holds the arrays it carries between updates.
 
     It keeps the second moment unnormalised, v' = v / (1 - beta2), so it
     updates as v' = beta2 v' + g^2, and folds the bias corrections into
@@ -321,12 +431,13 @@ class _Adam:
     relative.
     """
 
-    def __init__(self, size, learning_rate):
+    def __init__(self, shape, learning_rate):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.step = np.empty(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.state = (self.m, self.v)
+        self.step = np.empty(shape)
         self.t = 0
 
     def update(self, params, grads):
@@ -351,9 +462,11 @@ class _Adam:
 
 
 class _SGD:
-    def __init__(self, size, learning_rate):
+    state = ()
+
+    def __init__(self, shape, learning_rate):
         self.lr = learning_rate
-        self.step = np.empty(size)
+        self.step = np.empty(shape)
 
     def update(self, params, grads):
         np.multiply(grads, self.lr, out=self.step)
@@ -372,12 +485,28 @@ TRAINING_RULES = {
 }
 
 
-def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) -> TrainedNetwork:
-    """Per-sample gradient training for a fixed epoch count.
+def lockstep_key(config: NetworkConfig, lookback: int, cfg: TrainingConfig) -> tuple:
+    """What the members of one ``train`` group share: every layer after the
+    pooling, the window shape and the training recipe. They may differ in
+    kernel_size, pool_size and both seeds."""
+    return (config.n_filters, config.lstm_units,
+            pooled_length(lookback, config.kernel_size, config.pool_size), config.repeat_steps,
+            config.n_features, config.horizon, config.conv_activation, lookback,
+            cfg.epochs, cfg.learning_rate, cfg.optimizer)
 
-    Sample order is reshuffled every epoch from the seeded stream; the
-    loss history records the mean training MSE per epoch. A non-finite
-    epoch loss aborts with NumericalError.
+
+def train(nets, samples: WindowedSamples, cfgs) -> list:
+    """Per-sample gradient training of a group of networks in lockstep, for
+    a fixed epoch count; ``cfgs`` holds one training config per network,
+    and all share one ``lockstep_key``.
+
+    Each member reshuffles its sample order every epoch from its own
+    seeded stream and takes one step per sample, exactly as it would
+    trained alone. Returns, per member, the trained network, whose loss
+    history records the mean training MSE per epoch and whose weights are
+    a view of the group's buffer, or, if an epoch loss was not finite, the
+    NumericalError saying so. A diverged member's weights and optimizer
+    state are zeroed and take no more steps, while the others carry on.
     """
     inputs = np.asarray(samples.inputs, dtype=float)
     if samples.targets.shape[2] != 1:
@@ -385,37 +514,62 @@ def train(net: TrainedNetwork, samples: WindowedSamples, cfg: TrainingConfig) ->
     targets = np.asarray(samples.targets[:, :, 0], dtype=float)
     if len(inputs) == 0:
         raise DataError("no training samples")
-    if samples.horizon != net.config.horizon:
-        raise ConfigError(
-            f"window horizon {samples.horizon} != network horizon {net.config.horizon}"
-        )
-    cols = _window_cols(net, inputs)
-    rng = np.random.default_rng(cfg.seed)
-    params = _FlatParams(net.config, net.lookback, net.weights.buf.copy())
-    grads = _FlatParams(net.config, net.lookback)
-    optimizer = WEIGHT_OPTIMIZERS[cfg.optimizer](params.buf.size, cfg.learning_rate)
-    errors = np.empty_like(targets)
-    # per-sample (window, target) views, made once for every epoch
-    pairs = list(zip(cols, targets))
-    config, weights, gradient = net.config, params.buf, grads.buf
-    buffers = _StepBuffers(config, net.lookback)
+    for net in nets:
+        if samples.horizon != net.config.horizon:
+            raise ConfigError(
+                f"window horizon {samples.horizon} != network horizon {net.config.horizon}"
+            )
+    if len({lockstep_key(net.config, net.lookback, cfg)
+            for net, cfg in zip(nets, cfgs, strict=True)}) != 1:
+        raise ConfigError("a training group needs networks that agree on every layer after the"
+                          " pooling, the lookback, epochs, learning_rate and optimizer")
+    # per member, the im2col row of each window, as views made once for every epoch
+    rows = [list(_window_cols(net, inputs)) for net in nets]
+    configs, lookback, cfg = [net.config for net in nets], nets[0].lookback, cfgs[0]
+    params = _Stack(configs, lookback)
+    for member, net in zip(params.members, nets):
+        member.buf[...] = net.weights.buf
+    grads = _Stack(configs, lookback)
+    optimizer = WEIGHT_OPTIMIZERS[cfg.optimizer](params.buf.shape, cfg.learning_rate)
+    buffers = _GroupBuffers(configs, lookback)
+    rngs = [np.random.default_rng(member.seed) for member in cfgs]
+    # each member's errors in its visiting order, (k, samples, 1, horizon)
+    errors = np.empty((len(nets), len(inputs), 1, configs[0].horizon))
+    steps = errors.swapaxes(0, 1)
+    weights, gradient = params.buf, grads.buf
 
-    history = []
+    outcomes = [[] for _ in nets]  # the loss history, or the error a member diverged with
+    frozen = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(inputs))
-        for idx in order.tolist():
-            window, target = pairs[idx]
-            errors[idx] = _gradients(params, grads, window, target, config, buffers)
+        orders = [rng.permutation(len(inputs)).tolist() for rng in rngs]
+        # per step, each member's window and target
+        windows = zip(*([member[i] for i in order] for member, order in zip(rows, orders)))
+        step_targets = targets[orders][:, :, None].swapaxes(0, 1)
+        for window, target, error in zip(windows, step_targets, steps):
+            _gradients(params, grads, window, target, error, configs[0], buffers)
+            for i in frozen:
+                gradient[i] = 0.0
             optimizer.update(weights, gradient)
-        total = 0.0  # the per-sample losses, summed one by one in visiting order
-        for loss in np.mean(errors[order] ** 2, axis=1).tolist():
-            total += loss
-        epoch_loss = total / len(inputs)
-        if not np.isfinite(epoch_loss):
-            raise NumericalError(f"epoch loss became {epoch_loss}")
-        history.append(epoch_loss)
+        for i, history in enumerate(outcomes):
+            if i in frozen:
+                continue
+            total = 0.0  # the per-sample losses, summed one by one in visiting order
+            for loss in np.mean(errors[i, :, 0] ** 2, axis=1).tolist():
+                total += loss
+            epoch_loss = total / len(inputs)
+            if np.isfinite(epoch_loss):
+                history.append(epoch_loss)
+                continue
+            outcomes[i] = NumericalError(f"epoch loss became {epoch_loss}")
+            frozen.append(i)
+            for array in (weights, *optimizer.state):
+                array[i] = 0.0
+        if len(frozen) == len(nets):
+            break
 
-    return replace(net, weights=params, loss_history=tuple(history))
+    return [outcome if isinstance(outcome, NumericalError)
+            else replace(net, weights=member, loss_history=tuple(outcome))
+            for net, member, outcome in zip(nets, params.members, outcomes)]
 
 
 # windows per batched forward in predict_windows: enough to amortise the

@@ -30,6 +30,7 @@ from .network import (
     NetworkConfig,
     TrainingConfig,
     initialize_network,
+    lockstep_key,
     pooled_length,
     predict_windows,
     train,
@@ -144,21 +145,26 @@ def fit_mask(space: HyperparamSpace, lookback: int) -> np.ndarray:
     return np.broadcast_to(fits, space.shape)
 
 
-def check_sizes(space: HyperparamSpace, network: NetworkConfig, lookback: int) -> None:
+def check_sizes(space: HyperparamSpace, network: NetworkConfig, lookback: int) -> int:
     """Raise a ConfigError naming a grid cell that fits ``lookback`` but is
-    too large to build (see ``NetworkConfig.validate_for_lookback``).
-    Weights and LSTM states grow with n_filters and lstm_units, so only
-    the largest cell of each fitting kernel and pool is checked."""
+    too large to build (see ``NetworkConfig.validate_for_lookback``);
+    return the most weights a fitting cell has. Weights and LSTM states
+    grow with n_filters and lstm_units, so only the largest cell of each
+    fitting kernel and pool is checked."""
     values = dict(space.dimensions)
+    most = 0
     for kernel, pool in itertools.product(values["kernel_size"], values["pool_size"]):
         if pooled_length(lookback, kernel, pool) < 1:
             continue
         cell = {"n_filters": max(values["n_filters"]), "kernel_size": kernel,
                 "pool_size": pool, "lstm_units": max(values["lstm_units"])}
         try:
-            replace(network, **cell).validate_for_lookback(lookback)
+            config = replace(network, **cell)
+            config.validate_for_lookback(lookback)
         except ConfigError as exc:
             raise ConfigError(f"grid cell {cell} cannot be built: {exc}") from None
+        most = max(most, config.weight_count(lookback))
+    return most
 
 
 def derive_seed(global_seed: int, assignment: dict) -> int:
@@ -204,29 +210,55 @@ def cell_configs(
 
 
 def fitness(
-    assignment: dict,
+    cells: list[dict],
     train_windows: WindowedSamples,
     val_windows: WindowedSamples,
     network: NetworkConfig,
     training: TrainingConfig,
     global_seed: int,
-) -> float:
-    """Validation MSE of a network trained under the assignment (see
+) -> list[float]:
+    """Validation MSE of each cell's network, trained under the cell (see
     ``cell_configs``) on windows whose lookback it fits; the windows set
-    its feature count and horizon. A diverged training scores +inf.
+    the feature count and horizon. The cells train as one lockstep group
+    (see ``network.train``), so they must share a ``lockstep_key``. A
+    diverged member scores +inf.
     """
     network = replace(
         network, n_features=train_windows.inputs.shape[2], horizon=train_windows.horizon
     )
-    config, run_cfg = cell_configs(assignment, network, training, global_seed)
-    net = initialize_network(config, train_windows.lookback)
-    try:
-        trained = train(net, train_windows, run_cfg)
-    except NumericalError:
-        return math.inf
-    predictions = predict_windows(trained, val_windows)
-    actual = np.asarray(val_windows.targets, dtype=float)[:, :, 0]
-    return mse(predictions.ravel(), actual.ravel())
+    actual = np.asarray(val_windows.targets, dtype=float)[:, :, 0].ravel()
+    configs = [cell_configs(cell, network, training, global_seed) for cell in cells]
+    nets = [initialize_network(config, train_windows.lookback) for config, _ in configs]
+    return [math.inf if isinstance(trained, NumericalError)
+            else mse(predict_windows(trained, val_windows).ravel(), actual)
+            for trained in train(nets, train_windows, [run for _, run in configs])]
+
+
+def lockstep_groups(configs, lookback: int, most_weights: int) -> list[list[int]]:
+    """Split (network, training) config pairs into ``train`` groups, as
+    lists of their positions. A pair joins the open group of its
+    ``lockstep_key`` in list order, unless the group would then hold more
+    than ``most_weights`` weights, its size times its largest member's
+    weight count (``train`` pads every member to that); then a new group
+    of that key starts. Groups come in the order of their first members."""
+    groups, open_groups = [], {}  # key -> (its open group, that group's largest weights)
+    for position, (config, cfg) in enumerate(configs):
+        key = lockstep_key(config, lookback, cfg)
+        weights = config.weight_count(lookback)
+        group, largest = open_groups.get(key, (None, 0))
+        largest = max(largest, weights)
+        if group is None or (len(group) + 1) * largest > most_weights:
+            group, largest = [], weights
+            groups.append(group)
+        group.append(position)
+        open_groups[key] = group, largest
+    return groups
+
+
+def per_cell(loss):
+    """``tune``'s ``evaluate`` for a loss of one cell, ``loss(cell)``: every
+    cell is a group of its own."""
+    return lambda cells: (([position], [loss(cell)]) for position, cell in enumerate(cells))
 
 
 def inner_validation_split(
@@ -260,24 +292,26 @@ def tune(
 ) -> tuple[dict, OptimizationTrace, list[float]]:
     """Drive a metaheuristic over the grid's unit box.
 
-    ``evaluate`` maps a cell (a dict) to a loss. One rule scores the
-    search's populations and the sweep alike: the uncached cells, in
-    first-occurrence order, are evaluated once each until
-    ``evaluation_budget`` distinct cells have been; a cell past that cut
-    scores +inf, while cached cells keep their loss. Only the rows whose
-    cell ``fits`` (one bool per cell, see ``fit_mask``; all by default)
-    are scored; the others score +inf, unlogged, uncounted and
-    uncharged. Whatever the search leaves of a budget sweeps the
-    unvisited fitting cells in grid order, so a budget covering them all
-    guarantees the exact optimum.
+    ``evaluate`` scores a list of cells (dicts) in groups: it yields, for
+    each group, the group's positions in the list and their losses, and
+    every cell is in one group (``per_cell`` makes each cell its own). One
+    rule scores the search's populations and the sweep alike: the
+    uncached cells, in first-occurrence order, are evaluated once each
+    until ``evaluation_budget`` distinct cells have been, all of a
+    population's in one call; a cell past that cut scores +inf, while
+    cached cells keep their loss. Only the rows whose cell ``fits`` (one
+    bool per cell, see ``fit_mask``; all by default) are scored; the
+    others score +inf, unlogged, uncounted and uncharged. Whatever the
+    search leaves of a budget sweeps the unvisited fitting cells in grid
+    order, so a budget covering them all guarantees the exact optimum.
 
     Returns ``(report, trace, seconds)``: the report.json document
     (``algorithm``, ``best_assignment``, ``best_loss``, ``cache_hits``,
     ``cache_misses`` and the ``evaluation_log`` of ``{"assignment",
     "loss"}`` entries in evaluation order), the optimizer trace and the
-    wall seconds of each logged evaluation. The best cell is the log's
-    first entry with the lowest loss, NaN counting as +inf; raises
-    NumericalError if that loss is not finite.
+    wall seconds of each logged evaluation, its group's shared evenly. The
+    best cell is the log's first entry with the lowest loss, NaN counting
+    as +inf; raises NumericalError if that loss is not finite.
     """
     if algorithm not in OPTIMIZERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {sorted(OPTIMIZERS)}")
@@ -294,12 +328,17 @@ def tune(
         fresh = [indices for indices in dict.fromkeys(cells) if indices not in log]
         if evaluation_budget is not None:
             fresh = fresh[: evaluation_budget - len(log)]
-        for indices in fresh:
-            cell = space.cell(indices)
-            started = time.perf_counter()
-            loss = float(evaluate(cell))
-            seconds.append(time.perf_counter() - started)
+        batch = [space.cell(indices) for indices in fresh]
+        losses, shares = [math.nan] * len(fresh), [0.0] * len(fresh)
+        started = time.perf_counter()
+        for group, group_losses in evaluate(batch):
+            now = time.perf_counter()
+            for position, loss in zip(group, group_losses, strict=True):
+                losses[position], shares[position] = float(loss), (now - started) / len(group)
+            started = now
+        for indices, cell, loss in zip(fresh, batch, losses):
             log[indices] = {"assignment": cell, "loss": loss}
+        seconds.extend(shares)
         hits += sum(indices in log for indices in cells) - len(fresh)
         return [log[indices]["loss"] if indices in log else math.inf for indices in cells]
 
@@ -353,7 +392,10 @@ def tune_series(
     pseudo-loss, handy for exercising the search. Either way the series
     must split into windows, the grid must hold no cell that fits
     ``lookback`` but is too large to build (``check_sizes``), and only
-    cells that fit ``lookback`` score.
+    cells that fit ``lookback`` score. The real fitness trains each scoring
+    batch's cells in lockstep groups (``lockstep_groups``) of at most 6/5
+    of the largest fitting cell's weights; the surrogate scores each cell
+    alone.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must be in (0, 1)")
@@ -366,13 +408,19 @@ def tune_series(
     train_windows, val_windows = inner_validation_split(
         series, lookback, network.horizon, val_fraction
     )
-    check_sizes(space, replace(network, n_features=train_windows.inputs.shape[2]), lookback)
+    filled = replace(network, n_features=train_windows.inputs.shape[2])
+    # a group's weight, gradient and three optimizer arrays then hold no more
+    # than the lone training of the largest cell, which also keeps its
+    # initial weights: 5 arrays of 6/5 its weights against 6 of them
+    most_weights = 6 * check_sizes(space, filled, lookback) // 5
     if surrogate == "hash":
-        evaluate = lambda assignment: surrogate_fitness(assignment, global_seed)
+        evaluate = per_cell(lambda cell: surrogate_fitness(cell, global_seed))
     elif surrogate is None:
-        evaluate = lambda assignment: fitness(
-            assignment, train_windows, val_windows, network, training, global_seed
-        )
+        def evaluate(cells):
+            configs = [cell_configs(cell, filled, training, global_seed) for cell in cells]
+            for group in lockstep_groups(configs, lookback, most_weights):
+                yield group, fitness([cells[i] for i in group], train_windows, val_windows,
+                                     network, training, global_seed)
     else:
         raise ConfigError(f"unknown surrogate {surrogate!r}")
     report, trace, seconds = tune(evaluate, algorithm, params, space,

@@ -47,6 +47,7 @@ from swarmcast.timeseries import (
 from swarmcast.tuning import (
     DEFAULT_SPACE,
     cell_configs,
+    per_cell,
     surrogate_fitness,
     tune,
     tune_series,
@@ -161,8 +162,8 @@ def test_criterion_6_tuner_vs_enumeration():
             surrogate_fitness(a, seed) for a in enumerate_assignments(DEFAULT_SPACE)
         )
         params = OptimizerParams(population_size=30, max_iterations=200, seed=seed)
-        tuned, _, _ = tune(lambda a, s=seed: surrogate_fitness(a, s), "rs-gwo-woa", params,
-                           evaluation_budget=200)
+        tuned, _, _ = tune(per_cell(lambda a, s=seed: surrogate_fitness(a, s)), "rs-gwo-woa",
+                           params, evaluation_budget=200)
         hits += tuned["best_loss"] == true_min
     elapsed = time.perf_counter() - started
     ok = hits == 10 and elapsed < 5.0
@@ -195,10 +196,10 @@ def _tuned_vs_persistence(seed, lookback=7):
         tuned["best_assignment"], NetworkConfig(),
         TrainingConfig(epochs=100, learning_rate=1e-4, optimizer="adam"), seed,
     )
-    trained = train(
-        initialize_network(config, lookback),
+    [trained] = train(
+        [initialize_network(config, lookback)],
         make_windows(scaled[:cut], lookback, 1),
-        training_cfg,
+        [training_cfg],
     )
     _, test_w = split_windows(make_windows(scaled, lookback, 1), cut)
     actual = test_w.targets[:, :, 0].ravel()

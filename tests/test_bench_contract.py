@@ -65,7 +65,7 @@ def test_traced_train_and_forecast_record_layer_spans(tracer_module):
     windows = make_windows(np.linspace(0.0, 1.0, 12), 6, 1)
     tracer.install()
     try:
-        trained = network.train(net, windows, TrainingConfig(epochs=1, seed=1))
+        [trained] = network.train([net], windows, [TrainingConfig(epochs=1, seed=1)])
         network.iterative_forecast(trained, np.linspace(0.0, 1.0, 8), 2, ScalingParams(0.0, 1.0))
     finally:
         tracer.uninstall()
@@ -133,6 +133,47 @@ def test_traced_cli_tune_and_train_record_training_spans(tracer_module, tmp_path
     # the tuner logs only cells that fit, and trains each once, plus the final fit
     assert counts.get("tuning.fitness") == report["cache_misses"]
     assert counts.get("network.train") == report["cache_misses"] + 1
+
+
+def test_traced_grouped_tune_records_conv_per_member_and_lstm_per_group_step(tracer_module):
+    # a budget that sweeps the grid trains same-shape cells in lockstep groups:
+    # per group step one network.grad, one optimizer update and one LSTM span
+    # per repeat step, but the conv and pool of every member
+    series = 0.5 + 0.2 * np.sin(np.arange(40) / 3.0)
+    params = OptimizerParams(population_size=4, max_iterations=1, seed=3)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        report, _, _ = tuning.tune_series(series, "rs-gwo-woa", params,
+                                          training=TrainingConfig(epochs=1), global_seed=3,
+                                          evaluation_budget=144)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_col]
+    children: dict[int, list[int]] = {}
+    for span, parent in enumerate(tracer.parent_col):
+        children.setdefault(parent, []).append(span)
+
+    def count(span, name):
+        return sum(names[child] == name for child in children.get(span, []))
+
+    steps = len(tuning.inner_validation_split(series, tuning.LOOKBACK, 1)[0])
+    members = []
+    for span in (span for span, name in enumerate(names) if name == "network.train"):
+        fitness = tracer.parent_col[span]
+        assert names[fitness] == "tuning.fitness"
+        k = count(fitness, "network.initialize_network")
+        members.append(k)
+        grads = [child for child in children[span] if names[child] == "network.grad"]
+        assert len(grads) == count(span, "network.optimizer") == steps
+        for grad in grads:
+            assert {op: count(grad, f"layers.{op}") for op in
+                    ("conv_fwd", "pool_fwd", "conv_bwd", "pool_bwd", "lstm_fwd", "lstm_bwd")} == \
+                {"conv_fwd": k, "pool_fwd": k, "conv_bwd": k, "pool_bwd": k,
+                 "lstm_fwd": 3, "lstm_bwd": 3}
+    assert sum(members) == report["cache_misses"] == 72
+    assert max(members) > 1
+    assert names.count("tuning.fitness") == names.count("network.train") == len(members)
 
 
 @pytest.fixture()

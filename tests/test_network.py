@@ -1,15 +1,16 @@
 import hashlib
 import json
 import math
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fused import with_params
+from fused import train_one, with_params
 from oracles import adam_exact, adam_loop, conv1d_loop, lstm_step_scalar, maxpool1d_loop
 from swarmcast.errors import ConfigError, DataError, NumericalError
 from swarmcast.layers import GATES
@@ -17,9 +18,9 @@ from swarmcast.network import (
     PREDICT_BLOCK,
     NetworkConfig,
     _Adam,
-    _FlatParams,
     _gradients,
-    _StepBuffers,
+    _GroupBuffers,
+    _Stack,
     _window_cols,
     TrainingConfig,
     initialize_network,
@@ -152,7 +153,7 @@ class TestTrain:
     def test_learnable_constant(self):
         net = initialize_network(tiny_config(seed=3), 6)
         cfg = TrainingConfig(epochs=200, learning_rate=1e-2, seed=3)
-        trained = train(net, constant_samples(), cfg)
+        trained = train_one(net, constant_samples(), cfg)
         assert trained.loss_history[-1] < 1e-4
         assert trained.loss_history[-1] <= trained.loss_history[0]
         assert len(trained.loss_history) == 200
@@ -161,7 +162,7 @@ class TestTrain:
         samples = constant_samples(n=3)
         cfg = TrainingConfig(epochs=20, seed=9)
         runs = [
-            train(initialize_network(tiny_config(seed=4), 6), samples, cfg)
+            train_one(initialize_network(tiny_config(seed=4), 6), samples, cfg)
             for _ in range(2)
         ]
         assert runs[0].loss_history == runs[1].loss_history
@@ -172,7 +173,7 @@ class TestTrain:
         net = initialize_network(tiny_config(seed=5), 6)
         before = {k: v.copy() for k, v in net.params().items()}
         buf = net.weights.buf.copy()
-        trained = train(net, constant_samples(), TrainingConfig(epochs=5, seed=0))
+        trained = train_one(net, constant_samples(), TrainingConfig(epochs=5, seed=0))
         for key, value in net.params().items():
             assert np.array_equal(value, before[key])
         assert net.weights.buf.tobytes() == buf.tobytes()
@@ -181,7 +182,7 @@ class TestTrain:
     def test_two_runs_from_one_network_bitwise_equal(self):
         net = initialize_network(tiny_config(seed=23), 6)
         cfg = TrainingConfig(epochs=4, seed=23)
-        first, second = (train(net, constant_samples(n=3), cfg) for _ in range(2))
+        first, second = (train_one(net, constant_samples(n=3), cfg) for _ in range(2))
         assert first.weights.buf.tobytes() == second.weights.buf.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
@@ -194,7 +195,7 @@ class TestTrain:
         net = initialize_network(tiny_config(seed=6), 6)
         cfg = TrainingConfig(epochs=5, learning_rate=1e12, optimizer="sgd", seed=6)
         with pytest.raises(NumericalError, match="epoch loss became"):
-            train(net, samples, cfg)
+            train_one(net, samples, cfg)
 
     def test_multivariate_targets_rejected(self):
         samples = WindowedSamples(
@@ -203,13 +204,13 @@ class TestTrain:
         )
         net = initialize_network(tiny_config(), 6)
         with pytest.raises(ConfigError):
-            train(net, samples, TrainingConfig(epochs=1))
+            train_one(net, samples, TrainingConfig(epochs=1))
 
     def test_horizon_mismatch_rejected(self):
         samples = constant_samples()
         net = initialize_network(tiny_config(horizon=2), 6)
         with pytest.raises(ConfigError):
-            train(net, samples, TrainingConfig(epochs=1))
+            train_one(net, samples, TrainingConfig(epochs=1))
 
     def test_targets_shorter_than_network_horizon_rejected(self):
         # the window set's horizon is its targets' step count, so it cannot
@@ -217,7 +218,7 @@ class TestTrain:
         samples = WindowedSamples(np.zeros((2, 6, 1)), np.zeros((2, 1, 1)))
         net = initialize_network(tiny_config(horizon=2), 6)
         with pytest.raises(ConfigError, match="window horizon 1 != network horizon 2"):
-            train(net, samples, TrainingConfig(epochs=1))
+            train_one(net, samples, TrainingConfig(epochs=1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_saturated_gates_train_without_runtime_warnings(self):
@@ -225,13 +226,13 @@ class TestTrain:
         net = initialize_network(tiny_config(seed=21), 6)
         biases = {f"{gate}_b": np.full(4, sign * 1e3) for gate, sign in zip(GATES, (1, -1, 1, -1))}
         net = with_params(net, {**net.params(), **biases})
-        trained = train(net, constant_samples(n=3), TrainingConfig(epochs=3, seed=21))
+        trained = train_one(net, constant_samples(n=3), TrainingConfig(epochs=3, seed=21))
         assert np.all(np.isfinite(trained.loss_history))
 
     def test_sgd_also_learns_constant(self):
         net = initialize_network(tiny_config(seed=8), 6)
         cfg = TrainingConfig(epochs=300, learning_rate=5e-2, optimizer="sgd", seed=8)
-        trained = train(net, constant_samples(), cfg)
+        trained = train_one(net, constant_samples(), cfg)
         assert trained.loss_history[-1] < 1e-3
 
 
@@ -314,7 +315,7 @@ class TestTrainingTrajectory:
     def digest(cls, name, optimizer):
         config, samples = cls.run(name)
         cfg = TrainingConfig(epochs=3, learning_rate=1e-2, optimizer=optimizer, seed=31)
-        trained = train(initialize_network(config, samples.lookback), samples, cfg)
+        trained = train_one(initialize_network(config, samples.lookback), samples, cfg)
         digest = hashlib.sha256(trained.weights.buf.tobytes())
         digest.update(np.array(trained.loss_history).tobytes())
         return digest.hexdigest()
@@ -326,7 +327,7 @@ class TestTrainingTrajectory:
 
 
 class TestStepBuffers:
-    """One ``_StepBuffers`` set serves every sample of a training run: nothing
+    """One ``_GroupBuffers`` set serves every sample of a training run: nothing
     a sample writes may reach the next sample or another run."""
 
     @pytest.mark.parametrize("name", sorted(TestTrainingTrajectory.CONFIGS))
@@ -334,13 +335,16 @@ class TestStepBuffers:
         config, samples = TestTrainingTrajectory.run(name)
         lookback = samples.lookback
         net = initialize_network(config, lookback)
-        buffers = _StepBuffers(config, lookback)
-        shared, fresh = _FlatParams(config, lookback), _FlatParams(config, lookback)
+        params = _Stack([config], lookback, net.weights.buf[None])
+        buffers = _GroupBuffers([config], lookback)
+        shared, fresh = _Stack([config], lookback), _Stack([config], lookback)
         targets = samples.targets[:, :, 0]
         for window, target in zip(_window_cols(net, samples.inputs), targets):
-            error = _gradients(net.weights, shared, window, target, config, buffers)
-            expected = _gradients(net.weights, fresh, window, target, config,
-                                  _StepBuffers(config, lookback))
+            target = target.reshape(1, 1, -1)
+            error = _gradients(params, shared, [window], target, np.empty_like(target),
+                               config, buffers)
+            expected = _gradients(params, fresh, [window], target, np.empty_like(target),
+                                  config, _GroupBuffers([config], lookback))
             assert error.tobytes() == expected.tobytes()
             assert shared.buf.tobytes() == fresh.buf.tobytes()
 
@@ -359,13 +363,117 @@ class TestStepBuffers:
         net = initialize_network(config, lookback)
         net.params()["conv_w"][...] = 1.0
         first, second = (np.tile(pair, 3)[:, None] for pair in ([1.0, 0.0], [0.0, 1.0]))
-        buffers = _StepBuffers(config, lookback)
-        grads = _FlatParams(config, lookback)
+        params = _Stack([config], lookback, net.weights.buf[None])
+        buffers = _GroupBuffers([config], lookback)
+        grads = _Stack([config], lookback)
+        _, _, dx, _ = buffers.fronts[0]
         for window, winners in ((first, 0), (second, 1)):
             cols = _window_cols(net, window)
-            _gradients(net.weights, grads, cols, np.zeros(1), config, buffers)
-            assert np.all(buffers.dx[winners::2] != 0.0)
-            assert np.all(buffers.dx[1 - winners::2] == 0.0)
+            _gradients(params, grads, [cols], np.zeros((1, 1, 1)), np.empty((1, 1, 1)), config,
+                       buffers)
+            assert np.all(dx[winners::2] != 0.0)
+            assert np.all(dx[1 - winners::2] == 0.0)
+
+
+@st.composite
+def lockstep_groups(draw):
+    """A group ``train`` accepts, drawn from the axes its members may differ
+    on and those they share: (lookback, network configs, training configs,
+    training windows, validation windows)."""
+    lookback = draw(st.integers(3, 9))
+    fronts = [(kernel, pool) for kernel in range(1, lookback + 1) for pool in range(1, 5)
+              if pooled_length(lookback, kernel, pool) >= 1]
+    pooled = draw(st.sampled_from(sorted({pooled_length(lookback, *front) for front in fronts})))
+    fronts = [front for front in fronts if pooled_length(lookback, *front) == pooled]
+    k = draw(st.integers(1, 5))
+    shared = {"n_filters": draw(st.integers(1, 3)), "lstm_units": draw(st.integers(1, 4)),
+              "repeat_steps": draw(st.integers(1, 3)), "horizon": draw(st.integers(1, 2)),
+              "conv_activation": draw(st.sampled_from(["relu", "tanh", "identity"])),
+              "n_features": 2}
+    recipe = {"epochs": draw(st.integers(1, 3)), "learning_rate": 1e-2,
+              "optimizer": draw(st.sampled_from(["adam", "sgd"]))}
+    configs, cfgs = [], []
+    for kernel, pool in draw(st.lists(st.sampled_from(fronts), min_size=k, max_size=k)):
+        seed = draw(st.integers(0, 2**32 - 2))
+        configs.append(NetworkConfig(kernel_size=kernel, pool_size=pool, seed=seed, **shared))
+        cfgs.append(TrainingConfig(seed=seed + 1, **recipe))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train_w, val_w = (WindowedSamples(rng.uniform(-1.0, 1.0, size=(n, lookback, 2)),
+                                      rng.uniform(-1.0, 1.0, size=(n, shared["horizon"], 1)))
+                      for n in (draw(st.integers(1, 5)), 3))
+    return lookback, configs, cfgs, train_w, val_w
+
+
+def one_unit_group():
+    """Five one-unit members: numpy multiplies a strided one-unit column of
+    hidden states in its own loop, not BLAS, so their recurrent weight's
+    gradient once rounded apart from a lone network's."""
+    rng = np.random.default_rng(0)
+    config = tiny_config(n_filters=3, kernel_size=1, pool_size=4, lstm_units=1, n_features=2)
+    samples = WindowedSamples(rng.uniform(-1.0, 1.0, (2, 6, 2)), rng.uniform(-1.0, 1.0, (2, 1, 1)))
+    return 6, [config] * 5, [TrainingConfig(epochs=1, learning_rate=1e-2, seed=1)] * 5, samples, samples
+
+
+class TestLockstep:
+    """``train`` steps a group of networks that share every layer after the
+    pooling; each member must come out byte for byte as its lone training."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lockstep_groups())
+    @example(one_unit_group())
+    def test_each_member_trains_as_it_would_alone(self, group):
+        lookback, configs, cfgs, train_w, val_w = group
+        nets = [initialize_network(config, lookback) for config in configs]
+        for net, cfg, member in zip(nets, cfgs, train(nets, train_w, cfgs), strict=True):
+            alone = train_one(net, train_w, cfg)
+            assert member.weights.buf.tobytes() == alone.weights.buf.tobytes()
+            assert np.array(member.loss_history).tobytes() == \
+                np.array(alone.loss_history).tobytes()
+            assert predict_windows(member, val_w).tobytes() == \
+                predict_windows(alone, val_w).tobytes()
+
+    def test_a_diverged_member_is_zeroed_and_the_others_train_on(self, monkeypatch):
+        # a dense weight of 1e200 overflows the first member's first epoch; the
+        # second, of another kernel, trains three epochs as it would alone
+        samples = WindowedSamples(*(np.random.default_rng(3).uniform(size=shape)
+                                    for shape in ((4, 6, 1), (4, 1, 1))))
+        blown, kept = (initialize_network(tiny_config(seed=seed, kernel_size=kernel,
+                                                      pool_size=pool), 6)
+                       for seed, kernel, pool in ((4, 1, 3), (5, 3, 2)))
+        blown = with_params(blown, {**blown.params(), "dense_w": np.full((1, 4), 1e200)})
+        cfgs = [TrainingConfig(epochs=3, seed=seed) for seed in (4, 5)]
+        rows = []  # the first member's weights after each update
+        update = _Adam.update
+
+        def recording(self, params, grads):
+            update(self, params, grads)
+            rows.append(params[0].copy())
+
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            patch.setattr(_Adam, "update", recording)
+            warnings.simplefilter("always")
+            diverged, trained = train([blown, kept], samples, cfgs)
+        assert len(rows) == 3 * 4
+        assert not np.any(rows[4:])  # zeroed after its first epoch, and no step since
+        with warnings.catch_warnings(record=True) as alone_caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="epoch loss became"):
+                train_one(blown, samples, cfgs[0])
+            alone = train_one(kept, samples, cfgs[1])
+        assert isinstance(diverged, NumericalError)
+        assert trained.weights.buf.tobytes() == alone.weights.buf.tobytes()
+        assert trained.loss_history == alone.loss_history and len(alone.loss_history) == 3
+        assert {w.category for w in caught} <= {w.category for w in alone_caught}
+
+    def test_members_that_differ_after_the_pooling_are_refused(self):
+        nets = [initialize_network(tiny_config(**extra), 6)
+                for extra in ({}, {"lstm_units": 5})]
+        with pytest.raises(ConfigError, match="agree on every layer after the pooling"):
+            train(nets, constant_samples(), [TrainingConfig(epochs=1)] * 2)
+        same = [initialize_network(tiny_config(), 6)] * 2
+        with pytest.raises(ConfigError, match="learning_rate"):
+            train(same, constant_samples(), [TrainingConfig(epochs=1, learning_rate=lr)
+                                             for lr in (1e-2, 1e-3)])
 
 
 class TestInferenceBytes:
@@ -548,7 +656,7 @@ class TestIterativeForecast:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         net = initialize_network(tiny_config(seed=17), 6)
-        trained = train(net, constant_samples(), TrainingConfig(epochs=3, seed=17))
+        trained = train_one(net, constant_samples(), TrainingConfig(epochs=3, seed=17))
         path = tmp_path / "model.json"
         save_model(trained, path)
         loaded = load_model(path)
@@ -561,7 +669,7 @@ class TestSerialization:
 
     def test_save_load_forecast_equals_in_memory(self, tmp_path):
         net = initialize_network(tiny_config(seed=18), 6)
-        trained = train(net, constant_samples(n=2), TrainingConfig(epochs=5, seed=18))
+        trained = train_one(net, constant_samples(n=2), TrainingConfig(epochs=5, seed=18))
         params = ScalingParams(1.0, 3.0)
         history = np.linspace(0.2, 0.8, 7)
         direct = iterative_forecast(trained, history, 4, params)

@@ -1,4 +1,7 @@
 import math
+import warnings
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from oracles import enumerate_assignments
 from swarmcast import metaheuristics, network, tuning
 from swarmcast.errors import ConfigError, DataError, NumericalError
 from swarmcast.metaheuristics import OptimizerParams
-from swarmcast.network import NetworkConfig, TrainingConfig, pooled_length
+from swarmcast.network import (NetworkConfig, TrainingConfig, initialize_network, lockstep_key,
+                               pooled_length)
+from swarmcast.timeseries import WindowedSamples
 from swarmcast.tuning import (
     DEFAULT_SPACE,
     EXTENDED_SPACE,
@@ -22,6 +27,8 @@ from swarmcast.tuning import (
     fit_mask,
     fitness,
     inner_validation_split,
+    lockstep_groups,
+    per_cell,
     surrogate_fitness,
     tune,
     tune_series,
@@ -170,10 +177,10 @@ class TestFitness:
         train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
         a = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
         cfg = NetworkConfig(), TrainingConfig(epochs=2), 5
-        assert fitness(a, train_w, val_w, *cfg) == fitness(a, train_w, val_w, *cfg)
+        assert fitness([a], train_w, val_w, *cfg) == fitness([a], train_w, val_w, *cfg)
         # the seeds come from the global seed and the cell, not the templates
         reseeded = NetworkConfig(seed=8), TrainingConfig(epochs=2, seed=9), 5
-        assert fitness(a, train_w, val_w, *reseeded) == fitness(a, train_w, val_w, *cfg)
+        assert fitness([a], train_w, val_w, *reseeded) == fitness([a], train_w, val_w, *cfg)
 
     def test_constant_fixture_learned_by_grid_corners(self):
         # representative feasible corners of the grid; a constant series is
@@ -188,7 +195,7 @@ class TestFitness:
             {"n_filters": 32, "kernel_size": 5, "pool_size": 2, "lstm_units": 25},
         ]
         for values in corners:
-            loss = fitness(values, train_w, val_w, *cfg)
+            [loss] = fitness([values], train_w, val_w, *cfg)
             assert loss < 1e-4, values
 
     def test_extended_space_overrides_training(self):
@@ -197,8 +204,40 @@ class TestFitness:
             "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
             "learning_rate": 1e-2, "epochs": 50,
         }
-        loss = fitness(a, train_w, val_w, NetworkConfig(), TrainingConfig(epochs=1), 2)
+        [loss] = fitness([a], train_w, val_w, NetworkConfig(), TrainingConfig(epochs=1), 2)
         assert math.isfinite(loss)
+
+    def test_a_diverged_member_scores_inf_and_leaves_the_other_as_alone(self):
+        # the windows of TestTrain::test_divergence_guard, SGD at lr 1e12: at
+        # global seed 9 the kernel-1 cell's third epoch overflows and the
+        # kernel-3 cell's (about 1e290) does not, though its validation MSE does
+        rng = np.random.default_rng(6)
+        windows = WindowedSamples(inputs=rng.normal(size=(4, 6, 1)) * 10,
+                                  targets=rng.normal(size=(4, 1, 1)) * 10)
+        templates = NetworkConfig(), TrainingConfig(epochs=3, learning_rate=1e12,
+                                                    optimizer="sgd"), 9
+        cells = [{"n_filters": 1, "kernel_size": kernel, "pool_size": pool, "lstm_units": 128}
+                 for kernel, pool in ((1, 3), (3, 2))]
+
+        def run(group):
+            """The group's trained networks, its fitness and its warning categories."""
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                configs = [cell_configs(cell, *templates) for cell in group]
+                trained = network.train([initialize_network(config, 6) for config, _ in configs],
+                                        windows, [run_cfg for _, run_cfg in configs])
+                losses = fitness(group, windows, windows, *templates)
+            return trained, losses, {w.category for w in caught}
+
+        (diverged, kept), losses, categories = run(cells)
+        (diverged_alone,), losses_alone, categories_alone = run(cells[:1])
+        (kept_alone,), kept_losses, kept_categories = run(cells[1:])
+        assert isinstance(diverged_alone, NumericalError) and isinstance(diverged, NumericalError)
+        assert losses_alone == [math.inf]
+        assert losses == losses_alone + kept_losses
+        assert kept.weights.buf.tobytes() == kept_alone.weights.buf.tobytes()
+        assert kept.loss_history == kept_alone.loss_history
+        assert categories <= categories_alone | kept_categories
 
 
 class TestCellConfigs:
@@ -254,7 +293,7 @@ class TestTune:
         true_min = min(surrogate_fitness(a, seed) for a in enumerate_assignments(DEFAULT_SPACE))
         params = OptimizerParams(population_size=30, max_iterations=200, seed=seed)
         result, _, _ = tune(
-            lambda a: surrogate_fitness(a, seed), "rs-gwo-woa", params,
+            per_cell(lambda a: surrogate_fitness(a, seed)), "rs-gwo-woa", params,
             evaluation_budget=200,
         )
         assert result["best_loss"] == true_min
@@ -262,7 +301,7 @@ class TestTune:
 
     def test_cache_accounting(self):
         params = OptimizerParams(population_size=10, max_iterations=50, seed=6)
-        result, trace, _ = tune(lambda a: surrogate_fitness(a, 6), "rs-gwo-woa", params)
+        result, trace, _ = tune(per_cell(lambda a: surrogate_fitness(a, 6)), "rs-gwo-woa", params)
         assert result["cache_misses"] <= 144
         evaluations = params.population_size * (params.max_iterations + 1)
         assert result["cache_hits"] + result["cache_misses"] == evaluations
@@ -270,14 +309,14 @@ class TestTune:
 
     def test_cached_loss_matches_fresh_recomputation(self):
         params = OptimizerParams(population_size=8, max_iterations=20, seed=7)
-        result, _, _ = tune(lambda a: surrogate_fitness(a, 7), "woa", params)
+        result, _, _ = tune(per_cell(lambda a: surrogate_fitness(a, 7)), "woa", params)
         for record in result["evaluation_log"][:20]:
             fresh = surrogate_fitness(record["assignment"], 7)
             assert record["loss"] == fresh
 
     def test_best_loss_is_min_of_log(self):
         params = OptimizerParams(population_size=8, max_iterations=30, seed=8)
-        result, _, _ = tune(lambda a: surrogate_fitness(a, 8), "ga", params)
+        result, _, _ = tune(per_cell(lambda a: surrogate_fitness(a, 8)), "ga", params)
         assert result["best_loss"] == min(r["loss"] for r in result["evaluation_log"])
 
     def test_single_cell_space_is_forced(self):
@@ -286,7 +325,7 @@ class TestTune:
             ("pool_size", (2,)), ("lstm_units", (10,)),
         ))
         params = OptimizerParams(population_size=4, max_iterations=2, seed=9)
-        result, _, _ = tune(lambda a: 0.125, "rs-gwo-woa", params, space=space)
+        result, _, _ = tune(per_cell(lambda a: 0.125), "rs-gwo-woa", params, space=space)
         assert result["best_assignment"] == {
             "n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10,
         }
@@ -294,13 +333,13 @@ class TestTune:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
-            tune(lambda a: 0.0, "simulated-annealing", OptimizerParams(seed=0))
+            tune(per_cell(lambda a: 0.0), "simulated-annealing", OptimizerParams(seed=0))
 
     def test_budget_at_grid_size_guarantees_optimum(self):
         seed = 12
         params = OptimizerParams(population_size=6, max_iterations=5, seed=seed)
         result, _, _ = tune(
-            lambda a: surrogate_fitness(a, seed), "gwo", params, evaluation_budget=144
+            per_cell(lambda a: surrogate_fitness(a, seed)), "gwo", params, evaluation_budget=144
         )
         true_min = min(surrogate_fitness(a, seed) for a in enumerate_assignments(DEFAULT_SPACE))
         assert result["best_loss"] == true_min
@@ -314,9 +353,9 @@ class TestTune:
             return surrogate_fitness(assignment, 0)
 
         params = OptimizerParams(population_size=10, max_iterations=10, seed=0)
-        result, trace, _ = tune(evaluate, "rs-gwo-woa", params, evaluation_budget=5)
-        unbudgeted, unbudgeted_trace, _ = tune(lambda a: surrogate_fitness(a, 0), "rs-gwo-woa",
-                                               params)
+        result, trace, _ = tune(per_cell(evaluate), "rs-gwo-woa", params, evaluation_budget=5)
+        unbudgeted, unbudgeted_trace, _ = tune(per_cell(lambda a: surrogate_fitness(a, 0)),
+                                               "rs-gwo-woa", params)
         assert len(calls) == result["cache_misses"] == len(result["evaluation_log"]) <= 5
         assert result["best_loss"] == min(r["loss"] for r in result["evaluation_log"])
         # the optimizer still runs every iteration
@@ -347,7 +386,7 @@ class TestTune:
 
         monkeypatch.setattr(metaheuristics, "_evaluate", recording_evaluate)
         params = OptimizerParams(population_size=8, max_iterations=1, seed=2)
-        result, _, _ = tune(evaluate, "gwo", params, space, evaluation_budget=2)
+        result, _, _ = tune(per_cell(evaluate), "gwo", params, space, evaluation_budget=2)
         assert calls == [(32, 10), (64, 10)]
         assert [(r["assignment"]["n_filters"], r["assignment"]["lstm_units"], r["loss"])
                 for r in result["evaluation_log"]] == [(32, 10, 0.5), (64, 10, 0.25)]
@@ -384,7 +423,7 @@ class TestTune:
             return 0.25
 
         params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
-        result, _, _ = tune(evaluate, "gwo", params, space, evaluation_budget=1,
+        result, _, _ = tune(per_cell(evaluate), "gwo", params, space, evaluation_budget=1,
                             fits=fit_mask(space, 7))
         fitting_rows = rows.count((0, 0, 0, 0))
         assert 0 < fitting_rows < len(rows)  # both cells were visited
@@ -401,14 +440,14 @@ class TestTune:
         ))
         params = OptimizerParams(population_size=4, max_iterations=1, seed=2)
         calls = []
-        result, trace, _ = tune(lambda cell: calls.append(cell) or 0.5, "rs-gwo-woa", params,
-                                space, evaluation_budget=8, fits=fit_mask(space, 7))
+        result, trace, _ = tune(per_cell(lambda cell: calls.append(cell) or 0.5), "rs-gwo-woa",
+                                params, space, evaluation_budget=8, fits=fit_mask(space, 7))
         fitting = {"n_filters": 32, "kernel_size": 3, "pool_size": 2, "lstm_units": 10}
         assert calls == [fitting]
         assert (result["best_assignment"], result["best_loss"]) == (fitting, 0.5)
         assert trace.best_fitness_per_iteration == [math.inf]
         with pytest.raises(NumericalError, match=DEGENERATE):  # without a budget there is no sweep
-            tune(lambda cell: 0.5, "rs-gwo-woa", params, space, fits=fit_mask(space, 7))
+            tune(per_cell(lambda cell: 0.5), "rs-gwo-woa", params, space, fits=fit_mask(space, 7))
 
     @pytest.mark.parametrize("budget", [None, 40])
     @pytest.mark.parametrize("algorithm", sorted(metaheuristics.OPTIMIZERS))
@@ -421,7 +460,7 @@ class TestTune:
 
         for seed in range(10):
             params = OptimizerParams(population_size=4, max_iterations=3, seed=seed)
-            result, _, _ = tune(lambda cell: evaluate(cell, seed), algorithm, params,
+            result, _, _ = tune(per_cell(lambda cell: evaluate(cell, seed)), algorithm, params,
                                 evaluation_budget=budget)
             losses = [math.inf if math.isnan(r["loss"]) else r["loss"]
                       for r in result["evaluation_log"]]
@@ -429,11 +468,83 @@ class TestTune:
             assert result["best_assignment"] == result["evaluation_log"][first]["assignment"]
             assert result["best_loss"] == result["evaluation_log"][first]["loss"]
 
+    def test_a_group_shares_its_seconds_and_the_log_keeps_fresh_order(self, monkeypatch):
+        params = OptimizerParams(population_size=8, max_iterations=3, seed=5)
+        groups = []
+        ticks = iter(range(10**6))  # a clock that reads one second later each time
+        monkeypatch.setattr(tuning, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+        def loss(cell):
+            return surrogate_fitness(cell, 5)
+
+        def evaluate(cells):
+            for parity in (1, 0):  # the odd positions first, as one group
+                group = list(range(parity, len(cells), 2))
+                if group:
+                    groups.append([cells[i] for i in group])
+                    yield group, [loss(cells[i]) for i in group]
+
+        grouped, _, seconds = tune(evaluate, "rs-gwo-woa", params, evaluation_budget=144)
+        alone, _, alone_seconds = tune(per_cell(loss), "rs-gwo-woa", params,
+                                       evaluation_budget=144)
+        assert grouped == alone
+        assert alone_seconds == [1.0] * 144
+        log = [entry["assignment"] for entry in grouped["evaluation_log"]]
+        assert len(seconds) == len(log) == 144
+        assert max(map(len, groups)) > 1
+        for group in groups:
+            assert [seconds[log.index(cell)] for cell in group] == [1 / len(group)] * len(group)
+
     def test_budget_spent_on_diverged_cells_is_degenerate(self):
         losses = iter([math.inf])  # the one cell the budget pays for diverges
         params = OptimizerParams(population_size=6, max_iterations=3, seed=2)
         with pytest.raises(NumericalError, match=DEGENERATE):
-            tune(lambda a: next(losses, 0.5), "gwo", params, evaluation_budget=1)
+            tune(per_cell(lambda a: next(losses, 0.5)), "gwo", params, evaluation_budget=1)
+
+
+class TestLockstepGroups:
+    """Real fitness trains each scoring batch's cells in lockstep groups of at
+    most 6/5 of the largest fitting cell's weights, counted with padding."""
+
+    @staticmethod
+    def fitting_cells(lookback=LOOKBACK):
+        return [cell for cell in enumerate_assignments(DEFAULT_SPACE)
+                if pooled_length(lookback, cell["kernel_size"], cell["pool_size"]) >= 1]
+
+    def test_the_fitting_grid_in_order_forms_the_rules_groups(self):
+        largest = max(NetworkConfig(**cell).weight_count(LOOKBACK)
+                      for cell in self.fitting_cells())
+        most = 6 * largest // 5
+        assert (largest, most) == (15746, 18895)
+        configs = [cell_configs(cell, NetworkConfig(), TrainingConfig(epochs=1), 0)
+                   for cell in self.fitting_cells()]
+        groups = lockstep_groups(configs, LOOKBACK, most)
+        assert sorted(sum(groups, [])) == list(range(72))
+        assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+        for group in groups:
+            assert group == sorted(group)
+            assert len({lockstep_key(configs[i][0], LOOKBACK, configs[i][1]) for i in group}) == 1
+            assert len(group) * max(configs[i][0].weight_count(LOOKBACK) for i in group) <= most
+        assert Counter(map(len, groups)) == {7: 1, 6: 1, 5: 1, 4: 1, 3: 5, 2: 13, 1: 9}
+
+    def test_the_tuner_trains_no_group_past_the_weight_rule(self, monkeypatch):
+        groups = []
+
+        def recording(nets, samples, cfgs):
+            groups.append([net.config.weight_count(net.lookback) for net in nets])
+            return network.train(nets, samples, cfgs)
+
+        monkeypatch.setattr(tuning, "train", recording)
+        params = OptimizerParams(population_size=4, max_iterations=1, seed=3)
+        result, _, seconds = tune_series(learnable_constant_series(40), "rs-gwo-woa", params,
+                                         training=TrainingConfig(epochs=1), global_seed=3,
+                                         evaluation_budget=144)
+        most = 6 * max(NetworkConfig(**cell).weight_count(LOOKBACK)
+                       for cell in self.fitting_cells()) // 5
+        assert sum(map(len, groups)) == result["cache_misses"] == len(seconds) == 72
+        assert max(map(len, groups)) > 1
+        for weights in groups:
+            assert len(weights) * max(weights) <= most
 
 
 class TestFitMask:
@@ -523,9 +634,9 @@ class TestTuneSeries:
     def test_real_fitness_trains_only_fitting_cells(self, monkeypatch):
         trained = []
 
-        def counting(assignment, train_windows, *args):
-            trained.append(assignment)
-            return fitness(assignment, train_windows, *args)
+        def counting(cells, train_windows, *args):
+            trained.extend(cells)
+            return fitness(cells, train_windows, *args)
 
         monkeypatch.setattr(tuning, "fitness", counting)
         params = OptimizerParams(population_size=4, max_iterations=1, seed=1)
