@@ -9,12 +9,13 @@ a test, ties receive average ranks.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import numbered_rows
+from .fileio import csv_chunks, numbered_rows
 
 # significance level of the Friedman test and the Nemenyi post hoc, unless a run sets its own
 ALPHA = 0.05
@@ -184,9 +185,38 @@ def parse_score_csv(path) -> tuple[list[str], np.ndarray]:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(numbered_rows(csv.reader(fh)))
+            _, header = next(numbered_rows(csv.reader(fh), path), (0, []))
+            methods = [h.strip() for h in header[1:]]
+            blocks = []  # a fault leaves a None or no block at all
+            if len(methods) >= 2 and all(methods) and len(set(methods)) == len(methods):
+                blocks = [_score_block(columns[1:]) if exact else None
+                          for columns, exact in csv_chunks(fh, len(header))]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read scores {path}: {exc}") from exc
+    except csv.Error:  # a cell over the field size limit
+        blocks = []
+    if blocks and all(block is not None for block in blocks):
+        return methods, np.concatenate(blocks)
+    _raise_first_score_fault(path)
+
+
+def _score_block(columns):
+    """A chunk's score columns (``csv_chunks``' columns but the test
+    names) as its rows' scores, or None if a score does not convert or
+    is NaN."""
+    size = len(columns) * len(columns[0])
+    try:
+        block = np.fromiter(map(float, itertools.chain(*columns)), float, size)
+    except ValueError:
+        return None
+    return None if np.isnan(block).any() else block.reshape(len(columns), -1).T
+
+
+def _raise_first_score_fault(path):
+    """Read the score file again row by row and raise its first fault,
+    naming the line the row starts on."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(numbered_rows(csv.reader(fh), path))
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one test row")
     header_line, header = rows[0]
@@ -197,7 +227,6 @@ def parse_score_csv(path) -> tuple[list[str], np.ndarray]:
         if not method or method in methods[:column - 2]:
             problem = f"repeated method name {method!r}" if method else "blank method name"
             raise DataError(f"{path}:{header_line}: column {column}: {problem}")
-    values = []
     for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
@@ -208,5 +237,4 @@ def parse_score_csv(path) -> tuple[list[str], np.ndarray]:
         for method, score in zip(methods, scores):
             if math.isnan(score):
                 raise DataError(f"{path}:{lineno}: score of {method!r} is NaN")
-        values.append(scores)
-    return methods, np.asarray(values, dtype=float)
+    raise DataError(f"{path}: rows changed while the file was read")

@@ -3,22 +3,33 @@
 Every JSON artifact goes through ``canonical_json`` (sorted keys, two-space
 indent, a final newline) and every CSV artifact through ``write_csv_rows``.
 An input problem is raised naming the file (and a CSV row's line or a
-JSON key, whose rule is declared beside the type it builds). A command
-that fails halfway must not leave a half-written artifact next to the
-last good one: every artifact is written to a temporary file in its
-target directory and renamed over the target only once the write has
-finished.
+JSON key, whose rule is declared beside the type it builds). CSV rows are
+read a chunk at a time (``csv_chunks``). A command that fails halfway
+must not leave a half-written artifact next to the last good one: every
+artifact is written to a temporary file in its target directory and
+renamed over the target only once the write has finished.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import numbers
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import DataError
+
+# a CSV chunk's size, in characters of text to split and rows for the csv module:
+# a chunk's strings are all that is held of a file at once
+CHUNK_CHARS = 1 << 15
+CHUNK_LINES = 1024
+# every byte but "," and "\n": deleting them from a chunk leaves its lines' shape
+_NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
 
 
 def read_json(path, what: str, error: type[Exception]) -> dict:
@@ -66,13 +77,86 @@ def check_fields(values, rules: dict, error: type[Exception], where: str, source
             raise error(f"{source}: {name!r} must be {wanted}, got {values[key]!r}")
 
 
-def numbered_rows(reader):
-    """A ``csv.reader``'s non-blank rows, each as (line it starts on, cells)."""
+def numbered_rows(reader, path):
+    """A ``csv.reader``'s non-blank rows, each as (line it starts on, cells).
+
+    A csv error, such as a cell longer than ``csv.field_size_limit()``, is
+    a DataError naming ``path`` and the line the row starts on.
+    """
     line = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield line, row
-        line = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{line}: {exc}") from None
+
+
+def header_row(reader, path) -> list[str]:
+    """A fresh ``csv.reader``'s first row, [] if it is blank or absent; a
+    csv error is raised as ``numbered_rows`` raises it."""
+    try:
+        return next(reader, [])
+    except csv.Error as exc:
+        raise DataError(f"{path}:1: {exc}") from None
+
+
+def csv_chunks(fh, width: int):
+    """The rows left in the CSV text stream ``fh`` (opened with
+    ``newline=""``), a chunk at a time, blank lines skipped: per chunk,
+    its rows' first ``width`` columns (a short row's missing cells are
+    ""), and whether every row held ``width`` cells.
+
+    The cells are those ``csv.reader`` gives. The stream is read
+    ``CHUNK_CHARS`` characters at a time and cut at the last line end.
+    A chunk without a quote or a CR, whose every line holds ``width``
+    cells and is no longer than ``csv.field_size_limit()``, is split with
+    ``str.split``, which gives exactly those cells. Any other chunk goes
+    through ``csv.reader``, ``CHUNK_LINES`` rows at a time, and from the
+    first quote or CR on (a quoted cell may span lines) so does the rest
+    of the stream. The reader's ``csv.Error`` propagates.
+    """
+    limit = csv.field_size_limit()
+    shape = ("," * (width - 1) + "\n").encode()  # a split line's commas and line end
+    text = ""  # read but not yet chunked: at most one unfinished line
+    while block := fh.read(CHUNK_CHARS):
+        text += block
+        if '"' in block or "\r" in block or len(text) > limit and "\n" not in text:
+            # whole lines for the csv module: the block's last line ends as read on
+            lines = io.StringIO(text + fh.readline(), newline="")
+            yield from _reader_chunks(csv.reader(itertools.chain(lines, fh)), width)
+            return
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield from _split_chunk(text[:cut], width, shape, limit)
+            text = text[cut:]
+    if text:
+        yield from _split_chunk(text + "\n", width, shape, limit)
+
+
+def _split_chunk(text: str, width: int, shape: bytes, limit: int):
+    """``csv_chunks``' chunks of whole lines of quote-free, CR-free text."""
+    lines = text.encode().translate(None, _NOT_COMMA_OR_NEWLINE)  # each line's commas and end
+    if (lines != shape * (len(lines) // len(shape))
+            # with one cell to a line, a blank line has the shape of a full one
+            or width == 1 and ("\n\n" in text or text[0] == "\n")
+            or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+        yield from _reader_chunks(csv.reader(text.split("\n")), width)
+    else:
+        cells = text[:-1].replace("\n", ",").split(",")
+        yield [cells[i::width] for i in range(width)], True
+
+
+def _reader_chunks(reader, width: int):
+    """``csv_chunks``' chunks of a csv.reader's rows."""
+    while rows := list(itertools.islice(reader, CHUNK_LINES)):
+        if rows := [row for row in rows if row]:
+            lengths = list(map(len, rows))
+            if min(lengths) < width:
+                for row in rows:
+                    row += [""] * (width - len(row))
+            yield list(zip(*rows))[:width], min(lengths) == max(lengths) == width
 
 
 @contextmanager

@@ -498,7 +498,9 @@ def lockstep_key(config: NetworkConfig, lookback: int, cfg: TrainingConfig) -> t
 def train(nets, samples: WindowedSamples, cfgs) -> list:
     """Per-sample gradient training of a group of networks in lockstep, for
     a fixed epoch count; ``cfgs`` holds one training config per network,
-    and all share one ``lockstep_key``.
+    and all share one ``lockstep_key``. ``nets`` may be any iterable: its
+    networks' weights are copied into the group's buffer before the first
+    step, so networks that only the iterable held are freed then.
 
     Each member reshuffles its sample order every epoch from its own
     seeded stream and takes one step per sample, exactly as it would
@@ -514,21 +516,22 @@ def train(nets, samples: WindowedSamples, cfgs) -> list:
     targets = np.asarray(samples.targets[:, :, 0], dtype=float)
     if len(inputs) == 0:
         raise DataError("no training samples")
-    for net in nets:
-        if samples.horizon != net.config.horizon:
-            raise ConfigError(
-                f"window horizon {samples.horizon} != network horizon {net.config.horizon}"
-            )
+    nets = list(nets)
     if len({lockstep_key(net.config, net.lookback, cfg)
             for net, cfg in zip(nets, cfgs, strict=True)}) != 1:
         raise ConfigError("a training group needs networks that agree on every layer after the"
                           " pooling, the lookback, epochs, learning_rate and optimizer")
+    if samples.horizon != nets[0].config.horizon:  # the key holds the horizon
+        raise ConfigError(
+            f"window horizon {samples.horizon} != network horizon {nets[0].config.horizon}"
+        )
     # per member, the im2col row of each window, as views made once for every epoch
     rows = [list(_window_cols(net, inputs)) for net in nets]
     configs, lookback, cfg = [net.config for net in nets], nets[0].lookback, cfgs[0]
     params = _Stack(configs, lookback)
-    for member, net in zip(params.members, nets):
-        member.buf[...] = net.weights.buf
+    for i, member in enumerate(params.members):  # each network becomes a view of its row
+        member.buf[...] = nets[i].weights.buf
+        nets[i] = replace(nets[i], weights=member)
     grads = _Stack(configs, lookback)
     optimizer = WEIGHT_OPTIMIZERS[cfg.optimizer](params.buf.shape, cfg.learning_rate)
     buffers = _GroupBuffers(configs, lookback)
@@ -568,8 +571,8 @@ def train(nets, samples: WindowedSamples, cfgs) -> list:
             break
 
     return [outcome if isinstance(outcome, NumericalError)
-            else replace(net, weights=member, loss_history=tuple(outcome))
-            for net, member, outcome in zip(nets, params.members, outcomes)]
+            else replace(net, loss_history=tuple(outcome))
+            for net, outcome in zip(nets, outcomes)]
 
 
 # windows per batched forward in predict_windows: enough to amortise the

@@ -8,7 +8,6 @@ throughout.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -17,10 +16,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
-from .fileio import check_fields, is_finite, numbered_rows
+from .fileio import check_fields, csv_chunks, header_row, is_finite, numbered_rows
 
 MISSING_MARKERS = {"", "NA"}
-CHUNK_LINES = 1024  # CSV lines load_csv converts at a time
+_MISSING_AS_NAN = dict.fromkeys(MISSING_MARKERS, "nan")  # what float() reads a marker as
 
 # each ScalingParams field's rule: key -> (check, what it wants)
 SCALING_RULES = dict.fromkeys(("minimum", "maximum"), (is_finite, "a finite number"))
@@ -96,13 +95,14 @@ def load_csv(
     path = str(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
+            header = header_row(csv.reader(fh), path)
             variable_columns = _variable_columns(path, header, date_column, variable_columns)
             at = [header.index(col) for col in (date_column, *variable_columns.values())]
-            chunks = [_parse_rows(rows, at) for rows in _row_chunks(reader)]
+            chunks = [_parse_columns(columns, at) for columns, _ in csv_chunks(fh, len(header))]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except csv.Error:  # a cell over the field size limit
+        _raise_first_fault(path, at, variable_columns.values())
     if not chunks:
         raise DataError(f"{path}: no data rows")
     if None in chunks:
@@ -128,44 +128,31 @@ def csv_variables(path) -> list[str]:
     path = str(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), [])
+            header = header_row(csv.reader(fh), path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return list(_variable_columns(path, header, "date", None))
 
 
-def _row_chunks(reader):
-    """The reader's non-blank rows, ``CHUNK_LINES`` lines at a time: a
-    chunk's strings are all that is held of the file at once."""
-    while lines := list(itertools.islice(reader, CHUNK_LINES)):
-        rows = [row for row in lines if row]
-        if rows:
-            yield rows
-
-
-def _parse_rows(rows: list[list[str]], at: list[int]):
-    """Convert a chunk of rows a column at a time.
+def _parse_columns(columns, at: list[int]):
+    """Convert a chunk of ``csv_chunks``' columns, one at a time.
 
     ``at`` holds the date column's index, then the variables'. Returns
     the rows' date ordinals and the variables' floats as one row per
     variable (NaN where missing), or None if a date or a cell does not
     convert or a cell that is not missing is not finite.
     """
-    width = 1 + max(at)
-    if min(map(len, rows)) < width:
-        for row in rows:
-            row += [""] * (width - len(row))
-    columns = list(zip(*rows))
     days = list(map(str.strip, columns[at[0]]))
-    floats = np.empty((len(at) - 1, len(rows)))
+    floats = np.empty((len(at) - 1, len(days)))
     try:
         ordinals = np.fromiter(
             map(date.toordinal, map(date.fromisoformat, days)), np.int64, len(days)
         )
         for values, i in zip(floats, at[1:]):
-            cells = list(map(str.strip, columns[i]))
-            values[:] = [math.nan if cell in MISSING_MARKERS else float(cell) for cell in cells]
-            if np.count_nonzero(~np.isfinite(values)) != sum(map(cells.count, MISSING_MARKERS)):
+            column = list(map(str.strip, columns[i]))
+            values[:] = np.fromiter(map(float, map(_MISSING_AS_NAN.get, column, column)),
+                                    float, len(column))
+            if np.count_nonzero(~np.isfinite(values)) != sum(map(column.count, MISSING_MARKERS)):
                 return None
     except ValueError:
         return None
@@ -180,8 +167,8 @@ def _raise_first_fault(path: str, at: list[int], columns):
     seen = set()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for line, row in numbered_rows(reader):
+        header_row(reader, path)
+        for line, row in numbered_rows(reader, path):
             where = f"{path}:{line}"
             cells = [cell.strip() for cell in row] + [""] * (width - len(row))
             try:

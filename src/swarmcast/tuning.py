@@ -228,7 +228,8 @@ def fitness(
     )
     actual = np.asarray(val_windows.targets, dtype=float)[:, :, 0].ravel()
     configs = [cell_configs(cell, network, training, global_seed) for cell in cells]
-    nets = [initialize_network(config, train_windows.lookback) for config, _ in configs]
+    # a generator, so that train's group buffer holds the only copy of the initial weights
+    nets = (initialize_network(config, train_windows.lookback) for config, _ in configs)
     return [math.inf if isinstance(trained, NumericalError)
             else mse(predict_windows(trained, val_windows).ravel(), actual)
             for trained in train(nets, train_windows, [run for _, run in configs])]

@@ -225,10 +225,30 @@ def impute_missing_loop(values):
     return values
 
 
+def csv_rows_by_line(reader, path):
+    """A ``csv.reader``'s rows, blank ones too, each after ``"path:line"``
+    of the line it starts on; a csv error raises DataError there."""
+    import csv
+
+    from swarmcast.errors import DataError
+
+    rows = iter(reader)
+    while True:
+        where = f"{path}:{reader.line_num + 1}"
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{where}: {exc}") from None
+        yield where, row
+
+
 def load_csv_rows(path, date_column="date", variable_columns=None):
-    """``timeseries.load_csv`` as a row-by-row loop: each row is stripped,
-    padded, dated, checked against the dates before it and converted cell
-    by cell, and the first failing row raises. Same contract and messages."""
+    """``timeseries.load_csv`` as a row-by-row loop over ``csv.reader``'s
+    rows: each row is stripped, padded, dated, checked against the dates
+    before it and converted cell by cell, and the first failing row
+    raises. Same contract and messages."""
     import csv
     from datetime import date, timedelta
 
@@ -254,16 +274,17 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
     path = str(path)
     parsed = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
+            try:
+                header = next(reader, [])
+            except csv.Error as exc:
+                raise DataError(f"{path}:1: {exc}") from None
             variable_columns = _variable_columns(path, header, date_column, variable_columns)
             date_at = header.index(date_column)
             columns = [(header.index(col), col) for col in variable_columns.values()]
             width = 1 + max(date_at, *(at for at, _ in columns))
-            last = reader.line_num
-            for row in reader:
-                where, last = f"{path}:{last + 1}", reader.line_num  # the row's first line
+            for where, row in csv_rows_by_line(reader, path):
                 if not row:
                     continue
                 cells = [cell.strip() for cell in row] + [""] * (width - len(row))
@@ -285,6 +306,49 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
     matrix[[(day - first).days for day in parsed]] = list(parsed.values())
     dates = tuple(first + timedelta(days=i) for i in range(span))
     return dates, dict(zip(variable_columns, matrix.T))
+
+
+def parse_score_rows(path):
+    """``evaluation.parse_score_csv`` as a row-by-row loop over
+    ``csv.reader``'s rows: every row is read, then the header and the rows
+    are checked in file order and the first fault raises. Same contract
+    and messages."""
+    import csv
+
+    from swarmcast.errors import DataError
+
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [(where, row) for where, row in csv_rows_by_line(csv.reader(fh), path) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read scores {path}: {exc}") from exc
+    if len(rows) < 2:
+        raise DataError(f"{path}: need a header and at least one test row")
+    (header_at, header), values = rows[0], []
+    if len(header) < 3:
+        raise DataError(f"{path}: need at least two method columns")
+    methods = []
+    for column, name in enumerate(header[1:], start=2):
+        method = name.strip()
+        if not method:
+            raise DataError(f"{header_at}: column {column}: blank method name")
+        if method in methods:
+            raise DataError(f"{header_at}: column {column}: repeated method name {method!r}")
+        methods.append(method)
+    for where, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataError(f"{where}: expected {len(header)} cells")
+        scores = []
+        for cell in row[1:]:
+            try:
+                scores.append(float(cell))
+            except ValueError as exc:
+                raise DataError(f"{where}: non-numeric score") from exc
+        for method, score in zip(methods, scores):
+            if math.isnan(score):
+                raise DataError(f"{where}: score of {method!r} is NaN")
+        values.append(scores)
+    return methods, np.array(values, dtype=float)
 
 
 def enumerate_assignments(space):

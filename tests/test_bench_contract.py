@@ -138,7 +138,8 @@ def test_traced_cli_tune_and_train_record_training_spans(tracer_module, tmp_path
 def test_traced_grouped_tune_records_conv_per_member_and_lstm_per_group_step(tracer_module):
     # a budget that sweeps the grid trains same-shape cells in lockstep groups:
     # per group step one network.grad, one optimizer update and one LSTM span
-    # per repeat step, but the conv and pool of every member
+    # per repeat step, but the conv and pool of every member; train draws each
+    # member's initial network from fitness's generator
     series = 0.5 + 0.2 * np.sin(np.arange(40) / 3.0)
     params = OptimizerParams(population_size=4, max_iterations=1, seed=3)
     tracer = tracer_module.Tracer()
@@ -162,7 +163,7 @@ def test_traced_grouped_tune_records_conv_per_member_and_lstm_per_group_step(tra
     for span in (span for span, name in enumerate(names) if name == "network.train"):
         fitness = tracer.parent_col[span]
         assert names[fitness] == "tuning.fitness"
-        k = count(fitness, "network.initialize_network")
+        k = count(span, "network.initialize_network")
         members.append(k)
         grads = [child for child in children[span] if names[child] == "network.grad"]
         assert len(grads) == count(span, "network.optimizer") == steps

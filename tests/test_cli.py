@@ -1,4 +1,5 @@
 import base64
+import csv
 import hashlib
 import json
 import math
@@ -136,6 +137,24 @@ class TestIngest:
 
     def test_missing_data_flag_exits_2(self, tmp_path):
         assert main(["ingest", "--output-dir", str(tmp_path / "o")]) == 2
+
+    # a spreadsheet export: byte-order mark, CRLF line ends, a quoted header and
+    # quoted cells, a blank line and a short row; the sha256 of what ingest wrote
+    EXPORT_DIGESTS = {
+        "dataset.csv": "085b6d84e91be8c5bc988f258f53011afc362f095f5676bc14d5c63706d30ce6",
+        "scaling.json": "7cb3520d263144614a809b98dc720b65ca60f91bf0d9d3a71918aebb0e599f07",
+    }
+
+    def test_a_csv_that_needs_the_csv_module_is_pinned(self, tmp_path):
+        lines = ['"date","confirmed","deaths"', '2020-03-22,10,"1"', "2020-03-23,12,1", "",
+                 "2020-03-24,15", '2020-03-26,"19",2'] + [
+            f"2020-03-{day},{day},{day // 9}" for day in range(27, 32)]
+        export = tmp_path / "export.csv"
+        export.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8"))
+        out = tmp_path / "a"
+        assert main(["ingest", "--data", str(export), "--output-dir", str(out)]) == 0
+        for name, expected in self.EXPORT_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
 
     def test_edge_missing_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "edge.csv"
@@ -879,6 +898,47 @@ class TestArtifactChecks:
         assert main(["train", "--data-dir", str(artifact), "--epochs", "1",
                      "--output-dir", str(tmp_path / "t")]) == 3
         assert str(dataset) in capsys.readouterr().err
+
+
+class TestOverLongCell:
+    """A cell longer than the csv module's field size limit is a data error
+    naming the file and the line its row starts on (exit 3), in every reader."""
+
+    LONG = "9" * (csv.field_size_limit() + 1)
+    MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
+
+    @pytest.mark.parametrize("text, line", [
+        (f"date,v\n2020-03-22,1\n2020-03-23,{LONG}\n", 3),
+        (f'date,v\n2020-03-22,1\n2020-03-23,"{LONG}"\n', 3),
+        (f'date,v\n2020-03-22,"1\n"\n2020-03-23,{LONG}\n', 4),
+        (f"date,{LONG}\n2020-03-22,1\n", 1),
+    ], ids=["unquoted", "quoted", "after-multiline-cell", "header"])
+    def test_ingest_exits_3_naming_file_and_line(self, tmp_path, capsys, text, line):
+        data = tmp_path / "long.csv"
+        data.write_text(text, encoding="utf-8")
+        assert main(["ingest", "--data", str(data), "--output-dir", str(tmp_path / "o")]) == 3
+        assert f"{data}:{line}: {self.MESSAGE}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_compare_exits_3_naming_file_and_line(self, tmp_path, capsys, quote):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"test,a,b\nt1,1,2\nt2,{quote}{self.LONG}{quote},1\n",
+                          encoding="utf-8")
+        assert main(["compare", "--scores", str(scores), "--output-dir", str(tmp_path / "o")]) == 3
+        assert f"{scores}:3: {self.MESSAGE}" in capsys.readouterr().err
+
+    def test_forecast_exits_3_naming_the_artifacts_file_and_line(self, artifact, tmp_path,
+                                                                  capsys):
+        dataset = artifact / "dataset.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[5] = lines[5].rstrip("\n") + "0" * len(self.LONG) + "\n"
+        dataset.write_text("".join(lines), encoding="utf-8")
+        model = tmp_path / "model.json"
+        save_model(initialize_network(NetworkConfig(n_filters=2, lstm_units=3), 7), model)
+        assert main(["forecast", "--model", str(model), "--data-dir", str(artifact),
+                     "--steps", "2", "--output-dir", str(tmp_path / "out")]) == 3
+        assert f"{dataset}:6: {self.MESSAGE}" in capsys.readouterr().err
 
 
 class TestArtifactVariables:

@@ -1,9 +1,17 @@
+import csv
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import friedman_loop, mae_loop, mse_loop, r_squared_loop, ranks_loop
+import csvtexts
+from oracles import (friedman_loop, mae_loop, mse_loop, parse_score_rows, r_squared_loop,
+                     ranks_loop)
+from swarmcast import fileio
 from swarmcast.errors import ConfigError, DataError
 from swarmcast.evaluation import (
     compare_methods,
@@ -297,6 +305,55 @@ class TestScoreCsv:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=f"scores.csv:{line}: "):
             parse_score_csv(path)
+
+    @pytest.mark.parametrize("row, error", [
+        ("t2,1,nan", ":3: score of 'b' is NaN"), ("t2,1,2,3", ":3: expected 3 cells"),
+        ("t2,1", ":3: expected 3 cells"), ("t2,1,x", ":3: non-numeric score"),
+    ], ids=["nan", "long-row", "short-row", "non-numeric"])
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["split", "csv-module"])
+    def test_a_files_only_fault_is_found_by_either_reader(self, tmp_path, row, error, quote):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"test,a,b\n{quote}t1{quote},1,2\n{row}\nt3,4,5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=error):
+            parse_score_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_chunked_reads_match_the_csv_reader_oracle(self, data):
+        header = ["test", *data.draw(st.lists(st.sampled_from(["a", "b", " c ", "d", "e", ""]),
+                                              min_size=1, max_size=3))]
+        text = data.draw(csvtexts.csv_texts(header, st.lists(SCORE_CELLS, min_size=len(header),
+                                                             max_size=len(header))))
+        # small chunks and a small cell limit put every tier, switch and fault across chunk edges
+        sizes = {"CHUNK_CHARS": data.draw(st.sampled_from([1, 7, 32, fileio.CHUNK_CHARS])),
+                 "CHUNK_LINES": data.draw(st.sampled_from([1, 3, fileio.CHUNK_LINES]))}
+        limit = data.draw(st.sampled_from([csv.field_size_limit(), 8, 16]))
+        with tempfile.TemporaryDirectory() as tmp, csvtexts.cell_limit(limit):
+            path = Path(tmp) / "scores.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.multiple(fileio, **sizes):
+                got = score_outcome(parse_score_csv, path)
+            want = score_outcome(parse_score_rows, path)
+        assert got == want
+
+
+# score cells, six to three to one: numbers, padded or infinite ones, and faulty,
+# NUL-holding or multi-line ones
+SCORE_CELLS = st.sampled_from(
+    [st.floats(allow_nan=False).map(repr)] * 6
+    + [st.sampled_from(["1", " 2.5 ", "inf", "-inf", "1e999", "0"])] * 3
+    + [st.sampled_from(["nan", " nan ", "x", "", "4\x00", "1,5", "7\n", "case\r2"])]
+).flatmap(lambda cells: cells)
+
+
+def score_outcome(reader, path):
+    """A score reader's result, comparable with ==: the method names and the
+    matrix's shape and bytes, or its exception type and message."""
+    try:
+        methods, matrix = reader(path)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return methods, matrix.shape, matrix.dtype, matrix.tobytes()
 
 
 def test_metric_report_fields():

@@ -1,5 +1,7 @@
+import csv
 import math
 import tempfile
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csvtexts
 from oracles import impute_missing_loop, load_csv_rows
-from swarmcast import timeseries
+from swarmcast import fileio
 from swarmcast.errors import ConfigError, DataError
 from swarmcast.timeseries import (
     ScalingParams,
@@ -152,16 +155,66 @@ class TestLoadCsv:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_the_row_by_row_oracle(self, data):
-        text, variable_columns = data.draw(csv_files())
-        # small chunks put duplicates, faults and blank lines across chunk edges
-        chunk_lines = data.draw(st.sampled_from([1, 2, 3, timeseries.CHUNK_LINES]))
-        with tempfile.TemporaryDirectory() as tmp:
+        text = data.draw(csvtexts.csv_texts(["date", "v", "note", "w"], LOAD_ROWS))
+        variable_columns = data.draw(st.sampled_from([
+            {"v": "v", "w": "w"}, {"w": "w", "v": "v"}, {"series": "w"}, {"v": "v"},
+        ]))
+        # small chunks and a small cell limit put every tier, switch, duplicate
+        # and fault across chunk edges
+        sizes = {"CHUNK_CHARS": data.draw(st.sampled_from([1, 7, 32, fileio.CHUNK_CHARS])),
+                 "CHUNK_LINES": data.draw(st.sampled_from([1, 3, fileio.CHUNK_LINES]))}
+        limit = data.draw(st.sampled_from([csv.field_size_limit(), 12, 24]))
+        with tempfile.TemporaryDirectory() as tmp, csvtexts.cell_limit(limit):
             path = Path(tmp) / "data.csv"
             path.write_bytes(text.encode("utf-8"))
-            with mock.patch.object(timeseries, "CHUNK_LINES", chunk_lines):
+            with mock.patch.multiple(fileio, **sizes):
                 got = outcome(load_csv, path, variable_columns)
             want = outcome(load_csv_rows, path, variable_columns)
         assert got == want
+
+    @pytest.mark.parametrize("edit, reader_chunks", [
+        ({}, 0), ({31: '2020-05-01,"31"'}, 1), ({31: "2020-05-01,31\r"}, 1),
+        ({3: "2020-04-03", 25: "2020-04-25"}, 2),
+    ], ids=["quote-free", "late-quote", "late-cr", "two-short-rows"])
+    def test_only_a_quote_or_cr_hands_the_rest_to_the_csv_module(self, tmp_path, edit,
+                                                                  reader_chunks):
+        # 31 rows of 12 to 14 characters: several 64-character chunks before the last row
+        lines = ["date,v"] + [f"{date(2020, 4, 1) + timedelta(days=day - 1)},{day}"
+                              for day in range(1, 32)]
+        for row, line in edit.items():
+            lines[row] = line
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        spy = mock.Mock(side_effect=fileio._reader_chunks)
+        with mock.patch.object(fileio, "CHUNK_CHARS", 64), \
+                mock.patch.object(fileio, "_reader_chunks", spy):
+            got = outcome(load_csv, path, None)
+        assert got == outcome(load_csv_rows, path, None)
+        assert spy.call_count == reader_chunks
+
+    @pytest.mark.parametrize("quote", [False, True], ids=["quote-free", "quote-on-line-3"])
+    def test_a_long_file_is_held_a_chunk_at_a_time(self, tmp_path, quote):
+        # 100,000 lines of about 17 characters: held at once, their strings
+        # alone would take some 7 MiB beyond the result
+        first = date(1800, 1, 1)
+        lines = [f"{first + timedelta(days=day)},{day % 997}.5" for day in range(100_000)]
+        if quote:
+            lines[1] = lines[1].replace(",", ',"') + '"'
+        path = write_csv(tmp_path, "date,v\n" + "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            dates, variables = load_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dates) == 100_000 and variables["v"][-1] == 99_999 % 997 + 0.5
+        assert peak - held < 5 * 2**20  # measured: 3.95 MiB, mostly the per-chunk arrays
+
+    def test_a_one_column_file_skips_its_blank_lines(self, tmp_path):
+        # every line of a one-column file holds its one cell, a blank one too
+        path = write_csv(tmp_path, "date\n20200322\n\n20200323\n")
+        dates, variables = load_csv(path, variable_columns={"v": "date"})
+        assert dates == (date(2020, 3, 22), date(2020, 3, 23))
+        assert variables["v"].tolist() == [20200322.0, 20200323.0]
 
 
 def outcome(loader, path, variable_columns):
@@ -180,52 +233,26 @@ CELLS = st.one_of(
 )
 FAULTS = {
     "bad-date": st.sampled_from(["not-a-date", "2020-02-30", "", "2020-3-1"]),
-    "non-numeric": st.sampled_from(["abc", '"1,5"', "--1", "0x10"]),
+    "non-numeric": st.sampled_from(["abc", "1,5", "--1", "0x10"]),
     "non-finite": st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]),
 }
 
 
-@st.composite
-def csv_files(draw):
-    """A CSV text with header date,v,note,w and the mapping to read it with.
+def _row_day(offset: int, form: int, bad: str) -> str:
+    """A load_csv row's date cell: mostly a plain date, else padded, holding a NUL or bad."""
+    day = (date(2020, 2, 20) + timedelta(offset)).isoformat()
+    return {0: f" {day} ", 1: f"{day}\x00", 2: bad}.get(form, day)
 
-    Rows come in any order with calendar gaps, blank lines, short and long
-    rows, padded and missing cells and quoted notes that span lines, with
-    0-3 faults (bad date, duplicate date, non-numeric or non-finite cell)
-    injected on random rows.
-    """
-    n = draw(st.integers(1, 12))
-    offsets = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
-    start = date(2020, 2, 20)
-    rows = []
-    for offset in offsets:
-        day = (start + timedelta(days=offset)).isoformat()
-        if draw(st.booleans()):
-            day = f" {day} "
-        note = draw(st.sampled_from(["", "ok", '"two\nlines"', '"a, b"', "x"]))
-        row = [day, draw(CELLS), note, draw(CELLS)]
-        width = draw(st.sampled_from([1, 2, 3, 4, 4, 4, 5]))
-        rows.append(row[:width] + ["extra"] * (width - 4))
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, n - 1))
-        kind = draw(st.sampled_from(["bad-date", "duplicate", "non-numeric", "non-finite"]))
-        if kind == "duplicate":
-            rows[at][0] = rows[draw(st.integers(0, n - 1))][0]
-        elif kind == "bad-date":
-            rows[at][0] = draw(FAULTS[kind])
-        else:
-            column = draw(st.sampled_from([1, 3]))
-            rows[at] += [""] * (column + 1 - len(rows[at]))
-            rows[at][column] = draw(FAULTS[kind])
-    lines = ["date,v,note,w"]
-    for row in rows:
-        lines.extend([""] * draw(st.integers(0, 1)))  # blank lines
-        lines.append(",".join(row))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    variable_columns = draw(st.sampled_from([
-        {"v": "v", "w": "w"}, {"w": "w", "v": "v"}, {"series": "w"}, {"v": "v"},
-    ]))
-    return newline.join(lines) + newline, variable_columns
+
+# a load_csv row: date, v, note, w; dates repeat by chance, and a cell may be
+# padded, missing, faulty, hold a NUL or span lines once quoted
+LOAD_ROWS = st.tuples(
+    st.builds(_row_day, st.integers(0, 40), st.integers(0, 15), FAULTS["bad-date"]),
+    st.one_of(CELLS, CELLS, FAULTS["non-numeric"], FAULTS["non-finite"],
+              st.sampled_from(["\x00", "1\x00", "2\n"])),
+    st.sampled_from(["", "ok", "two\nlines", "a, b", 'say "hi"', "x\x00y", "cr\r"]),
+    CELLS,
+).map(list)
 
 
 class TestImpute:

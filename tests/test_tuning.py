@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -238,6 +239,30 @@ class TestFitness:
         assert kept.weights.buf.tobytes() == kept_alone.weights.buf.tobytes()
         assert kept.loss_history == kept_alone.loss_history
         assert categories <= categories_alone | kept_categories
+
+    def test_the_initial_weights_are_freed_before_the_first_step(self, monkeypatch):
+        # a lockstep group's initial networks live on only in train's group buffer
+        train_w, val_w = inner_validation_split(learnable_constant_series(), 7, 1)
+        cells = [{"n_filters": 32, "kernel_size": kernel, "pool_size": 2, "lstm_units": 10}
+                 for kernel in (1, 2)]
+        templates = NetworkConfig(), TrainingConfig(epochs=1), 5
+        expected = [fitness([cell], train_w, val_w, *templates)[0] for cell in cells]
+        initial, alive_at_steps = [], []
+        make, step = tuning.initialize_network, network._gradients
+
+        def initialize(config, lookback):
+            net = make(config, lookback)
+            initial.append(weakref.ref(net.weights.buf))
+            return net
+
+        def gradients(*args):
+            alive_at_steps.append(sum(ref() is not None for ref in initial))
+            return step(*args)
+
+        monkeypatch.setattr(tuning, "initialize_network", initialize)
+        monkeypatch.setattr(network, "_gradients", gradients)
+        assert fitness(cells, train_w, val_w, *templates) == expected
+        assert len(initial) == 2 and alive_at_steps and set(alive_at_steps) == {0}
 
 
 class TestCellConfigs:
@@ -531,6 +556,7 @@ class TestLockstepGroups:
         groups = []
 
         def recording(nets, samples, cfgs):
+            nets = list(nets)  # fitness hands over a generator
             groups.append([net.config.weight_count(net.lookback) for net in nets])
             return network.train(nets, samples, cfgs)
 
