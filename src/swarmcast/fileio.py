@@ -110,11 +110,12 @@ def csv_chunks(fh, width: int):
 
     The cells are those ``csv.reader`` gives. The stream is read
     ``CHUNK_CHARS`` characters at a time and cut at the last line end.
-    A chunk without a quote or a CR, whose every line holds ``width``
-    cells and is no longer than ``csv.field_size_limit()``, is split with
-    ``str.split``, which gives exactly those cells. Any other chunk goes
-    through ``csv.reader``, ``CHUNK_LINES`` rows at a time, and from the
-    first quote or CR on (a quoted cell may span lines) so does the rest
+    A chunk without a quote, a CR or a NUL, whose every line holds
+    ``width`` cells and is no longer than ``csv.field_size_limit()``, is
+    split with ``str.split``, which gives exactly those cells. Any other
+    chunk goes through ``csv.reader``, ``CHUNK_LINES`` rows at a time, and
+    from the first quote or CR (a quoted cell may span lines) or NUL
+    (which ``csv.reader`` refuses before Python 3.11) on, so does the rest
     of the stream. The reader's ``csv.Error`` propagates.
     """
     limit = csv.field_size_limit()
@@ -122,7 +123,8 @@ def csv_chunks(fh, width: int):
     text = ""  # read but not yet chunked: at most one unfinished line
     while block := fh.read(CHUNK_CHARS):
         text += block
-        if '"' in block or "\r" in block or len(text) > limit and "\n" not in text:
+        if ('"' in block or "\r" in block or "\x00" in block
+                or len(text) > limit and "\n" not in text):
             # whole lines for the csv module: the block's last line ends as read on
             lines = io.StringIO(text + fh.readline(), newline="")
             yield from _reader_chunks(csv.reader(itertools.chain(lines, fh)), width)
@@ -136,7 +138,7 @@ def csv_chunks(fh, width: int):
 
 
 def _split_chunk(text: str, width: int, shape: bytes, limit: int):
-    """``csv_chunks``' chunks of whole lines of quote-free, CR-free text."""
+    """``csv_chunks``' chunks of whole lines of text free of quotes, CRs and NULs."""
     lines = text.encode().translate(None, _NOT_COMMA_OR_NEWLINE)  # each line's commas and end
     if (lines != shape * (len(lines) // len(shape))
             # with one cell to a line, a blank line has the shape of a full one

@@ -174,9 +174,9 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("edit, reader_chunks", [
         ({}, 0), ({31: '2020-05-01,"31"'}, 1), ({31: "2020-05-01,31\r"}, 1),
-        ({3: "2020-04-03", 25: "2020-04-25"}, 2),
-    ], ids=["quote-free", "late-quote", "late-cr", "two-short-rows"])
-    def test_only_a_quote_or_cr_hands_the_rest_to_the_csv_module(self, tmp_path, edit,
+        ({31: "2020-05-01,31\x00"}, 1), ({3: "2020-04-03", 25: "2020-04-25"}, 2),
+    ], ids=["quote-free", "late-quote", "late-cr", "late-nul", "two-short-rows"])
+    def test_only_a_quote_cr_or_nul_hands_the_rest_to_the_csv_module(self, tmp_path, edit,
                                                                   reader_chunks):
         # 31 rows of 12 to 14 characters: several 64-character chunks before the last row
         lines = ["date,v"] + [f"{date(2020, 4, 1) + timedelta(days=day - 1)},{day}"
@@ -246,12 +246,13 @@ def _row_day(offset: int, form: int, bad: str) -> str:
 
 # a load_csv row: date, v, note, w; dates repeat by chance, and a cell may be
 # padded, missing, faulty, hold a NUL or span lines once quoted
+VALUES = st.one_of(CELLS, CELLS, FAULTS["non-numeric"], FAULTS["non-finite"],
+                   st.sampled_from(["\x00", "1\x00", "2\n"]))
 LOAD_ROWS = st.tuples(
     st.builds(_row_day, st.integers(0, 40), st.integers(0, 15), FAULTS["bad-date"]),
-    st.one_of(CELLS, CELLS, FAULTS["non-numeric"], FAULTS["non-finite"],
-              st.sampled_from(["\x00", "1\x00", "2\n"])),
+    VALUES,
     st.sampled_from(["", "ok", "two\nlines", "a, b", 'say "hi"', "x\x00y", "cr\r"]),
-    CELLS,
+    VALUES,
 ).map(list)
 
 
