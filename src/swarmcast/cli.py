@@ -26,7 +26,7 @@ import hashlib
 import os
 import platform
 import sys
-from datetime import timedelta
+from datetime import date
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -37,7 +37,7 @@ from .errors import ConfigError, DataError, NumericalError, SwarmcastError
 from .benchmarks import BENCHMARKS
 from .evaluation import ALPHA, CHI2_CRITICAL, compare_methods, metric_report, parse_score_csv
 from .fileio import (COUNT_RULE, OBJECT_RULE, canonical_json, check_fields, is_finite,
-                     read_json, write_csv_rows, write_json)
+                     read_json, write_csv_columns, write_json)
 from .layers import ACTIVATIONS
 from .metaheuristics import OPTIMIZERS, OptimizerParams, SearchBounds
 from .network import (
@@ -242,21 +242,31 @@ def _parse_variables(raw) -> dict[str, str] | None:
     return {name: name for name in raw}
 
 
+_UNIX_EPOCH = date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
+
+
+def _iso_days(days: range) -> list[str]:
+    """The ``date.isoformat`` of each of a run of consecutive day ordinals,
+    as CSV cells (numpy formats them, about twice as fast)."""
+    offsets = np.arange(days.start - _UNIX_EPOCH, days.stop - _UNIX_EPOCH)
+    return offsets.astype("datetime64[D]").astype(str).tolist()
+
+
 # ---------------------------------------------------------------- ingest
 
 def cmd_ingest(options, out_dir: Path):
     ratio = options["split_ratio"]
     columns = _parse_variables(options["variables"])
-    dates, variables = load_csv(
+    days, variables = load_csv(
         options["data"], date_column=options["date_column"], variable_columns=columns
     )
     if "date" in variables:  # dataset.csv's date column
         raise DataError(f"{options['data']}: variable 'date' would repeat dataset.csv's"
                         " date column; rename it")
-    n = len(dates)
+    n = len(days)
     cut = split_index(n, ratio)
 
-    scaled = []
+    table = [_iso_days(days)]  # dataset.csv's columns: each day, then each scaled variable
     variable_meta = {}
     for name, raw in variables.items():
         try:
@@ -265,7 +275,7 @@ def cmd_ingest(options, out_dir: Path):
             column = columns[name] if columns else name
             raise DataError(f"{options['data']}: column {column!r}: {exc}") from None
         _, params = minmax_scale(filled[:cut])
-        scaled.append(apply_scale(filled, params))
+        table.append(list(map(repr, apply_scale(filled, params).tolist())))
         variable_meta[name] = {
             "minimum": params.minimum,
             "maximum": params.maximum,
@@ -273,13 +283,9 @@ def cmd_ingest(options, out_dir: Path):
             "imputed": int(np.isnan(raw).sum()),
         }
 
-    rows = [
-        [day.isoformat(), *map(repr, values)]
-        for day, values in zip(dates, np.column_stack(scaled).tolist())
-    ]
     region = options["region"]
     return {
-        "dataset.csv": (["date", *variables], rows),
+        "dataset.csv": (["date", *variables], table),
         "scaling.json": {
             "region_id": Path(options["data"]).stem if region is None else region,
             "n_rows": n,
@@ -288,7 +294,7 @@ def cmd_ingest(options, out_dir: Path):
             "variables": variable_meta,
         },
     }, [
-        f"rows: {n} ({dates[0]} .. {dates[-1]})",
+        f"rows: {n} ({date.fromordinal(days[0])} .. {date.fromordinal(days[-1])})",
         f"imputed: {sum(meta['imputed'] for meta in variable_meta.values())}",
         f"split: train {cut} / test {n - cut}",
         f"artifact: {out_dir}",
@@ -336,17 +342,18 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     name = variable or names[0]
     if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
-    dates, variables = load_csv(dataset_path, variable_columns={name: name})
+    days, variables = load_csv(dataset_path, variable_columns={name: name})
     # ingest writes every day with a value, so a gap means a damaged file
     missing = np.flatnonzero(np.isnan(variables[name]))
     if missing.size:
-        raise DataError(f"{dataset_path}: variable {name!r} has no value on {dates[missing[0]]}")
+        raise DataError(f"{dataset_path}: variable {name!r} has no value on"
+                        f" {date.fromordinal(days[missing[0]])}")
     # ... and a deleted first or last day shows only in the count
-    if meta["n_rows"] != len(dates):
+    if meta["n_rows"] != len(days):
         raise DataError(f"{scaling_path}: 'n_rows' is {meta['n_rows']}, but {dataset_path}"
-                        f" has {len(dates)} days")
+                        f" has {len(days)} days")
     return {
-        "dates": dates,
+        "days": days,
         "meta": meta,
         "name": name,
         "series": variables[name],
@@ -371,9 +378,9 @@ def _optimizer_params(options) -> OptimizerParams:
 
 def _trace_table(trace) -> tuple[list, list]:
     """A search's best fitness after each iteration, as a CSV table."""
-    return ["iteration", "best_fitness"], [
-        [i, repr(v)] for i, v in enumerate(trace.best_fitness_per_iteration)
-    ]
+    fitness = trace.best_fitness_per_iteration
+    return ["iteration", "best_fitness"], [list(map(str, range(len(fitness)))),
+                                           list(map(repr, fitness))]
 
 
 def cmd_tune(options, out_dir: Path):
@@ -408,7 +415,7 @@ def cmd_tune(options, out_dir: Path):
         "trace.csv": _trace_table(trace),
         "timings.csv": (
             ["evaluation", "wall_time_seconds"],
-            [[i, f"{wall:.6f}"] for i, wall in enumerate(seconds)],
+            [list(map(str, range(len(seconds)))), [f"{wall:.6f}" for wall in seconds]],
         ),
     }, [
         f"best assignment: {report['best_assignment']}",
@@ -453,13 +460,15 @@ def cmd_forecast(options, out_dir: Path):
     artifact = read_artifact(options["data_dir"], options["variable"])
     name, series, params = artifact["name"], artifact["series"], artifact["scaling"]
 
+    last = artifact["days"][-1]
+    fit = date.max.toordinal() - last
+    if steps > fit:
+        raise ConfigError(f"--steps {steps} runs past {date.max}: the artifact's last day is"
+                          f" {date.fromordinal(last)}, so at most {fit} steps fit")
+
     values = iterative_forecast(net, series, steps, params)
-    last_day = artifact["dates"][-1]
-    rows = [
-        [(last_day + timedelta(days=i + 1)).isoformat(), repr(float(v))]
-        for i, v in enumerate(values)
-    ]
-    return {"forecast.csv": (["date", "predicted"], rows)}, [
+    dates = _iso_days(range(last + 1, last + 1 + steps))
+    return {"forecast.csv": (["date", "predicted"], [dates, list(map(repr, values.tolist()))])}, [
         f"variable: {name}",
         f"forecast: {out_dir / 'forecast.csv'} ({steps} steps)",
     ]
@@ -487,13 +496,16 @@ def cmd_evaluate(options, out_dir: Path):
     actual_units = inverse_scale(actual.ravel(), params)
     units_report = metric_report(predicted_units, actual_units)
 
-    rows = []
-    for i, (actual_value, predicted_value) in enumerate(
-        zip(actual_units.tolist(), predicted_units.tolist())
-    ):
-        row, step = divmod(i, horizon)
-        day = artifact["dates"][offset + row + lookback + step]
-        rows.append([day.isoformat(), step + 1, repr(actual_value), repr(predicted_value)])
+    # window i's step s predicts the day s after its first target day
+    n = len(test_windows)
+    first = artifact["days"][offset + lookback]
+    dates = _iso_days(range(first, first + n + horizon - 1))
+    columns = [
+        [dates[i + step] for i in range(n) for step in range(horizon)],
+        list(map(str, range(1, horizon + 1))) * n,
+        list(map(repr, actual_units.tolist())),
+        list(map(repr, predicted_units.tolist())),
+    ]
 
     return {
         "metrics.json": {
@@ -502,7 +514,7 @@ def cmd_evaluate(options, out_dir: Path):
             "scaled": scaled_report,
             "original_units": units_report,
         },
-        "predictions.csv": (["date", "step", "actual", "predicted"], rows),
+        "predictions.csv": (["date", "step", "actual", "predicted"], columns),
     }, [
         f"variable: {name}",
         f"test mse (scaled): {scaled_report['mse']}",
@@ -519,7 +531,7 @@ def cmd_compare(options, out_dir: Path):
         "comparison.json": doc,
         "cd_diagram.csv": (
             ["method", "average_rank"],
-            [[m, repr(r)] for m, r in zip(doc["methods"], doc["average_ranks"])],
+            [doc["methods"], list(map(repr, doc["average_ranks"]))],
         ),
     }, [
         f"friedman statistic: {doc['friedman_statistic']}",
@@ -563,7 +575,8 @@ def cmd_bench_opt(options, out_dir: Path):
 class Command(NamedTuple):
     """A subcommand: its keys with their defaults, and the keys it needs set.
     ``run(options, out_dir)`` returns its artifacts (file name -> JSON
-    object, CSV ``(header, rows)`` or ``TrainedNetwork``) and stdout lines."""
+    object, CSV ``(header, columns)`` of str cells or ``TrainedNetwork``)
+    and stdout lines."""
 
     run: Callable[[dict, Path], tuple[dict, list[str]]]
     help: str
@@ -645,7 +658,7 @@ def run_command(name: str, options: dict) -> int:
         if isinstance(value, TrainedNetwork):
             save_model(value, out_dir / filename)
         elif isinstance(value, tuple):
-            write_csv_rows(out_dir / filename, *value)
+            write_csv_columns(out_dir / filename, *value)
         else:
             write_json(out_dir / filename, value)
     print(*lines, sep="\n")

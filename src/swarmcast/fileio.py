@@ -1,7 +1,7 @@
 """Reading inputs and writing artifacts.
 
 Every JSON artifact goes through ``canonical_json`` (sorted keys, two-space
-indent, a final newline) and every CSV artifact through ``write_csv_rows``.
+indent, a final newline) and every CSV artifact through ``write_csv_columns``.
 An input problem is raised naming the file (and a CSV row's line or a
 JSON key, whose rule is declared beside the type it builds). CSV rows are
 read a chunk at a time (``csv_chunks``). A command that fails halfway
@@ -109,22 +109,28 @@ def csv_chunks(fh, width: int):
     ""), and whether every row held ``width`` cells.
 
     The cells are those ``csv.reader`` gives. The stream is read
-    ``CHUNK_CHARS`` characters at a time and cut at the last line end.
-    A chunk without a quote, a CR or a NUL, whose every line holds
-    ``width`` cells and is no longer than ``csv.field_size_limit()``, is
-    split with ``str.split``, which gives exactly those cells. Any other
-    chunk goes through ``csv.reader``, ``CHUNK_LINES`` rows at a time, and
-    from the first quote or CR (a quoted cell may span lines) or NUL
-    (which ``csv.reader`` refuses before Python 3.11) on, so does the rest
-    of the stream. The reader's ``csv.Error`` propagates.
+    ``CHUNK_CHARS`` characters at a time (and one more while a block ends
+    in a CR) and cut at the last line end. In a block whose every CR
+    comes right before an LF, each CRLF becomes an LF, which ends the
+    same lines. A chunk without a quote, a CR or a NUL, whose every line
+    holds ``width`` cells and is no longer than ``csv.field_size_limit()``,
+    is split with ``str.split``, which gives exactly those cells. Any
+    other chunk goes through ``csv.reader``, ``CHUNK_LINES`` rows at a
+    time, and from the first quote or lone CR (a quoted cell may span
+    lines) or NUL (which ``csv.reader`` refuses before Python 3.11) on, so
+    does the rest of the stream. The reader's ``csv.Error`` propagates.
     """
     limit = csv.field_size_limit()
     shape = ("," * (width - 1) + "\n").encode()  # a split line's commas and line end
     text = ""  # read but not yet chunked: at most one unfinished line
     while block := fh.read(CHUNK_CHARS):
-        text += block
-        if ('"' in block or "\r" in block or "\x00" in block
-                or len(text) > limit and "\n" not in text):
+        if block[-1] == "\r":  # whether it ends a CRLF shows in the next character
+            block += fh.read(1)
+        # a CRLF ends a line as an LF does; a quote, a NUL or a lone CR needs the csv module
+        lf_block = block.replace("\r\n", "\n") if "\r" in block else block
+        to_reader = '"' in block or "\x00" in block or "\r" in lf_block
+        text += block if to_reader else lf_block
+        if to_reader or len(text) > limit and "\n" not in text:
             # whole lines for the csv module: the block's last line ends as read on
             lines = io.StringIO(text + fh.readline(), newline="")
             yield from _reader_chunks(csv.reader(itertools.chain(lines, fh)), width)
@@ -188,8 +194,28 @@ def write_json(path, obj) -> None:
         fh.write(canonical_json(obj))
 
 
-def write_csv_rows(path, header, rows) -> None:
+def write_csv_columns(path, header, columns) -> None:
+    """Write the CSV table ``header`` over ``columns``, equal-length
+    sequences of str cells, as ``csv.writer`` writes its rows (minimal
+    quoting, LF line ends).
+
+    The header goes through ``csv.writer``. The body is joined in one pass
+    and kept if scans show that no cell needs quoting: no quote, CR or NUL
+    (which ``csv.writer`` may write otherwise by Python version), every
+    row's commas and line end its own, and, with one column, no empty
+    cell (``csv.writer`` writes it as ``""``). Otherwise the rows go
+    through ``csv.writer``.
+    """
+    rows = len(columns[0])
     with atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        body = "\n".join(map(",".join, zip(*columns, strict=True)))
+        # no table without rows is plain: its body holds no LF, not rows - 1
+        plain = ('"' not in body and "\r" not in body and "\x00" not in body
+                 and body.count(",") == rows * (len(columns) - 1)
+                 and body.count("\n") == rows - 1 and (len(columns) > 1 or all(columns[0])))
+        if plain:
+            fh.write(body + "\n")
+        else:
+            writer.writerows(zip(*columns))

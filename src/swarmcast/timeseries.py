@@ -75,8 +75,8 @@ class WindowedSamples:
 
 def load_csv(
     path, date_column: str = "date", variable_columns: dict[str, str] | None = None
-) -> tuple[tuple[date, ...], dict[str, np.ndarray]]:
-    """Read a daily-series UTF-8 CSV into its dates and variables.
+) -> tuple[range, dict[str, np.ndarray]]:
+    """Read a daily-series UTF-8 CSV into its days and variables.
 
     The file must have a header row, with no repeated name, whose
     ``date_column`` holds ISO-8601 dates; a byte-order mark before it is
@@ -89,8 +89,9 @@ def load_csv(
     line the first failing row starts on; within a row the date is
     checked first, then its repetition, then the cells in column order.
 
-    Returns ``(dates, variables)``: one date per day from the first to the
-    last, and each variable's float64 column in ``variable_columns`` order.
+    Returns ``(days, variables)``: the proleptic ordinals
+    (``date.toordinal``) of the days from the first to the last, and each
+    variable's float64 column in ``variable_columns`` order.
     """
     path = str(path)
     try:
@@ -117,9 +118,7 @@ def load_csv(
     # one row per variable, so each variable's column is one contiguous array
     matrix = np.full((len(floats), span), math.nan)
     matrix[:, ordinals - first] = floats
-    return tuple(map(date.fromordinal, range(first, first + span))), dict(
-        zip(variable_columns, matrix)
-    )
+    return range(first, first + span), dict(zip(variable_columns, matrix))
 
 
 def csv_variables(path) -> list[str]:

@@ -250,7 +250,7 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
     before it and converted cell by cell, and the first failing row
     raises. Same contract and messages."""
     import csv
-    from datetime import date, timedelta
+    from datetime import date
 
     import numpy as np
 
@@ -304,8 +304,21 @@ def load_csv_rows(path, date_column="date", variable_columns=None):
     span = (max(parsed) - first).days + 1
     matrix = np.full((span, len(columns)), math.nan, order="F")
     matrix[[(day - first).days for day in parsed]] = list(parsed.values())
-    dates = tuple(first + timedelta(days=i) for i in range(span))
-    return dates, dict(zip(variable_columns, matrix.T))
+    days = range(first.toordinal(), first.toordinal() + span)
+    return days, dict(zip(variable_columns, matrix.T))
+
+
+def csv_writer_text(header, columns) -> str:
+    """``fileio.write_csv_columns``' text, written as ``csv.writer`` writes
+    the header and then each row of the columns."""
+    import csv
+    import io
+
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return out.getvalue()
 
 
 def parse_score_rows(path):

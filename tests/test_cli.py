@@ -3,12 +3,17 @@ import csv
 import hashlib
 import json
 import math
+from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_assignments
+from oracles import csv_writer_text, enumerate_assignments
 from swarmcast import cli, fileio, network, tuning
 from swarmcast.cli import main
 from swarmcast.errors import ConfigError, DataError, NumericalError, SwarmcastError
@@ -539,6 +544,30 @@ class TestTrainForecast:
                      "--output-dir", str(tmp_path / "x")]) == 2
         assert "steps must be at least 1" in capsys.readouterr().err
 
+    def test_a_forecast_past_the_last_date_exits_2_before_any_forward_pass(self, tmp_path,
+                                                                          capsys):
+        # 100 days ending two days before the last day a date can hold
+        first = date.max - timedelta(days=101)
+        data, ingest, model = tmp_path / "late.csv", tmp_path / "ing", tmp_path / "m"
+        data.write_text("date,v\n" + "".join(f"{first + timedelta(days=i)},{i % 7 + i}\n"
+                                             for i in range(100)), encoding="utf-8")
+        assert main(["ingest", "--data", str(data), "--output-dir", str(ingest)]) == 0
+        assert main(["train", "--data-dir", str(ingest), "--n-filters", "2", "--lstm-units",
+                     "3", "--epochs", "1", "--output-dir", str(model)]) == 0
+        forecast = ["forecast", "--model", str(model / "model.json"), "--data-dir", str(ingest)]
+        assert main([*forecast, "--steps", "2", "--output-dir", str(tmp_path / "fits")]) == 0
+        rows = (tmp_path / "fits" / "forecast.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["9999-12-30", "9999-12-31"]
+        capsys.readouterr()
+        spy = mock.Mock(side_effect=cli.iterative_forecast)
+        with mock.patch.object(cli, "iterative_forecast", spy):
+            assert main([*forecast, "--steps", "3", "--output-dir", str(tmp_path / "x")]) == 2
+        assert spy.call_count == 0
+        assert capsys.readouterr().err == (
+            "config error: --steps 3 runs past 9999-12-31: the artifact's last day is"
+            " 9999-12-29, so at most 2 steps fit\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_exits_4(self, artifact, tmp_path):
         code = main(["train", "--data-dir", str(artifact),
@@ -599,6 +628,74 @@ class TestTrainForecast:
             assert hashlib.sha256((ev / name).read_bytes()).hexdigest() == expected, name
         rows = (ev / "predictions.csv").read_text().splitlines()[1:3]
         assert [row.split(",")[:2] for row in rows] == [["2020-07-28", "1"], ["2020-07-29", "2"]]
+
+
+def long_series_csv(days: int = 2000) -> str:
+    """A daily CSV of three series over ``days`` days, with calendar gaps
+    and blank cells (never on the first or last day):
+
+    - ``drift`` falls through zero on a 1e-7 scale, so its test days scale
+      below 0 and its values in original units print with ``-`` and an
+      exponent;
+    - ``rising`` grows, so its test days scale above 1;
+    - ``spiky`` is small but for one training day of 1e6, so its scaled
+      values print with an exponent.
+    """
+    rng = np.random.default_rng(2000)
+    start = date(1990, 1, 1)
+    lines = ["date,drift,rising,spiky"]
+    for day in range(days):
+        edge = day in (0, days - 1)
+        if not edge and rng.random() < 0.02:
+            continue  # a calendar gap
+        t = day / days
+        cells = [
+            repr((600 - 1000 * t + 40 * math.sin(day / 9) + rng.normal(0, 15)) * 1e-9),
+            str(round(100 + 900 * t + 60 * math.sin(day / 5) + rng.normal(0, 20))),
+            "1000000" if day == 300 else repr(round(rng.uniform(0, 10), 3)),
+        ]
+        lines.append(f"{start + timedelta(days=day)},"
+                     + ",".join("" if not edge and rng.random() < 0.01 else c for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestLongPipeline:
+    """The bytes of a long pipeline: ingest, train at horizons 1 and 2,
+    evaluate both models and forecast with the first."""
+
+    DIGESTS = {
+        "dataset.csv": "851a2d9f76162ba024904a1d9b66f793cce69a1109312d46aef1d66bc27c5e87",
+        "predictions-h1.csv": "8b1bcf8ce20d2315f87477a890e6480745c7181ed8fa925d5bc6963ca427fc99",
+        "predictions-h2.csv": "b6ee49dfa964de4c1d59c0e082dbb170c1e3f1d429577ecfe97ff23c1a880223",
+        "forecast.csv": "80cc72fde7a1ce3b06f4a21d2dbb1556d7ac09a192017d981abd0089063f04c0",
+    }
+
+    def test_artifacts_are_pinned(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text(long_series_csv(), encoding="utf-8")
+        ingest = tmp_path / "ingest"
+        assert main(["ingest", "--data", str(data), "--output-dir", str(ingest)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "rows: 2000 (1990-01-01 .. 1995-06-23)", "imputed: 182", "split: train 1600 / test 400"]
+        written = {"dataset.csv": ingest / "dataset.csv"}
+        # the data reach what the change must keep: negative reprs and exponents
+        body = (ingest / "dataset.csv").read_text(encoding="utf-8")
+        assert ",-" in body and "e-" in body
+        for horizon in (1, 2):
+            model, ev = tmp_path / f"model-{horizon}", tmp_path / f"ev-{horizon}"
+            assert main(["train", "--data-dir", str(ingest), "--horizon", str(horizon),
+                         "--n-filters", "2", "--lstm-units", "3", "--epochs", "1",
+                         "--seed", "4", "--output-dir", str(model)]) == 0
+            assert main(["evaluate", "--model", str(model / "model.json"),
+                         "--data-dir", str(ingest), "--output-dir", str(ev)]) == 0
+            written[f"predictions-h{horizon}.csv"] = ev / "predictions.csv"
+        forecast = tmp_path / "forecast"
+        assert main(["forecast", "--model", str(tmp_path / "model-1" / "model.json"),
+                     "--data-dir", str(ingest), "--steps", "30",
+                     "--output-dir", str(forecast)]) == 0
+        written["forecast.csv"] = forecast / "forecast.csv"
+        for name, path in written.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[name], name
 
 
 def _encoded(*values) -> dict:
@@ -1224,6 +1321,21 @@ class TestCompare:
                                ("cd_diagram.csv", diagram_sha)):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
 
+    def test_quoted_method_names_are_pinned(self, tmp_path):
+        # names with a comma and a quote: cd_diagram.csv quotes them as csv.writer does
+        scores = tmp_path / "scores.csv"
+        scores.write_text('test,"a, b","say ""hi""",c\nt1,1,2,3\nt2,3,1,2\nt3,2,3,1\n'
+                          "t4,1,1,2\nt5,0.5,2,3\n", encoding="utf-8")
+        out = tmp_path / "c"
+        assert main(["compare", "--scores", str(scores), "--output-dir", str(out)]) == 0
+        assert (out / "cd_diagram.csv").read_text(encoding="utf-8") == (
+            'method,average_rank\n"a, b",1.7\n"say ""hi""",1.9\nc,2.4\n')
+        for name, expected in (
+            ("comparison.json", "81fa108bf269f105c736ebbf08df0df8459e8b6ff08739696b20d2d8f0b99f09"),
+            ("cd_diagram.csv", "994362969ee4055ed06694e500f9d2507ad35e81c8afb42a2158bd6efc458a43"),
+        ):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
     @pytest.mark.parametrize("header, column", [("test,a,a", 3), ("test,,b", 2),
                                                 ("test, a ,a", 3)])
     def test_blank_or_repeated_method_exits_3_naming_column(self, tmp_path, capsys,
@@ -1506,6 +1618,80 @@ class TestOptionTable:
         assert used == set(OPTIONS)
 
 
+# the cells of a CSV artifact: float reprs, ISO dates, ints and names, the
+# last with every character csv.writer may quote
+FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1e300, -1e-300, 3.0,
+                     -2.0, 1e16, 12345678901234567.0]),
+).map(repr)
+DATE_CELLS = st.dates(date.min, date.max).map(date.isoformat)
+TEXT_CELLS = st.one_of(st.just(""), st.text(st.sampled_from(',"\r\n\x00 aé'), max_size=5))
+TABLE_CELLS = st.one_of(FLOAT_CELLS, DATE_CELLS, st.integers().map(str), TEXT_CELLS)
+
+
+class TestCsvWriter:
+    """write_csv_columns writes what csv.writer writes, and hands it only
+    the rows of a table with a cell that needs quoting."""
+
+    @staticmethod
+    def write(path, header, columns) -> tuple[bytes, bool]:
+        """The bytes written, and whether the rows went through csv.writer."""
+        handed = []
+
+        def writer(fh, **kwargs):
+            real = csv.writer(fh, **kwargs)
+            return SimpleNamespace(writerow=real.writerow,
+                                   writerows=lambda rows: handed.append(real.writerows(rows)))
+
+        with mock.patch.object(fileio, "csv", SimpleNamespace(writer=writer)):
+            fileio.write_csv_columns(path, header, columns)
+        return path.read_bytes(), bool(handed)
+
+    def test_matches_csv_writer(self, tmp_path):
+        paths = set()
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.integers(1, 5).flatmap(lambda width: st.tuples(
+            st.lists(TEXT_CELLS, min_size=width, max_size=width),
+            st.lists(st.lists(TABLE_CELLS, min_size=width, max_size=width), max_size=6))))
+        def check(table):
+            header, rows = table
+            columns = [[row[i] for row in rows] for i in range(len(header))]
+            text, handed = self.write(tmp_path / "t.csv", header, columns)
+            assert text == csv_writer_text(header, columns).encode("utf-8")
+            paths.add(handed)
+
+        check()
+        assert paths == {False, True}
+
+    @pytest.mark.parametrize("columns, handed", [
+        ([["1990-01-01", "1990-01-02"], ["0.5", "-1e-07"]], False),
+        ([["a, b", "c"], ["1.5", "2.0"]], True),
+        ([['say "hi"'], ["1"]], True),
+        ([["1", "cr\r"]], True),
+        ([["1", "", "2"]], True),
+        ([["1", "2"]], False),
+    ], ids=["dates-and-floats", "comma", "quote", "cr", "one-column-empty-cell",
+            "one-column"])
+    def test_only_a_cell_that_needs_quoting_goes_through_csv_writer(self, tmp_path, columns,
+                                                                  handed):
+        header = ["x", "y"][:len(columns)]
+        text = csv_writer_text(header, columns).encode("utf-8")
+        assert self.write(tmp_path / "t.csv", header, columns) == (text, handed)
+
+
+@pytest.mark.parametrize("first, last", [
+    (date.min, date(2, 3, 1)), (date(999, 12, 1), date(1000, 1, 31)),
+    (date(1582, 10, 1), date(1582, 10, 31)), (date(1900, 2, 27), date(1900, 3, 2)),
+    (date(1969, 12, 30), date(1970, 1, 2)), (date(2000, 2, 27), date(2000, 3, 2)),
+    (date(9998, 12, 30), date.max),
+])
+def test_iso_days_are_the_dates_isoformat(first, last):
+    days = range(first.toordinal(), last.toordinal() + 1)
+    assert cli._iso_days(days) == [date.fromordinal(day).isoformat() for day in days]
+
+
 class TestAtomicWrites:
     """An artifact write that fails partway leaves the previous file intact."""
 
@@ -1525,17 +1711,14 @@ class TestAtomicWrites:
             fileio.write_json(path, {"a": 2})
         self.assert_untouched(path, before)
 
-    def test_write_csv_rows(self, tmp_path):
+    def test_write_csv_columns(self, tmp_path):
         path = tmp_path / "rows.csv"
-        fileio.write_csv_rows(path, ["x"], [[1], [2]])
+        fileio.write_csv_columns(path, ["x"], [["1", "2"]])
         before = path.read_bytes()
 
-        def rows():
-            yield [3]
-            raise RuntimeError("row source failed")
-
-        with pytest.raises(RuntimeError):
-            fileio.write_csv_rows(path, ["x"], rows())
+        # the header is written before a cell that is not a str stops the body
+        with pytest.raises(TypeError):
+            fileio.write_csv_columns(path, ["x"], [["3", 4]])
         self.assert_untouched(path, before)
 
     def test_save_model(self, tmp_path, monkeypatch):

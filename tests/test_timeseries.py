@@ -41,15 +41,14 @@ class TestLoadCsv:
             tmp_path,
             "date,confirmed\n2020-03-22,1\n2020-03-23,2\n2020-03-24,3\n",
         )
-        dates, variables = load_csv(path)
-        assert len(dates) == 3
-        assert dates[0] == date(2020, 3, 22)
+        days, variables = load_csv(path)
+        assert days == range(date(2020, 3, 22).toordinal(), date(2020, 3, 24).toordinal() + 1)
         assert np.array_equal(variables["confirmed"], [1.0, 2.0, 3.0])
 
     def test_gap_materialised_as_missing(self, tmp_path):
         path = write_csv(tmp_path, "date,confirmed\n2020-03-22,1\n2020-03-24,3\n")
-        dates, variables = load_csv(path)
-        assert len(dates) == 3
+        days, variables = load_csv(path)
+        assert len(days) == 3
         values = variables["confirmed"]
         assert math.isnan(values[1])
         assert values[0] == 1.0 and values[2] == 3.0
@@ -173,11 +172,13 @@ class TestLoadCsv:
         assert got == want
 
     @pytest.mark.parametrize("edit, reader_chunks", [
-        ({}, 0), ({31: '2020-05-01,"31"'}, 1), ({31: "2020-05-01,31\r"}, 1),
-        ({31: "2020-05-01,31\x00"}, 1), ({3: "2020-04-03", 25: "2020-04-25"}, 2),
-    ], ids=["quote-free", "late-quote", "late-cr", "late-nul", "two-short-rows"])
+        ({}, 0), ({31: '2020-05-01,"31"'}, 1), ({31: "2020-05-01,31\r\r"}, 1),
+        ({31: "2020-05-01,31\r"}, 0), ({31: "2020-05-01,31\x00"}, 1),
+        ({3: "2020-04-03", 25: "2020-04-25"}, 2),
+    ], ids=["quote-free", "late-quote", "late-cr", "late-crlf", "late-nul", "two-short-rows"])
     def test_only_a_quote_cr_or_nul_hands_the_rest_to_the_csv_module(self, tmp_path, edit,
                                                                   reader_chunks):
+        # a CR that ends a CRLF is a line end like an LF; a lone one hands over
         # 31 rows of 12 to 14 characters: several 64-character chunks before the last row
         lines = ["date,v"] + [f"{date(2020, 4, 1) + timedelta(days=day - 1)},{day}"
                               for day in range(1, 32)]
@@ -191,6 +192,39 @@ class TestLoadCsv:
         assert got == outcome(load_csv_rows, path, None)
         assert spy.call_count == reader_chunks
 
+    @pytest.mark.parametrize("end, reader_chunks", [("\r\n", 0), ("\r", 1)],
+                             ids=["crlf", "last-cr-lone"])
+    def test_a_crlf_file_stays_on_the_split_tier(self, tmp_path, end, reader_chunks):
+        lines = ["date,vv"] + [f"{date(2020, 4, day)},{day}" for day in range(1, 31)]
+        text = "\r\n".join(lines) + end
+        # the first 64-character block ends on a CR whose LF the next one holds
+        assert text[63:65] == "\r\n"
+        path = write_csv(tmp_path, text)
+        spy = mock.Mock(side_effect=fileio._reader_chunks)
+        with mock.patch.object(fileio, "CHUNK_CHARS", 64), \
+                mock.patch.object(fileio, "_reader_chunks", spy):
+            got = outcome(load_csv, path, None)
+        assert got == outcome(load_csv_rows, path, None)
+        assert got == outcome(load_csv, write_csv(tmp_path, "\n".join(lines) + "\n", "lf.csv"),
+                              None)
+        assert spy.call_count == reader_chunks
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_quote_free_crlf_text_matches_the_oracle_on_the_split_tier(self, data):
+        text = data.draw(csvtexts.csv_texts(["date", "v", "w"], PLAIN_ROWS,
+                                            ends=st.just(("\r\n",)), plain=True))
+        chunk_chars = data.draw(st.sampled_from([1, 2, 7, 32, fileio.CHUNK_CHARS]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            spy = mock.Mock(side_effect=fileio._reader_chunks)
+            with mock.patch.object(fileio, "CHUNK_CHARS", chunk_chars), \
+                    mock.patch.object(fileio, "_reader_chunks", spy):
+                got = outcome(load_csv, path, {"v": "v", "w": "w"})
+            assert got == outcome(load_csv_rows, path, {"v": "v", "w": "w"})
+        assert spy.call_count == 0
+
     @pytest.mark.parametrize("quote", [False, True], ids=["quote-free", "quote-on-line-3"])
     def test_a_long_file_is_held_a_chunk_at_a_time(self, tmp_path, quote):
         # 100,000 lines of about 17 characters: held at once, their strings
@@ -202,29 +236,29 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "date,v\n" + "\n".join(lines) + "\n")
         tracemalloc.start()
         try:
-            dates, variables = load_csv(path)
+            days, variables = load_csv(path)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(dates) == 100_000 and variables["v"][-1] == 99_999 % 997 + 0.5
+        assert len(days) == 100_000 and variables["v"][-1] == 99_999 % 997 + 0.5
         assert peak - held < 5 * 2**20  # measured: 3.95 MiB, mostly the per-chunk arrays
 
     def test_a_one_column_file_skips_its_blank_lines(self, tmp_path):
         # every line of a one-column file holds its one cell, a blank one too
         path = write_csv(tmp_path, "date\n20200322\n\n20200323\n")
-        dates, variables = load_csv(path, variable_columns={"v": "date"})
-        assert dates == (date(2020, 3, 22), date(2020, 3, 23))
+        days, variables = load_csv(path, variable_columns={"v": "date"})
+        assert days == range(date(2020, 3, 22).toordinal(), date(2020, 3, 23).toordinal() + 1)
         assert variables["v"].tolist() == [20200322.0, 20200323.0]
 
 
 def outcome(loader, path, variable_columns):
-    """A loader's result, comparable with ==: its dates and each variable's
+    """A loader's result, comparable with ==: its days and each variable's
     bytes, or its exception type and message."""
     try:
-        dates, variables = loader(path, variable_columns=variable_columns)
+        days, variables = loader(path, variable_columns=variable_columns)
     except DataError as exc:
         return type(exc), str(exc)
-    return dates, {name: (column.dtype, column.tobytes()) for name, column in variables.items()}
+    return days, {name: (column.dtype, column.tobytes()) for name, column in variables.items()}
 
 
 CELLS = st.one_of(
@@ -248,6 +282,13 @@ def _row_day(offset: int, form: int, bad: str) -> str:
 # padded, missing, faulty, hold a NUL or span lines once quoted
 VALUES = st.one_of(CELLS, CELLS, FAULTS["non-numeric"], FAULTS["non-finite"],
                    st.sampled_from(["\x00", "1\x00", "2\n"]))
+# a row that no tier needs the csv module for: a date, then two cells free of
+# quotes, commas, CRs, LFs and NULs
+PLAIN_ROWS = st.tuples(
+    st.builds(lambda offset: (date(2020, 2, 20) + timedelta(offset)).isoformat(),
+              st.integers(0, 40)),
+    CELLS, st.one_of(CELLS, FAULTS["non-numeric"].filter(lambda cell: "," not in cell)),
+).map(list)
 LOAD_ROWS = st.tuples(
     st.builds(_row_day, st.integers(0, 40), st.integers(0, 15), FAULTS["bad-date"]),
     VALUES,
