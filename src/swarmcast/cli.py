@@ -26,7 +26,6 @@ import hashlib
 import os
 import platform
 import sys
-from datetime import date
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -53,12 +52,15 @@ from .network import (
     train,
 )
 from .timeseries import (
+    LAST_DAY,
     SCALING_RULES,
     ScalingParams,
     apply_scale,
     csv_variables,
     impute_missing,
     inverse_scale,
+    iso_day,
+    iso_days,
     load_csv,
     make_windows,
     minmax_scale,
@@ -242,16 +244,6 @@ def _parse_variables(raw) -> dict[str, str] | None:
     return {name: name for name in raw}
 
 
-_UNIX_EPOCH = date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
-
-
-def _iso_days(days: range) -> list[str]:
-    """The ``date.isoformat`` of each of a run of consecutive day ordinals,
-    as CSV cells (numpy formats them, about twice as fast)."""
-    offsets = np.arange(days.start - _UNIX_EPOCH, days.stop - _UNIX_EPOCH)
-    return offsets.astype("datetime64[D]").astype(str).tolist()
-
-
 # ---------------------------------------------------------------- ingest
 
 def cmd_ingest(options, out_dir: Path):
@@ -266,7 +258,7 @@ def cmd_ingest(options, out_dir: Path):
     n = len(days)
     cut = split_index(n, ratio)
 
-    table = [_iso_days(days)]  # dataset.csv's columns: each day, then each scaled variable
+    table = [iso_days(days)]  # dataset.csv's columns: each day, then each scaled variable
     variable_meta = {}
     for name, raw in variables.items():
         try:
@@ -294,7 +286,7 @@ def cmd_ingest(options, out_dir: Path):
             "variables": variable_meta,
         },
     }, [
-        f"rows: {n} ({date.fromordinal(days[0])} .. {date.fromordinal(days[-1])})",
+        f"rows: {n} ({iso_day(days[0])} .. {iso_day(days[-1])})",
         f"imputed: {sum(meta['imputed'] for meta in variable_meta.values())}",
         f"split: train {cut} / test {n - cut}",
         f"artifact: {out_dir}",
@@ -347,7 +339,7 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     missing = np.flatnonzero(np.isnan(variables[name]))
     if missing.size:
         raise DataError(f"{dataset_path}: variable {name!r} has no value on"
-                        f" {date.fromordinal(days[missing[0]])}")
+                        f" {iso_day(days[missing[0]])}")
     # ... and a deleted first or last day shows only in the count
     if meta["n_rows"] != len(days):
         raise DataError(f"{scaling_path}: 'n_rows' is {meta['n_rows']}, but {dataset_path}"
@@ -461,13 +453,13 @@ def cmd_forecast(options, out_dir: Path):
     name, series, params = artifact["name"], artifact["series"], artifact["scaling"]
 
     last = artifact["days"][-1]
-    fit = date.max.toordinal() - last
+    fit = LAST_DAY - last
     if steps > fit:
-        raise ConfigError(f"--steps {steps} runs past {date.max}: the artifact's last day is"
-                          f" {date.fromordinal(last)}, so at most {fit} steps fit")
+        raise ConfigError(f"--steps {steps} runs past {iso_day(LAST_DAY)}: the artifact's"
+                          f" last day is {iso_day(last)}, so at most {fit} steps fit")
 
     values = iterative_forecast(net, series, steps, params)
-    dates = _iso_days(range(last + 1, last + 1 + steps))
+    dates = iso_days(range(last + 1, last + 1 + steps))
     return {"forecast.csv": (["date", "predicted"], [dates, list(map(repr, values.tolist()))])}, [
         f"variable: {name}",
         f"forecast: {out_dir / 'forecast.csv'} ({steps} steps)",
@@ -499,7 +491,7 @@ def cmd_evaluate(options, out_dir: Path):
     # window i's step s predicts the day s after its first target day
     n = len(test_windows)
     first = artifact["days"][offset + lookback]
-    dates = _iso_days(range(first, first + n + horizon - 1))
+    dates = iso_days(range(first, first + n + horizon - 1))
     columns = [
         [dates[i + step] for i in range(n) for step in range(horizon)],
         list(map(str, range(1, horizon + 1))) * n,

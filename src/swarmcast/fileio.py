@@ -109,28 +109,22 @@ def csv_chunks(fh, width: int):
     ""), and whether every row held ``width`` cells.
 
     The cells are those ``csv.reader`` gives. The stream is read
-    ``CHUNK_CHARS`` characters at a time (and one more while a block ends
-    in a CR) and cut at the last line end. In a block whose every CR
-    comes right before an LF, each CRLF becomes an LF, which ends the
-    same lines. A chunk without a quote, a CR or a NUL, whose every line
-    holds ``width`` cells and is no longer than ``csv.field_size_limit()``,
-    is split with ``str.split``, which gives exactly those cells. Any
-    other chunk goes through ``csv.reader``, ``CHUNK_LINES`` rows at a
-    time, and from the first quote or lone CR (a quoted cell may span
-    lines) or NUL (which ``csv.reader`` refuses before Python 3.11) on, so
-    does the rest of the stream. The reader's ``csv.Error`` propagates.
+    ``CHUNK_CHARS`` characters at a time and cut at the last line end.
+    A chunk without a quote, a CR or a NUL, whose every line holds
+    ``width`` cells and is no longer than ``csv.field_size_limit()``, is
+    split with ``str.split``, which gives exactly those cells. Any other
+    chunk goes through ``csv.reader``, ``CHUNK_LINES`` rows at a time, and
+    from the first quote or CR (a quoted cell may span lines) or NUL
+    (which ``csv.reader`` refuses before Python 3.11) on, so does the rest
+    of the stream. The reader's ``csv.Error`` propagates.
     """
     limit = csv.field_size_limit()
     shape = ("," * (width - 1) + "\n").encode()  # a split line's commas and line end
     text = ""  # read but not yet chunked: at most one unfinished line
     while block := fh.read(CHUNK_CHARS):
-        if block[-1] == "\r":  # whether it ends a CRLF shows in the next character
-            block += fh.read(1)
-        # a CRLF ends a line as an LF does; a quote, a NUL or a lone CR needs the csv module
-        lf_block = block.replace("\r\n", "\n") if "\r" in block else block
-        to_reader = '"' in block or "\x00" in block or "\r" in lf_block
-        text += block if to_reader else lf_block
-        if to_reader or len(text) > limit and "\n" not in text:
+        text += block
+        if ('"' in block or "\r" in block or "\x00" in block
+                or len(text) > limit and "\n" not in text):
             # whole lines for the csv module: the block's last line ends as read on
             lines = io.StringIO(text + fh.readline(), newline="")
             yield from _reader_chunks(csv.reader(itertools.chain(lines, fh)), width)

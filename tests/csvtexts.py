@@ -29,19 +29,15 @@ def quoted(cell: str) -> str:
 
 
 @st.composite
-def csv_texts(draw, header: list[str], rows, ends=LINE_ENDS, plain=False):
+def csv_texts(draw, header: list[str], rows):
     """A CSV text: the ``header`` names, then rows drawn from ``rows``, a
-    strategy for one row's cells, each line ended by one of the line ends
-    drawn from ``ends``. Rows before a drawn one hold no quote (unless a
-    cell does), and from it on any cell may be quoted; a ragged file cuts
-    or extends some of its rows, a blank-lined one puts blank lines
-    between them. A ``plain`` text quotes nothing and is neither ragged
-    nor blank-lined."""
+    strategy for one row's cells. Rows before a drawn one hold no quote
+    (unless a cell does), and from it on any cell may be quoted; a ragged
+    file cuts or extends some of its rows, a blank-lined one puts blank
+    lines between them."""
     quote_header, ragged, blank_lines, bom, last_end = (draw(st.booleans()) for _ in range(5))
-    if plain:
-        quote_header = ragged = blank_lines = False
     body = draw(st.lists(rows, max_size=24))
-    quotes_from = len(body) if plain else draw(st.integers(0, len(body)))
+    quotes_from = draw(st.integers(0, len(body)))
     lines = [",".join(map(quoted, header) if quote_header else header)]
     for i, row in enumerate(body):
         if ragged and draw(st.integers(0, 3)) == 0:
@@ -51,7 +47,7 @@ def csv_texts(draw, header: list[str], rows, ends=LINE_ENDS, plain=False):
         if blank_lines:
             lines.extend([""] * draw(st.integers(0, 2)))
         lines.append(",".join(row))
-    ends = draw(ends)
+    ends = draw(LINE_ENDS)
     text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
     if not last_end:
         text = text.rstrip("\r\n")

@@ -1681,17 +1681,6 @@ class TestCsvWriter:
         assert self.write(tmp_path / "t.csv", header, columns) == (text, handed)
 
 
-@pytest.mark.parametrize("first, last", [
-    (date.min, date(2, 3, 1)), (date(999, 12, 1), date(1000, 1, 31)),
-    (date(1582, 10, 1), date(1582, 10, 31)), (date(1900, 2, 27), date(1900, 3, 2)),
-    (date(1969, 12, 30), date(1970, 1, 2)), (date(2000, 2, 27), date(2000, 3, 2)),
-    (date(9998, 12, 30), date.max),
-])
-def test_iso_days_are_the_dates_isoformat(first, last):
-    days = range(first.toordinal(), last.toordinal() + 1)
-    assert cli._iso_days(days) == [date.fromordinal(day).isoformat() for day in days]
-
-
 class TestAtomicWrites:
     """An artifact write that fails partway leaves the previous file intact."""
 

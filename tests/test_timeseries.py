@@ -21,6 +21,8 @@ from swarmcast.timeseries import (
     apply_scale,
     impute_missing,
     inverse_scale,
+    iso_day,
+    iso_days,
     load_csv,
     make_windows,
     minmax_scale,
@@ -172,13 +174,11 @@ class TestLoadCsv:
         assert got == want
 
     @pytest.mark.parametrize("edit, reader_chunks", [
-        ({}, 0), ({31: '2020-05-01,"31"'}, 1), ({31: "2020-05-01,31\r\r"}, 1),
-        ({31: "2020-05-01,31\r"}, 0), ({31: "2020-05-01,31\x00"}, 1),
-        ({3: "2020-04-03", 25: "2020-04-25"}, 2),
-    ], ids=["quote-free", "late-quote", "late-cr", "late-crlf", "late-nul", "two-short-rows"])
+        ({}, 0), ({31: '2020-05-01,"31"'}, 1), ({31: "2020-05-01,31\r"}, 1),
+        ({31: "2020-05-01,31\x00"}, 1), ({3: "2020-04-03", 25: "2020-04-25"}, 2),
+    ], ids=["quote-free", "late-quote", "late-cr", "late-nul", "two-short-rows"])
     def test_only_a_quote_cr_or_nul_hands_the_rest_to_the_csv_module(self, tmp_path, edit,
                                                                   reader_chunks):
-        # a CR that ends a CRLF is a line end like an LF; a lone one hands over
         # 31 rows of 12 to 14 characters: several 64-character chunks before the last row
         lines = ["date,v"] + [f"{date(2020, 4, 1) + timedelta(days=day - 1)},{day}"
                               for day in range(1, 32)]
@@ -191,39 +191,6 @@ class TestLoadCsv:
             got = outcome(load_csv, path, None)
         assert got == outcome(load_csv_rows, path, None)
         assert spy.call_count == reader_chunks
-
-    @pytest.mark.parametrize("end, reader_chunks", [("\r\n", 0), ("\r", 1)],
-                             ids=["crlf", "last-cr-lone"])
-    def test_a_crlf_file_stays_on_the_split_tier(self, tmp_path, end, reader_chunks):
-        lines = ["date,vv"] + [f"{date(2020, 4, day)},{day}" for day in range(1, 31)]
-        text = "\r\n".join(lines) + end
-        # the first 64-character block ends on a CR whose LF the next one holds
-        assert text[63:65] == "\r\n"
-        path = write_csv(tmp_path, text)
-        spy = mock.Mock(side_effect=fileio._reader_chunks)
-        with mock.patch.object(fileio, "CHUNK_CHARS", 64), \
-                mock.patch.object(fileio, "_reader_chunks", spy):
-            got = outcome(load_csv, path, None)
-        assert got == outcome(load_csv_rows, path, None)
-        assert got == outcome(load_csv, write_csv(tmp_path, "\n".join(lines) + "\n", "lf.csv"),
-                              None)
-        assert spy.call_count == reader_chunks
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_a_quote_free_crlf_text_matches_the_oracle_on_the_split_tier(self, data):
-        text = data.draw(csvtexts.csv_texts(["date", "v", "w"], PLAIN_ROWS,
-                                            ends=st.just(("\r\n",)), plain=True))
-        chunk_chars = data.draw(st.sampled_from([1, 2, 7, 32, fileio.CHUNK_CHARS]))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "data.csv"
-            path.write_bytes(text.encode("utf-8"))
-            spy = mock.Mock(side_effect=fileio._reader_chunks)
-            with mock.patch.object(fileio, "CHUNK_CHARS", chunk_chars), \
-                    mock.patch.object(fileio, "_reader_chunks", spy):
-                got = outcome(load_csv, path, {"v": "v", "w": "w"})
-            assert got == outcome(load_csv_rows, path, {"v": "v", "w": "w"})
-        assert spy.call_count == 0
 
     @pytest.mark.parametrize("quote", [False, True], ids=["quote-free", "quote-on-line-3"])
     def test_a_long_file_is_held_a_chunk_at_a_time(self, tmp_path, quote):
@@ -282,19 +249,25 @@ def _row_day(offset: int, form: int, bad: str) -> str:
 # padded, missing, faulty, hold a NUL or span lines once quoted
 VALUES = st.one_of(CELLS, CELLS, FAULTS["non-numeric"], FAULTS["non-finite"],
                    st.sampled_from(["\x00", "1\x00", "2\n"]))
-# a row that no tier needs the csv module for: a date, then two cells free of
-# quotes, commas, CRs, LFs and NULs
-PLAIN_ROWS = st.tuples(
-    st.builds(lambda offset: (date(2020, 2, 20) + timedelta(offset)).isoformat(),
-              st.integers(0, 40)),
-    CELLS, st.one_of(CELLS, FAULTS["non-numeric"].filter(lambda cell: "," not in cell)),
-).map(list)
 LOAD_ROWS = st.tuples(
     st.builds(_row_day, st.integers(0, 40), st.integers(0, 15), FAULTS["bad-date"]),
     VALUES,
     st.sampled_from(["", "ok", "two\nlines", "a, b", 'say "hi"', "x\x00y", "cr\r"]),
     VALUES,
 ).map(list)
+
+
+@pytest.mark.parametrize("first, last", [
+    (date.min, date(2, 3, 1)), (date(999, 12, 1), date(1000, 1, 31)),
+    (date(1582, 10, 1), date(1582, 10, 31)), (date(1900, 2, 27), date(1900, 3, 2)),
+    (date(1969, 12, 30), date(1970, 1, 2)), (date(2000, 2, 27), date(2000, 3, 2)),
+    (date(9998, 12, 30), date.max),
+])
+def test_iso_days_are_the_dates_isoformat(first, last):
+    days = range(first.toordinal(), last.toordinal() + 1)
+    want = [date.fromordinal(day).isoformat() for day in days]
+    assert iso_days(days) == want
+    assert [iso_day(day) for day in days] == want
 
 
 class TestImpute:
