@@ -64,8 +64,10 @@ from .timeseries import (
     load_csv,
     make_windows,
     minmax_scale,
+    read_packed,
     split_index,
     split_windows,
+    write_packed,
 )
 from .tuning import (
     ARCHITECTURE_DIMENSIONS,
@@ -259,15 +261,17 @@ def cmd_ingest(options, out_dir: Path):
     cut = split_index(n, ratio)
 
     table = [iso_days(days)]  # dataset.csv's columns: each day, then each scaled variable
+    scaled = np.empty((len(variables), n))  # dataset.f8's values, the same floats
     variable_meta = {}
-    for name, raw in variables.items():
+    for row, (name, raw) in zip(scaled, variables.items()):
         try:
             filled = impute_missing(raw)
         except DataError as exc:
             column = columns[name] if columns else name
             raise DataError(f"{options['data']}: column {column!r}: {exc}") from None
         _, params = minmax_scale(filled[:cut])
-        table.append(list(map(repr, apply_scale(filled, params).tolist())))
+        row[:] = apply_scale(filled, params)
+        table.append(list(map(repr, row.tolist())))
         variable_meta[name] = {
             "minimum": params.minimum,
             "maximum": params.maximum,
@@ -278,6 +282,7 @@ def cmd_ingest(options, out_dir: Path):
     region = options["region"]
     return {
         "dataset.csv": (["date", *variables], table),
+        "dataset.f8": scaled,
         "scaling.json": {
             "region_id": Path(options["data"]).stem if region is None else region,
             "n_rows": n,
@@ -298,8 +303,11 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     values): ``variable``, or the first column when it is None.
 
     Every variable's scaling entry is checked and ``split_ratio`` must split
-    ``n_rows`` at ``split_index``, but only the target's column of
-    dataset.csv is parsed; it must hold a value for each of ``n_rows`` days.
+    ``n_rows`` at ``split_index``. The target's values come from dataset.f8
+    while its digest proves it the pair of dataset.csv; otherwise only the
+    target's column of dataset.csv is parsed. Either way there must be a
+    value for each of ``n_rows`` days, and each training day's must lie in
+    [0, 1], where ingest scaled them.
     """
     data_dir = Path(data_dir)
     scaling_path = data_dir / "scaling.json"
@@ -334,7 +342,8 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     name = variable or names[0]
     if name not in names:
         raise ConfigError(f"unknown variable {name!r}; artifact has {names}")
-    days, variables = load_csv(dataset_path, variable_columns={name: name})
+    days, variables = (read_packed(dataset_path, names, name, meta["n_rows"])
+                       or load_csv(dataset_path, variable_columns={name: name}))
     # ingest writes every day with a value, so a gap means a damaged file
     missing = np.flatnonzero(np.isnan(variables[name]))
     if missing.size:
@@ -344,6 +353,12 @@ def read_artifact(data_dir, variable: str | None) -> dict:
     if meta["n_rows"] != len(days):
         raise DataError(f"{scaling_path}: 'n_rows' is {meta['n_rows']}, but {dataset_path}"
                         f" has {len(days)} days")
+    # ingest scales the training days by their own minimum and maximum
+    training = variables[name][:cut]
+    outside = np.flatnonzero((training < 0.0) | (training > 1.0))
+    if outside.size:
+        raise DataError(f"{dataset_path}: variable {name!r} is {float(training[outside[0]])!r}"
+                        f" on training day {iso_day(days[outside[0]])}, outside [0, 1]")
     return {
         "days": days,
         "meta": meta,
@@ -567,8 +582,8 @@ def cmd_bench_opt(options, out_dir: Path):
 class Command(NamedTuple):
     """A subcommand: its keys with their defaults, and the keys it needs set.
     ``run(options, out_dir)`` returns its artifacts (file name -> JSON
-    object, CSV ``(header, columns)`` of str cells or ``TrainedNetwork``)
-    and stdout lines."""
+    object, CSV ``(header, columns)`` of str cells, ``TrainedNetwork`` or
+    a float64 array packed beside the CSV written before it) and stdout lines."""
 
     run: Callable[[dict, Path], tuple[dict, list[str]]]
     help: str
@@ -651,6 +666,8 @@ def run_command(name: str, options: dict) -> int:
             save_model(value, out_dir / filename)
         elif isinstance(value, tuple):
             write_csv_columns(out_dir / filename, *value)
+        elif isinstance(value, np.ndarray):  # the packed values of the CSV written before
+            write_packed(out_dir / filename, value)
         else:
             write_json(out_dir / filename, value)
     print(*lines, sep="\n")

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .errors import DataError
 
-# a CSV chunk's size, in characters of text to split and rows for the csv module:
-# a chunk's strings are all that is held of a file at once
+# a CSV chunk's size, in characters of text to split and rows for the csv module
+# or the writer: a chunk's strings are all that is held of a file at once
 CHUNK_CHARS = 1 << 15
 CHUNK_LINES = 1024
 # every byte but "," and "\n": deleting them from a chunk leaves its lines' shape
@@ -162,8 +162,9 @@ def _reader_chunks(reader, width: int):
 
 
 @contextmanager
-def atomic_writer(path, newline=None):
-    """Open a text stream whose content replaces ``path`` when the block ends.
+def atomic_writer(path, newline=None, binary=False):
+    """Open a text stream (a byte stream if ``binary``) whose content
+    replaces ``path`` when the block ends.
 
     If the block raises, the temporary file is removed and ``path`` keeps
     its previous content (or stays absent).
@@ -171,7 +172,8 @@ def atomic_writer(path, newline=None):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline=newline)) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -193,23 +195,26 @@ def write_csv_columns(path, header, columns) -> None:
     sequences of str cells, as ``csv.writer`` writes its rows (minimal
     quoting, LF line ends).
 
-    The header goes through ``csv.writer``. The body is joined in one pass
-    and kept if scans show that no cell needs quoting: no quote, CR or NUL
-    (which ``csv.writer`` may write otherwise by Python version), every
-    row's commas and line end its own, and, with one column, no empty
-    cell (``csv.writer`` writes it as ``""``). Otherwise the rows go
-    through ``csv.writer``.
+    The header goes through ``csv.writer``. The body is joined and
+    written ``CHUNK_LINES`` rows at a time, so a chunk's text is all that
+    is held of it at once. A chunk is kept if scans show that no cell
+    needs quoting: no quote, CR or NUL (which ``csv.writer`` may write
+    otherwise by Python version), every row's commas and line end its
+    own, and, with one column, no empty cell (``csv.writer`` writes it as
+    ``""``). Otherwise the chunk's rows go through ``csv.writer``, which
+    writes a kept chunk's rows alike.
     """
-    rows = len(columns[0])
     with atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        body = "\n".join(map(",".join, zip(*columns, strict=True)))
-        # no table without rows is plain: its body holds no LF, not rows - 1
-        plain = ('"' not in body and "\r" not in body and "\x00" not in body
-                 and body.count(",") == rows * (len(columns) - 1)
-                 and body.count("\n") == rows - 1 and (len(columns) > 1 or all(columns[0])))
-        if plain:
-            fh.write(body + "\n")
-        else:
-            writer.writerows(zip(*columns))
+        for start in range(0, max(map(len, columns)), CHUNK_LINES):
+            chunk = [column[start:start + CHUNK_LINES] for column in columns]
+            rows = len(chunk[0])
+            body = "\n".join(map(",".join, zip(*chunk, strict=True)))
+            if ('"' not in body and "\r" not in body and "\x00" not in body
+                    and body.count(",") == rows * (len(chunk) - 1)
+                    and body.count("\n") == rows - 1 and (len(chunk) > 1 or all(chunk[0]))):
+                fh.write(body)
+                fh.write("\n")
+            else:
+                writer.writerows(zip(*chunk))

@@ -8,15 +8,20 @@ throughout.
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import math
+import os
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
-from .fileio import check_fields, csv_chunks, header_row, is_finite, numbered_rows
+from .fileio import (atomic_writer, check_fields, csv_chunks, header_row, is_finite,
+                     numbered_rows)
 
 MISSING_MARKERS = {"", "NA"}
 _MISSING_AS_NAN = dict.fromkeys(MISSING_MARKERS, "nan")  # what float() reads a marker as
@@ -148,6 +153,70 @@ def csv_variables(path) -> list[str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return list(_variable_columns(path, header, "date", None))
+
+
+# A packed file (``.f8``) is the compiled form of the series CSV beside it
+# (same stem, ``.csv``): a sha256 digest of the CSV's bytes followed by the
+# value bytes, then each variable's values as little-endian float64, one
+# block per variable in the CSV's header order. The CSV stays the source of
+# truth: the packed values are trusted only while the digest matches.
+PACKED_SUFFIX = ".f8"
+_DIGEST_BYTES = 32
+_HASH_CHUNK = 1 << 16  # bytes of the CSV hashed at a time
+
+
+def _csv_digest(csv_path: Path):
+    """A sha256 object fed the bytes of the file ``csv_path``, a chunk at a time."""
+    digest = hashlib.sha256()
+    with open(csv_path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, _HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest
+
+
+def write_packed(path, values: np.ndarray) -> None:
+    """Write ``values`` (one row per variable) to the packed file ``path``;
+    the CSV beside it must already hold its final bytes."""
+    values = np.ascontiguousarray(values, "<f8")
+    digest = _csv_digest(Path(path).with_suffix(".csv"))
+    digest.update(values)
+    with atomic_writer(path, binary=True) as fh:
+        fh.write(digest.digest())
+        fh.write(values)
+
+
+def read_packed(csv_path, names: list[str], name: str,
+                n_rows: int) -> tuple[range, dict[str, np.ndarray]] | None:
+    """``name``'s column of the series CSV ``csv_path`` (whose variables are
+    ``names``) from its packed file, as ``load_csv`` returns it, or None
+    unless that file exists, holds ``n_rows`` values of each variable, its
+    digest matches both files and ``name``'s values are finite. The days
+    run from the CSV's first data row, the first of ``n_rows``."""
+    csv_path = Path(csv_path)
+    block = 8 * n_rows
+    try:
+        with open(csv_path.with_suffix(PACKED_SUFFIX), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != _DIGEST_BYTES + block * len(names):
+                return None
+            recorded = fh.read(_DIGEST_BYTES)
+            digest = _csv_digest(csv_path)
+            # the target's block is read in place; the others pass through one scratch block
+            values = np.empty(n_rows, "<f8")
+            scratch = np.empty(n_rows if len(names) > 1 else 0, "<f8")
+            for each in names:
+                into = values if each == name else scratch
+                if fh.readinto(into) != block:
+                    return None
+                digest.update(into)
+        if digest.digest() != recorded or not np.isfinite(values).all():
+            return None
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            next(rows)
+            first = date.fromisoformat(next(rows)[0]).toordinal()
+    except (OSError, ValueError, LookupError, StopIteration, csv.Error):
+        return None
+    return range(first, first + n_rows), {name: values.astype(float, copy=False)}
 
 
 def _parse_columns(columns, at: list[int]):

@@ -24,7 +24,8 @@ from swarmcast.network import (
     network_forward,
     save_model,
 )
-from swarmcast.timeseries import ScalingParams, inverse_scale
+from swarmcast.timeseries import (ScalingParams, inverse_scale, load_csv, read_packed,
+                                  write_packed)
 
 SAMPLE_CSV = Path(__file__).resolve().parents[1] / "data" / "sample_daily_cases.csv"
 
@@ -75,6 +76,18 @@ def artifact(tmp_path, small_csv):
     code = main(["ingest", "--data", str(small_csv), "--output-dir", str(out)])
     assert code == 0
     return out
+
+
+# an artifact read takes dataset.f8's values while its digest matches
+# dataset.csv; a damaged dataset.csv breaks the digest, so with or without
+# dataset.f8 it is parsed, and its faults are named as the parse names them
+READS = ["with-f8", "csv-only"]
+
+
+def drop_f8(artifact, read):
+    """Delete the artifact's dataset.f8 for the ``csv-only`` read."""
+    if read == "csv-only":
+        (artifact / "dataset.f8").unlink()
 
 
 class TestIngest:
@@ -950,8 +963,10 @@ class TestArtifactChecks:
         ("2020-04-21", "blank"),
     ], ids=["blank-train", "deleted-row", "blank-test", "blank-last"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "forecast"])
+    @pytest.mark.parametrize("read", READS)
     def test_day_without_value_exits_3_naming_file_variable_and_date(
-            self, artifact, tmp_path, capsys, command, day, edit):
+            self, artifact, tmp_path, capsys, command, day, edit, read):
+        drop_f8(artifact, read)
         dataset = artifact / "dataset.csv"
         lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
         at = next(i for i, line in enumerate(lines) if line.startswith(day))
@@ -972,8 +987,10 @@ class TestArtifactChecks:
     # still has a value, so only scaling.json's n_rows tells
     @pytest.mark.parametrize("row", [1, -1], ids=["first", "last"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "forecast"])
+    @pytest.mark.parametrize("read", READS)
     def test_deleted_first_or_last_day_exits_3_naming_n_rows_and_both_counts(
-            self, artifact, tmp_path, capsys, command, row):
+            self, artifact, tmp_path, capsys, command, row, read):
+        drop_f8(artifact, read)
         dataset = artifact / "dataset.csv"
         lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
         del lines[row]
@@ -989,12 +1006,68 @@ class TestArtifactChecks:
         assert f"{artifact / 'scaling.json'}: 'n_rows' is 31, but {dataset} has 30 days" in err
         assert not (tmp_path / "out").exists()
 
-    def test_dataset_not_utf8_exits_3_naming_file(self, artifact, tmp_path, capsys):
+    @pytest.mark.parametrize("read", READS)
+    def test_dataset_not_utf8_exits_3_naming_file(self, artifact, tmp_path, capsys, read):
+        drop_f8(artifact, read)
         dataset = artifact / "dataset.csv"
         dataset.write_bytes(dataset.read_bytes().replace(b"date", "d\u00e4te".encode("latin-1")))
         assert main(["train", "--data-dir", str(artifact), "--epochs", "1",
                      "--output-dir", str(tmp_path / "t")]) == 3
         assert str(dataset) in capsys.readouterr().err
+
+    @staticmethod
+    def set_values(artifact, read, values: dict[str, float]):
+        """Give dataset.csv ``values`` (day -> value) and, for the ``with-f8``
+        read, a dataset.f8 whose digest matches it, as ingest would write."""
+        dataset = artifact / "dataset.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            day = line.split(",", 1)[0]
+            if day in values:
+                lines[i] = f"{day},{values[day]!r}\n"
+        dataset.write_text("".join(lines), encoding="utf-8")
+        if read == "with-f8":
+            days, variables = load_csv(dataset)
+            write_packed(artifact / "dataset.f8", np.array(list(variables.values())))
+            assert read_packed(dataset, ["confirmed"], "confirmed", len(days)) is not None
+        else:
+            (artifact / "dataset.f8").unlink()
+
+    # ingest scales the 24 training days (2020-03-22 .. 2020-04-14) by their
+    # own minimum and maximum, so each lies in [0, 1]; a test day may not
+    @pytest.mark.parametrize("values, named", [
+        ({"2020-03-25": -5.0, "2020-04-02": 1e300}, "is -5.0 on training day 2020-03-25"),
+        ({"2020-04-02": 1e300}, "is 1e+300 on training day 2020-04-02"),
+        ({"2020-04-14": 1.0000000000000002}, "is 1.0000000000000002 on training day 2020-04-14"),
+    ], ids=["negative-and-huge", "huge", "just-above-one"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "forecast"])
+    @pytest.mark.parametrize("read", READS)
+    def test_training_value_outside_unit_interval_exits_3_naming_file_variable_and_date(
+            self, artifact, tmp_path, capsys, command, read, values, named):
+        self.set_values(artifact, read, values)
+        model = tmp_path / "model.json"
+        save_model(initialize_network(NetworkConfig(n_filters=2, lstm_units=3), 7), model)
+        flags = {"train": ["--epochs", "1", "--n-filters", "2", "--lstm-units", "2"],
+                 "evaluate": ["--model", str(model)],
+                 "forecast": ["--model", str(model), "--steps", "2"]}[command]
+        assert main([command, "--data-dir", str(artifact), *flags,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{artifact / 'dataset.csv'}: variable 'confirmed' {named}, outside [0, 1]" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "forecast"])
+    @pytest.mark.parametrize("read", READS)
+    def test_test_values_may_lie_outside_unit_interval(self, artifact, tmp_path, command,
+                                                       read):
+        self.set_values(artifact, read, {"2020-04-15": -5.0, "2020-04-21": 3.5})
+        model = tmp_path / "model.json"
+        save_model(initialize_network(NetworkConfig(n_filters=2, lstm_units=3), 7), model)
+        flags = {"train": ["--epochs", "1", "--n-filters", "2", "--lstm-units", "2"],
+                 "evaluate": ["--model", str(model)],
+                 "forecast": ["--model", str(model), "--steps", "2"]}[command]
+        assert main([command, "--data-dir", str(artifact), *flags,
+                     "--output-dir", str(tmp_path / "out")]) == 0
 
 
 class TestOverLongCell:
@@ -1025,8 +1098,10 @@ class TestOverLongCell:
         assert main(["compare", "--scores", str(scores), "--output-dir", str(tmp_path / "o")]) == 3
         assert f"{scores}:3: {self.MESSAGE}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("read", READS)
     def test_forecast_exits_3_naming_the_artifacts_file_and_line(self, artifact, tmp_path,
-                                                                  capsys):
+                                                                  capsys, read):
+        drop_f8(artifact, read)
         dataset = artifact / "dataset.csv"
         lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[5] = lines[5].rstrip("\n") + "0" * len(self.LONG) + "\n"
@@ -1080,7 +1155,9 @@ class TestArtifactVariables:
         assert self.train(three, tmp_path) == 0
         assert "variable: a" in capsys.readouterr().out.splitlines()
 
-    def test_only_the_target_column_is_parsed(self, three, tmp_path, capsys):
+    @pytest.mark.parametrize("read", READS)
+    def test_only_the_target_column_is_parsed(self, three, tmp_path, capsys, read):
+        drop_f8(three, read)
         dataset = three / "dataset.csv"
         lines = dataset.read_text(encoding="utf-8").splitlines()
         lines[5] = lines[5].rsplit(",", 1)[0] + ",oops"  # a bad cell in column c
@@ -1651,14 +1728,17 @@ class TestCsvWriter:
     def test_matches_csv_writer(self, tmp_path):
         paths = set()
 
+        # a chunk of rows that needs quoting may sit between plain ones
         @settings(max_examples=400, deadline=None)
         @given(st.integers(1, 5).flatmap(lambda width: st.tuples(
             st.lists(TEXT_CELLS, min_size=width, max_size=width),
-            st.lists(st.lists(TABLE_CELLS, min_size=width, max_size=width), max_size=6))))
-        def check(table):
+            st.lists(st.lists(TABLE_CELLS, min_size=width, max_size=width), max_size=6))),
+            st.sampled_from([1, 2, fileio.CHUNK_LINES]))
+        def check(table, chunk_lines):
             header, rows = table
             columns = [[row[i] for row in rows] for i in range(len(header))]
-            text, handed = self.write(tmp_path / "t.csv", header, columns)
+            with mock.patch.object(fileio, "CHUNK_LINES", chunk_lines):
+                text, handed = self.write(tmp_path / "t.csv", header, columns)
             assert text == csv_writer_text(header, columns).encode("utf-8")
             paths.add(handed)
 

@@ -33,7 +33,7 @@ def test_demo_pipeline_reproduces_golden_artifacts(tmp_path):
         assert main(argv) == 0, argv
 
     expected = _primary(GOLDEN)
-    assert len(expected) == 8
+    assert len(expected) == 9
     assert _primary(tmp_path) == expected
     differing = [
         name for name in sorted(expected)
