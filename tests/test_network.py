@@ -477,10 +477,10 @@ class TestLockstep:
 
 
 class TestInferenceBytes:
-    """sha256 of ``predict_windows`` on two full blocks and a tail, and of a
-    137-step ``iterative_forecast``, per single-feature config of
-    ``TestTrainingTrajectory``. A rewrite of the forward that rounds the
-    same keeps every digest."""
+    """sha256 of ``predict_windows`` on two full blocks and a tail, per config
+    of ``TestTrainingTrajectory``, and of a 137-step ``iterative_forecast``,
+    per single-feature one. A rewrite of the forward that rounds the same
+    keeps every digest."""
 
     NAMES = sorted(name for name, extra in TestTrainingTrajectory.CONFIGS.items()
                    if extra.get("n_features", 1) == 1)
@@ -495,6 +495,8 @@ class TestInferenceBytes:
         "one-step/forecast": "6ea55fca199f9e8e09d7a77f1bf1d3d2bbc990e6a426fa8d1476f904fc97445f",
         "tanh/predict": "c8c627f65de6a7805d8075b669a432d4fa7fdd6b4df8841c05129fb13cb9e04b",
         "tanh/forecast": "24a18157f431f8e55943a1d950819379a5cc4f88cfcb1cf7f83be6b54f77bb2e",
+        "two-features-kernel-4/predict":
+            "eee44aa1cb3ea5cc22e2c6bb7f9df11e4a3d33f0e3ef4279f479d5463ef2fe07",
     }
 
     @staticmethod
@@ -503,7 +505,7 @@ class TestInferenceBytes:
         net = initialize_network(config, samples.lookback)
         n = 2 * PREDICT_BLOCK + 5
         series = np.random.default_rng(37).uniform(
-            0.0, 1.0, size=n + samples.lookback + config.horizon - 1)
+            0.0, 1.0, size=(n + samples.lookback + config.horizon - 1, config.n_features))
         if kind == "predict":
             windows = make_windows(series, samples.lookback, config.horizon)
             assert len(windows) == n
@@ -516,6 +518,11 @@ class TestInferenceBytes:
     @pytest.mark.parametrize("kind", ["predict", "forecast"])
     def test_inference_matches_recorded_digest(self, name, kind):
         assert self.digest(name, kind) == self.DIGESTS[f"{name}/{kind}"]
+
+    def test_multi_feature_prediction_matches_recorded_digest(self):
+        # forecasting is single-feature, so only the prediction is pinned
+        assert self.digest("two-features-kernel-4", "predict") == \
+            self.DIGESTS["two-features-kernel-4/predict"]
 
     def test_inference_in_one_process_repeats_its_recorded_bytes(self):
         # A, B, A: the second A must not see anything the first A or B left
