@@ -4,9 +4,9 @@ as ``network`` runs them.
 Everything is float64 numpy; shapes follow the convention (time,
 channels), optionally behind leading batch axes. Every function writes
 into arrays the caller passes, so one set of arrays serves every window
-of a run (``network._StepBuffers``, ``network._GroupBuffers``). The
-backward functions read what their forward counterparts wrote there, so
-gradients are exact reverse-mode.
+of a run (``network._GroupBuffers``). The backward functions read what
+their forward counterparts wrote there, so gradients are exact
+reverse-mode.
 
 The LSTM keeps its four gates fused, as PyTorch ``nn.LSTM`` and Appleyard
 et al., "Optimizing Performance of RNNs on GPUs" (arXiv:1604.01946) do:
@@ -14,9 +14,9 @@ one (4 * units, units + input_dim) weight over [hidden, input] whose row
 blocks are the gates in ``GATES`` order, so a step is one matrix product.
 The input's share of the pre-activation, W_x.x + b, is passed in already
 computed, so a caller that feeds the same input to every step projects it
-once. The LSTM step and its backward also take a leading member axis with
+once. The LSTM step and its backward take a leading member axis with
 per-member weights: k networks stepped in lockstep, each member's product
-a (1, n) by (n, m) matmul of its own.
+a (batch, n) by (n, m) matmul of its own; one network is a group of one.
 """
 
 from __future__ import annotations
@@ -107,13 +107,13 @@ def _maxpool1d_backward(dout, trimmed, dx):
 
 
 @functools.lru_cache(maxsize=None)
-def _gate_scale(units: int, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _gate_scale(units: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (scale, shift) of the fused gates: tanh(scale * a) * scale +
     shift is sigmoid(a) = 0.5 + 0.5 tanh(a / 2) on the forget, input and
-    output rows and tanh(a) on the candidate rows. Shaped (1, ..., 4u) to
-    meet operands of ``ndim`` axes, where numpy multiplies faster than it
-    broadcasts across a missing axis. Read-only, shared."""
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], units).reshape((1,) * (ndim - 1) + (-1,))
+    output rows and tanh(a) on the candidate rows. Shaped (1, 1, 4u) to
+    meet the (k, batch, 4u) pre-activations, where numpy multiplies faster
+    than it broadcasts across a missing axis. Read-only, shared."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], units).reshape(1, 1, -1)
     shift = np.repeat([0.5, 0.5, 0.0, 0.5], units).reshape(scale.shape)
     scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
@@ -127,7 +127,8 @@ def _slope_scale(units: int, steps: int) -> np.ndarray:
     the gates and tanh(cell) side by side. Exact, as every scale is a
     power of two. Read-only, shared."""
     scale, _ = _gate_scale(units)
-    factor = np.tile(np.concatenate((scale * scale, np.ones(units))), (steps, 1, 1, 1))
+    factor = np.tile(np.concatenate((scale * scale, np.ones((1, 1, units))), axis=-1),
+                     (steps, 1, 1, 1))
     factor.flags.writeable = False
     return factor
 
@@ -135,16 +136,16 @@ def _slope_scale(units: int, steps: int) -> np.ndarray:
 def _lstm_cell_cache(xproj, prev_cell, prev_hidden, w_hT, out):
     """One step on the fused gates.
 
-    xproj (..., 4u) is the input's share W_x.x + b of the pre-activation
-    and w_hT (..., u, 4u) the recurrent weight, transposed: one matrix for
-    a batch of windows, or one per member, the states then being (k, 1,
-    u). ``None`` for the previous state means the zero state, whose
+    xproj (k, batch, 4u) is the input's share W_x.x + b of the
+    pre-activation and w_hT (k, u, 4u) each member's recurrent weight,
+    transposed; the states are (k, batch, u). ``None`` for the previous
+    state means the zero state, whose
     recurrent share vanishes. ``out`` holds the arrays to write the step
     into: pre (scratch), squashed, gates, cell, tanh_cell, hidden, and the
     four blocks of gates in ``GATES`` order as views. Returns (cell,
     hidden).
     """
-    scale, shift = _gate_scale(w_hT.shape[-2], xproj.ndim)
+    scale, shift = _gate_scale(w_hT.shape[-2])
     pre, squashed, gates, cell, tanh_cell, hidden, blocks = out
     if prev_hidden is None:
         pre = xproj

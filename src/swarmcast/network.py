@@ -17,13 +17,15 @@ layers after the pooling a leading member axis, so one matmul per
 product, one LSTM step and one optimizer update serve every member,
 while each member computes exactly what its lone training would. The
 LSTM gates are fused into one matrix, and the repeated input is
-projected once per window. Every pass writes its intermediates into
-step buffers made once (``_StepBuffers`` for inference,
-``_GroupBuffers`` for a training group), and the backward reads them
-there; it takes the LSTM's two derivative arrays for all repeat steps
-at once after the forward. Inference runs fixed-size blocks of windows
-through the same forward, one set per block size, and a recursive
-forecast reuses one set for every step.
+projected once per window. There is one forward (``_forward``): every
+pass, training's and inference's, runs a group over a batch of windows
+per member and writes its intermediates into a set made once
+(``_GroupBuffers``); the backward reads them there, and takes the
+LSTM's two derivative arrays for all repeat steps at once after the
+forward. Training steps one window per member. Inference runs one
+network as a group of one (``_Stack.of`` views its weights without
+copying them) over fixed-size blocks of windows, one set per block
+size, and a recursive forecast reuses one set for every step.
 Models serialise to JSON with weights base64-encoded as little-endian
 float64, so save/load round-trips are bit-exact.
 """
@@ -147,8 +149,8 @@ class _FlatParams:
     public per-gate arrays by name; gate_w (4u, u + flat) stacks the gate
     weights row-wise in ``GATES`` order and gate_b their biases, and gate_w's
     first u columns act on the hidden state (w_h), the rest on the
-    repeated input (w_x); w_hT and w_xT are their transposes. Every array
-    is a view of ``buf``, which is zeros unless given.
+    repeated input (w_x). Every array is a view of ``buf``, which is zeros
+    unless given.
     """
 
     def __init__(self, config: NetworkConfig, lookback: int, buf=None):
@@ -167,7 +169,6 @@ class _FlatParams:
         self.conv_w2d = self.conv_w.reshape(config.n_filters, -1)
         self.w_h = self.gate_w[:, :units]
         self.w_x = self.gate_w[:, units:]
-        self.w_hT, self.w_xT = self.w_h.T, self.w_x.T
 
 
 class _Stack:
@@ -185,13 +186,23 @@ class _Stack:
         sizes = [config.weight_count(lookback) for config in configs]
         slot = max(sizes)
         self.buf = np.zeros((len(configs), slot)) if buf is None else buf
-        self.members = [_FlatParams(config, lookback, row[slot - size :])
-                        for config, row, size in zip(configs, self.buf, sizes)]
-        first, across = self.members[0], self.buf.strides[0]
+        across = self.buf.strides[0]
+        self._stack([_FlatParams(config, lookback, row[slot - size :])
+                     for config, row, size in zip(configs, self.buf, sizes)],
+                    lambda view: as_strided(view, (len(configs), *view.shape),
+                                            (across, *view.strides)))
 
-        def stacked(view):
-            return as_strided(view, (len(configs), *view.shape), (across, *view.strides))
+    @classmethod
+    def of(cls, weights: _FlatParams) -> _Stack:
+        """One network's weights as a group of one that shares their buffer:
+        its views gain a leading axis, and nothing is laid out again."""
+        group = cls.__new__(cls)
+        group.buf = weights.buf[None]
+        group._stack([weights], lambda view: view[None])
+        return group
 
+    def _stack(self, members, stacked):
+        self.members, first = members, members[0]
         self.w_h, self.w_x, self.dense_w = map(stacked, (first.w_h, first.w_x, first.dense_w))
         self.gate_b, self.dense_b = (stacked(b)[:, None] for b in (first.gate_b, first.dense_b))
         self.w_hT, self.w_xT, self.dense_wT = (w.swapaxes(1, 2)
@@ -236,79 +247,53 @@ def initialize_network(config: NetworkConfig, lookback: int) -> TrainedNetwork:
     return TrainedNetwork(config=config, lookback=lookback, weights=weights)
 
 
-def _conv_buffers(config: NetworkConfig, lookback: int, batch: tuple[int, ...] = ()):
-    """A conv output (*batch, lookback - K + 1, filters) and its pool windows,
-    the view (*batch, pooled, pool, filters) of it without its remainder rows."""
-    conv = np.empty((*batch, lookback - config.kernel_size + 1, config.n_filters))
-    pooled = pooled_length(lookback, config.kernel_size, config.pool_size)
-    windows = conv[..., : pooled * config.pool_size, :].reshape(
-        *batch, pooled, config.pool_size, config.n_filters)
-    return conv, windows
-
-
-def _lstm_buffers(config: NetworkConfig, batch: tuple[int, ...]):
-    """An LSTM pass's arrays for windows of shape ``batch``: the input
-    projection (*batch, 4u) and, step-major, the gates, cells and hidden
-    states (steps, *batch, width) and the squashed gates and tanh(cell)
-    side by side (steps, *batch, 5u); then per step the ``out`` of
-    ``_lstm_cell_cache``: the scratch pre-activation, the squashed gates,
-    gates, cell, tanh(cell), hidden and the gates' four blocks, all
-    views."""
-    steps, units = config.repeat_steps, config.lstm_units
-    xproj, pre = np.empty((2, *batch, 4 * units))
-    gates = np.empty((steps, *batch, 4 * units))
-    cell, hidden = np.empty((2, steps, *batch, units))
-    activations = np.empty((steps, *batch, 5 * units))
-    views = [(pre, both[..., : 4 * units], gate, c, both[..., 4 * units :], h,
-              tuple(gate[..., i * units : (i + 1) * units] for i in range(4)))
-             for both, gate, c, h in zip(activations, gates, cell, hidden)]
-    return xproj, gates, cell, hidden, activations, views
-
-
-class _StepBuffers:
-    """Every intermediate of a forward pass of ``batch`` windows, made once
-    from (config, lookback, batch) and overwritten by each pass: the conv
-    output (``windows``, its pool windows, views it), the pooled output
-    (``flat`` views it), the input projection and per LSTM step the arrays
-    ``_lstm_cell_cache`` writes (``steps``; ``hidden[t]`` is the state after
-    step t)."""
-
-    def __init__(self, config: NetworkConfig, lookback: int, batch: tuple[int, ...] = ()):
-        self.conv, self.windows = _conv_buffers(config, lookback, batch)
-        pooled = pooled_length(lookback, config.kernel_size, config.pool_size)
-        self.pooled = np.empty((*batch, pooled, config.n_filters))
-        self.flat = self.pooled.reshape(*batch, -1)
-        self.xproj, _, _, self.hidden, _, self.steps = _lstm_buffers(config, batch)
-
-
 class _GroupBuffers:
-    """Everything a training step of a lockstep group (see ``_Stack``)
-    writes and reads, made once from (configs, lookback).
+    """Everything a pass of a lockstep group (see ``_Stack``) writes, made
+    once from (configs, lookback, batch) and overwritten by each pass:
+    ``batch`` windows per member for inference, or, for training (``batch``
+    None), one window per member and the arrays the backward reads.
 
-    Per member, ``fronts`` holds the conv output, its pool windows, the
-    pool backward's input gradient and the pooled output, a view of the
-    member's row of ``flat`` (k, 1, flat). The rest is ``_lstm_buffers``
-    for windows of shape (k, 1), so a step's arrays are (k, 1, width)
-    blocks; ``head`` holds two (k, 1, horizon) scratch arrays for the
-    dense head. The backward adds the derivatives of ``activations``
-    (``derivatives``, see ``_lstm_slopes``), the gate gradients
-    (``dgates``, (steps, k, 1, 4u)), per step the arguments of
-    ``_lstm_cell_backward`` after the two gradients (``backward``) and the
-    operands of the recurrent weight's gradient. Every per-step entry is a
-    view, made here once."""
+    Per member, ``fronts`` holds the conv output, its pool windows (the
+    view (..., pooled, pool, filters) of it without its remainder rows),
+    the pool backward's input gradient (training only, else None) and the
+    pooled output, a view of the member's row of ``flat`` (k, batch,
+    flat); an inference front has a leading batch axis, a training front
+    none. The LSTM arrays are (k, batch, ...) blocks, training's batch
+    being 1: the input projection ``xproj`` and, step-major, the gates,
+    cells and hidden states and the squashed gates and tanh(cell) side by
+    side (``activations``, 5u wide); ``steps`` holds per step the ``out``
+    of ``_lstm_cell_cache`` (the scratch pre-activation, the squashed
+    gates, gates, cell, tanh(cell), hidden and the gates' four blocks).
+    ``head`` holds two (k, batch, horizon) arrays for the dense head.
+    Training adds the derivatives of ``activations`` (``derivatives``, see
+    ``_lstm_slopes``), the gate gradients (``dgates``, (steps, k, 1, 4u)),
+    per step the arguments of ``_lstm_cell_backward`` after the two
+    gradients (``backward``) and the operands of the recurrent weight's
+    gradient. Every per-step entry is a view, made here once."""
 
-    def __init__(self, configs, lookback: int):
+    def __init__(self, configs, lookback: int, batch: int | None = None):
         config, k = configs[0], len(configs)
-        steps, units = config.repeat_steps, config.lstm_units
-        self.flat = np.empty((k, 1, config.flat_length(lookback)))
+        steps, units, filters = config.repeat_steps, config.lstm_units, config.n_filters
+        lead, n = ((), 1) if batch is None else ((batch,), batch)
+        self.flat = np.empty((k, n, config.flat_length(lookback)))
+        pooled = pooled_length(lookback, config.kernel_size, config.pool_size)
         self.fronts = []
         for member, flat in zip(configs, self.flat):
-            conv, windows = _conv_buffers(member, lookback)
-            self.fronts.append((conv, windows, np.empty_like(conv),
-                                flat.reshape(-1, config.n_filters)))
-        self.head = np.empty((2, k, 1, config.horizon))
-        self.xproj, gates, cell, self.hidden, self.activations, self.steps = \
-            _lstm_buffers(config, (k, 1))
+            conv = np.empty((*lead, lookback - member.kernel_size + 1, filters))
+            windows = conv[..., : pooled * member.pool_size, :].reshape(
+                *lead, pooled, member.pool_size, filters)
+            self.fronts.append((conv, windows, np.empty_like(conv) if batch is None else None,
+                                flat.reshape(*lead, pooled, filters)))
+        self.head = np.empty((2, k, n, config.horizon))
+        self.xproj, pre = np.empty((2, k, n, 4 * units))
+        gates = np.empty((steps, k, n, 4 * units))
+        cell, self.hidden = np.empty((2, steps, k, n, units))
+        self.activations = np.empty((steps, k, n, 5 * units))
+        self.steps = [(pre, both[..., : 4 * units], gate, c, both[..., 4 * units :], h,
+                       tuple(gate[..., i * units : (i + 1) * units] for i in range(4)))
+                      for both, gate, c, h in zip(self.activations, gates, cell, self.hidden)]
+        if batch is not None:
+            return
         self.dgates, self.derivatives = np.empty_like(gates), np.empty_like(self.activations)
         by_gate = (steps, k, 4, units)
         rows, drows = gates.reshape(by_gate), self.dgates.reshape(by_gate)
@@ -328,26 +313,25 @@ class _GroupBuffers:
         self.hidden_before = np.empty(self.hidden_steps.shape)
 
 
-def _recurrent(p, b):
-    """The repeat layer and the LSTM on ``b.flat``, with the weights of ``p``,
-    a network's ``_FlatParams`` or a group's ``_Stack``; returns the last
-    hidden state."""
+def _forward(p: _Stack, windows, cfg: NetworkConfig, b: _GroupBuffers):
+    """The forward pass of a group on each member's im2col windows in
+    ``windows`` (the shape of its front in ``b``, by L' K*F), with the
+    weights of ``p`` and any member's config ``cfg``. Writes every
+    intermediate into ``b`` and returns the outputs (k, batch, horizon),
+    a view of ``b`` that the next pass overwrites."""
+    for member, cols, (conv, pools, _, pooled) in zip(p.members, windows, b.fronts):
+        _conv1d_cache(cols, member.conv_w2d, member.conv_b, cfg.conv_activation, conv)
+        _maxpool1d_cache(pools, pooled)
     # the repeat layer feeds flat to every step, so its projection is shared
     xproj = np.matmul(b.flat, p.w_xT, out=b.xproj)
     xproj += p.gate_b
     cell = hidden = None
     for out in b.steps:
         cell, hidden = _lstm_cell_cache(xproj, cell, hidden, p.w_hT, out)
-    return hidden
-
-
-def _forward(p: _FlatParams, cols, cfg: NetworkConfig, b: _StepBuffers):
-    """Forward pass of im2col windows cols (*batch, lookback - K + 1, K*F)
-    in ``b``, a set made for that batch shape, which keeps every
-    intermediate; returns the outputs (*batch, horizon)."""
-    _conv1d_cache(cols, p.conv_w2d, p.conv_b, cfg.conv_activation, b.conv)
-    _maxpool1d_cache(b.windows, b.pooled)
-    return _recurrent(p, b) @ p.dense_w.T + p.dense_b
+    # no operand is its own output: numpy takes a slow path for that on one
+    # element, a horizon-1 lone network's
+    output, scratch = b.head
+    return np.add(np.matmul(hidden, p.dense_wT, out=output), p.dense_b, out=scratch)
 
 
 def _gradients(p: _Stack, g: _Stack, windows, target, error, cfg: NetworkConfig,
@@ -357,18 +341,11 @@ def _gradients(p: _Stack, g: _Stack, windows, target, error, cfg: NetworkConfig,
     ``windows`` holds the members' im2col windows, ``target`` (k, 1,
     horizon) their targets, and ``cfg`` any member's config. Writes the
     errors (output - target) into ``error`` (k, 1, horizon) and returns
-    it. The step runs in ``b``, and the backward reads there what the
-    forward wrote."""
-    activation = cfg.conv_activation
-    for member, cols, (conv, pools, _, pooled) in zip(p.members, windows, b.fronts):
-        _conv1d_cache(cols, member.conv_w2d, member.conv_b, activation, conv)
-        _maxpool1d_cache(pools, pooled)
-    hidden = _recurrent(p, b)
-    # no operand is its own output: numpy takes a slow path for that on one
-    # element, a horizon-1 lone network's
-    output, scratch = b.head
-    np.add(np.matmul(hidden, p.dense_wT, out=output), p.dense_b, out=scratch)
-    np.subtract(scratch, target, out=error)
+    it. The step runs in ``b``, a training set, and the backward reads
+    there what the forward wrote."""
+    np.subtract(_forward(p, windows, cfg, b), target, out=error)
+    output, _ = b.head
+    hidden = b.hidden[-1]
     doutput = np.divide(np.multiply(2.0, error, out=output), cfg.horizon, out=g.dense_b)
     np.multiply(doutput.swapaxes(1, 2), hidden, out=g.dense_w)
 
@@ -390,7 +367,7 @@ def _gradients(p: _Stack, g: _Stack, windows, target, error, cfg: NetworkConfig,
     dpooled = dsum @ p.w_x
     for grad, cols, (conv, pools, dx, _), dflat in zip(g.members, windows, b.fronts, dpooled):
         dconv = _maxpool1d_backward(dflat.reshape(-1, cfg.n_filters), pools, dx)
-        _conv1d_backward(dconv, cols, conv, activation, grad.conv_w2d, grad.conv_b)
+        _conv1d_backward(dconv, cols, conv, cfg.conv_activation, grad.conv_w2d, grad.conv_b)
     return error
 
 
@@ -406,13 +383,17 @@ def _window_cols(net: TrainedNetwork, inputs) -> np.ndarray:
     return _im2col(inputs, net.config.kernel_size)
 
 
-def network_forward(x, net: TrainedNetwork, buffers: _StepBuffers | None = None) -> np.ndarray:
+def _inference(net: TrainedNetwork, batch: int):
+    """``net`` as a group of one and a set for ``batch`` of its windows."""
+    return _Stack.of(net.weights), _GroupBuffers([net.config], net.lookback, batch)
+
+
+def network_forward(x, net: TrainedNetwork, buffers=None) -> np.ndarray:
     """Run one lookback window through the network; returns (horizon,). The
-    pass runs in ``buffers``, a single-window set of ``net``'s config and
-    lookback, or in a fresh one."""
-    if buffers is None:
-        buffers = _StepBuffers(net.config, net.lookback)
-    return _forward(net.weights, _window_cols(net, x), net.config, buffers)
+    pass runs in ``buffers``, an ``_inference(net, 1)`` made once for many
+    windows, whose next pass overwrites the result, or in a fresh one."""
+    group, b = _inference(net, 1) if buffers is None else buffers
+    return _forward(group, [_window_cols(net, x)[None]], net.config, b)[0, 0]
 
 
 class _Adam:
@@ -588,9 +569,9 @@ def predict_windows(net: TrainedNetwork, samples: WindowedSamples) -> np.ndarray
     for start in range(0, len(inputs), PREDICT_BLOCK):
         block = inputs[start : start + PREDICT_BLOCK]
         if start == 0 or len(block) < PREDICT_BLOCK:  # one set per block size
-            buffers = _StepBuffers(net.config, net.lookback, block.shape[:1])
+            group, buffers = _inference(net, len(block))
         cols = _window_cols(net, block)
-        out[start : start + len(block)] = _forward(net.weights, cols, net.config, buffers)
+        out[start : start + len(block)] = _forward(group, [cols], net.config, buffers)[0]
     return out
 
 
@@ -622,7 +603,7 @@ def iterative_forecast(
     produced = -(-steps // horizon) * horizon
     values = np.empty(lookback + produced)
     values[:lookback] = series[-lookback:]
-    buffers = _StepBuffers(net.config, lookback)
+    buffers = _inference(net, 1)
     for start in range(0, produced, horizon):
         block = values[start : start + lookback, None]
         values[start + lookback : start + lookback + horizon] = network_forward(block, net, buffers)

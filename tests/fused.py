@@ -16,17 +16,20 @@ from swarmcast.network import _FlatParams, _gradients, _GroupBuffers, _Stack, _w
 def lstm_step_fused(x, prev_cell, prev_hidden, w):
     """``layers._lstm_cell_cache`` on ``w`` (gate name -> (weight rows over
     [hidden, input], bias)) stacked in ``GATES`` order; x and the previous
-    state are arrays. The step writes into fresh arrays. Returns (hidden,
-    cell, gates), gates being the four activations (4 * units,)."""
+    state are arrays. The step runs as a group of one on one window and
+    writes into fresh arrays. Returns (hidden, cell, gates), gates being
+    the four activations (4 * units,)."""
     units = len(prev_hidden)
     gate_w = np.concatenate([w[gate][0] for gate in GATES])
     gate_b = np.concatenate([w[gate][1] for gate in GATES])
-    pre, squashed, gates = np.empty((3, 4 * units))
-    out = (pre, squashed, gates, *np.empty((3, units)), tuple(gates.reshape(4, units)))
-    cell, hidden = _lstm_cell_cache(
-        gate_w[:, units:] @ x + gate_b, prev_cell, prev_hidden, gate_w[:, :units].T, out
-    )
-    return hidden, cell, gates
+    pre, squashed, gates = np.empty((3, 1, 1, 4 * units))
+    out = (pre, squashed, gates, *np.empty((3, 1, 1, units)),
+           tuple(gates[..., i * units : (i + 1) * units] for i in range(4)))
+    cell, hidden = _lstm_cell_cache((gate_w[:, units:] @ x + gate_b)[None, None],
+                                    np.reshape(prev_cell, (1, 1, -1)),
+                                    np.reshape(prev_hidden, (1, 1, -1)),
+                                    gate_w[:, :units].T[None], out)
+    return hidden[0, 0], cell[0, 0], gates[0, 0]
 
 
 def compute_gradients(net, x, target) -> dict[str, np.ndarray]:
