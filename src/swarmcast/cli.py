@@ -264,13 +264,19 @@ def cmd_ingest(options, out_dir: Path):
     scaled = np.empty((len(variables), n))  # dataset.f8's values, the same floats
     variable_meta = {}
     for row, (name, raw) in zip(scaled, variables.items()):
+        column = columns[name] if columns else name
         try:
             filled = impute_missing(raw)
         except DataError as exc:
-            column = columns[name] if columns else name
             raise DataError(f"{options['data']}: column {column!r}: {exc}") from None
-        _, params = minmax_scale(filled[:cut])
-        row[:] = apply_scale(filled, params)
+        with np.errstate(over="ignore", invalid="ignore"):  # a span past float64, refused below
+            _, params = minmax_scale(filled[:cut])
+            row[:] = apply_scale(filled, params)
+        bad = np.flatnonzero(~np.isfinite(row))
+        if len(bad):
+            raise DataError(f"{options['data']}: column {column!r}: the value on"
+                            f" {iso_day(days[bad[0]])} scales to {row[bad[0]]},"
+                            " not a finite number")
         table.append(list(map(repr, row.tolist())))
         variable_meta[name] = {
             "minimum": params.minimum,

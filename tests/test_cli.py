@@ -153,6 +153,21 @@ class TestIngest:
         assert f"{data}: variable 'date'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, day, scaled", [
+        ("-1e308 1e308 0 1 2", "2020-01-02", "nan"),
+        ("-1e308 0 -5e307 0 1e308", "2020-01-05", "inf"),
+    ], ids=["training-span-overflows", "test-day-overflows"])
+    def test_value_scaling_past_float64_exits_3_naming_column_and_date(self, tmp_path, capsys,
+                                                                      values, day, scaled):
+        # five days: the default split trains on the first four
+        data, out = tmp_path / "wide.csv", tmp_path / "out"
+        rows = [f"2020-01-0{i},{value}" for i, value in enumerate(values.split(), 1)]
+        data.write_text("\n".join(["date,v", *rows, ""]), encoding="utf-8")
+        assert main(["ingest", "--data", str(data), "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}: column 'v': the value on {day} scales to {scaled}, not a finite" in err
+        assert not out.exists()
+
     def test_missing_data_flag_exits_2(self, tmp_path):
         assert main(["ingest", "--output-dir", str(tmp_path / "o")]) == 2
 
