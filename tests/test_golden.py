@@ -9,6 +9,7 @@ Regenerate after a change that is meant to alter the bits, from the repo root:
 import importlib.util
 from pathlib import Path
 
+from platforms import mismatch
 from swarmcast.cli import VOLATILE_FILES, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -39,4 +40,4 @@ def test_demo_pipeline_reproduces_golden_artifacts(tmp_path):
         name for name in sorted(expected)
         if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
     ]
-    assert not differing, f"artifacts differ from tests/golden/demo: {differing}"
+    assert not differing, mismatch(f"artifacts differ from tests/golden/demo: {differing}")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fused import train_one, with_params
 from oracles import adam_exact, adam_loop, conv1d_loop, lstm_step_scalar, maxpool1d_loop
+from platforms import mismatch
 from swarmcast.errors import ConfigError, DataError, NumericalError
 from swarmcast.layers import GATES
 from swarmcast.network import (
@@ -323,7 +324,8 @@ class TestTrainingTrajectory:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_trajectory_matches_recorded_digest(self, name, optimizer):
-        assert self.digest(name, optimizer) == self.DIGESTS[f"{name}/{optimizer}"]
+        key = f"{name}/{optimizer}"
+        assert self.digest(name, optimizer) == self.DIGESTS[key], mismatch(key)
 
 
 class TestStepBuffers:
@@ -353,7 +355,7 @@ class TestStepBuffers:
         for name, optimizer in (("default", "adam"), ("tanh", "sgd"), ("default", "adam")):
             key = f"{name}/{optimizer}"
             assert TestTrainingTrajectory.digest(name, optimizer) == \
-                TestTrainingTrajectory.DIGESTS[key], key
+                TestTrainingTrajectory.DIGESTS[key], mismatch(key)
 
     def test_pool_gradient_keeps_no_entry_of_the_previous_sample(self):
         # kernel 1 and an identity conv of weight 1 pass the window to the pool
@@ -517,19 +519,20 @@ class TestInferenceBytes:
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("kind", ["predict", "forecast"])
     def test_inference_matches_recorded_digest(self, name, kind):
-        assert self.digest(name, kind) == self.DIGESTS[f"{name}/{kind}"]
+        key = f"{name}/{kind}"
+        assert self.digest(name, kind) == self.DIGESTS[key], mismatch(key)
 
     def test_multi_feature_prediction_matches_recorded_digest(self):
         # forecasting is single-feature, so only the prediction is pinned
-        assert self.digest("two-features-kernel-4", "predict") == \
-            self.DIGESTS["two-features-kernel-4/predict"]
+        key = "two-features-kernel-4/predict"
+        assert self.digest(*key.split("/")) == self.DIGESTS[key], mismatch(key)
 
     def test_inference_in_one_process_repeats_its_recorded_bytes(self):
         # A, B, A: the second A must not see anything the first A or B left
         for kind in ("forecast", "predict"):
             for name in ("default", "tanh", "default"):
                 key = f"{name}/{kind}"
-                assert self.digest(name, kind) == self.DIGESTS[key], key
+                assert self.digest(name, kind) == self.DIGESTS[key], mismatch(key)
 
 
 class TestPrediction:
