@@ -139,11 +139,10 @@ def _lstm_cell_cache(xproj, prev_cell, prev_hidden, w_hT, out):
     xproj (k, batch, 4u) is the input's share W_x.x + b of the
     pre-activation and w_hT (k, u, 4u) each member's recurrent weight,
     transposed; the states are (k, batch, u). ``None`` for the previous
-    state means the zero state, whose
-    recurrent share vanishes. ``out`` holds the arrays to write the step
-    into: pre (scratch), squashed, gates, cell, tanh_cell, hidden, and the
-    four blocks of gates in ``GATES`` order as views. Returns (cell,
-    hidden).
+    state means the zero state, whose recurrent share vanishes. ``out``
+    holds the arrays to write the step into: pre (scratch), squashed,
+    gates, cell, tanh_cell, hidden, and the four blocks of gates in
+    ``GATES`` order as views. Returns (cell, hidden).
     """
     scale, shift = _gate_scale(w_hT.shape[-2])
     pre, squashed, gates, cell, tanh_cell, hidden, blocks = out

@@ -314,11 +314,11 @@ class _GroupBuffers:
 
 
 def _forward(p: _Stack, windows, cfg: NetworkConfig, b: _GroupBuffers):
-    """The forward pass of a group on each member's im2col windows in
-    ``windows`` (the shape of its front in ``b``, by L' K*F), with the
-    weights of ``p`` and any member's config ``cfg``. Writes every
-    intermediate into ``b`` and returns the outputs (k, batch, horizon),
-    a view of ``b`` that the next pass overwrites."""
+    """The forward pass of a group with the weights of ``p``; ``windows``
+    holds each member's im2col rows, (batch, L', K*F) for an inference set
+    ``b`` and (L', K*F) for a training one, and ``cfg`` is any member's
+    config. Writes every intermediate into ``b`` and returns the outputs
+    (k, batch, horizon), a view of ``b`` that the next pass overwrites."""
     for member, cols, (conv, pools, _, pooled) in zip(p.members, windows, b.fronts):
         _conv1d_cache(cols, member.conv_w2d, member.conv_b, cfg.conv_activation, conv)
         _maxpool1d_cache(pools, pooled)
@@ -345,9 +345,8 @@ def _gradients(p: _Stack, g: _Stack, windows, target, error, cfg: NetworkConfig,
     there what the forward wrote."""
     np.subtract(_forward(p, windows, cfg, b), target, out=error)
     output, _ = b.head
-    hidden = b.hidden[-1]
     doutput = np.divide(np.multiply(2.0, error, out=output), cfg.horizon, out=g.dense_b)
-    np.multiply(doutput.swapaxes(1, 2), hidden, out=g.dense_w)
+    np.multiply(doutput.swapaxes(1, 2), b.hidden[-1], out=g.dense_w)
 
     _lstm_slopes(b.activations, b.derivatives)
     dhidden = doutput @ p.dense_w
